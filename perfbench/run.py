@@ -4,8 +4,9 @@ Usage, from the repository root:
 
     python3 perfbench/run.py --workload <name|all> --seed N --seconds S --trace 0|1
 
-With --trace 0 a run measures the end-to-end metrics (setup_s, train_s,
-attack_s, peak_rss_mb). With --trace 1 it alternates untraced and traced
+With --trace 0 a run measures the end-to-end metrics: setup_s (median of
+fresh-interpreter probes), train_s and attack_s (fastest pipeline of the
+run) and peak_rss_mb. With --trace 1 it alternates untraced and traced
 iterations and reports the per-layer metrics of the traced ones. The last
 line of standard output is one JSON object with the keys correct, attempted,
 failed and metrics; the lines before it give the environment, the artefact
@@ -221,7 +222,14 @@ def run_workload(name: str, seed: int, seconds: float, traced: bool) -> int:
     else:
         import resource
 
-        metrics = {key: med(values) for key, values in samples.items()}
+        # Interference from other tenants only ever adds time, and slow periods
+        # cover several pipelines; the fastest pipeline of the run is the
+        # steadiest estimate of the code's own cost (see README.md, "Noise").
+        metrics = {
+            "setup_s": med(samples["setup_s"]),
+            "train_s": min(samples["train_s"]),
+            "attack_s": min(samples["attack_s"]),
+        }
         metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     units = metric_units("per_layer" if traced else "end_to_end")
     for key, value in metrics.items():
