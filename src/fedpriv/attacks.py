@@ -95,16 +95,52 @@ def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
 
 
 def _grad_matrix(spec, params, x, y) -> np.ndarray:
-    """Per-sample cross-entropy gradients stacked into an (n, P) matrix."""
+    """Per-sample cross-entropy gradients stacked into an (n, P) matrix.
+
+    The explicit reference that `_grad_cosines` is tested against; the
+    attacks themselves never call it.
+    """
     return np.stack(
         [models.per_sample_grad(spec, params, x[i], int(y[i])) for i in range(len(y))]
     )
 
 
-def _cosine_rows(grads: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(grads, axis=1) * np.linalg.norm(direction)
-    dots = grads @ direction
-    out = np.zeros(len(grads))
+def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
+    """Cosine of every sample's cross-entropy gradient at `params` with every
+    direction row: (m, n) for m directions (rows of length P) and n samples.
+
+    One forward pass; per-sample gradients are never built. Each layer's
+    per-sample gradient is the outer product of its backpropagated signal
+    delta and its input a, plus delta for the bias (Goodfellow,
+    arXiv:1510.01799), so against a direction block (V, c) its dot product is
+    sum(delta * (a V^T + c)) and its squared norm is |delta|^2 (|a|^2 + 1).
+    A zero gradient or a zero direction gives cosine 0.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    logits, cache, x = models._logits_and_hidden(spec, params, x)
+    n, m = len(y), len(directions)
+    dlogits = np.exp(models.log_softmax(logits))
+    dlogits[np.arange(n), y] -= 1.0
+    if spec.hidden_dim == 0:
+        layers = [(x, dlogits)]
+    else:
+        pre, hid = cache
+        _, _, w2, _ = models.unpack(spec, params)
+        layers = [(x, np.where(pre > 0.0, dlogits @ w2, 0.0)), (hid, dlogits)]
+    dots = np.zeros((m, n))
+    sq_norms = np.zeros(n)
+    offset = 0
+    for a, delta in layers:
+        rows, cols = delta.shape[1], a.shape[1]
+        v = directions[:, offset : offset + rows * cols].reshape(m * rows, cols)
+        c = directions[:, offset + rows * cols : offset + rows * (cols + 1)]
+        offset += rows * (cols + 1)
+        proj = (a @ v.T).reshape(n, m, rows) + c
+        dots += np.einsum("nmr,nr->mn", proj, delta)
+        sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
+    norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)
+    out = np.zeros((m, n))
     ok = norms > 0
     out[ok] = dots[ok] / norms[ok]
     return out
@@ -134,13 +170,12 @@ def trajectory_matrix(
     for t in store.rounds:
         if kind == "grad_cosine":
             global_t = store.global_at(t)
-            grads = _grad_matrix(store.spec, global_t, x, y)
             if selector == "global":
                 all_locals = [store.local_at(t, k) for k in range(store.num_clients)]
                 target = aggregate_weighted(all_locals, store.client_sizes)
             else:
                 target = _target_params(store, selector, t)
-            cols.append(_cosine_rows(grads, target - global_t))
+            cols.append(_grad_cosines(store.spec, global_t, x, y, target - global_t)[0])
         else:
             params = _target_params(store, selector, t)
             cols.append(_static_measurements(store.spec, params, x, y, kind))
@@ -226,30 +261,15 @@ def build_out_distribution(
 
     Uses the population standard deviation, floored at 1e-6.
     """
-    others = [k for k in range(store.num_clients) if k != target_client]
-    if len(others) < 2:
-        raise ValueError("need at least 2 non-target clients")
-    means, stds = [], []
-    xb = np.asarray(x, dtype=np.float64)[None, :]
-    yb = np.asarray([int(y)])
-    for t in store.rounds:
-        vals = []
-        for k in others:
-            if kind == "grad_cosine":
-                global_t = store.global_at(t)
-                grads = _grad_matrix(store.spec, global_t, xb, yb)
-                vals.append(float(_cosine_rows(grads, store.local_at(t, k) - global_t)[0]))
-            else:
-                vals.append(
-                    float(_static_measurements(store.spec, store.local_at(t, k), xb, yb, kind)[0])
-                )
-        arr = np.asarray(vals)
-        means.append(arr.mean())
-        stds.append(max(arr.std(), OUT_STD_FLOOR))
+    mean, std = _out_stats_matrix(
+        store,
+        np.asarray(x, dtype=np.float64)[None, :],
+        np.asarray([int(y)]),
+        {target_client},
+        kind,
+    )
     return OutDistribution(
-        rounds=np.asarray(store.rounds, dtype=np.int64),
-        mean=np.asarray(means),
-        std=np.asarray(stds),
+        rounds=np.asarray(store.rounds, dtype=np.int64), mean=mean[0], std=std[0]
     )
 
 
@@ -260,16 +280,15 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
         raise ValueError("need at least 2 non-target clients")
     per_round_means, per_round_stds = [], []
     for t in store.rounds:
-        cols = []
         if kind == "grad_cosine":
             global_t = store.global_at(t)
-            grads = _grad_matrix(store.spec, global_t, x, y)
-            for k in others:
-                cols.append(_cosine_rows(grads, store.local_at(t, k) - global_t))
+            directions = np.stack([store.local_at(t, k) for k in others]) - global_t
+            stack = _grad_cosines(store.spec, global_t, x, y, directions)
         else:
-            for k in others:
-                cols.append(_static_measurements(store.spec, store.local_at(t, k), x, y, kind))
-        stack = np.stack(cols)  # (others, n)
+            stack = np.stack(
+                [_static_measurements(store.spec, store.local_at(t, k), x, y, kind) for k in others]
+            )
+        # stack: (others, n)
         per_round_means.append(stack.mean(axis=0))
         per_round_stds.append(np.maximum(stack.std(axis=0), OUT_STD_FLOOR))
     return np.column_stack(per_round_means), np.column_stack(per_round_stds)

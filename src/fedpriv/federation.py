@@ -79,6 +79,9 @@ class RoundReport:
     client_sizes: tuple[int, ...]
 
 
+SNAPSHOT_FIELDS = ("rounds", "client_sizes", "spec", "globals", "locals")
+
+
 class SnapshotStore:
     """Recorded model snapshots: global broadcast and uploaded locals per round."""
 
@@ -124,16 +127,64 @@ class SnapshotStore:
 
     @classmethod
     def load(cls, path: str) -> "SnapshotStore":
+        """Read a file written by `save`, checking every field's shape.
+
+        Each stored array is read (and decompressed) exactly once; the
+        per-round snapshots are row views into the loaded stacks.
+        """
         with np.load(path) as blob:
-            d, h, n = (int(v) for v in blob["spec"])
-            store = cls(ModelSpec(d, h, n), blob["client_sizes"])
-            for i, t in enumerate(blob["rounds"]):
-                store.record(
-                    int(t),
-                    blob["globals"][i],
-                    {k: blob["locals"][i, k] for k in range(store.num_clients)},
-                )
+            missing = [name for name in SNAPSHOT_FIELDS if name not in blob.files]
+            if missing:
+                raise ValueError(f"snapshot file lacks field(s) {missing}")
+            fields = {name: blob[name] for name in SNAPSHOT_FIELDS}
+        store = cls(_check_snapshot_fields(fields), fields["client_sizes"])
+        store.rounds = [int(t) for t in fields["rounds"]]
+        store._globals = dict(zip(store.rounds, fields["globals"]))
+        store._locals = {t: dict(enumerate(row)) for t, row in zip(store.rounds, fields["locals"])}
         return store
+
+
+def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
+    """Validate a loaded snapshot file and return its ModelSpec.
+
+    Raises ValueError naming the first field that does not fit the others:
+    spec (d, h, C), globals (R, P) with P = spec.param_count, locals (R, K, P),
+    client_sizes (K,) and rounds (R,) strictly increasing.
+    """
+
+    def bad(name: str, why: str) -> ValueError:
+        return ValueError(f"snapshot field {name!r} {why}")
+
+    def is_int(arr: np.ndarray) -> bool:
+        return np.issubdtype(arr.dtype, np.integer)
+
+    raw_spec = fields["spec"]
+    if raw_spec.shape != (3,) or not is_int(raw_spec):
+        raise bad("spec", f"must be 3 ints (input_dim, hidden_dim, classes), got {raw_spec!r}")
+    try:
+        spec = ModelSpec(*(int(v) for v in raw_spec))
+    except ValueError as err:
+        raise bad("spec", f"is not a valid model: {err}") from None
+    p = spec.param_count
+    globals_stack = fields["globals"]
+    if globals_stack.ndim != 2 or globals_stack.shape[1] != p or len(globals_stack) == 0:
+        raise bad("globals", f"must have shape (R, {p}) with R >= 1, got {globals_stack.shape}")
+    r = len(globals_stack)
+    locals_stack = fields["locals"]
+    if locals_stack.ndim != 3 or locals_stack.shape[0] != r or locals_stack.shape[2] != p:
+        raise bad("locals", f"must have shape ({r}, K, {p}), got {locals_stack.shape}")
+    k = locals_stack.shape[1]
+    sizes = fields["client_sizes"]
+    if sizes.shape != (k,) or not is_int(sizes):
+        raise bad("client_sizes", f"must be {k} ints, got shape {sizes.shape}")
+    rounds = fields["rounds"]
+    if (
+        rounds.shape != (r,)
+        or not is_int(rounds)
+        or np.any(np.diff(rounds.astype(np.int64)) <= 0)
+    ):
+        raise bad("rounds", f"must be {r} strictly increasing ints, got {rounds!r}")
+    return spec
 
 
 def aggregate_weighted(params_list, weights) -> np.ndarray:

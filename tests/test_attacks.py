@@ -189,6 +189,21 @@ def test_out_distribution_needs_two_non_targets():
         atk.build_out_distribution(store, ds.X[0], 0, target_client=0, kind="loss")
 
 
+def test_out_distribution_is_row_zero_of_out_stats_matrix():
+    cfg = make_config(clients=4, rounds=10, snapshot_every=5, samples_per_class=30)
+    prep, state = run_from_config(cfg)
+    x, y = prep.train.X[:6], prep.train.y[:6]
+    for kind in ("grad_cosine", "loss"):
+        out = atk.build_out_distribution(state.store, x[0], int(y[0]), 1, kind)
+        mean, std = atk._out_stats_matrix(state.store, x[:1], y[:1], {1}, kind)
+        assert np.array_equal(out.mean, mean[0]) and np.array_equal(out.std, std[0])
+        assert np.array_equal(out.rounds, state.store.rounds)
+        # the same sample inside a larger batch agrees to rounding
+        batch_mean, batch_std = atk._out_stats_matrix(state.store, x, y, {1}, kind)
+        assert np.allclose(out.mean, batch_mean[0], rtol=0, atol=1e-12)
+        assert np.allclose(out.std, batch_std[0], rtol=0, atol=1e-12)
+
+
 def test_fedmia_zero_when_target_matches_out_mean():
     store, ds = _loss_store([2.0, 1.0, 3.0], rounds=(1, 2, 3))
     scores = atk.attack_fedmia(store, ds, np.array([0]), ("local", 0), "i")

@@ -218,3 +218,16 @@ def test_csv_dataset_source_runs(tmp_path):
     out = tmp_path / "csvrun"
     assert ex.run_experiment(cfg, str(out)) == 0
     assert os.path.exists(out / ex.SUMMARY_CSV)
+
+
+def test_attack_from_disk_equals_attack_from_memory(tmp_path):
+    cfg = parse_config_text(
+        SMALL + "attack.list = loss_series,avg_cosine,fta_l,fta_c,fedmia_i,fedmia_ii\n"
+    )
+    out = str(tmp_path / "run")
+    state = ex.stage_train(cfg, out)
+    ex.stage_attack(cfg, out, store=state.store)
+    in_memory = _read(os.path.join(out, ex.ATTACKS_CSV))
+    ex.stage_attack(cfg, out)
+    assert _read(os.path.join(out, ex.ATTACKS_CSV)) == in_memory
+    assert len(_lines(os.path.join(out, ex.ATTACKS_CSV))) == 7

@@ -230,3 +230,78 @@ def test_local_snapshot_missing_client_errors():
     _, state = run_from_config(cfg)
     with pytest.raises(KeyError):
         state.store.local_at(1, 7)
+
+
+def _snapshot_fields():
+    """A consistent set of snapshot-file arrays: logreg 3 -> 2, R=3, K=4."""
+    spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
+    p = spec.param_count
+    return {
+        "rounds": np.array([1, 5, 10], dtype=np.int64),
+        "client_sizes": np.array([4, 5, 6, 7], dtype=np.int64),
+        "spec": np.array([3, 0, 2], dtype=np.int64),
+        "globals": np.zeros((3, p)),
+        "locals": np.ones((3, 4, p)),
+    }
+
+
+def test_store_load_accepts_the_unforged_fields(tmp_path):
+    path = tmp_path / "snaps.npz"
+    np.savez_compressed(path, **_snapshot_fields())
+    store = fed.SnapshotStore.load(str(path))
+    assert store.rounds == [1, 5, 10] and store.num_clients == 4
+    assert np.array_equal(store.local_at(5, 3), np.ones(8))
+
+
+@pytest.mark.parametrize(
+    "field, forged",
+    [
+        ("spec", np.array([3, 0], dtype=np.int64)),
+        ("spec", np.array([3, 0, 1], dtype=np.int64)),
+        ("spec", np.array([3.0, 0.0, 2.0])),
+        ("globals", np.zeros((3, 9))),
+        ("globals", np.zeros(24)),
+        ("locals", np.ones((2, 4, 8))),
+        ("locals", np.ones((3, 4, 7))),
+        ("locals", np.ones((3, 32))),
+        ("client_sizes", np.array([4, 5, 6], dtype=np.int64)),
+        ("client_sizes", np.array([4.0, 5.0, 6.0, 7.0])),
+        ("rounds", np.array([1, 5], dtype=np.int64)),
+        ("rounds", np.array([1, 10, 5], dtype=np.int64)),
+        ("rounds", np.array([1, 5, 5], dtype=np.int64)),
+        ("rounds", np.array([1.0, 5.0, 10.0])),
+    ],
+)
+def test_store_load_names_the_bad_field(tmp_path, field, forged):
+    path = tmp_path / "forged.npz"
+    np.savez_compressed(path, **dict(_snapshot_fields(), **{field: forged}))
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        fed.SnapshotStore.load(str(path))
+
+
+def test_store_load_names_a_missing_field(tmp_path):
+    fields = _snapshot_fields()
+    del fields["locals"]
+    path = tmp_path / "partial.npz"
+    np.savez_compressed(path, **fields)
+    with pytest.raises(ValueError, match="locals"):
+        fed.SnapshotStore.load(str(path))
+
+
+def test_store_load_reads_each_member_once(tmp_path, monkeypatch):
+    cfg = make_config(clients=3, rounds=5, snapshot_every=2, samples_per_class=30)
+    _, state = run_from_config(cfg)
+    path = tmp_path / "snaps.npz"
+    state.store.save(str(path))
+    reads = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def counting_getitem(npz, key):
+        reads.append(key)
+        return getitem(npz, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting_getitem)
+    fed.SnapshotStore.load(str(path))
+    assert sorted(reads) == sorted(fed.SNAPSHOT_FIELDS)
+    with np.load(path) as blob:
+        assert sorted(blob.files) == sorted(fed.SNAPSHOT_FIELDS)
