@@ -15,7 +15,6 @@ def _add_common(parser: argparse.ArgumentParser, need_config: bool) -> None:
     )
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override fl.seed")
-    parser.add_argument("--threads", type=int, default=None, help="parallel client workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,13 +61,13 @@ def main(argv=None) -> int:
         cfg = experiment.load_run_config(args.out, args.config)
         cfg = experiment.with_overrides(cfg, seed=args.seed, out_dir=args.out)
         if args.command == "train":
-            experiment.stage_train(cfg, args.out, threads=args.threads)
+            experiment.stage_train(cfg, args.out)
         elif args.command == "attack":
             experiment.stage_attack(cfg, args.out)
         elif args.command == "report":
             experiment.stage_report(cfg, args.out, baseline_dir=args.baseline)
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"fedpriv {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

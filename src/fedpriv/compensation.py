@@ -258,31 +258,17 @@ def combined_sgd_epochs(
 ) -> np.ndarray:
     """SGD on cross-entropy plus the confidence-regularized term for recycled rows.
 
-    Per mini-batch the objective is (sum CE + sum_recycled CR) / batch_size;
-    soft targets are rebuilt from the current model each batch and treated
-    as constants.
+    Per mini-batch the objective is (sum CE + sum_recycled CR) divided by the
+    batch's size; soft targets are rebuilt from the current model each batch
+    and treated as constants.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    recycled_mask = np.asarray(recycled_mask, dtype=bool)
-    n = x.shape[0]
-    out = params.copy()
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            xb, yb, rb = x[idx], y[idx], recycled_mask[idx]
-            b = len(idx)
-            probs = models.predict_proba(spec, out, xb)
-            dlogits = probs.copy()
-            dlogits[np.arange(b), yb] -= 1.0
-            if rb.any():
-                targets = _soft_targets(probs[rb], yb[rb])
-                _, d_cr = _cr_loss_and_dlogits(probs[rb], targets, mu)
-                dlogits[rb] += d_cr
-            dlogits /= b
-            out -= lr * models.grad_from_dlogits(spec, out, xb, dlogits)
-    return out
+
+    def cr_dlogits(probs: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
+        return _cr_loss_and_dlogits(probs, _soft_targets(probs, y_rows), mu)[1]
+
+    return models.sgd_clients(
+        spec, params, [x], [y], lr, epochs, batch_size, [rng], ([recycled_mask], cr_dlogits)
+    )[0]
 
 
 def compensated_local_update(
@@ -370,9 +356,12 @@ def compensated_local_update(
         before = float(
             models.per_sample_losses(spec, global_params, client.val_X, client.val_y).mean()
         )
-        after = float(
-            models.per_sample_losses(spec, params, client.val_X, client.val_y).mean()
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+            after = float(
+                models.per_sample_losses(spec, params, client.val_X, client.val_y).mean()
+            )
+        if not math.isfinite(after):
+            raise FloatingPointError("non-finite validation loss after the local update")
         raw = compute_reward(before, after)
     else:
         raw = 0.0

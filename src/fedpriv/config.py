@@ -43,7 +43,7 @@ class ExperimentConfig:
     batch_size: int = 32
     snapshot_every: int = 10
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted only as 1: clients train in lock-step in one thread
     # defense
     defense: str = "none"
     coalition: tuple[int, ...] = ()
@@ -202,6 +202,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("fl.K", "need at least 2 clients")
     if cfg.rounds < 1:
         bad("fl.T", "must be >= 1")
+    if cfg.threads != 1:
+        bad("fl.threads", f"must be 1 (clients train in lock-step), got {cfg.threads}")
     if cfg.lr < 0 or cfg.local_epochs < 1 or cfg.batch_size < 1 or cfg.snapshot_every < 1:
         bad("fl.*", "lr >= 0 and local_epochs/batch_size/snapshot_every >= 1 required")
     if cfg.defense not in DEFENSE_KINDS:

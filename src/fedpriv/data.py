@@ -10,6 +10,7 @@ matches the global one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,10 @@ def load_csv(path: str) -> LabeledDataset:
                 continue
             if len(row) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            xs.append([float(v) for v in row[:d]])
+            feats = [float(v) for v in row[:d]]
+            if not all(math.isfinite(v) for v in feats):
+                raise ValueError(f"{path}:{lineno}: non-finite feature value")
+            xs.append(feats)
             label = int(row[d])
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label")

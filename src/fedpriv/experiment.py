@@ -24,7 +24,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import attacks as atk
-from .config import ExperimentConfig, parse_config, resolved_class_bounds, serialize_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    resolved_class_bounds,
+    serialize_config,
+)
 from .compensation import RecycleConfig
 from .data import (
     ClientDataset,
@@ -230,10 +236,16 @@ def write_attacks_csv(path: str, results) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_train(cfg: ExperimentConfig, out_dir: str, threads: int | None = None) -> TrainingState:
-    """Run training and write rounds/assignments/compensation CSVs + snapshots."""
-    os.makedirs(out_dir, exist_ok=True)
+def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
+    """Run training and write rounds/assignments/compensation CSVs + snapshots.
+
+    The evaluation pools are drawn first, so a config whose pools cannot be
+    filled fails before any training; the pools have their own random
+    stream, so drawing them here changes no artefact.
+    """
     prep = prepare_data(cfg)
+    build_pools(cfg, prep)
+    os.makedirs(out_dir, exist_ok=True)
     state = run_training(
         build_fl_config(cfg),
         prep.spec,
@@ -241,7 +253,6 @@ def stage_train(cfg: ExperimentConfig, out_dir: str, threads: int | None = None)
         prep.test.X,
         prep.test.y,
         defense_cfg=build_defense_config(cfg, prep.spec.num_classes),
-        threads=threads if threads is not None else cfg.threads,
     )
     with open(os.path.join(out_dir, CONFIG_TXT), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
@@ -256,18 +267,25 @@ def build_pools(cfg: ExperimentConfig, prep: PreparedData) -> EvalPools:
     """Member/IFL/OFL pools for the configured target client.
 
     The target's validation indices are excluded from the member pool: those
-    samples are never trained, so they are not members.
+    samples are never trained, so they are not members. Raises ConfigError
+    naming the eval.* sizes when the data cannot fill the pools.
     """
     exclude = prep.clients[cfg.target_client].val_indices
-    return build_eval_pools(
-        prep.plan,
-        cfg.target_client,
-        cfg.members_n,
-        cfg.ifl_n,
-        cfg.ofl_n,
-        derive_seed(cfg.seed, "pools"),
-        exclude=exclude,
-    )
+    try:
+        return build_eval_pools(
+            prep.plan,
+            cfg.target_client,
+            cfg.members_n,
+            cfg.ifl_n,
+            cfg.ofl_n,
+            derive_seed(cfg.seed, "pools"),
+            exclude=exclude,
+        )
+    except ValueError as exc:
+        raise ConfigError(
+            f"eval pools (eval.members = {cfg.members_n}, eval.ifl = {cfg.ifl_n}, "
+            f"eval.ofl = {cfg.ofl_n}) do not fit the data: {exc}"
+        ) from None
 
 
 def _attack_selector(cfg: ExperimentConfig):
@@ -330,10 +348,9 @@ def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str,
     baseline_dir: str | None = None,
-    threads: int | None = None,
 ) -> int:
     """Train, attack, and report in one pass. Returns a process exit status."""
-    state = stage_train(cfg, out_dir, threads=threads)
+    state = stage_train(cfg, out_dir)
     stage_attack(cfg, out_dir, store=state.store)
     stage_report(cfg, out_dir, baseline_dir=baseline_dir)
     return 0

@@ -1,15 +1,17 @@
 """FedAvg round loop with pluggable per-client defenses and snapshot recording.
 
 Every client trains every round (full participation keeps the coalition's
-noise cancellation exact). The server aggregates local parameters with
-weights proportional to each client's original local dataset size, and
+noise cancellation exact). The clients that train plainly do so together in
+one lock-step `models.sgd_clients` call; coalition members under the
+coalition defense train one by one. The server aggregates local parameters
+with weights proportional to each client's original local dataset size, and
 records model snapshots — the global broadcast and every uploaded local —
 at round 1 and every snapshot_every rounds thereafter.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,7 +245,6 @@ class TrainingState:
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
     defense_cfg: CoalitionDefenseConfig | None = None
-    threads: int = 1
 
 
 def init_training(
@@ -253,7 +254,6 @@ def init_training(
     test_X: np.ndarray,
     test_y: np.ndarray,
     defense_cfg: CoalitionDefenseConfig | None = None,
-    threads: int = 1,
 ) -> TrainingState:
     """Coordinator preparation: model init plus, for the coalition defense,
     the full class-assignment schedule and the precomputed noise plan."""
@@ -268,7 +268,6 @@ def init_training(
         test_y=np.asarray(test_y, dtype=np.int64),
         global_params=models.init_params(spec, stream(config.seed, "init")),
         store=SnapshotStore(spec, sizes),
-        threads=max(1, threads),
     )
     if config.defense == "coalition":
         if defense_cfg is None:
@@ -297,55 +296,71 @@ def init_training(
     return state
 
 
-def _local_update(state: TrainingState, client_id: int, round_t: int):
-    """One client's round: returns (uploaded params, telemetry or None)."""
-    cfg = state.config
-    client = state.clients[client_id]
-    train_rng = stream(cfg.seed, "train", client_id, round_t)
-    in_coalition = client_id in cfg.coalition
+def _diverged(round_t: int, clients) -> FloatingPointError:
+    return FloatingPointError(
+        f"training diverged at round {round_t}: non-finite loss in the local update "
+        f"of client(s) {list(clients)}"
+    )
 
-    if cfg.defense == "coalition" and in_coalition:
-        dcfg = state.defense_cfg
-        member = cfg.coalition.index(client_id)
-        classes = state.schedule.round_subsets(round_t)[member]
-        assigned = select_assigned_subset(client, classes)
+
+def _plain_updates(state: TrainingState, ids: list[int], round_t: int) -> dict[int, np.ndarray]:
+    """Uploads of the clients that train plainly, all in one lock-step call;
+    the grad_sparse / grad_noise baselines then alter their coalition's uploads."""
+    cfg = state.config
+    try:
+        trained = models.sgd_clients(
+            state.spec,
+            state.global_params,
+            [state.clients[k].train_X for k in ids],
+            [state.clients[k].train_y for k in ids],
+            cfg.lr,
+            cfg.local_epochs,
+            cfg.batch_size,
+            [stream(cfg.seed, "train", k, round_t) for k in ids],
+        )
+    except models.NonFiniteLoss as err:
+        raise _diverged(round_t, [ids[i] for i in err.clients]) from None
+    uploads = dict(zip(ids, trained))
+    if cfg.defense in ("grad_sparse", "grad_noise"):
+        for k in cfg.coalition:
+            update = uploads[k] - state.global_params
+            if cfg.defense == "grad_sparse":
+                update = grad_sparsify(update, cfg.keep_rate)
+            else:
+                noise_rng = stream(cfg.seed, "gradnoise", k, round_t)
+                update = grad_gaussian_noise(update, cfg.noise_sigma, noise_rng)
+            uploads[k] = state.global_params + update
+    return uploads
+
+
+def _coalition_update(state: TrainingState, client_id: int, round_t: int):
+    """One coalition member's defended round: (uploaded params, telemetry)."""
+    cfg = state.config
+    dcfg = state.defense_cfg
+    member = cfg.coalition.index(client_id)
+    client = state.clients[client_id]
+    classes = state.schedule.round_subsets(round_t)[member]
+    try:
         params, tele = compensated_local_update(
             state.spec,
             state.global_params,
             client,
-            assigned,
+            select_assigned_subset(client, classes),
             round_t,
             dcfg.recycle,
             state.bandits[client_id],
             cfg.lr,
             cfg.local_epochs,
             cfg.batch_size,
-            train_rng,
+            stream(cfg.seed, "train", client_id, round_t),
             stream(cfg.seed, "bandit", client_id, round_t),
         )
-        if dcfg.sigma > 0:
-            delta = float(state.noise_plan.round_deltas(round_t)[member])
-            params = apply_perturbation(params, delta, dcfg.tail_ratio)
-        return params, tele
-
-    params = models.sgd_epochs(
-        state.spec,
-        state.global_params,
-        client.train_X,
-        client.train_y,
-        cfg.lr,
-        cfg.local_epochs,
-        cfg.batch_size,
-        train_rng,
-    )
-    if in_coalition and cfg.defense == "grad_sparse":
-        params = state.global_params + grad_sparsify(params - state.global_params, cfg.keep_rate)
-    elif in_coalition and cfg.defense == "grad_noise":
-        noise_rng = stream(cfg.seed, "gradnoise", client_id, round_t)
-        params = state.global_params + grad_gaussian_noise(
-            params - state.global_params, cfg.noise_sigma, noise_rng
-        )
-    return params, None
+    except FloatingPointError:  # non-finite training or validation loss
+        raise _diverged(round_t, [client_id]) from None
+    if dcfg.sigma > 0:
+        delta = float(state.noise_plan.round_deltas(round_t)[member])
+        params = apply_perturbation(params, delta, dcfg.tail_ratio)
+    return params, tele
 
 
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:
@@ -359,31 +374,38 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
     if not 1 <= round_t <= cfg.rounds:
         raise ValueError(f"round {round_t} outside [1, {cfg.rounds}]")
 
-    ids = list(range(cfg.num_clients))
-    if state.threads > 1:
-        with ThreadPoolExecutor(max_workers=state.threads) as pool:
-            results = list(pool.map(lambda k: _local_update(state, k, round_t), ids))
-    else:
-        results = [_local_update(state, k, round_t) for k in ids]
-    local_map = {k: res[0] for k, res in zip(ids, results)}
-    for _, tele in results:
-        if tele is not None:
-            state.telemetry.append(tele)
+    defended = cfg.coalition if cfg.defense == "coalition" else ()
+    ids = [k for k in range(cfg.num_clients) if k not in defended]
+    local_map = _plain_updates(state, ids, round_t) if ids else {}
+    for k in defended:
+        local_map[k], tele = _coalition_update(state, k, round_t)
+        state.telemetry.append(tele)
 
     if snapshot_due(round_t, cfg.snapshot_every):
         state.store.record(round_t, state.global_params, local_map)
 
     sizes = state.store.client_sizes
-    state.global_params = aggregate_weighted([local_map[k] for k in ids], sizes)
+    state.global_params = aggregate_weighted(
+        [local_map[k] for k in range(cfg.num_clients)], sizes
+    )
+    if not np.all(np.isfinite(state.global_params)):
+        raise FloatingPointError(
+            f"training diverged at round {round_t}: the aggregated global model is not finite"
+        )
 
     loss_sum = 0.0
     sample_count = 0
-    for client in state.clients:
-        losses = models.per_sample_losses(
-            state.spec, state.global_params, client.train_X, client.train_y
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+        for client in state.clients:
+            losses = models.per_sample_losses(
+                state.spec, state.global_params, client.train_X, client.train_y
+            )
+            loss_sum += float(losses.sum())
+            sample_count += len(losses)
+    if not math.isfinite(loss_sum):
+        raise FloatingPointError(
+            f"training diverged at round {round_t}: the global model's training loss is not finite"
         )
-        loss_sum += float(losses.sum())
-        sample_count += len(losses)
     state.reports.append(
         RoundReport(
             round_t=round_t,
@@ -402,11 +424,10 @@ def run_training(
     test_X: np.ndarray,
     test_y: np.ndarray,
     defense_cfg: CoalitionDefenseConfig | None = None,
-    threads: int = 1,
 ) -> TrainingState:
     """Full deterministic training run; returns the final state with
     snapshots, round reports, compensation telemetry, and the schedule."""
-    state = init_training(config, spec, clients, test_X, test_y, defense_cfg, threads)
+    state = init_training(config, spec, clients, test_X, test_y, defense_cfg)
     for t in range(1, config.rounds + 1):
         run_round(state, t)
     return state

@@ -2,8 +2,8 @@
 
 Every source of randomness in the simulator draws from a stream derived
 from (master_seed, component_label, *ids). Streams are independent of
-execution order, so per-client work can run in parallel without changing
-results.
+execution order, so clients can be trained in any interleaving, such as in
+lock-step, without changing results.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def make_config(
     )
 
 
-def run_from_config(cfg, threads=1):
+def run_from_config(cfg):
     """prepare_data + run_training for a parsed config."""
     prep = ex.prepare_data(cfg)
     state = run_training(
@@ -75,7 +75,6 @@ def run_from_config(cfg, threads=1):
         prep.test.X,
         prep.test.y,
         defense_cfg=ex.build_defense_config(cfg, prep.spec.num_classes),
-        threads=threads,
     )
     return prep, state
 

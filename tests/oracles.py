@@ -2,8 +2,8 @@
 
 Deliberately written as straight-line brute force, separate from the
 library's implementations: finite-difference gradients, exhaustive
-subset-assignment search, pair-counting AUC, and a threshold-sweep
-TPR@FPR.
+subset-assignment search, pair-counting AUC, a threshold-sweep TPR@FPR,
+and mini-batch SGD that trains one client and one batch at a time.
 """
 
 import itertools
@@ -101,3 +101,84 @@ def trapezoid_auc(scores, labels):
         tpr_pts.append(tp / n_pos)
         i = j
     return float(np.trapezoid(tpr_pts, fpr_pts))
+
+
+def _forward_2d(spec, params, x):
+    """One model's forward pass on an (n, d) batch, layer by layer."""
+    from fedpriv.models import unpack
+
+    if spec.hidden_dim == 0:
+        w, b = unpack(spec, params)
+        return x @ w.T + b, None
+    w1, b1, w2, b2 = unpack(spec, params)
+    pre = x @ w1.T + b1
+    hid = np.maximum(pre, 0.0)
+    return hid @ w2.T + b2, (pre, hid)
+
+
+def _grad_2d(spec, params, x, dlogits):
+    """Flat parameter gradient for a logit gradient, recomputing the forward pass."""
+    from fedpriv.models import unpack
+
+    _, cache = _forward_2d(spec, params, x)
+    if spec.hidden_dim == 0:
+        return np.concatenate([(dlogits.T @ x).ravel(), dlogits.sum(axis=0)])
+    pre, hid = cache
+    w2 = unpack(spec, params)[2]
+    dhid = np.where(pre > 0.0, dlogits @ w2, 0.0)
+    return np.concatenate(
+        [(dhid.T @ x).ravel(), dhid.sum(axis=0), (dlogits.T @ hid).ravel(), dlogits.sum(axis=0)]
+    )
+
+
+def sequential_sgd(spec, params, x, y, lr, epochs, batch_size, rng, extra_term=None):
+    """One client's mini-batch SGD, one batch and one client at a time.
+
+    The plain cross-entropy step is log-softmax, a finite-loss check, then
+    exp(log-softmax) minus one-hot; with extra_term = (mask, dlogits_fn) the
+    step takes softmax probabilities and adds dlogits_fn(probs, y) on the
+    masked rows. Each batch's gradient is divided by its own size.
+    """
+    from fedpriv.models import log_softmax, softmax
+
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = x.shape[0]
+    out = params.copy()
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb, b = x[idx], y[idx], len(idx)
+            logits, _ = _forward_2d(spec, out, xb)
+            if extra_term is None:
+                logp = log_softmax(logits)
+                if not np.isfinite(-logp[np.arange(b), yb].mean()):
+                    raise FloatingPointError("non-finite loss")
+                dlogits = np.exp(logp)
+                dlogits[np.arange(b), yb] -= 1.0
+            else:
+                mask, dlogits_fn = extra_term
+                probs = softmax(logits)
+                dlogits = probs.copy()
+                dlogits[np.arange(b), yb] -= 1.0
+                rb = np.asarray(mask, dtype=bool)[idx]
+                if rb.any():
+                    dlogits[rb] += dlogits_fn(probs[rb], yb[rb])
+            dlogits /= b
+            out -= lr * _grad_2d(spec, out, xb, dlogits)
+    return out
+
+
+def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, extra_term=None):
+    """Drop-in for `models.sgd_clients` that trains the clients one after another."""
+    masks, fn = extra_term if extra_term is not None else (None, None)
+    return np.stack(
+        [
+            sequential_sgd(
+                spec, params, xs[k], ys[k], lr, epochs, batch_size, rngs[k],
+                None if masks is None else (masks[k], fn),
+            )
+            for k in range(len(xs))
+        ]
+    )

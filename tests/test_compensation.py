@@ -10,7 +10,7 @@ from fedpriv import models
 from fedpriv.compensation import BanditState, RecycleConfig
 from fedpriv.data import ClientDataset
 from fedpriv.models import ModelSpec
-from oracles import finite_difference_grad, max_rel_error
+from oracles import finite_difference_grad, max_rel_error, sequential_sgd
 
 
 # --- intervals -------------------------------------------------------------
@@ -298,6 +298,27 @@ def test_compensated_update_degenerate_is_plain_sgd():
     assert np.array_equal(params, direct)
     assert tele.n_recycled == 0
     assert len(bandit.rewards) == 1  # reward still recorded
+
+
+@pytest.mark.parametrize("hidden, n, batch_size", [(0, 23, 8), (6, 23, 8), (6, 5, 8), (6, 16, 4)])
+def test_combined_sgd_matches_sequential_oracle(hidden, n, batch_size):
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(12)
+    params = models.init_params(spec, rng)
+    x, y = 2.0 * rng.normal(size=(n, 4)), rng.integers(0, 3, size=n)
+    mask = rng.random(n) < 0.4
+    mu = 0.05
+
+    def cr_dlogits(probs, y_rows):
+        return cmp._cr_loss_and_dlogits(probs, cmp._soft_targets(probs, y_rows), mu)[1]
+
+    got = cmp.combined_sgd_epochs(
+        spec, params, x, y, mask, mu, 0.3, 2, batch_size, np.random.default_rng(3)
+    )
+    want = sequential_sgd(
+        spec, params, x, y, 0.3, 2, batch_size, np.random.default_rng(3), (mask, cr_dlogits)
+    )
+    assert np.array_equal(got, want)
 
 
 def test_compensated_update_empty_client_returns_global():

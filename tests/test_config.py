@@ -65,6 +65,13 @@ def test_coalition_id_out_of_range_names_field():
     assert "defense.coalition" in str(err.value)
 
 
+def test_threads_key_accepts_only_one():
+    assert parse_config_text(MINIMAL + "fl.threads = 1\n").threads == 1
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(MINIMAL + "fl.threads = 4\n")
+    assert "fl.threads" in str(err.value)
+
+
 def test_defense_needs_coalition():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "defense.kind = grad_noise\n")

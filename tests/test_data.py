@@ -176,6 +176,14 @@ def test_csv_rejects_negative_label(tmp_path):
         data.load_csv(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_rejects_non_finite_features(tmp_path, value):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"f0,f1,label\n1.0,2.0,0\n{value},2.0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"nan\.csv:3: non-finite"):
+        data.load_csv(str(path))
+
+
 def test_make_client_datasets_val_carve():
     ds = data.generate_synthetic(3, 40, 3, 1.0, seed=1)
     plan = data.partition_iid(ds, 4, 0.0, seed=1)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from fedpriv import cli, experiment as ex
+from fedpriv import models
 from fedpriv.config import parse_config_text
+from oracles import sequential_sgd_clients
 
 SMALL = """
 data.source = synthetic
@@ -74,12 +76,13 @@ def test_rerun_is_byte_identical(tmp_path):
         assert _read(a / name) == _read(b / name), name
 
 
-def test_thread_count_does_not_change_outputs(tmp_path):
+def test_lockstep_outputs_match_sequential_oracle(tmp_path, monkeypatch):
     cfg = parse_config_text(DEFENDED)
-    a, b = tmp_path / "t1", tmp_path / "t4"
-    ex.run_experiment(cfg, str(a), threads=1)
-    ex.run_experiment(cfg, str(b), threads=4)
-    for name in (ex.ROUNDS_CSV, ex.COMPENSATION_CSV, ex.ATTACKS_CSV):
+    a, b = tmp_path / "lockstep", tmp_path / "oracle"
+    ex.run_experiment(cfg, str(a))
+    monkeypatch.setattr(models, "sgd_clients", sequential_sgd_clients)
+    ex.run_experiment(cfg, str(b))
+    for name in (ex.ROUNDS_CSV, ex.COMPENSATION_CSV, ex.ATTACKS_CSV, ex.SNAPSHOTS_NPZ):
         assert _read(a / name) == _read(b / name), name
 
 
@@ -175,6 +178,36 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     rc = cli.main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "defense.coalition" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_diverging_train_reports_round_and_client(tmp_path, capsys):
+    cfg_path = tmp_path / "diverge.cfg"
+    text = DEFENDED.replace("fl.T = 8", "fl.T = 40") + "fl.lr = 1e6\n"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "diverged"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "training diverged at round 25" in err[0] and "client(s) [0]" in err[0]
+    assert not (out / ex.SNAPSHOTS_NPZ).exists()
+
+
+def test_cli_infeasible_pools_fail_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "pools.cfg"
+    cfg_path.write_text(SMALL.replace("eval.members = 10", "eval.members = 500"), encoding="utf-8")
+    out = tmp_path / "pools"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "eval.members = 500" in capsys.readouterr().err
+    assert not (out / ex.SNAPSHOTS_NPZ).exists()
+
+
+def test_cli_has_no_threads_option(tmp_path):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "t"), "--threads", "1"]
+    with pytest.raises(SystemExit):
+        cli.main(argv)
 
 
 def test_cli_attack_without_train_errors(tmp_path, capsys):

@@ -9,6 +9,7 @@ from fedpriv.data import ClientDataset
 from fedpriv.federation import FlConfig
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
+from oracles import sequential_sgd_clients
 
 
 # --- aggregation -----------------------------------------------------------
@@ -146,19 +147,29 @@ def test_training_deterministic_rerun():
             assert np.array_equal(a.store.local_at(t, k), b.store.local_at(t, k))
 
 
-def test_training_thread_count_does_not_change_results():
+def test_lockstep_training_matches_sequential_oracle(monkeypatch):
+    # coalition members (compensated, some rounds with recycling) and plain
+    # clients alike: lock-step training reproduces client-by-client training
     cfg = make_config(
         clients=5,
         rounds=4,
         snapshot_every=2,
         extra="defense.kind = coalition\ndefense.coalition = 0,1\ndefense.t0 = 2\n",
     )
-    _, seq = run_from_config(cfg, threads=1)
-    _, par = run_from_config(cfg, threads=4)
-    for t in seq.store.rounds:
+    _, lockstep = run_from_config(cfg)
+    monkeypatch.setattr(models, "sgd_clients", sequential_sgd_clients)
+    _, oracle = run_from_config(cfg)
+    assert sum(tele.n_recycled for tele in oracle.telemetry) > 0
+    for t in oracle.store.rounds:
         for k in range(5):
-            assert np.array_equal(seq.store.local_at(t, k), par.store.local_at(t, k))
-    assert np.array_equal(seq.global_params, par.global_params)
+            assert np.array_equal(lockstep.store.local_at(t, k), oracle.store.local_at(t, k))
+    assert np.array_equal(lockstep.global_params, oracle.global_params)
+
+
+def test_diverging_training_names_round_and_clients():
+    cfg = make_config(clients=4, rounds=40, lr=400.0)
+    with pytest.raises(FloatingPointError, match=r"round \d+: non-finite loss .* client\(s\) \[\d"):
+        run_from_config(cfg)
 
 
 def test_training_reaches_high_accuracy_on_separable_data():

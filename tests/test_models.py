@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpriv import models
 from fedpriv.models import ModelSpec
-from oracles import finite_difference_grad, max_rel_error
+from oracles import finite_difference_grad, max_rel_error, sequential_sgd_clients
 
 LOGISTIC = ModelSpec(input_dim=5, hidden_dim=0, num_classes=3)
 MLP = ModelSpec(input_dim=5, hidden_dim=6, num_classes=3)
@@ -157,3 +159,51 @@ def test_sgd_deterministic_given_stream():
     a = models.sgd_epochs(MLP, params, x, y, 0.2, 2, 4, np.random.default_rng(77))
     b = models.sgd_epochs(MLP, params, x, y, 0.2, 2, 4, np.random.default_rng(77))
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    batch_size=st.integers(1, 16),
+    epochs=st.integers(1, 3),
+    hidden=st.sampled_from([0, 7]),
+    seed=st.integers(0, 2**16),
+)
+def test_lockstep_sgd_is_bit_identical_to_sequential_oracle(
+    sizes, batch_size, epochs, hidden, seed
+):
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(seed)
+    params = models.init_params(spec, rng)
+    xs = [2.0 * rng.normal(size=(n, 4)) for n in sizes]
+    ys = [rng.integers(0, 3, size=n) for n in sizes]
+
+    def streams():
+        return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+
+    args = (spec, params, xs, ys, 0.3, epochs, batch_size)
+    got = models.sgd_clients(*args, streams())
+    assert got.shape == (len(sizes), spec.param_count)
+    assert np.array_equal(got, sequential_sgd_clients(*args, streams()))
+
+
+def test_lockstep_sgd_names_the_diverging_clients():
+    rng = np.random.default_rng(10)
+    params = models.init_params(MLP, rng)
+    xs = [rng.normal(size=(n, 5)) for n in (9, 12, 5, 12)]
+    ys = [rng.integers(0, 3, size=len(x)) for x in xs]
+    xs[1] = xs[1] * 1e300
+    xs[3] = xs[3] * 1e300
+    rngs = [np.random.default_rng(k) for k in range(4)]
+    with pytest.raises(models.NonFiniteLoss, match=r"client\(s\) \[1, 3\]") as err:
+        models.sgd_clients(MLP, params, xs, ys, 0.1, 1, 4, rngs)
+    assert err.value.clients == [1, 3]
+
+
+def test_lockstep_sgd_needs_a_generator_per_client():
+    rng = np.random.default_rng(11)
+    params = models.init_params(LOGISTIC, rng)
+    x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
+    shared = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="own generator"):
+        models.sgd_clients(LOGISTIC, params, [x, x], [y, y], 0.1, 1, 4, [shared, shared])
