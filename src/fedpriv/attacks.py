@@ -340,16 +340,22 @@ def evaluate_attack(
     target: str = "",
     levels=DEFAULT_FPR_LEVELS,
 ) -> AttackResult:
-    """AUC (rank statistic, ties 1/2) and TPR at the standard FPR budgets."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    """AUC (rank statistic, ties 1/2) and TPR at the standard FPR budgets.
+
+    Malformed scores or labels raise a ValueError prefixed with the attack name.
+    """
+    try:
+        auc = auc_score(scores, labels)
+        tpr = tpr_at_fpr(scores, labels, levels)
+    except ValueError as err:
+        raise ValueError(f"attack {attack}: {err}") from None
     return AttackResult(
         attack=attack,
         target=target,
-        scores=scores,
-        labels=labels,
-        auc=auc_score(scores, labels),
-        tpr_at_fpr=tpr_at_fpr(scores, labels, levels),
+        scores=np.asarray(scores, dtype=np.float64),
+        labels=np.asarray(labels, dtype=np.int64),
+        auc=auc,
+        tpr_at_fpr=tpr,
     )
 
 

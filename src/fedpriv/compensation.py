@@ -237,11 +237,13 @@ def confidence_regularized_loss(
     """Confidence-regularized loss of one sample and its analytic gradient."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    xb = np.asarray(x, dtype=np.float64)[None, :]
-    probs = models.predict_proba(spec, params, xb)
-    targets = _soft_targets(probs, np.asarray([int(y)]))
-    loss, dlogits = _cr_loss_and_dlogits(probs, targets, mu)
-    return float(loss[0]), models.grad_from_dlogits(spec, params, xb, dlogits)
+    xb = models._as_batch(spec, x)[None]
+    layers = [v[None] for v in models.unpack(spec, params)]
+    logits, cache = models._forward(spec, layers, xb)
+    probs = models.softmax(logits[0])
+    loss, dlogits = _cr_loss_and_dlogits(probs, _soft_targets(probs, np.asarray([int(y)])), mu)
+    grads = models._backward(spec, layers, xb, cache, dlogits[None])
+    return float(loss[0]), np.concatenate([g[0].ravel() for g in grads])
 
 
 def combined_sgd_epochs(

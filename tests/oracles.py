@@ -2,8 +2,9 @@
 
 Deliberately written as straight-line brute force, separate from the
 library's implementations: finite-difference gradients, exhaustive
-subset-assignment search, pair-counting AUC, a threshold-sweep TPR@FPR,
-and mini-batch SGD that trains one client and one batch at a time.
+subset-assignment search, pair-counting AUC, the scipy rank-sum AUC the
+library used to compute, a threshold-sweep TPR@FPR, and mini-batch SGD that
+trains one client and one batch at a time.
 """
 
 import itertools
@@ -60,6 +61,19 @@ def pair_counting_auc(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def rank_sum_auc(scores, labels):
+    """AUC as (R_pos - P(P+1)/2) / (P*N) from scipy's average ranks: the
+    formula `metrics.auc_score` used before it grouped ties itself."""
+    from scipy.stats import rankdata
+
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    ranks = rankdata(scores)
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def sweep_tpr_at_fpr(scores, labels, level):

@@ -1,6 +1,8 @@
 """End-to-end tests for the experiment stages and the CLI."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -208,6 +210,20 @@ def test_cli_has_no_threads_option(tmp_path):
     argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "t"), "--threads", "1"]
     with pytest.raises(SystemExit):
         cli.main(argv)
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, fedpriv.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_attack_without_train_errors(tmp_path, capsys):
