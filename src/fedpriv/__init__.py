@@ -12,16 +12,12 @@ from .assignment import (
 )
 from .attacks import (
     AttackResult,
-    OutDistribution,
-    TrajectoryRecord,
     attack_adaptive_coalition,
     attack_avg_cosine,
     attack_fedmia,
     attack_fta,
     attack_loss_series,
-    build_out_distribution,
     evaluate_attack,
-    extract_trajectory,
     run_attack,
 )
 from .compensation import (
@@ -67,11 +63,8 @@ from .federation import (
 from .metrics import auc_score, roc_points, tpr_at_fpr
 from .models import (
     ModelSpec,
-    Prediction,
-    forward,
     init_params,
     loss_and_grad,
-    per_sample_grad,
     predict_proba,
     sgd_epochs,
 )

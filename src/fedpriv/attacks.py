@@ -22,29 +22,10 @@ from .data import EvalPools, LabeledDataset
 from .federation import SnapshotStore, aggregate_weighted
 from .metrics import DEFAULT_FPR_LEVELS, auc_score, tpr_at_fpr
 
-MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine", "entropy", "max_prob")
+MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine")
 ATTACK_NAMES = ("loss_series", "avg_cosine", "fta_l", "fta_c", "fedmia_i", "fedmia_ii")
 
 OUT_STD_FLOOR = 1e-6
-
-
-@dataclass
-class TrajectoryRecord:
-    """One sample's measurement series across the recorded rounds."""
-
-    sample_id: int
-    kind: str
-    rounds: np.ndarray
-    values: np.ndarray
-
-
-@dataclass
-class OutDistribution:
-    """Per-round mean/std of a sample's measurement under non-target locals."""
-
-    rounds: np.ndarray
-    mean: np.ndarray
-    std: np.ndarray
 
 
 @dataclass
@@ -80,17 +61,14 @@ def _target_params(store: SnapshotStore, selector, round_t: int) -> np.ndarray:
 
 
 def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
-    probs = models.predict_proba(spec, params, x)
-    idx = np.arange(len(y))
+    """Per-sample cross-entropy ("loss") or true-class probability
+    ("confidence") from one forward pass."""
+    logits, _, _ = models._logits_and_hidden(spec, params, x)
+    rows = np.arange(len(y))
     if kind == "loss":
-        return models.per_sample_losses(spec, params, x, y)
+        return -models.log_softmax(logits)[rows, y]
     if kind == "confidence":
-        return probs[idx, y]
-    if kind == "entropy":
-        safe = np.clip(probs, 1e-300, 1.0)
-        return -(probs * np.log(safe)).sum(axis=1)
-    if kind == "max_prob":
-        return probs.max(axis=1)
+        return models.softmax(logits)[rows, y]
     raise ValueError(f"unknown measurement kind {kind!r}")
 
 
@@ -101,7 +79,7 @@ def _grad_matrix(spec, params, x, y) -> np.ndarray:
     attacks themselves never call it.
     """
     return np.stack(
-        [models.per_sample_grad(spec, params, x[i], int(y[i])) for i in range(len(y))]
+        [models.loss_and_grad(spec, params, x[i : i + 1], y[i : i + 1])[1] for i in range(len(y))]
     )
 
 
@@ -182,47 +160,18 @@ def trajectory_matrix(
     return np.column_stack(cols), rounds
 
 
-def extract_trajectory(
-    store: SnapshotStore,
-    selector,
-    dataset: LabeledDataset,
-    sample_ids: np.ndarray,
-    kind: str,
-) -> list[TrajectoryRecord]:
-    """Measurement trajectories for the given dataset sample ids."""
-    sample_ids = np.asarray(sample_ids, dtype=np.int64)
-    values, rounds = trajectory_matrix(
-        store, selector, dataset.X[sample_ids], dataset.y[sample_ids], kind
-    )
-    return [
-        TrajectoryRecord(sample_id=int(sid), kind=kind, rounds=rounds, values=values[i])
-        for i, sid in enumerate(sample_ids)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # attack scoring
 # ---------------------------------------------------------------------------
 
 
-def _as_matrix(records: list[TrajectoryRecord]) -> tuple[np.ndarray, np.ndarray]:
-    if not records:
-        raise ValueError("no trajectory records")
-    rounds = records[0].rounds
-    if len(rounds) == 0:
-        raise ValueError("empty trajectories")
-    return np.stack([r.values for r in records]), np.asarray(rounds, dtype=np.float64)
-
-
-def attack_loss_series(records: list[TrajectoryRecord]) -> np.ndarray:
+def attack_loss_series(values: np.ndarray) -> np.ndarray:
     """Score = -mean(loss trajectory): members sit at lower loss."""
-    values, _ = _as_matrix(records)
     return -values.mean(axis=1)
 
 
-def attack_avg_cosine(records: list[TrajectoryRecord]) -> np.ndarray:
+def attack_avg_cosine(values: np.ndarray) -> np.ndarray:
     """Score = -mean of first differences of the gradient-cosine trajectory."""
-    values, _ = _as_matrix(records)
     if values.shape[1] < 2:
         raise ValueError("need at least 2 recorded rounds")
     return -np.diff(values, axis=1).mean(axis=1)
@@ -237,12 +186,11 @@ def _ols_slope(values: np.ndarray, rounds: np.ndarray) -> np.ndarray:
     return centered @ r / denom
 
 
-def attack_fta(records: list[TrajectoryRecord], kind: str) -> np.ndarray:
+def attack_fta(values: np.ndarray, rounds: np.ndarray, kind: str) -> np.ndarray:
     """Trajectory-slope attack: score = -slope of loss, or +slope of confidence."""
-    values, rounds = _as_matrix(records)
     if values.shape[1] < 2:
         raise ValueError("need at least 2 recorded rounds")
-    slope = _ols_slope(values, rounds)
+    slope = _ols_slope(values, np.asarray(rounds, dtype=np.float64))
     if kind == "loss":
         return -slope
     if kind == "confidence":
@@ -250,31 +198,12 @@ def attack_fta(records: list[TrajectoryRecord], kind: str) -> np.ndarray:
     raise ValueError(f"fta kind must be loss or confidence, got {kind!r}")
 
 
-def build_out_distribution(
-    store: SnapshotStore,
-    x: np.ndarray,
-    y: int,
-    target_client: int,
-    kind: str,
-) -> OutDistribution:
-    """Reference statistics of one sample under all non-target local models.
+def _out_stats_matrix(store, x, y, exclude_clients, kind):
+    """Per-round mean/std (n, rounds) of each sample's measurement under the
+    local models of every client outside `exclude_clients`.
 
     Uses the population standard deviation, floored at 1e-6.
     """
-    mean, std = _out_stats_matrix(
-        store,
-        np.asarray(x, dtype=np.float64)[None, :],
-        np.asarray([int(y)]),
-        {target_client},
-        kind,
-    )
-    return OutDistribution(
-        rounds=np.asarray(store.rounds, dtype=np.int64), mean=mean[0], std=std[0]
-    )
-
-
-def _out_stats_matrix(store, x, y, exclude_clients, kind):
-    """Vectorized OUT statistics for a batch: mean/std arrays of shape (n, rounds)."""
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
         raise ValueError("need at least 2 non-target clients")
@@ -406,13 +335,13 @@ def run_attack(
             "fta_c": "confidence",
             "avg_cosine": "grad_cosine",
         }[name]
-        records = extract_trajectory(store, selector, dataset, ids, kind)
+        values, rounds = trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kind)
         if name == "loss_series":
-            scores = attack_loss_series(records)
+            scores = attack_loss_series(values)
         elif name == "avg_cosine":
-            scores = attack_avg_cosine(records)
+            scores = attack_avg_cosine(values)
         else:
-            scores = attack_fta(records, kind)
+            scores = attack_fta(values, rounds, kind)
 
     target_desc = (
         "global"

@@ -31,7 +31,6 @@ class RecycleConfig:
     max_ratio: float = 0.1  # r_l: per-round cap as a fraction of |D_k|
     mu: float = 0.005  # entropy-regularizer weight
     eta: float = 0.1  # bandit exploration rate
-    val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.start_round < 1:
@@ -192,26 +191,18 @@ def select_recycled(
     return candidates
 
 
-def soft_label(probs: np.ndarray, true_class: int) -> np.ndarray:
-    """Keep the true-class probability, spread the rest evenly over other classes."""
+def soft_label(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise soft labels (n, C) for probabilities (n, C) and classes y (n,):
+    keep each true-class probability, spread the rest evenly over the others."""
     probs = np.asarray(probs, dtype=np.float64)
-    n = len(probs)
-    if n < 2:
-        raise ValueError("need at least 2 classes")
-    p_c = probs[true_class]
-    out = np.full(n, (1.0 - p_c) / (n - 1))
-    out[true_class] = p_c
-    return out
-
-
-def _soft_targets(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized soft labels, clamped to >= 1e-6 and renormalized."""
     n, k = probs.shape
-    p_c = probs[np.arange(n), y]
-    targets = np.repeat(((1.0 - p_c) / (k - 1))[:, None], k, axis=1)
-    targets[np.arange(n), y] = p_c
-    targets = np.clip(targets, 1e-6, None)
-    return targets / targets.sum(axis=1, keepdims=True)
+    if k < 2:
+        raise ValueError("need at least 2 classes")
+    rows = np.arange(n)
+    p_c = probs[rows, y]
+    out = np.repeat(((1.0 - p_c) / (k - 1))[:, None], k, axis=1)
+    out[rows, y] = p_c
+    return out
 
 
 def _cr_loss_and_dlogits(probs: np.ndarray, targets: np.ndarray, mu: float):
@@ -219,8 +210,11 @@ def _cr_loss_and_dlogits(probs: np.ndarray, targets: np.ndarray, mu: float):
 
     loss_i = KL(f_i || target_i) - mu * entropy(f_i)
            = (1 + mu) * sum_j f_ij ln f_ij - sum_j f_ij ln target_ij,
-    with targets treated as constants.
+    with targets treated as constants. The soft-label targets are clamped to
+    >= 1e-6 and renormalized before their log is taken.
     """
+    targets = np.clip(targets, 1e-6, None)
+    targets = targets / targets.sum(axis=1, keepdims=True)
     safe = np.clip(probs, 1e-300, 1.0)
     logf = np.log(safe)
     logt = np.log(targets)
@@ -241,7 +235,7 @@ def confidence_regularized_loss(
     layers = [v[None] for v in models.unpack(spec, params)]
     logits, cache = models._forward(spec, layers, xb)
     probs = models.softmax(logits[0])
-    loss, dlogits = _cr_loss_and_dlogits(probs, _soft_targets(probs, np.asarray([int(y)])), mu)
+    loss, dlogits = _cr_loss_and_dlogits(probs, soft_label(probs, np.asarray([int(y)])), mu)
     grads = models._backward(spec, layers, xb, cache, dlogits[None])
     return float(loss[0]), np.concatenate([g[0].ravel() for g in grads])
 
@@ -266,7 +260,7 @@ def combined_sgd_epochs(
     """
 
     def cr_dlogits(probs: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-        return _cr_loss_and_dlogits(probs, _soft_targets(probs, y_rows), mu)[1]
+        return _cr_loss_and_dlogits(probs, soft_label(probs, y_rows), mu)[1]
 
     return models.sgd_clients(
         spec, params, [x], [y], lr, epochs, batch_size, [rng], ([recycled_mask], cr_dlogits)

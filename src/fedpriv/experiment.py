@@ -138,7 +138,6 @@ def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> CoalitionDe
             max_ratio=cfg.r_l,
             mu=cfg.mu,
             eta=cfg.eta,
-            val_fraction=cfg.val_fraction,
         ),
         sigma=cfg.sigma,
         tail_ratio=cfg.r_p,

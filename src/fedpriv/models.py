@@ -24,7 +24,6 @@ class ModelSpec:
     input_dim: int
     hidden_dim: int
     num_classes: int
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
@@ -33,8 +32,6 @@ class ModelSpec:
             raise ValueError("hidden_dim must be >= 0")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation: {self.activation!r}")
 
     @property
     def param_count(self) -> int:
@@ -42,14 +39,6 @@ class ModelSpec:
         if h == 0:
             return n * (d + 1)
         return h * (d + 1) + n * (h + 1)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Softmax probabilities and, when a label was supplied, the sample loss."""
-
-    probs: np.ndarray
-    loss: float | None = None
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -175,18 +164,6 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     return softmax(logits)
 
 
-def forward(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, label: int | None = None
-) -> Prediction:
-    """Single-sample forward pass; includes cross-entropy loss when a label is given."""
-    logits, _, _ = _logits_and_hidden(spec, params, np.asarray(x, dtype=np.float64))
-    probs = softmax(logits)[0]
-    loss = None
-    if label is not None:
-        loss = float(-log_softmax(logits)[0, int(label)])
-    return Prediction(probs=probs, loss=loss)
-
-
 def per_sample_losses(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
@@ -231,14 +208,6 @@ def loss_and_grad(
     dlogits /= n
     grads = _backward(spec, layers, x[None], cache, dlogits[None])
     return loss, np.concatenate([g[0].ravel() for g in grads])
-
-
-def per_sample_grad(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: int
-) -> np.ndarray:
-    """Cross-entropy gradient of a single sample."""
-    _, g = loss_and_grad(spec, params, np.asarray(x, dtype=np.float64)[None, :], [int(y)])
-    return g
 
 
 class NonFiniteLoss(FloatingPointError):

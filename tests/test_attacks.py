@@ -8,19 +8,10 @@ import pytest
 from fedpriv import attacks as atk
 from fedpriv import experiment as ex
 from fedpriv import models
-from fedpriv.attacks import TrajectoryRecord
 from fedpriv.data import LabeledDataset
 from fedpriv.federation import SnapshotStore
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
-
-
-def _records(kind, rows, rounds):
-    rounds = np.asarray(rounds, dtype=np.int64)
-    return [
-        TrajectoryRecord(sample_id=i, kind=kind, rounds=rounds, values=np.asarray(row, float))
-        for i, row in enumerate(rows)
-    ]
 
 
 # --- fabricated stores with exactly known measurements ----------------------
@@ -49,8 +40,8 @@ def _loss_store(per_client_losses, rounds=(1,)):
 def test_loss_params_fixture_is_exact():
     spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
     for target in (0.5, 1.0, 3.0):
-        pred = models.forward(spec, _loss_params(spec, target), np.array([1.0]), label=0)
-        assert pred.loss == pytest.approx(target, abs=1e-12)
+        loss = models.per_sample_losses(spec, _loss_params(spec, target), [[1.0]], [0])[0]
+        assert loss == pytest.approx(target, abs=1e-12)
 
 
 # --- extraction ------------------------------------------------------------
@@ -59,10 +50,12 @@ def test_loss_params_fixture_is_exact():
 def test_extract_alignment_with_recorded_rounds():
     cfg = make_config(clients=3, rounds=10, snapshot_every=5, samples_per_class=30)
     prep, state = run_from_config(cfg)
-    recs = atk.extract_trajectory(state.store, ("local", 0), prep.train, np.arange(4), "loss")
+    values, rounds = atk.trajectory_matrix(
+        state.store, ("local", 0), prep.train.X[:4], prep.train.y[:4], "loss"
+    )
     assert state.store.rounds == [1, 5, 10]
-    assert all(len(r.values) == 3 for r in recs)
-    assert all(np.array_equal(r.rounds, [1, 5, 10]) for r in recs)
+    assert values.shape == (4, 3)
+    assert np.array_equal(rounds, [1, 5, 10])
 
 
 def test_extract_confidence_of_perfectly_fit_sample():
@@ -72,8 +65,8 @@ def test_extract_confidence_of_perfectly_fit_sample():
     store = SnapshotStore(spec, np.array([1]))
     store.record(1, np.zeros(spec.param_count), {0: fit})
     ds = LabeledDataset(np.array([[10.0, 0.0]]), np.array([0]), 3)
-    recs = atk.extract_trajectory(store, ("local", 0), ds, np.array([0]), "confidence")
-    assert recs[0].values[0] >= 0.999
+    values, _ = atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "confidence")
+    assert values[0, 0] >= 0.999
 
 
 def test_extract_grad_cosine_identity():
@@ -81,24 +74,12 @@ def test_extract_grad_cosine_identity():
     rng = np.random.default_rng(0)
     base = models.init_params(spec, rng)
     x, y = np.array([0.7, -1.2]), 1
-    grad = models.per_sample_grad(spec, base, x, y)
+    _, grad = models.loss_and_grad(spec, base, x[None, :], [y])
     store = SnapshotStore(spec, np.array([1]))
     store.record(1, base, {0: base + grad})  # update direction equals gradient
     ds = LabeledDataset(x[None, :], np.array([y]), 2)
-    recs = atk.extract_trajectory(store, ("local", 0), ds, np.array([0]), "grad_cosine")
-    assert recs[0].values[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_extract_entropy_and_max_prob_hooks():
-    # extra measurement kinds kept available for future attack models
-    cfg = make_config(clients=3, rounds=2, samples_per_class=30, members=6, ifl=6, ofl=6)
-    prep, state = run_from_config(cfg)
-    ent = atk.extract_trajectory(state.store, "global", prep.train, np.arange(5), "entropy")
-    top = atk.extract_trajectory(state.store, "global", prep.train, np.arange(5), "max_prob")
-    for r in ent:
-        assert np.all(r.values >= 0) and np.all(r.values <= math.log(5) + 1e-9)
-    for r in top:
-        assert np.all(r.values >= 1 / 5 - 1e-9) and np.all(r.values <= 1.0)
+    values, _ = atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "grad_cosine")
+    assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extract_rejects_unknown_kind_and_empty_store():
@@ -106,64 +87,68 @@ def test_extract_rejects_unknown_kind_and_empty_store():
     store = SnapshotStore(spec, np.array([1]))
     ds = LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
     with pytest.raises(ValueError):
-        atk.extract_trajectory(store, ("local", 0), ds, np.array([0]), "loss")
+        atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "loss")
     store.record(1, np.zeros(spec.param_count), {0: np.zeros(spec.param_count)})
-    with pytest.raises(ValueError):
-        atk.extract_trajectory(store, ("local", 0), ds, np.array([0]), "sharpness")
+    for kind in ("sharpness", "entropy", "max_prob"):
+        with pytest.raises(ValueError):
+            atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, kind)
 
 
 # --- score functions --------------------------------------------------------
 
 
 def test_loss_series_scores():
-    recs = _records("loss", [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]], [1, 2, 3])
-    scores = atk.attack_loss_series(recs)
+    scores = atk.attack_loss_series(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]]))
     assert scores[0] == 0.0 and scores[1] == -1.0
     assert scores[2] == pytest.approx(-1.0)
     assert scores[0] > scores[1]  # member-style trajectory ranks first
 
 
 def test_loss_series_identical_trajectories_tie():
-    recs = _records("loss", [[0.5, 0.4], [0.5, 0.4]], [1, 2])
-    scores = atk.attack_loss_series(recs)
+    scores = atk.attack_loss_series(np.array([[0.5, 0.4], [0.5, 0.4]]))
     assert scores[0] == scores[1]
 
 
 def test_avg_cosine_scores():
-    recs = _records("grad_cosine", [[0.3, 0.3, 0.3], [0.9, 0.5, 0.1]], [1, 2, 3])
-    scores = atk.attack_avg_cosine(recs)
+    scores = atk.attack_avg_cosine(np.array([[0.3, 0.3, 0.3], [0.9, 0.5, 0.1]]))
     assert scores[0] == 0.0
     assert scores[1] == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        atk.attack_avg_cosine(_records("grad_cosine", [[0.5]], [1]))
+        atk.attack_avg_cosine(np.array([[0.5]]))
 
 
 def test_fta_scores():
-    recs = _records("loss", [[3.0, 2.0, 1.0]], [1, 2, 3])
-    assert atk.attack_fta(recs, "loss")[0] == pytest.approx(1.0)  # OLS on collinear points
-    conf = _records("confidence", [[0.4, 0.4, 0.4], [0.1, 0.5, 0.9]], [1, 2, 3])
-    scores = atk.attack_fta(conf, "confidence")
+    rounds = np.array([1, 2, 3])
+    loss = np.array([[3.0, 2.0, 1.0]])
+    assert atk.attack_fta(loss, rounds, "loss")[0] == pytest.approx(1.0)  # OLS, collinear points
+    conf = np.array([[0.4, 0.4, 0.4], [0.1, 0.5, 0.9]])
+    scores = atk.attack_fta(conf, rounds, "confidence")
     assert scores[0] == pytest.approx(0.0)
     assert scores[1] == pytest.approx(0.4)
-    losses = _records("loss", [[3.0, 2.0, 1.0], [2.0, 2.0, 2.0]], [1, 2, 3])
-    s = atk.attack_fta(losses, "loss")
+    losses = np.array([[3.0, 2.0, 1.0], [2.0, 2.0, 2.0]])
+    s = atk.attack_fta(losses, rounds, "loss")
     assert s[0] > s[1]  # faster loss decrease ranks first
 
 
 def test_fta_translation_invariance_only():
-    rows = [[3.0, 1.5, 1.0], [0.2, 0.9, 0.4]]
-    base = atk.attack_fta(_records("loss", rows, [1, 2, 3]), "loss")
-    shifted = atk.attack_fta(_records("loss", rows, [11, 12, 13]), "loss")
-    stretched = atk.attack_fta(_records("loss", rows, [1, 11, 21]), "loss")
+    rows = np.array([[3.0, 1.5, 1.0], [0.2, 0.9, 0.4]])
+    base = atk.attack_fta(rows, np.array([1, 2, 3]), "loss")
+    shifted = atk.attack_fta(rows, np.array([11, 12, 13]), "loss")
+    stretched = atk.attack_fta(rows, np.array([1, 11, 21]), "loss")
     assert np.allclose(base, shifted, atol=1e-12)
     assert not np.allclose(base, stretched)  # slope depends on spacing
 
 
 def test_loss_series_ignores_round_indices():
-    rows = [[3.0, 1.5, 1.0], [0.2, 0.9, 0.4]]
-    a = atk.attack_loss_series(_records("loss", rows, [1, 2, 3]))
-    b = atk.attack_loss_series(_records("loss", rows, [5, 50, 500]))
-    assert np.array_equal(a, b)
+    spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
+    scores = []
+    for rounds in ([1, 2, 3], [5, 50, 500]):
+        store = SnapshotStore(spec, np.array([1]))
+        for t, loss in zip(rounds, [3.0, 1.5, 1.0]):
+            store.record(t, np.zeros(spec.param_count), {0: _loss_params(spec, loss)})
+        values, _ = atk.trajectory_matrix(store, ("local", 0), [[1.0]], [0], "loss")
+        scores.append(atk.attack_loss_series(values))
+    assert np.array_equal(scores[0], scores[1])
 
 
 # --- OUT distribution and fedmia --------------------------------------------
@@ -171,22 +156,22 @@ def test_loss_series_ignores_round_indices():
 
 def test_out_distribution_hand_statistics():
     store, ds = _loss_store([0.5, 1.0, 3.0])  # client 0 = target
-    out = atk.build_out_distribution(store, ds.X[0], 0, target_client=0, kind="loss")
-    assert out.mean[0] == pytest.approx(2.0, abs=1e-12)
-    assert out.std[0] == pytest.approx(1.0, abs=1e-12)  # population convention
-    assert len(out.mean) == len(store.rounds)
+    mean, std = atk._out_stats_matrix(store, ds.X, ds.y, {0}, "loss")
+    assert mean[0, 0] == pytest.approx(2.0, abs=1e-12)
+    assert std[0, 0] == pytest.approx(1.0, abs=1e-12)  # population convention
+    assert mean.shape == std.shape == (1, len(store.rounds))
 
 
 def test_out_distribution_degenerate_spread_floors():
     store, ds = _loss_store([0.5, 1.0, 1.0])
-    out = atk.build_out_distribution(store, ds.X[0], 0, target_client=0, kind="loss")
-    assert out.std[0] == atk.OUT_STD_FLOOR
+    _, std = atk._out_stats_matrix(store, ds.X, ds.y, {0}, "loss")
+    assert std[0, 0] == atk.OUT_STD_FLOOR
 
 
 def test_out_distribution_needs_two_non_targets():
     store, ds = _loss_store([0.5, 1.0])
     with pytest.raises(ValueError):
-        atk.build_out_distribution(store, ds.X[0], 0, target_client=0, kind="loss")
+        atk._out_stats_matrix(store, ds.X, ds.y, {0}, "loss")
 
 
 def test_out_distribution_is_row_zero_of_out_stats_matrix():
@@ -194,14 +179,12 @@ def test_out_distribution_is_row_zero_of_out_stats_matrix():
     prep, state = run_from_config(cfg)
     x, y = prep.train.X[:6], prep.train.y[:6]
     for kind in ("grad_cosine", "loss"):
-        out = atk.build_out_distribution(state.store, x[0], int(y[0]), 1, kind)
         mean, std = atk._out_stats_matrix(state.store, x[:1], y[:1], {1}, kind)
-        assert np.array_equal(out.mean, mean[0]) and np.array_equal(out.std, std[0])
-        assert np.array_equal(out.rounds, state.store.rounds)
+        assert mean.shape == std.shape == (1, len(state.store.rounds))
         # the same sample inside a larger batch agrees to rounding
         batch_mean, batch_std = atk._out_stats_matrix(state.store, x, y, {1}, kind)
-        assert np.allclose(out.mean, batch_mean[0], rtol=0, atol=1e-12)
-        assert np.allclose(out.std, batch_std[0], rtol=0, atol=1e-12)
+        assert np.allclose(mean[0], batch_mean[0], rtol=0, atol=1e-12)
+        assert np.allclose(std[0], batch_std[0], rtol=0, atol=1e-12)
 
 
 def test_fedmia_zero_when_target_matches_out_mean():

@@ -175,18 +175,21 @@ def test_select_recycled_floor_cap():
 
 
 def test_soft_label_formula():
-    assert np.allclose(cmp.soft_label(np.array([0.7, 0.2, 0.1]), 0), [0.7, 0.15, 0.15])
+    assert np.allclose(cmp.soft_label(np.array([[0.7, 0.2, 0.1]]), [0]), [[0.7, 0.15, 0.15]])
+    # rows are independent: each keeps its own true-class probability
+    probs = np.array([[0.7, 0.2, 0.1], [0.2, 0.5, 0.3]])
+    assert np.allclose(cmp.soft_label(probs, [0, 2]), [[0.7, 0.15, 0.15], [0.35, 0.35, 0.3]])
 
 
 def test_soft_label_one_hot_and_uniform():
-    assert np.allclose(cmp.soft_label(np.array([0.0, 1.0, 0.0]), 1), [0.0, 1.0, 0.0])
-    probs = np.full(4, 0.25)
-    assert np.allclose(cmp.soft_label(probs, 2), probs)
+    assert np.allclose(cmp.soft_label(np.array([[0.0, 1.0, 0.0]]), [1]), [[0.0, 1.0, 0.0]])
+    probs = np.full((1, 4), 0.25)
+    assert np.allclose(cmp.soft_label(probs, [2]), probs)
 
 
 def test_soft_label_needs_two_classes():
     with pytest.raises(ValueError):
-        cmp.soft_label(np.array([1.0]), 0)
+        cmp.soft_label(np.array([[1.0]]), [0])
 
 
 def test_cr_loss_zero_kl_when_output_matches_target():
@@ -310,7 +313,7 @@ def test_combined_sgd_matches_sequential_oracle(hidden, n, batch_size):
     mu = 0.05
 
     def cr_dlogits(probs, y_rows):
-        return cmp._cr_loss_and_dlogits(probs, cmp._soft_targets(probs, y_rows), mu)[1]
+        return cmp._cr_loss_and_dlogits(probs, cmp.soft_label(probs, y_rows), mu)[1]
 
     got = cmp.combined_sgd_epochs(
         spec, params, x, y, mask, mu, 0.3, 2, batch_size, np.random.default_rng(3)
@@ -319,6 +322,25 @@ def test_combined_sgd_matches_sequential_oracle(hidden, n, batch_size):
         spec, params, x, y, 0.3, 2, batch_size, np.random.default_rng(3), (mask, cr_dlogits)
     )
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("hidden", [0, 6], ids=["logistic", "mlp"])
+def test_combined_sgd_step_is_ce_plus_checked_cr_gradient(hidden):
+    # one recycled sample, one step: the training path must take the gradients
+    # that the finite-difference tests check
+    spec = ModelSpec(input_dim=5, hidden_dim=hidden, num_classes=3)
+    for seed in range(50):
+        rng = np.random.default_rng(700 + seed)
+        params = models.init_params(spec, rng) * rng.uniform(0.5, 5)
+        x = rng.normal(size=(1, 5))
+        y = rng.integers(0, 3, size=1)
+        mu, lr = float(rng.uniform(0, 0.5)), float(rng.uniform(0.01, 1))
+        got = cmp.combined_sgd_epochs(
+            spec, params, x, y, np.array([True]), mu, lr, 1, 1, np.random.default_rng(seed)
+        )
+        _, ce_grad = models.loss_and_grad(spec, params, x, y)
+        _, cr_grad = cmp.confidence_regularized_loss(spec, params, x[0], int(y[0]), mu)
+        assert np.max(np.abs(got - (params - lr * (ce_grad + cr_grad)))) <= 1e-12
 
 
 def test_compensated_update_empty_client_returns_global():

@@ -26,14 +26,14 @@ def test_param_count_layout():
 
 
 def test_zero_params_uniform_softmax():
-    pred = models.forward(LOGISTIC, np.zeros(LOGISTIC.param_count), np.ones(5))
-    assert np.allclose(pred.probs, 1.0 / 3.0)
+    probs = models.predict_proba(LOGISTIC, np.zeros(LOGISTIC.param_count), np.ones((1, 5)))
+    assert np.allclose(probs, 1.0 / 3.0)
 
 
 def test_equal_logits_give_half():
     spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
-    pred = models.forward(spec, np.zeros(spec.param_count), np.array([3.0, -1.0]))
-    assert np.allclose(pred.probs, [0.5, 0.5])
+    probs = models.predict_proba(spec, np.zeros(spec.param_count), np.array([[3.0, -1.0]]))
+    assert np.allclose(probs, [[0.5, 0.5]])
 
 
 def test_forward_matches_straight_line_reimplementation():
@@ -47,13 +47,13 @@ def test_forward_matches_straight_line_reimplementation():
     mx = max(logits)
     exps = [math.exp(z - mx) for z in logits]
     expected = [e / sum(exps) for e in exps]
-    pred = models.forward(MLP, params, x)
-    assert np.max(np.abs(pred.probs - np.asarray(expected))) <= 1e-12
+    probs = models.predict_proba(MLP, params, x[None, :])[0]
+    assert np.max(np.abs(probs - np.asarray(expected))) <= 1e-12
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        models.forward(LOGISTIC, np.zeros(LOGISTIC.param_count), np.ones(4))
+        models.predict_proba(LOGISTIC, np.zeros(LOGISTIC.param_count), np.ones((1, 4)))
     with pytest.raises(ValueError):
         models.unpack(LOGISTIC, np.zeros(LOGISTIC.param_count + 1))
 
@@ -96,15 +96,6 @@ def test_perfectly_predicted_sample_has_zero_loss_and_grad():
     loss, grad = models.loss_and_grad(spec, params, x[None, :], [0])
     assert loss <= 1e-12
     assert np.linalg.norm(grad) <= 1e-12
-
-
-def test_per_sample_grad_matches_batch_of_one():
-    rng = np.random.default_rng(3)
-    params = models.init_params(MLP, rng)
-    x = rng.normal(size=5)
-    g1 = models.per_sample_grad(MLP, params, x, 2)
-    _, g2 = models.loss_and_grad(MLP, params, x[None, :], [2])
-    assert np.array_equal(g1, g2)
 
 
 def test_empty_batch_rejected():
