@@ -12,7 +12,6 @@ from .assignment import (
 )
 from .attacks import (
     AttackResult,
-    attack_adaptive_coalition,
     attack_avg_cosine,
     attack_fedmia,
     attack_fta,

@@ -48,7 +48,6 @@ class ClassAssignmentSchedule:
 
     subsets: list[list[frozenset[int]]]  # [round-1][member] -> class ids
     lambdas: list[int]  # achieved max pairwise overlap per round
-    sizes: list[int]  # subset size m^t per round
 
     def round_subsets(self, round_t: int) -> list[frozenset[int]]:
         return self.subsets[round_t - 1]
@@ -169,13 +168,12 @@ def assign_classes(
 
 def build_schedule(spec: CoalitionSpec, seed: int) -> ClassAssignmentSchedule:
     """Precompute assignments for every round (coordinator-side, read-only after)."""
-    subsets, lambdas, sizes = [], [], []
+    subsets, lambdas = [], []
     for t in range(1, spec.rounds + 1):
         round_subsets, lam = assign_classes(spec, t, seed)
         subsets.append(round_subsets)
         lambdas.append(lam)
-        sizes.append(decay_subset_size(spec, t))
-    return ClassAssignmentSchedule(subsets=subsets, lambdas=lambdas, sizes=sizes)
+    return ClassAssignmentSchedule(subsets=subsets, lambdas=lambdas)
 
 
 def select_assigned_subset(

@@ -43,21 +43,24 @@ class AttackResult:
 # ---------------------------------------------------------------------------
 
 
-def _target_params(store: SnapshotStore, selector, round_t: int) -> np.ndarray:
-    """Resolve a selector to model parameters at one recorded round.
+def _target_params(store: SnapshotStore, selector, row: int) -> np.ndarray:
+    """Resolve a selector to model parameters at one recorded round, given as
+    its row (position in `store.rounds`).
 
     selector: "global", ("local", k), or ("coalition", ids).
     """
     if selector == "global":
-        return store.global_at(round_t)
+        return store.globals[row]
     tag = selector[0]
+    if tag not in ("local", "coalition"):
+        raise ValueError(f"unknown selector {selector!r}")
+    ids = [selector[1]] if tag == "local" else list(selector[1])
+    if not all(0 <= k < store.num_clients for k in ids):
+        raise ValueError(f"selector {selector!r} names a client outside [0, {store.num_clients})")
+    locals_t = store.locals[row]
     if tag == "local":
-        return store.local_at(round_t, selector[1])
-    if tag == "coalition":
-        ids = list(selector[1])
-        params = [store.local_at(round_t, k) for k in ids]
-        return aggregate_weighted(params, store.client_sizes[ids])
-    raise ValueError(f"unknown selector {selector!r}")
+        return locals_t[ids[0]]
+    return aggregate_weighted(locals_t[ids], store.client_sizes[ids])
 
 
 def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
@@ -145,17 +148,15 @@ def trajectory_matrix(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     cols = []
-    for t in store.rounds:
+    for row, (global_t, locals_t) in enumerate(zip(store.globals, store.locals)):
         if kind == "grad_cosine":
-            global_t = store.global_at(t)
             if selector == "global":
-                all_locals = [store.local_at(t, k) for k in range(store.num_clients)]
-                target = aggregate_weighted(all_locals, store.client_sizes)
+                target = aggregate_weighted(locals_t, store.client_sizes)
             else:
-                target = _target_params(store, selector, t)
+                target = _target_params(store, selector, row)
             cols.append(_grad_cosines(store.spec, global_t, x, y, target - global_t)[0])
         else:
-            params = _target_params(store, selector, t)
+            params = _target_params(store, selector, row)
             cols.append(_static_measurements(store.spec, params, x, y, kind))
     return np.column_stack(cols), rounds
 
@@ -208,14 +209,12 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
     if len(others) < 2:
         raise ValueError("need at least 2 non-target clients")
     per_round_means, per_round_stds = [], []
-    for t in store.rounds:
+    for global_t, locals_t in zip(store.globals, store.locals):
         if kind == "grad_cosine":
-            global_t = store.global_at(t)
-            directions = np.stack([store.local_at(t, k) for k in others]) - global_t
-            stack = _grad_cosines(store.spec, global_t, x, y, directions)
+            stack = _grad_cosines(store.spec, global_t, x, y, locals_t[others] - global_t)
         else:
             stack = np.stack(
-                [_static_measurements(store.spec, store.local_at(t, k), x, y, kind) for k in others]
+                [_static_measurements(store.spec, locals_t[k], x, y, kind) for k in others]
             )
         # stack: (others, n)
         per_round_means.append(stack.mean(axis=0))
@@ -352,17 +351,3 @@ def run_attack(
     )
     return evaluate_attack(scores, labels, attack=name, target=target_desc)
 
-
-def attack_adaptive_coalition(
-    store: SnapshotStore,
-    coalition,
-    dataset: LabeledDataset,
-    pools: EvalPools,
-    target_client: int,
-    name: str,
-) -> AttackResult:
-    """Run a named attack against the coalition's weighted aggregate series."""
-    coalition = tuple(sorted(coalition))
-    return run_attack(
-        store, dataset, pools, target_client, name, selector=("coalition", coalition)
-    )

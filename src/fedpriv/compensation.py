@@ -52,7 +52,6 @@ class SampleIntervals:
     normalized: np.ndarray  # per-sample min-max normalized loss, original order
     order: np.ndarray  # sample positions sorted by normalized loss (stable)
     boundaries: np.ndarray  # rank cut points q_0..q_M
-    assignment: np.ndarray  # per-sample interval index, original order
 
     @property
     def num_intervals(self) -> int:
@@ -73,7 +72,6 @@ class BanditState:
     weights: np.ndarray
     eta: float
     rewards: list[float] = field(default_factory=list)
-    pulls: list[int] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, num_arms: int, eta: float) -> "BanditState":
@@ -86,9 +84,6 @@ class BanditState:
     def probabilities(self) -> np.ndarray:
         w = self.weights
         return (1.0 - self.eta) * w / w.sum() + self.eta / len(w)
-
-    def record_reward(self, reward: float) -> None:
-        self.rewards.append(float(reward))
 
 
 @dataclass(frozen=True)
@@ -124,12 +119,7 @@ def init_intervals(losses: np.ndarray, num_intervals: int) -> SampleIntervals:
     boundaries = np.array(
         [(j * n) // num_intervals for j in range(num_intervals + 1)], dtype=np.int64
     )
-    assignment = np.empty(n, dtype=np.int64)
-    for j in range(num_intervals):
-        assignment[order[boundaries[j] : boundaries[j + 1]]] = j
-    return SampleIntervals(
-        normalized=normalized, order=order, boundaries=boundaries, assignment=assignment
-    )
+    return SampleIntervals(normalized=normalized, order=order, boundaries=boundaries)
 
 
 def compute_reward(val_loss_before: float, val_loss_after: float) -> float:
@@ -151,10 +141,8 @@ def normalize_reward(reward: float, history) -> float:
 
 
 def exp3_select(state: BanditState, rng: np.random.Generator) -> int:
-    """Draw an arm from (1 - eta) * w / sum(w) + eta / M and log the pull."""
-    arm = int(rng.choice(state.num_arms, p=state.probabilities()))
-    state.pulls.append(arm)
-    return arm
+    """Draw an arm from (1 - eta) * w / sum(w) + eta / M."""
+    return int(rng.choice(state.num_arms, p=state.probabilities()))
 
 
 def exp3_update(state: BanditState, arm: int, norm_reward: float) -> BanditState:
@@ -297,26 +285,14 @@ def compensated_local_update(
         return Telemetry(round_t, client.client_id, arm, raw, norm, len(assigned_pos), n_rec)
 
     if round_t < recycle.start_round:
-        if len(assigned_pos) == 0:
-            return global_params.copy(), _telemetry(-1, 0.0, 0.0, 0)
-        params = models.sgd_epochs(
-            spec,
-            global_params,
-            client.train_X[assigned_pos],
-            client.train_y[assigned_pos],
-            lr,
-            epochs,
-            batch_size,
-            train_rng,
+        arm, recycled_pos = -1, np.empty(0, dtype=np.int64)
+    else:
+        losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
+        intervals = init_intervals(losses, recycle.num_intervals)
+        arm = exp3_select(bandit, bandit_rng)
+        recycled_pos = select_recycled(
+            intervals, arm, assigned_pos, recycle.max_ratio, len(losses), bandit_rng
         )
-        return params, _telemetry(-1, 0.0, 0.0, 0)
-
-    losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
-    intervals = init_intervals(losses, recycle.num_intervals)
-    arm = exp3_select(bandit, bandit_rng)
-    recycled_pos = select_recycled(
-        intervals, arm, assigned_pos, recycle.max_ratio, len(losses), bandit_rng
-    )
     if len(assigned_pos) == 0 and len(recycled_pos) == 0:
         return global_params.copy(), _telemetry(arm, 0.0, 0.0, 0)
 
@@ -347,6 +323,8 @@ def compensated_local_update(
             batch_size,
             train_rng,
         )
+    if arm < 0:  # before the start round: no recycling, no bandit update
+        return params, _telemetry(arm, 0.0, 0.0, 0)
 
     if len(client.val_y):
         before = float(
@@ -362,6 +340,6 @@ def compensated_local_update(
     else:
         raw = 0.0
     norm = normalize_reward(raw, bandit.rewards) if len(bandit.rewards) >= 5 else 0.0
-    bandit.record_reward(raw)
+    bandit.rewards.append(raw)
     exp3_update(bandit, arm, norm)
     return params, _telemetry(arm, raw, norm, len(recycled_pos))

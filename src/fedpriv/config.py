@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .assignment import DECAY_KINDS
 from .attacks import ATTACK_NAMES
 from .federation import DEFENSE_KINDS
 
@@ -213,9 +214,23 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("defense.coalition", f"client id {cid} outside [0, {cfg.num_clients})")
     if cfg.defense != "none" and not cfg.coalition:
         bad("defense.coalition", f"must be non-empty for defense {cfg.defense!r}")
+    if cfg.defense == "grad_sparse" and not 0.0 < cfg.keep_rate <= 1.0:
+        bad("defense.keep_rate", "must be in (0, 1]")
+    if cfg.defense == "grad_noise" and not cfg.noise_sigma >= 0:
+        bad("defense.noise_sigma", "must be >= 0")
     if cfg.defense == "coalition":
+        if cfg.t0 < 1:
+            bad("defense.t0", "must be >= 1")
         if cfg.t0 > cfg.rounds:
             bad("defense.t0", f"t0={cfg.t0} exceeds fl.T={cfg.rounds}")
+        if cfg.intervals < 1:
+            bad("defense.intervals", "must be >= 1")
+        if not 0.0 <= cfg.eta <= 1.0:
+            bad("defense.eta", "must be in [0, 1]")
+        if cfg.decay not in DECAY_KINDS:
+            bad("defense.decay", f"must be one of {DECAY_KINDS}, got {cfg.decay!r}")
+        if not cfg.sigma >= 0:
+            bad("defense.sigma", "must be >= 0")
         if cfg.sigma > 0 and len(set(cfg.coalition)) < 2:
             bad("defense.sigma", "perturbation needs a coalition of >= 2 (or sigma = 0)")
         if not 0.0 < cfg.r_p <= 1.0:
@@ -225,6 +240,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.mu < 0:
             bad("defense.mu", "must be >= 0")
     if cfg.source == "synthetic":
+        if not cfg.cluster_spread >= 0:
+            bad("data.cluster_spread", "must be >= 0")
         n = cfg.num_classes
         if cfg.m_max is not None and cfg.m_max > n:
             bad("defense.m_max", f"m_max={cfg.m_max} exceeds data.num_classes={n}")

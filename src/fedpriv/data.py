@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class ClientDataset:
     val_y: np.ndarray
     train_indices: np.ndarray
     val_indices: np.ndarray
-    class_hist: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     @property
     def num_samples(self) -> int:
@@ -142,16 +141,6 @@ def load_csv(path: str) -> LabeledDataset:
         raise ValueError(f"{path}: no samples")
     y = np.asarray(ys, dtype=np.int64)
     return LabeledDataset(np.asarray(xs, dtype=np.float64), y, int(y.max()) + 1)
-
-
-def save_csv(dataset: LabeledDataset, path: str) -> None:
-    """Write a dataset in the CSV format accepted by load_csv."""
-    d = dataset.input_dim
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
-        for row, label in zip(dataset.X, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 def split_train_test(
@@ -303,7 +292,6 @@ def make_client_datasets(
             n_val = max(0, len(idx) - 1)  # keep at least one training sample
         val_idx = np.sort(idx[order[:n_val]])
         train_idx = np.sort(idx[order[n_val:]])
-        hist = np.bincount(dataset.y[idx], minlength=dataset.num_classes)
         clients.append(
             ClientDataset(
                 client_id=k,
@@ -313,7 +301,6 @@ def make_client_datasets(
                 val_y=dataset.y[val_idx],
                 train_indices=train_idx,
                 val_indices=val_idx,
-                class_hist=hist,
             )
         )
     return clients

@@ -238,12 +238,21 @@ def write_attacks_csv(path: str, results) -> None:
 def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     """Run training and write rounds/assignments/compensation CSVs + snapshots.
 
-    The evaluation pools are drawn first, so a config whose pools cannot be
-    filled fails before any training; the pools have their own random
-    stream, so drawing them here changes no artefact.
+    The evaluation pools are drawn first, and every coalition member's
+    training set is checked to fill defense.intervals, so a config that does
+    not fit its partition fails before any training; the pools have their
+    own random stream, so drawing them here changes no artefact.
     """
     prep = prepare_data(cfg)
     build_pools(cfg, prep)
+    if cfg.defense == "coalition":
+        for k in cfg.coalition:
+            n = len(prep.clients[k].train_y)
+            if n < cfg.intervals:
+                raise ConfigError(
+                    f"config field 'defense.intervals': {cfg.intervals} intervals exceed "
+                    f"the {n} training samples of coalition client {k}"
+                )
     os.makedirs(out_dir, exist_ok=True)
     state = run_training(
         build_fl_config(cfg),

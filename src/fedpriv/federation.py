@@ -78,53 +78,45 @@ class RoundReport:
     round_t: int
     test_acc: float
     mean_train_loss: float
-    client_sizes: tuple[int, ...]
 
 
 SNAPSHOT_FIELDS = ("rounds", "client_sizes", "spec", "globals", "locals")
 
 
 class SnapshotStore:
-    """Recorded model snapshots: global broadcast and uploaded locals per round."""
+    """Recorded model snapshots, one entry per recorded round: the global
+    broadcast (P,) in `globals` and the uploaded locals (K, P) in `locals`,
+    row k holding client k's upload."""
 
     def __init__(self, spec: ModelSpec, client_sizes: np.ndarray):
         self.spec = spec
         self.client_sizes = np.asarray(client_sizes, dtype=np.int64)
         self.rounds: list[int] = []
-        self._globals: dict[int, np.ndarray] = {}
-        self._locals: dict[int, dict[int, np.ndarray]] = {}
+        self.globals: list[np.ndarray] = []
+        self.locals: list[np.ndarray] = []
 
     @property
     def num_clients(self) -> int:
         return len(self.client_sizes)
 
-    def record(self, round_t: int, global_params: np.ndarray, local_map: dict[int, np.ndarray]):
+    def record(self, round_t: int, global_params: np.ndarray, uploads: np.ndarray):
+        """Copy one round's global broadcast and its (K, P) upload matrix."""
+        shape = (self.num_clients, self.spec.param_count)
+        if np.shape(uploads) != shape:
+            raise ValueError(f"uploads must have shape {shape}, got {np.shape(uploads)}")
         self.rounds.append(round_t)
-        self._globals[round_t] = global_params.copy()
-        self._locals[round_t] = {k: v.copy() for k, v in local_map.items()}
-
-    def global_at(self, round_t: int) -> np.ndarray:
-        return self._globals[round_t]
-
-    def local_at(self, round_t: int, client: int) -> np.ndarray:
-        locals_t = self._locals[round_t]
-        if client not in locals_t:
-            raise KeyError(f"no snapshot of client {client} at round {round_t}")
-        return locals_t[client]
+        self.globals.append(global_params.copy())
+        self.locals.append(np.array(uploads, dtype=np.float64))
 
     def save(self, path: str) -> None:
         spec = self.spec
-        globals_stack = np.stack([self._globals[t] for t in self.rounds])
-        locals_stack = np.stack(
-            [np.stack([self._locals[t][k] for k in range(self.num_clients)]) for t in self.rounds]
-        )
         np.savez_compressed(
             path,
             rounds=np.asarray(self.rounds, dtype=np.int64),
             client_sizes=self.client_sizes,
             spec=np.asarray([spec.input_dim, spec.hidden_dim, spec.num_classes], dtype=np.int64),
-            globals=globals_stack,
-            locals=locals_stack,
+            globals=np.stack(self.globals),
+            locals=np.stack(self.locals),
         )
 
     @classmethod
@@ -141,8 +133,8 @@ class SnapshotStore:
             fields = {name: blob[name] for name in SNAPSHOT_FIELDS}
         store = cls(_check_snapshot_fields(fields), fields["client_sizes"])
         store.rounds = [int(t) for t in fields["rounds"]]
-        store._globals = dict(zip(store.rounds, fields["globals"]))
-        store._locals = {t: dict(enumerate(row)) for t, row in zip(store.rounds, fields["locals"])}
+        store.globals = list(fields["globals"])
+        store.locals = list(fields["locals"])
         return store
 
 
@@ -190,7 +182,8 @@ def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
 
 
 def aggregate_weighted(params_list, weights) -> np.ndarray:
-    """Element-wise weighted average sum(w_k * theta_k) / sum(w_k)."""
+    """Element-wise weighted average sum(w_k * theta_k) / sum(w_k) of the
+    parameter vectors in `params_list` (a sequence or the rows of a matrix)."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(params_list) != len(weights):
         raise ValueError("params_list and weights differ in length")
@@ -285,7 +278,6 @@ def init_training(
         state.noise_plan = build_noise_plan(
             weights=sizes[list(config.coalition)],
             sigma=defense_cfg.sigma,
-            tail_ratio=defense_cfg.tail_ratio,
             rounds=config.rounds,
             seed=config.seed,
         )
@@ -303,12 +295,13 @@ def _diverged(round_t: int, clients) -> FloatingPointError:
     )
 
 
-def _plain_updates(state: TrainingState, ids: list[int], round_t: int) -> dict[int, np.ndarray]:
-    """Uploads of the clients that train plainly, all in one lock-step call;
-    the grad_sparse / grad_noise baselines then alter their coalition's uploads."""
+def _plain_updates(state: TrainingState, uploads: np.ndarray, ids: list[int], round_t: int):
+    """Write the upload rows of the clients that train plainly, all trained in
+    one lock-step call; the grad_sparse / grad_noise baselines then alter
+    their coalition's rows in place."""
     cfg = state.config
     try:
-        trained = models.sgd_clients(
+        uploads[ids] = models.sgd_clients(
             state.spec,
             state.global_params,
             [state.clients[k].train_X for k in ids],
@@ -320,7 +313,6 @@ def _plain_updates(state: TrainingState, ids: list[int], round_t: int) -> dict[i
         )
     except models.NonFiniteLoss as err:
         raise _diverged(round_t, [ids[i] for i in err.clients]) from None
-    uploads = dict(zip(ids, trained))
     if cfg.defense in ("grad_sparse", "grad_noise"):
         for k in cfg.coalition:
             update = uploads[k] - state.global_params
@@ -330,7 +322,6 @@ def _plain_updates(state: TrainingState, ids: list[int], round_t: int) -> dict[i
                 noise_rng = stream(cfg.seed, "gradnoise", k, round_t)
                 update = grad_gaussian_noise(update, cfg.noise_sigma, noise_rng)
             uploads[k] = state.global_params + update
-    return uploads
 
 
 def _coalition_update(state: TrainingState, client_id: int, round_t: int):
@@ -376,18 +367,17 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
 
     defended = cfg.coalition if cfg.defense == "coalition" else ()
     ids = [k for k in range(cfg.num_clients) if k not in defended]
-    local_map = _plain_updates(state, ids, round_t) if ids else {}
+    uploads = np.empty((cfg.num_clients, state.spec.param_count))
+    if ids:
+        _plain_updates(state, uploads, ids, round_t)
     for k in defended:
-        local_map[k], tele = _coalition_update(state, k, round_t)
+        uploads[k], tele = _coalition_update(state, k, round_t)
         state.telemetry.append(tele)
 
     if snapshot_due(round_t, cfg.snapshot_every):
-        state.store.record(round_t, state.global_params, local_map)
+        state.store.record(round_t, state.global_params, uploads)
 
-    sizes = state.store.client_sizes
-    state.global_params = aggregate_weighted(
-        [local_map[k] for k in range(cfg.num_clients)], sizes
-    )
+    state.global_params = aggregate_weighted(uploads, state.store.client_sizes)
     if not np.all(np.isfinite(state.global_params)):
         raise FloatingPointError(
             f"training diverged at round {round_t}: the aggregated global model is not finite"
@@ -411,7 +401,6 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
             round_t=round_t,
             test_acc=models.accuracy(state.spec, state.global_params, state.test_X, state.test_y),
             mean_train_loss=loss_sum / max(1, sample_count),
-            client_sizes=tuple(int(s) for s in sizes),
         )
     )
     return state

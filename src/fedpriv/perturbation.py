@@ -28,13 +28,7 @@ class NoisePlan:
     """
 
     weights: np.ndarray
-    sigma: float
-    tail_ratio: float  # r_P: fraction of trailing parameters to perturb
     deltas: np.ndarray
-
-    @property
-    def rounds(self) -> int:
-        return self.deltas.shape[0]
 
     def round_deltas(self, round_t: int) -> np.ndarray:
         return self.deltas[round_t - 1]
@@ -97,13 +91,7 @@ def verify_cancellation(
     return float(np.max(np.abs(agg_p - agg_u)))
 
 
-def build_noise_plan(
-    weights,
-    sigma: float,
-    tail_ratio: float,
-    rounds: int,
-    seed: int,
-) -> NoisePlan:
+def build_noise_plan(weights, sigma: float, rounds: int, seed: int) -> NoisePlan:
     """Precompute projected scalar noises for every round (coordinator-side).
 
     Round t's base noises come from the stream (seed, "perturb", t), so all
@@ -124,4 +112,4 @@ def build_noise_plan(
         if scale > 0 and resid > 1e-10 * scale:
             raise FloatingPointError("noise projection failed to cancel")
         deltas[t - 1] = delta
-    return NoisePlan(weights=weights, sigma=sigma, tail_ratio=tail_ratio, deltas=deltas)
+    return NoisePlan(weights=weights, deltas=deltas)

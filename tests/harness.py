@@ -1,6 +1,6 @@
 """Shared builders for integration-style tests: tiny federated runs."""
 
-import numpy as np
+import csv
 
 from fedpriv import experiment as ex
 from fedpriv import run_training
@@ -104,5 +104,11 @@ def overfit_run(seed=0, defended=False, rounds=60, clients=10):
     return cfg, prep, state, pools
 
 
-def store_stats(store):
-    return {t: np.linalg.norm(store.global_at(t)) for t in store.rounds}
+def save_csv(dataset, path):
+    """Write a dataset in the CSV format accepted by `fedpriv.data.load_csv`."""
+    d = dataset.input_dim
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(d)] + ["label"])
+        for row, label in zip(dataset.X, dataset.y):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])

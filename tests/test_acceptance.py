@@ -53,8 +53,8 @@ def test_criterion_1_noise_cancellation():
     _, on = run_from_config(cfg_on)
     _, off = run_from_config(cfg_off)
     gap = max(
-        float(np.max(np.abs(on.store.global_at(t) - off.store.global_at(t))))
-        for t in on.store.rounds
+        float(np.max(np.abs(g_on - g_off)))
+        for g_on, g_off in zip(on.store.globals, off.store.globals)
     )
     trajectory_ok = gap <= 1e-8
     _criterion(
@@ -233,10 +233,11 @@ def test_criterion_7_degenerate_defense_identity():
     _, a = run_from_config(plain)
     _, b = run_from_config(degenerate)
     identical = np.array_equal(a.global_params, b.global_params)
-    for t in a.store.rounds:
-        identical &= np.array_equal(a.store.global_at(t), b.store.global_at(t))
+    identical &= a.store.rounds == b.store.rounds
+    for row in range(len(a.store.rounds)):
+        identical &= np.array_equal(a.store.globals[row], b.store.globals[row])
         for k in range(4):
-            identical &= np.array_equal(a.store.local_at(t, k), b.store.local_at(t, k))
+            identical &= np.array_equal(a.store.locals[row][k], b.store.locals[row][k])
     _criterion(
         7,
         "single-client defense with all classes, no recycling, no noise is a no-op",
@@ -268,12 +269,12 @@ def test_criterion_9_adaptive_attack_bypasses_perturbation():
     pools = ex.build_pools(cfg_on, prep)
     worst = 0.0
     for name in ("loss_series", "fta_l", "fedmia_i"):
-        r_on = atk.attack_adaptive_coalition(on.store, (0, 1, 2), prep.train, pools, 0, name)
-        r_off = atk.attack_adaptive_coalition(off.store, (0, 1, 2), prep.train, pools, 0, name)
+        selector = ("coalition", (0, 1, 2))
+        r_on = atk.run_attack(on.store, prep.train, pools, 0, name, selector=selector)
+        r_off = atk.run_attack(off.store, prep.train, pools, 0, name, selector=selector)
         worst = max(worst, float(np.max(np.abs(r_on.scores - r_off.scores))))
     # negative control: the locals the adaptive attacker bypasses DO differ
-    last = on.store.rounds[-1]
-    locals_differ = float(np.max(np.abs(on.store.local_at(last, 0) - off.store.local_at(last, 0))))
+    locals_differ = float(np.max(np.abs(on.store.locals[-1][0] - off.store.locals[-1][0])))
     _criterion(
         9,
         "coalition-aggregate attack scores are identical with perturbation on/off",

@@ -108,7 +108,7 @@ def test_schedule_properties_random_specs():
         spec = _spec(d, n, m_max, m_min, rounds)
         schedule = asg.build_schedule(spec, seed=int(rng.integers(0, 1000)))
         for t in range(1, rounds + 1):
-            m = schedule.sizes[t - 1]
+            m = asg.decay_subset_size(spec, t)
             subsets = schedule.round_subsets(t)
             assert all(len(s) == m for s in subsets)
             assert schedule.lambdas[t - 1] >= asg.theoretical_overlap_bound(n, d, m)
@@ -141,7 +141,6 @@ def _toy_client():
         val_y=np.empty(0, dtype=np.int64),
         train_indices=np.arange(6),
         val_indices=np.empty(0, dtype=np.int64),
-        class_hist=np.bincount(y, minlength=3),
     )
 
 

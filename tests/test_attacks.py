@@ -32,7 +32,7 @@ def _loss_store(per_client_losses, rounds=(1,)):
         store.record(
             t,
             np.zeros(spec.param_count),
-            {k: _loss_params(spec, lv) for k, lv in enumerate(per_client_losses)},
+            np.stack([_loss_params(spec, lv) for lv in per_client_losses]),
         )
     return store, LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
 
@@ -63,7 +63,7 @@ def test_extract_confidence_of_perfectly_fit_sample():
     fit = np.zeros(spec.param_count)
     fit[0] = 10.0  # class-0 weight on feature 0; x=(10,0) -> certainty
     store = SnapshotStore(spec, np.array([1]))
-    store.record(1, np.zeros(spec.param_count), {0: fit})
+    store.record(1, np.zeros(spec.param_count), fit[None])
     ds = LabeledDataset(np.array([[10.0, 0.0]]), np.array([0]), 3)
     values, _ = atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "confidence")
     assert values[0, 0] >= 0.999
@@ -76,7 +76,7 @@ def test_extract_grad_cosine_identity():
     x, y = np.array([0.7, -1.2]), 1
     _, grad = models.loss_and_grad(spec, base, x[None, :], [y])
     store = SnapshotStore(spec, np.array([1]))
-    store.record(1, base, {0: base + grad})  # update direction equals gradient
+    store.record(1, base, (base + grad)[None])  # update direction equals gradient
     ds = LabeledDataset(x[None, :], np.array([y]), 2)
     values, _ = atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "grad_cosine")
     assert values[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -88,7 +88,7 @@ def test_extract_rejects_unknown_kind_and_empty_store():
     ds = LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
     with pytest.raises(ValueError):
         atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, "loss")
-    store.record(1, np.zeros(spec.param_count), {0: np.zeros(spec.param_count)})
+    store.record(1, np.zeros(spec.param_count), np.zeros((1, spec.param_count)))
     for kind in ("sharpness", "entropy", "max_prob"):
         with pytest.raises(ValueError):
             atk.trajectory_matrix(store, ("local", 0), ds.X, ds.y, kind)
@@ -145,7 +145,7 @@ def test_loss_series_ignores_round_indices():
     for rounds in ([1, 2, 3], [5, 50, 500]):
         store = SnapshotStore(spec, np.array([1]))
         for t, loss in zip(rounds, [3.0, 1.5, 1.0]):
-            store.record(t, np.zeros(spec.param_count), {0: _loss_params(spec, loss)})
+            store.record(t, np.zeros(spec.param_count), _loss_params(spec, loss)[None])
         values, _ = atk.trajectory_matrix(store, ("local", 0), [[1.0]], [0], "loss")
         scores.append(atk.attack_loss_series(values))
     assert np.array_equal(scores[0], scores[1])
@@ -239,12 +239,14 @@ def test_fedmia_overfit_toy_auc_above_point_nine():
 # --- adaptive coalition target ----------------------------------------------
 
 
-def test_adaptive_single_member_equals_local_attack():
+def test_adaptive_single_member_equals_local_target():
     cfg = make_config(clients=4, rounds=10, snapshot_every=5, samples_per_class=40)
     prep, state = run_from_config(cfg)
     pools = ex.build_pools(cfg, prep)
     local = atk.run_attack(state.store, prep.train, pools, 0, "loss_series")
-    adaptive = atk.attack_adaptive_coalition(state.store, (0,), prep.train, pools, 0, "loss_series")
+    adaptive = atk.run_attack(
+        state.store, prep.train, pools, 0, "loss_series", selector=("coalition", (0,))
+    )
     assert np.allclose(local.scores, adaptive.scores, atol=1e-9)
     assert local.auc == pytest.approx(adaptive.auc, abs=1e-9)
 
@@ -253,9 +255,16 @@ def test_coalition_selector_is_weighted_mean():
     spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
     store = SnapshotStore(spec, np.array([3, 3]))  # equal weights
     a, b = np.arange(4.0), np.arange(4.0) * 3
-    store.record(1, np.zeros(4), {0: a, 1: b})
-    got = atk._target_params(store, ("coalition", (0, 1)), 1)
+    store.record(1, np.zeros(4), np.stack([a, b]))
+    got = atk._target_params(store, ("coalition", (0, 1)), 0)
     assert np.allclose(got, (a + b) / 2)
+
+
+@pytest.mark.parametrize("selector", [("local", -1), ("local", 2), ("coalition", (0, 2))])
+def test_selector_naming_a_missing_client_is_rejected(selector):
+    store, ds = _loss_store([0.5, 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        atk.trajectory_matrix(store, selector, ds.X, ds.y, "loss")
 
 
 def test_label_shuffle_gives_chance_auc():

@@ -247,7 +247,6 @@ def _client(seed=0, n=40, num_classes=3, dim=4):
         val_y=val_y,
         train_indices=np.arange(n),
         val_indices=np.arange(n, n + 8),
-        class_hist=np.bincount(y, minlength=num_classes),
     )
 
 
@@ -391,4 +390,3 @@ def test_compensated_update_respects_recycle_cap():
         )
         assert tele.n_recycled <= int(0.1 * 50)
     assert len(bandit.rewards) == 10
-    assert len(bandit.pulls) == 10

@@ -1,5 +1,7 @@
 """Tests for config parsing, validation, and serialization."""
 
+import re
+
 import pytest
 
 from fedpriv.config import (
@@ -95,6 +97,32 @@ def test_single_client_coalition_with_noise_rejected():
         MINIMAL + "defense.kind = coalition\ndefense.coalition = 2\ndefense.sigma = 0\n"
     )
     assert cfg.sigma == 0.0
+
+
+COALITION = "defense.kind = coalition\ndefense.coalition = 0,1\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, extra",
+    [
+        ("defense.t0", "0", COALITION),
+        ("defense.intervals", "0", COALITION),
+        ("defense.eta", "1.5", COALITION),
+        ("defense.decay", "step", COALITION),
+        ("defense.sigma", "-0.1", COALITION),
+        ("defense.keep_rate", "0", "defense.kind = grad_sparse\ndefense.coalition = 0\n"),
+        ("defense.noise_sigma", "-1", "defense.kind = grad_noise\ndefense.coalition = 0\n"),
+        ("data.cluster_spread", "-1", ""),
+    ],
+)
+def test_out_of_range_value_names_its_key(key, value, extra):
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        parse_config_text(MINIMAL + extra + f"{key} = {value}\n")
+
+
+def test_defense_keys_are_checked_only_under_their_defense():
+    cfg = parse_config_text(MINIMAL + "defense.keep_rate = 0\ndefense.decay = step\n")
+    assert cfg.keep_rate == 0.0 and cfg.decay == "step"
 
 
 def test_m_max_beyond_classes_rejected():

@@ -9,7 +9,7 @@ import pytest
 
 from fedpriv import cli, experiment as ex
 from fedpriv import models
-from fedpriv.config import parse_config_text
+from fedpriv.config import ConfigError, parse_config_text
 from oracles import sequential_sgd_clients
 
 SMALL = """
@@ -204,6 +204,15 @@ def test_cli_infeasible_pools_fail_before_training(tmp_path, capsys):
     assert not (out / ex.SNAPSHOTS_NPZ).exists()
 
 
+def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "sgd_clients", lambda *args, **kwargs: calls.append(args))
+    cfg = parse_config_text(DEFENDED + "defense.intervals = 40\n")
+    with pytest.raises(ConfigError, match=r"'defense.intervals': 40 intervals .* client 0$"):
+        ex.stage_train(cfg, str(tmp_path / "t"))
+    assert calls == []
+
+
 def test_cli_has_no_threads_option(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL, encoding="utf-8")
@@ -255,7 +264,8 @@ def test_comm_overhead_estimate_formula():
 
 
 def test_csv_dataset_source_runs(tmp_path):
-    from fedpriv.data import generate_synthetic, save_csv
+    from fedpriv.data import generate_synthetic
+    from harness import save_csv
 
     ds = generate_synthetic(4, 60, 5, 1.5, seed=3)
     csv_path = tmp_path / "data.csv"

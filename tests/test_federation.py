@@ -100,7 +100,6 @@ def _single_client_setup():
         val_y=np.empty(0, dtype=np.int64),
         train_indices=np.arange(10),
         val_indices=np.empty(0, dtype=np.int64),
-        class_hist=np.bincount(y, minlength=2),
     )
     return spec, client, x, y
 
@@ -117,11 +116,11 @@ def test_run_round_single_client_global_equals_local():
     assert np.allclose(state.global_params, expected, atol=1e-12)
 
 
-def test_run_round_identical_locals_equal_global():
+def test_run_round_identical_uploads_equal_global():
     # zero learning rate: every local equals the broadcast global
     cfg = make_config(clients=4, rounds=1, lr=0.0)
     prep, state = run_from_config(cfg)
-    assert np.allclose(state.global_params, state.store.global_at(1), atol=1e-12)
+    assert np.allclose(state.global_params, state.store.globals[0], atol=1e-12)
 
 
 def test_snapshot_rounds_cadence():
@@ -141,10 +140,10 @@ def test_training_deterministic_rerun():
     _, a = run_from_config(cfg)
     _, b = run_from_config(cfg)
     assert a.store.rounds == b.store.rounds
-    for t in a.store.rounds:
-        assert np.array_equal(a.store.global_at(t), b.store.global_at(t))
+    for row in range(len(a.store.rounds)):
+        assert np.array_equal(a.store.globals[row], b.store.globals[row])
         for k in range(4):
-            assert np.array_equal(a.store.local_at(t, k), b.store.local_at(t, k))
+            assert np.array_equal(a.store.locals[row][k], b.store.locals[row][k])
 
 
 def test_lockstep_training_matches_sequential_oracle(monkeypatch):
@@ -160,9 +159,10 @@ def test_lockstep_training_matches_sequential_oracle(monkeypatch):
     monkeypatch.setattr(models, "sgd_clients", sequential_sgd_clients)
     _, oracle = run_from_config(cfg)
     assert sum(tele.n_recycled for tele in oracle.telemetry) > 0
-    for t in oracle.store.rounds:
+    assert lockstep.store.rounds == oracle.store.rounds
+    for row in range(len(oracle.store.rounds)):
         for k in range(5):
-            assert np.array_equal(lockstep.store.local_at(t, k), oracle.store.local_at(t, k))
+            assert np.array_equal(lockstep.store.locals[row][k], oracle.store.locals[row][k])
     assert np.array_equal(lockstep.global_params, oracle.global_params)
 
 
@@ -189,11 +189,11 @@ def test_coalition_perturbation_cancels_in_global_trajectory():
     cfg_off = make_config(clients=4, rounds=6, snapshot_every=1, extra=base.format(sigma=0))
     _, on = run_from_config(cfg_on)
     _, off = run_from_config(cfg_off)
-    for t in on.store.rounds:
-        assert np.max(np.abs(on.store.global_at(t) - off.store.global_at(t))) <= 1e-8
+    assert on.store.rounds == off.store.rounds
+    for g_on, g_off in zip(on.store.globals, off.store.globals):
+        assert np.max(np.abs(g_on - g_off)) <= 1e-8
     # while coalition locals visibly differ (the noise is really there)
-    last = on.store.rounds[-1]
-    assert np.max(np.abs(on.store.local_at(last, 0) - off.store.local_at(last, 0))) > 1e-4
+    assert np.max(np.abs(on.store.locals[-1][0] - off.store.locals[-1][0])) > 1e-4
 
 
 def test_aggregation_weights_are_dataset_sizes():
@@ -202,9 +202,8 @@ def test_aggregation_weights_are_dataset_sizes():
     sizes = np.array([c.num_samples for c in prep.clients], dtype=np.float64)
     weights = sizes / sizes.sum()
     assert abs(weights.sum() - 1.0) <= 1e-12
-    manual = fed.aggregate_weighted(
-        [state.store.local_at(1, k) for k in range(3)], sizes
-    )
+    assert state.store.rounds == [1]
+    manual = fed.aggregate_weighted([state.store.locals[0][k] for k in range(3)], sizes)
     assert np.allclose(manual, state.global_params, atol=1e-12)
 
 
@@ -215,10 +214,10 @@ def test_grad_baselines_only_touch_coalition_clients():
     _, st_def = run_from_config(cfg_def)
     _, st_none = run_from_config(cfg_none)
     # client 0's upload is sparsified, others untouched
-    delta0 = st_def.store.local_at(1, 0) - st_def.store.global_at(1)
+    delta0 = st_def.store.locals[0][0] - st_def.store.globals[0]
     assert np.mean(delta0 == 0.0) >= 0.75
     for k in (1, 2):
-        assert np.array_equal(st_def.store.local_at(1, k), st_none.store.local_at(1, k))
+        assert np.array_equal(st_def.store.locals[0][k], st_none.store.locals[0][k])
 
 
 def test_store_save_load_round_trip(tmp_path):
@@ -230,17 +229,20 @@ def test_store_save_load_round_trip(tmp_path):
     assert back.rounds == state.store.rounds
     assert back.spec == state.store.spec
     assert np.array_equal(back.client_sizes, state.store.client_sizes)
-    for t in back.rounds:
-        assert np.array_equal(back.global_at(t), state.store.global_at(t))
+    for row in range(len(back.rounds)):
+        assert np.array_equal(back.globals[row], state.store.globals[row])
         for k in range(3):
-            assert np.array_equal(back.local_at(t, k), state.store.local_at(t, k))
+            assert np.array_equal(back.locals[row][k], state.store.locals[row][k])
 
 
-def test_local_snapshot_missing_client_errors():
+def test_record_rejects_an_upload_matrix_of_the_wrong_shape():
     cfg = make_config(clients=3, rounds=2, samples_per_class=30)
     _, state = run_from_config(cfg)
-    with pytest.raises(KeyError):
-        state.store.local_at(1, 7)
+    store = state.store
+    p = store.spec.param_count
+    with pytest.raises(ValueError, match=r"\(3, %d\)" % p):
+        store.record(2, np.zeros(p), np.zeros((2, p)))
+    assert store.rounds == [1] and len(store.locals) == 1
 
 
 def _snapshot_fields():
@@ -261,7 +263,7 @@ def test_store_load_accepts_the_unforged_fields(tmp_path):
     np.savez_compressed(path, **_snapshot_fields())
     store = fed.SnapshotStore.load(str(path))
     assert store.rounds == [1, 5, 10] and store.num_clients == 4
-    assert np.array_equal(store.local_at(5, 3), np.ones(8))
+    assert np.array_equal(store.locals[1][3], np.ones(8))
 
 
 @pytest.mark.parametrize(

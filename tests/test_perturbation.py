@@ -103,17 +103,17 @@ def test_verify_cancellation_projected_vs_unprojected():
 
 
 def test_noise_plan_precomputed_and_neutral():
-    plan = pert.build_noise_plan([3.0, 1.0, 2.0], sigma=0.2, tail_ratio=0.3, rounds=7, seed=9)
+    plan = pert.build_noise_plan([3.0, 1.0, 2.0], sigma=0.2, rounds=7, seed=9)
     assert plan.deltas.shape == (7, 3)
     for t in range(1, 8):
         deltas = plan.round_deltas(t)
         assert abs(float(plan.weights @ deltas)) <= 1e-10 * np.max(np.abs(plan.weights * deltas))
-    again = pert.build_noise_plan([3.0, 1.0, 2.0], sigma=0.2, tail_ratio=0.3, rounds=7, seed=9)
+    again = pert.build_noise_plan([3.0, 1.0, 2.0], sigma=0.2, rounds=7, seed=9)
     assert np.array_equal(plan.deltas, again.deltas)
 
 
 def test_noise_plan_rejects_single_client_with_noise():
     with pytest.raises(ValueError):
-        pert.build_noise_plan([2.0], sigma=0.1, tail_ratio=0.2, rounds=3, seed=0)
-    plan = pert.build_noise_plan([2.0], sigma=0.0, tail_ratio=0.2, rounds=3, seed=0)
+        pert.build_noise_plan([2.0], sigma=0.1, rounds=3, seed=0)
+    plan = pert.build_noise_plan([2.0], sigma=0.0, rounds=3, seed=0)
     assert np.array_equal(plan.deltas, np.zeros((3, 1)))
