@@ -8,6 +8,7 @@ intervals, compensation from round 10, entropy weight 0.005.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, fields
 
@@ -197,7 +198,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("data.test_fraction", "must be in [0, 1)")
     if not 0.0 <= cfg.ofl_fraction < 1.0:
         bad("data.ofl_fraction", "must be in [0, 1)")
-    if cfg.beta <= 0:
+    if not cfg.beta > 0:
         bad("data.beta", "must be > 0")
     if cfg.num_clients < 2:
         bad("fl.K", "need at least 2 clients")
@@ -205,8 +206,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("fl.T", "must be >= 1")
     if cfg.threads != 1:
         bad("fl.threads", f"must be 1 (clients train in lock-step), got {cfg.threads}")
-    if cfg.lr < 0 or cfg.local_epochs < 1 or cfg.batch_size < 1 or cfg.snapshot_every < 1:
-        bad("fl.*", "lr >= 0 and local_epochs/batch_size/snapshot_every >= 1 required")
+    if not (math.isfinite(cfg.lr) and cfg.lr >= 0):
+        bad("fl.lr", f"must be a finite number >= 0, got {cfg.lr}")
+    for key, value in (
+        ("fl.local_epochs", cfg.local_epochs),
+        ("fl.batch_size", cfg.batch_size),
+        ("fl.snapshot_every", cfg.snapshot_every),
+    ):
+        if value < 1:
+            bad(key, f"must be >= 1, got {value}")
     if cfg.defense not in DEFENSE_KINDS:
         bad("defense.kind", f"must be one of {DEFENSE_KINDS}")
     for cid in cfg.coalition:
@@ -237,11 +245,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("defense.r_p", "must be in (0, 1]")
         if not 0.0 <= cfg.r_l <= 1.0:
             bad("defense.r_l", "must be in [0, 1]")
-        if cfg.mu < 0:
+        if not cfg.mu >= 0:
             bad("defense.mu", "must be >= 0")
     if cfg.source == "synthetic":
-        if not cfg.cluster_spread >= 0:
-            bad("data.cluster_spread", "must be >= 0")
+        if not (math.isfinite(cfg.cluster_spread) and cfg.cluster_spread >= 0):
+            bad("data.cluster_spread", f"must be a finite number >= 0, got {cfg.cluster_spread}")
+        if not math.isfinite(cfg.mean_scale):
+            bad("data.mean_scale", f"must be a finite number, got {cfg.mean_scale}")
         n = cfg.num_classes
         if cfg.m_max is not None and cfg.m_max > n:
             bad("defense.m_max", f"m_max={cfg.m_max} exceeds data.num_classes={n}")
@@ -292,3 +302,16 @@ def serialize_config(cfg: ExperimentConfig) -> str:
             rendered = str(value)
         lines.append(f"{key} = {rendered}")
     return "\n".join(lines) + "\n"
+
+
+def training_fingerprint(cfg: ExperimentConfig) -> str:
+    """SHA-256 (hex) of the lines of `serialize_config(cfg)` that shape the
+    trained models: the data., model., fl. and defense. keys.
+
+    attack.*, eval.* and output.dir are left out: only the attack stage
+    reads the first two, and a run directory may be copied elsewhere.
+    """
+    lines = serialize_config(cfg).splitlines(keepends=True)
+    sections = ("data.", "model.", "fl.", "defense.")
+    training = "".join(line for line in lines if line.startswith(sections))
+    return hashlib.sha256(training.encode("utf-8")).hexdigest()

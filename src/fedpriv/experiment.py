@@ -6,7 +6,10 @@ Stages communicate through files in an output directory:
   rounds.csv        round,test_acc,mean_train_loss
   assignments.csv   round,client,classes,lambda   (semicolon-separated classes)
   compensation.csv  round,client,arm,raw_reward,norm_reward,n_assigned,n_recycled
-  snapshots.npz     recorded model snapshots
+  snapshots.npz     recorded model snapshots (format 2, uncompressed), stamped
+                    with the SHA-256 of the config's data./model./fl./defense.
+                    lines and the seed; attack and report refuse the run when
+                    their config or seed does not match the stamp
   attacks.csv       attack,target,auc,tpr_at_fpr_0.001,tpr_at_fpr_0.01,
                     tpr_at_fpr_0.1,n_members,n_nonmembers
   summary.csv       defense,final_test_acc,acc_delta_vs_undefended,mean_attack_auc
@@ -30,6 +33,7 @@ from .config import (
     parse_config,
     resolved_class_bounds,
     serialize_config,
+    training_fingerprint,
 )
 from .compensation import RecycleConfig
 from .data import (
@@ -50,6 +54,7 @@ from .federation import (
     FlConfig,
     SnapshotStore,
     TrainingState,
+    read_snapshot_stamp,
     run_training,
 )
 from .models import ModelSpec
@@ -267,8 +272,27 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     write_rounds_csv(os.path.join(out_dir, ROUNDS_CSV), state.reports)
     write_assignments_csv(os.path.join(out_dir, ASSIGNMENTS_CSV), state)
     write_compensation_csv(os.path.join(out_dir, COMPENSATION_CSV), state.telemetry)
-    state.store.save(os.path.join(out_dir, SNAPSHOTS_NPZ))
+    state.store.save(os.path.join(out_dir, SNAPSHOTS_NPZ), training_fingerprint(cfg), cfg.seed)
     return state
+
+
+def _check_snapshot_stamp(cfg: ExperimentConfig, out_dir: str) -> None:
+    """Refuse a run whose snapshots another training config or seed wrote.
+
+    Reads only the stamp of the run's snapshot file. attack.*, eval.* and
+    output.dir may differ from the training run; nothing else may.
+    """
+    path = os.path.join(out_dir, SNAPSHOTS_NPZ)
+    config_sha256, seed = read_snapshot_stamp(path)
+    if seed != cfg.seed:
+        raise ConfigError(
+            f"config field 'fl.seed': {cfg.seed} differs from seed {seed} that trained {path}"
+        )
+    if config_sha256 != training_fingerprint(cfg):
+        raise ConfigError(
+            f"the config's data./model./fl./defense. settings differ from the ones that "
+            f"trained {path}; only attack.*, eval.* and output.dir may change after training"
+        )
 
 
 def build_pools(cfg: ExperimentConfig, prep: PreparedData) -> EvalPools:
@@ -307,8 +331,11 @@ def _attack_selector(cfg: ExperimentConfig):
 def stage_attack(
     cfg: ExperimentConfig, out_dir: str, store: SnapshotStore | None = None
 ) -> list[atk.AttackResult]:
-    """Score the configured attacks against the recorded snapshots."""
+    """Score the configured attacks against the recorded snapshots; the
+    snapshots are loaded from `out_dir` after their stamp is checked unless
+    `store` is given."""
     if store is None:
+        _check_snapshot_stamp(cfg, out_dir)
         store = SnapshotStore.load(os.path.join(out_dir, SNAPSHOTS_NPZ))
     prep = prepare_data(cfg)
     pools = build_pools(cfg, prep)
@@ -339,6 +366,7 @@ def _read_mean_attack_auc(out_dir: str) -> float | None:
 
 def stage_report(cfg: ExperimentConfig, out_dir: str, baseline_dir: str | None = None) -> None:
     """Summarize a finished run; optional baseline gives the accuracy delta."""
+    _check_snapshot_stamp(cfg, out_dir)
     final_acc = _read_final_test_acc(out_dir)
     mean_auc = _read_mean_attack_auc(out_dir)
     delta = ""

@@ -12,6 +12,7 @@ at round 1 and every snapshot_every rounds thereafter.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,12 @@ class RoundReport:
     mean_train_loss: float
 
 
-SNAPSHOT_FIELDS = ("rounds", "client_sizes", "spec", "globals", "locals")
+SNAPSHOT_FORMAT = 2
+MODEL_FIELDS = ("rounds", "client_sizes", "spec", "globals", "locals")
+# The stamp in front names the run that trained the models: the file format,
+# the SHA-256 of the training part of its config (`config.training_fingerprint`)
+# and its seed.
+SNAPSHOT_FIELDS = ("format", "config_sha256", "seed") + MODEL_FIELDS
 
 
 class SnapshotStore:
@@ -108,10 +114,17 @@ class SnapshotStore:
         self.globals.append(global_params.copy())
         self.locals.append(np.array(uploads, dtype=np.float64))
 
-    def save(self, path: str) -> None:
+    def save(self, path: str, config_sha256: str, seed: int) -> None:
+        """Write format 2: the stamp of the run that trained these models,
+        then the stacked snapshots. Members are stored uncompressed, since
+        float64 weights barely compress; numpy gives every zip member the
+        same fixed timestamp, so the bytes are a function of the contents."""
         spec = self.spec
-        np.savez_compressed(
+        np.savez(
             path,
+            format=np.int64(SNAPSHOT_FORMAT),
+            config_sha256=np.str_(config_sha256),
+            seed=np.int64(seed),
             rounds=np.asarray(self.rounds, dtype=np.int64),
             client_sizes=self.client_sizes,
             spec=np.asarray([spec.input_dim, spec.hidden_dim, spec.num_classes], dtype=np.int64),
@@ -121,16 +134,15 @@ class SnapshotStore:
 
     @classmethod
     def load(cls, path: str) -> "SnapshotStore":
-        """Read a file written by `save`, checking every field's shape.
+        """Read a file written by `save`, checking its stamp and every field's
+        shape.
 
-        Each stored array is read (and decompressed) exactly once; the
-        per-round snapshots are row views into the loaded stacks.
+        Each stored array is read exactly once; the per-round snapshots are
+        row views into the loaded stacks.
         """
         with np.load(path) as blob:
-            missing = [name for name in SNAPSHOT_FIELDS if name not in blob.files]
-            if missing:
-                raise ValueError(f"snapshot file lacks field(s) {missing}")
-            fields = {name: blob[name] for name in SNAPSHOT_FIELDS}
+            _read_stamp(blob, path)
+            fields = {name: blob[name] for name in MODEL_FIELDS}
         store = cls(_check_snapshot_fields(fields), fields["client_sizes"])
         store.rounds = [int(t) for t in fields["rounds"]]
         store.globals = list(fields["globals"])
@@ -138,46 +150,83 @@ class SnapshotStore:
         return store
 
 
+def read_snapshot_stamp(path: str) -> tuple[str, int]:
+    """(config_sha256, seed) of a snapshot file, reading only its stamp."""
+    with np.load(path) as blob:
+        return _read_stamp(blob, path)
+
+
+def _bad_field(name: str, why: str) -> ValueError:
+    return ValueError(f"snapshot field {name!r} {why}")
+
+
+def _is_int(arr: np.ndarray) -> bool:
+    return np.issubdtype(arr.dtype, np.integer)
+
+
+def _read_stamp(blob, path: str) -> tuple[str, int]:
+    """Check an open snapshot file's format and member names; return the
+    (config_sha256, seed) it was stamped with."""
+    rerun = "re-run `fedpriv train` to rewrite it"
+    if "format" not in blob.files:
+        raise ValueError(
+            f"snapshot file {path} has no 'format' field: it predates format "
+            f"{SNAPSHOT_FORMAT}; {rerun}"
+        )
+    fmt = blob["format"]
+    if fmt.shape != () or not _is_int(fmt) or int(fmt) != SNAPSHOT_FORMAT:
+        raise _bad_field("format", f"is {fmt!r}, not {SNAPSHOT_FORMAT}; {rerun}")
+    missing = [name for name in SNAPSHOT_FIELDS if name not in blob.files]
+    if missing:
+        raise ValueError(f"snapshot file lacks field(s) {missing}")
+    digest = blob["config_sha256"]
+    hex_digest = digest.dtype.kind == "U" and re.fullmatch("[0-9a-f]{64}", str(digest))
+    if digest.shape != () or not hex_digest:
+        raise _bad_field("config_sha256", f"must be a SHA-256 hex string, got {digest!r}")
+    seed = blob["seed"]
+    if seed.shape != () or not _is_int(seed):
+        raise _bad_field("seed", f"must be one int, got {seed!r}")
+    return str(digest), int(seed)
+
+
 def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
-    """Validate a loaded snapshot file and return its ModelSpec.
+    """Validate the model fields of a loaded snapshot file and return its
+    ModelSpec.
 
     Raises ValueError naming the first field that does not fit the others:
     spec (d, h, C), globals (R, P) with P = spec.param_count, locals (R, K, P),
     client_sizes (K,) and rounds (R,) strictly increasing.
     """
-
-    def bad(name: str, why: str) -> ValueError:
-        return ValueError(f"snapshot field {name!r} {why}")
-
-    def is_int(arr: np.ndarray) -> bool:
-        return np.issubdtype(arr.dtype, np.integer)
-
     raw_spec = fields["spec"]
-    if raw_spec.shape != (3,) or not is_int(raw_spec):
-        raise bad("spec", f"must be 3 ints (input_dim, hidden_dim, classes), got {raw_spec!r}")
+    if raw_spec.shape != (3,) or not _is_int(raw_spec):
+        raise _bad_field(
+            "spec", f"must be 3 ints (input_dim, hidden_dim, classes), got {raw_spec!r}"
+        )
     try:
         spec = ModelSpec(*(int(v) for v in raw_spec))
     except ValueError as err:
-        raise bad("spec", f"is not a valid model: {err}") from None
+        raise _bad_field("spec", f"is not a valid model: {err}") from None
     p = spec.param_count
     globals_stack = fields["globals"]
     if globals_stack.ndim != 2 or globals_stack.shape[1] != p or len(globals_stack) == 0:
-        raise bad("globals", f"must have shape (R, {p}) with R >= 1, got {globals_stack.shape}")
+        raise _bad_field(
+            "globals", f"must have shape (R, {p}) with R >= 1, got {globals_stack.shape}"
+        )
     r = len(globals_stack)
     locals_stack = fields["locals"]
     if locals_stack.ndim != 3 or locals_stack.shape[0] != r or locals_stack.shape[2] != p:
-        raise bad("locals", f"must have shape ({r}, K, {p}), got {locals_stack.shape}")
+        raise _bad_field("locals", f"must have shape ({r}, K, {p}), got {locals_stack.shape}")
     k = locals_stack.shape[1]
     sizes = fields["client_sizes"]
-    if sizes.shape != (k,) or not is_int(sizes):
-        raise bad("client_sizes", f"must be {k} ints, got shape {sizes.shape}")
+    if sizes.shape != (k,) or not _is_int(sizes):
+        raise _bad_field("client_sizes", f"must be {k} ints, got shape {sizes.shape}")
     rounds = fields["rounds"]
     if (
         rounds.shape != (r,)
-        or not is_int(rounds)
+        or not _is_int(rounds)
         or np.any(np.diff(rounds.astype(np.int64)) <= 0)
     ):
-        raise bad("rounds", f"must be {r} strictly increasing ints, got {rounds!r}")
+        raise _bad_field("rounds", f"must be {r} strictly increasing ints, got {rounds!r}")
     return spec
 
 

@@ -1,16 +1,25 @@
 """Tests for config parsing, validation, and serialization."""
 
 import re
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from fedpriv.assignment import DECAY_KINDS
+from fedpriv.attacks import ATTACK_NAMES
 from fedpriv.config import (
+    SCHEMA,
     ConfigError,
     ExperimentConfig,
     parse_config,
     parse_config_text,
     serialize_config,
+    training_fingerprint,
+    validate_config,
 )
+from fedpriv.federation import DEFENSE_KINDS
 
 MINIMAL = """
 # minimal experiment
@@ -113,6 +122,16 @@ COALITION = "defense.kind = coalition\ndefense.coalition = 0,1\n"
         ("defense.keep_rate", "0", "defense.kind = grad_sparse\ndefense.coalition = 0\n"),
         ("defense.noise_sigma", "-1", "defense.kind = grad_noise\ndefense.coalition = 0\n"),
         ("data.cluster_spread", "-1", ""),
+        ("fl.lr", "-0.1", ""),
+        ("fl.lr", "nan", ""),
+        ("fl.lr", "inf", ""),
+        ("fl.local_epochs", "0", ""),
+        ("fl.batch_size", "0", ""),
+        ("fl.snapshot_every", "0", ""),
+        ("data.beta", "nan", "data.partition = dirichlet\n"),
+        ("defense.mu", "nan", COALITION),
+        ("data.cluster_spread", "inf", ""),
+        ("data.mean_scale", "nan", ""),
     ],
 )
 def test_out_of_range_value_names_its_key(key, value, extra):
@@ -178,3 +197,109 @@ def test_config_equality_is_field_wise():
     a = parse_config_text(MINIMAL)
     b = parse_config_text(MINIMAL)
     assert a == b and isinstance(a, ExperimentConfig)
+
+
+# --- property tests of the canonical form -----------------------------------
+
+# No '#' or spaces: a value cannot hold '#' (it starts a comment), and parsing
+# strips surrounding whitespace.
+PATH_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=12)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _field_strategies(num_clients, num_classes, rounds):
+    """One strategy per ExperimentConfig attribute, drawing values that are
+    valid on their own for the given fl.K, data.num_classes and fl.T."""
+    client_id = st.integers(0, num_clients - 1)
+    return {
+        "source": st.sampled_from(("synthetic", "csv")),
+        "csv_path": PATH_TEXT,
+        "num_classes": st.integers(2, 30),
+        "samples_per_class": st.integers(1, 500),
+        "input_dim": st.integers(1, 40),
+        "cluster_spread": _finite(0, 10),
+        "mean_scale": _finite(-10, 10),
+        "test_fraction": _finite(0, 0.9),
+        "partition": st.sampled_from(("iid", "dirichlet")),
+        "beta": _finite(0.01, 10),
+        "ofl_fraction": _finite(0, 0.9),
+        "hidden_dim": st.integers(0, 64),
+        "num_clients": st.integers(2, 20),
+        "rounds": st.integers(1, 100),
+        "lr": _finite(0, 5),
+        "local_epochs": st.integers(1, 5),
+        "batch_size": st.integers(1, 64),
+        "snapshot_every": st.integers(1, 20),
+        "seed": st.integers(0, 2**31 - 1),
+        "threads": st.just(1),
+        "defense": st.sampled_from(DEFENSE_KINDS),
+        "coalition": st.lists(client_id, unique=True, max_size=num_clients).map(tuple),
+        "m_max": st.none() | st.integers(1, num_classes),
+        "m_min": st.none() | st.integers(1, num_classes),
+        "decay": st.sampled_from(DECAY_KINDS),
+        "t0": st.integers(1, rounds),
+        "intervals": st.integers(1, 20),
+        "r_l": _finite(0, 1),
+        "mu": _finite(0, 1),
+        "eta": _finite(0, 1),
+        "val_fraction": _finite(0, 0.9),
+        "sigma": _finite(0, 1),
+        "r_p": _finite(0.01, 1),
+        "keep_rate": _finite(0.01, 1),
+        "noise_sigma": _finite(0, 1),
+        "target_client": client_id,
+        "attack_list": st.lists(st.sampled_from(ATTACK_NAMES), unique=True).map(tuple),
+        "attack_target": st.sampled_from(("local", "global", "coalition")),
+        "members_n": st.integers(0, 200),
+        "ifl_n": st.integers(0, 200),
+        "ofl_n": st.integers(0, 200),
+        "out_dir": PATH_TEXT,
+    }
+
+
+def _is_valid(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return False
+    return True
+
+
+@st.composite
+def valid_configs(draw):
+    k = draw(st.integers(2, 20))
+    classes = draw(st.integers(2, 30))
+    rounds = draw(st.integers(1, 100))
+    values = {attr: draw(s) for attr, s in _field_strategies(k, classes, rounds).items()}
+    values.update(num_clients=k, num_classes=classes, rounds=rounds)
+    cfg = ExperimentConfig(**values)
+    assume(_is_valid(cfg))
+    return cfg
+
+
+def test_field_strategies_cover_every_config_field():
+    assert set(_field_strategies(2, 2, 1)) == {f.name for f in fields(ExperimentConfig)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=valid_configs())
+def test_serialize_then_parse_is_identity(cfg):
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=valid_configs(), data=st.data())
+def test_fingerprint_changes_exactly_with_training_keys(cfg, data):
+    key = data.draw(st.sampled_from(sorted(SCHEMA)), label="key")
+    attr = SCHEMA[key][0]
+    strategy = _field_strategies(cfg.num_clients, cfg.num_classes, cfg.rounds)[attr]
+    value = data.draw(strategy, label="value")
+    assume(value != getattr(cfg, attr))
+    changed = replace(cfg, **{attr: value})
+    assume(_is_valid(changed))
+    differs = training_fingerprint(changed) != training_fingerprint(cfg)
+    trains = key.split(".", 1)[0] in ("data", "model", "fl", "defense")
+    assert differs == trains, key

@@ -1,8 +1,10 @@
 """End-to-end tests for the experiment stages and the CLI."""
 
 import os
+import shutil
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from fedpriv import cli, experiment as ex
 from fedpriv import models
 from fedpriv.config import ConfigError, parse_config_text
+from fedpriv.federation import MODEL_FIELDS, SNAPSHOT_FIELDS
 from oracles import sequential_sgd_clients
 
 SMALL = """
@@ -74,8 +77,24 @@ def test_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     ex.run_experiment(cfg, str(a))
     ex.run_experiment(cfg, str(b))
-    for name in (ex.ROUNDS_CSV, ex.ASSIGNMENTS_CSV, ex.COMPENSATION_CSV, ex.ATTACKS_CSV, ex.SUMMARY_CSV):
+    for name in (
+        ex.ROUNDS_CSV,
+        ex.ASSIGNMENTS_CSV,
+        ex.COMPENSATION_CSV,
+        ex.ATTACKS_CSV,
+        ex.SUMMARY_CSV,
+        ex.SNAPSHOTS_NPZ,
+    ):
         assert _read(a / name) == _read(b / name), name
+
+
+def test_snapshot_members_are_stored_uncompressed(tmp_path):
+    out = tmp_path / "run"
+    ex.stage_train(parse_config_text(SMALL), str(out))
+    with zipfile.ZipFile(out / ex.SNAPSHOTS_NPZ) as archive:
+        members = archive.infolist()
+    assert sorted(m.filename for m in members) == sorted(f"{n}.npy" for n in SNAPSHOT_FIELDS)
+    assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
 
 
 def test_lockstep_outputs_match_sequential_oracle(tmp_path, monkeypatch):
@@ -290,3 +309,84 @@ def test_attack_from_disk_equals_attack_from_memory(tmp_path):
     ex.stage_attack(cfg, out)
     assert _read(os.path.join(out, ex.ATTACKS_CSV)) == in_memory
     assert len(_lines(os.path.join(out, ex.ATTACKS_CSV))) == 7
+
+
+# --- snapshot stamp: attack and report refuse another run's config or seed ---
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A seed-0 run of SMALL, trained and attacked once through the CLI."""
+    root = tmp_path_factory.mktemp("stamped")
+    cfg_path = root / "exp.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    out = root / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["attack", "--out", str(out)]) == 0
+    return out
+
+
+def _refused(capsys, argv):
+    """Run the CLI, require exit status 1, return its one stderr line."""
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+def test_attack_with_another_seed_is_refused(trained_run, tmp_path, capsys):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    before = _read(out / ex.ATTACKS_CSV)
+    err = _refused(capsys, ["attack", "--out", str(out), "--seed", "5"])
+    assert "'fl.seed'" in err and "5" in err and "seed 0" in err
+    assert _read(out / ex.ATTACKS_CSV) == before
+
+
+def test_report_with_another_seed_is_refused(trained_run, tmp_path, capsys):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    err = _refused(capsys, ["report", "--out", str(out), "--seed", "5"])
+    assert "'fl.seed'" in err
+    assert not (out / ex.SUMMARY_CSV).exists()
+
+
+def test_attack_with_another_training_config_is_refused(trained_run, tmp_path, capsys):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    cfg_path = tmp_path / "lr.cfg"
+    cfg_path.write_text(SMALL + "fl.lr = 0.25\n", encoding="utf-8")
+    err = _refused(capsys, ["attack", "--out", str(out), "--config", str(cfg_path)])
+    assert "differ from the ones that trained" in err
+
+
+def test_attack_with_another_attack_list_is_accepted(trained_run, tmp_path):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    cfg_path = tmp_path / "attacks.cfg"
+    cfg_path.write_text(SMALL + "attack.list = avg_cosine,fedmia_ii\n", encoding="utf-8")
+    assert cli.main(["attack", "--out", str(out), "--config", str(cfg_path)]) == 0
+    assert [line.split(",")[0] for line in _lines(out / ex.ATTACKS_CSV)[1:]] == [
+        "avg_cosine",
+        "fedmia_ii",
+    ]
+
+
+def test_copied_run_directory_is_accepted(trained_run, tmp_path):
+    out = shutil.copytree(trained_run, tmp_path / "moved")
+    os.remove(out / ex.ATTACKS_CSV)
+    assert "output.dir" in (out / ex.CONFIG_TXT).read_text(encoding="utf-8")
+    assert cli.main(["attack", "--out", str(out)]) == 0
+    assert cli.main(["report", "--out", str(out)]) == 0
+    assert _read(out / ex.ATTACKS_CSV) == _read(trained_run / ex.ATTACKS_CSV)
+
+
+def _rewrite_as_format_1(path):
+    """Replace a snapshot file by the five members the first format wrote."""
+    with np.load(path) as blob:
+        models_only = {name: blob[name] for name in MODEL_FIELDS}
+    np.savez_compressed(path, **models_only)
+
+
+@pytest.mark.parametrize("command", ["attack", "report"])
+def test_format_1_snapshots_are_refused(trained_run, tmp_path, capsys, command):
+    out = shutil.copytree(trained_run, tmp_path / "v1")
+    _rewrite_as_format_1(out / ex.SNAPSHOTS_NPZ)
+    err = _refused(capsys, [command, "--out", str(out)])
+    assert "'format'" in err and "re-run `fedpriv train`" in err

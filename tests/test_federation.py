@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpriv import federation as fed
 from fedpriv import models
+from fedpriv.compensation import RecycleConfig
 from fedpriv.data import ClientDataset
-from fedpriv.federation import FlConfig
+from fedpriv.federation import CoalitionDefenseConfig, FlConfig
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
 from oracles import sequential_sgd_clients
@@ -196,6 +199,74 @@ def test_coalition_perturbation_cancels_in_global_trajectory():
     assert np.max(np.abs(on.store.locals[-1][0] - off.store.locals[-1][0])) > 1e-4
 
 
+def _random_clients(rng, sizes, input_dim, num_classes):
+    """Clients of the given sizes on Gaussian features; 2 validation rows each."""
+    clients = []
+    for k, n in enumerate(sizes):
+        x = rng.normal(size=(n, input_dim))
+        y = rng.integers(0, num_classes, size=n)
+        clients.append(
+            ClientDataset(
+                client_id=k,
+                train_X=x[2:],
+                train_y=y[2:],
+                val_X=x[:2],
+                val_y=y[:2],
+                train_indices=np.arange(2, n),
+                val_indices=np.arange(2),
+            )
+        )
+    return clients
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(6, 45), min_size=2, max_size=6),
+    sigma=st.floats(1e-3, 3.0),
+    hidden=st.sampled_from([0, 5]),
+    seed=st.integers(0, 2**16),
+)
+def test_perturbation_cancels_for_random_coalitions_sizes_and_sigma(
+    data, sizes, sigma, hidden, seed
+):
+    k = len(sizes)
+    coalition = data.draw(st.sets(st.integers(0, k - 1), min_size=2), label="coalition")
+    num_classes = 3
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=num_classes)
+    rng = np.random.default_rng(seed)
+    clients = _random_clients(rng, sizes, spec.input_dim, num_classes)
+    test_X, test_y = rng.normal(size=(10, spec.input_dim)), rng.integers(0, num_classes, 10)
+    cfg = FlConfig(
+        num_clients=k,
+        rounds=3,
+        lr=0.1,
+        batch_size=8,
+        snapshot_every=1,
+        defense="coalition",
+        coalition=tuple(coalition),
+        seed=seed,
+    )
+
+    def run(noise_sigma):
+        defense = CoalitionDefenseConfig(
+            m_max=num_classes,
+            m_min=1,
+            recycle=RecycleConfig(start_round=2, num_intervals=2),
+            sigma=noise_sigma,
+        )
+        return fed.run_training(cfg, spec, clients, test_X, test_y, defense_cfg=defense)
+
+    on, off = run(sigma), run(0.0)
+    assert on.store.rounds == off.store.rounds == [1, 2, 3]
+    trajectory_on = on.store.globals + [on.global_params]
+    trajectory_off = off.store.globals + [off.global_params]
+    for g_on, g_off in zip(trajectory_on, trajectory_off):
+        assert np.max(np.abs(g_on - g_off)) <= 1e-12
+    # the noise is really there: some member's upload differs
+    assert np.max(np.abs(on.store.locals[-1] - off.store.locals[-1])) > 0
+
+
 def test_aggregation_weights_are_dataset_sizes():
     cfg = make_config(clients=3, rounds=1, samples_per_class=30)
     prep, state = run_from_config(cfg)
@@ -220,11 +291,15 @@ def test_grad_baselines_only_touch_coalition_clients():
         assert np.array_equal(st_def.store.locals[0][k], st_none.store.locals[0][k])
 
 
+STAMP = "0123456789abcdef" * 4  # a well-formed config SHA-256
+
+
 def test_store_save_load_round_trip(tmp_path):
     cfg = make_config(clients=3, rounds=5, snapshot_every=2, samples_per_class=30)
     _, state = run_from_config(cfg)
     path = tmp_path / "snaps.npz"
-    state.store.save(str(path))
+    state.store.save(str(path), STAMP, 0)
+    assert fed.read_snapshot_stamp(str(path)) == (STAMP, 0)
     back = fed.SnapshotStore.load(str(path))
     assert back.rounds == state.store.rounds
     assert back.spec == state.store.spec
@@ -250,6 +325,9 @@ def _snapshot_fields():
     spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
     p = spec.param_count
     return {
+        "format": np.int64(2),
+        "config_sha256": np.str_(STAMP),
+        "seed": np.int64(7),
         "rounds": np.array([1, 5, 10], dtype=np.int64),
         "client_sizes": np.array([4, 5, 6, 7], dtype=np.int64),
         "spec": np.array([3, 0, 2], dtype=np.int64),
@@ -283,6 +361,16 @@ def test_store_load_accepts_the_unforged_fields(tmp_path):
         ("rounds", np.array([1, 10, 5], dtype=np.int64)),
         ("rounds", np.array([1, 5, 5], dtype=np.int64)),
         ("rounds", np.array([1.0, 5.0, 10.0])),
+        ("format", np.int64(1)),
+        ("format", np.int64(3)),
+        ("format", np.float64(2.0)),
+        ("format", np.array([2], dtype=np.int64)),
+        ("config_sha256", np.str_(STAMP[:-1])),
+        ("config_sha256", np.str_(STAMP.upper())),
+        ("config_sha256", np.bytes_(STAMP.encode())),
+        ("config_sha256", np.array([STAMP])),
+        ("seed", np.float64(7.0)),
+        ("seed", np.array([7], dtype=np.int64)),
     ],
 )
 def test_store_load_names_the_bad_field(tmp_path, field, forged):
@@ -305,7 +393,7 @@ def test_store_load_reads_each_member_once(tmp_path, monkeypatch):
     cfg = make_config(clients=3, rounds=5, snapshot_every=2, samples_per_class=30)
     _, state = run_from_config(cfg)
     path = tmp_path / "snaps.npz"
-    state.store.save(str(path))
+    state.store.save(str(path), STAMP, 0)
     reads = []
     getitem = np.lib.npyio.NpzFile.__getitem__
 
