@@ -109,15 +109,12 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
         pre, hid = cache
         _, _, w2, _ = models.unpack(spec, params)
         layers = [(x, np.where(pre > 0.0, dlogits @ w2, 0.0)), (hid, dlogits)]
+    blocks = models._layers(spec, directions)
     dots = np.zeros((m, n))
     sq_norms = np.zeros(n)
-    offset = 0
-    for a, delta in layers:
-        rows, cols = delta.shape[1], a.shape[1]
-        v = directions[:, offset : offset + rows * cols].reshape(m * rows, cols)
-        c = directions[:, offset + rows * cols : offset + rows * (cols + 1)]
-        offset += rows * (cols + 1)
-        proj = (a @ v.T).reshape(n, m, rows) + c
+    for (a, delta), w, c in zip(layers, blocks[0::2], blocks[1::2]):
+        rows, cols = w.shape[1:]
+        proj = (a @ w.reshape(m * rows, cols).T).reshape(n, m, rows) + c
         dots += np.einsum("nmr,nr->mn", proj, delta)
         sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
     norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)

@@ -220,7 +220,7 @@ def confidence_regularized_loss(
     if mu < 0:
         raise ValueError("mu must be >= 0")
     xb = models._as_batch(spec, x)[None]
-    layers = [v[None] for v in models.unpack(spec, params)]
+    layers = models._single_layers(spec, params)
     logits, cache = models._forward(spec, layers, xb)
     probs = models.softmax(logits[0])
     loss, dlogits = _cr_loss_and_dlogits(probs, soft_label(probs, np.asarray([int(y)])), mu)

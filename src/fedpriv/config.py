@@ -1,16 +1,18 @@
 """Experiment configuration: flat `key = value` files with dotted sections.
 
-Format: UTF-8 text, one `section.key = value` per line, `#` starts a
-comment, unknown keys are rejected. Lists (coalition ids, attack names)
-are comma-separated. Defaults follow the reference setup: 10 loss
-intervals, compensation from round 10, entropy weight 0.005.
+Format: UTF-8 text, one `section.key = value` per line, a `#` that begins
+the line or follows whitespace starts a comment, unknown keys are rejected.
+Lists (coalition ids, attack names) are comma-separated. Defaults follow the
+reference setup: 10 loss intervals, compensation from round 10, entropy
+weight 0.005.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, field, fields
 
 from .assignment import DECAY_KINDS
 from .attacks import ATTACK_NAMES
@@ -21,132 +23,83 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
 
 
+def _key(key: str, default):
+    """A config field read from and written to the dotted `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class ExperimentConfig:
     # data
-    source: str = ""  # required: synthetic | csv
-    csv_path: str = ""
-    num_classes: int = 10
-    samples_per_class: int = 120
-    input_dim: int = 12
-    cluster_spread: float = 2.0
-    mean_scale: float = 4.0
-    test_fraction: float = 0.2
-    partition: str = "iid"  # iid | dirichlet
-    beta: float = 0.5
-    ofl_fraction: float = 0.1
+    source: str = _key("data.source", "")  # required: synthetic | csv
+    csv_path: str = _key("data.csv_path", "")
+    num_classes: int = _key("data.num_classes", 10)
+    samples_per_class: int = _key("data.samples_per_class", 120)
+    input_dim: int = _key("data.input_dim", 12)
+    cluster_spread: float = _key("data.cluster_spread", 2.0)
+    mean_scale: float = _key("data.mean_scale", 4.0)
+    test_fraction: float = _key("data.test_fraction", 0.2)
+    partition: str = _key("data.partition", "iid")  # iid | dirichlet
+    beta: float = _key("data.beta", 0.5)
+    ofl_fraction: float = _key("data.ofl_fraction", 0.1)
     # model
-    hidden_dim: int = 32
+    hidden_dim: int = _key("model.hidden_dim", 32)
     # federation
-    num_clients: int = 0  # required
-    rounds: int = 0  # required
-    lr: float = 0.2
-    local_epochs: int = 1
-    batch_size: int = 32
-    snapshot_every: int = 10
-    seed: int = 0
-    threads: int = 1  # accepted only as 1: clients train in lock-step in one thread
+    num_clients: int = _key("fl.K", 0)  # required
+    rounds: int = _key("fl.T", 0)  # required
+    lr: float = _key("fl.lr", 0.2)
+    local_epochs: int = _key("fl.local_epochs", 1)
+    batch_size: int = _key("fl.batch_size", 32)
+    snapshot_every: int = _key("fl.snapshot_every", 10)
+    seed: int = _key("fl.seed", 0)
+    threads: int = _key("fl.threads", 1)  # only 1: clients train in lock-step
     # defense
-    defense: str = "none"
-    coalition: tuple[int, ...] = ()
-    m_max: int | None = None  # default: num_classes
-    m_min: int | None = None  # default: ceil(0.2 * num_classes)
-    decay: str = "linear"
-    t0: int = 10
-    intervals: int = 10
-    r_l: float = 0.1
-    mu: float = 0.005
-    eta: float = 0.1
-    val_fraction: float = 0.1
-    sigma: float = 0.1
-    r_p: float = 0.2
-    keep_rate: float = 0.1
-    noise_sigma: float = 0.01
+    defense: str = _key("defense.kind", "none")
+    coalition: tuple[int, ...] = _key("defense.coalition", ())
+    m_max: int | None = _key("defense.m_max", None)  # default: num_classes
+    m_min: int | None = _key("defense.m_min", None)  # default: ceil(0.2 * num_classes)
+    decay: str = _key("defense.decay", "linear")
+    t0: int = _key("defense.t0", 10)
+    intervals: int = _key("defense.intervals", 10)
+    r_l: float = _key("defense.r_l", 0.1)
+    mu: float = _key("defense.mu", 0.005)
+    eta: float = _key("defense.eta", 0.1)
+    val_fraction: float = _key("defense.val_fraction", 0.1)
+    sigma: float = _key("defense.sigma", 0.1)
+    r_p: float = _key("defense.r_p", 0.2)
+    keep_rate: float = _key("defense.keep_rate", 0.1)
+    noise_sigma: float = _key("defense.noise_sigma", 0.01)
     # attacks / evaluation
-    target_client: int = 0
-    attack_list: tuple[str, ...] = ("loss_series", "fta_l", "fedmia_i")
-    attack_target: str = "local"  # local | global | coalition
-    members_n: int = 60
-    ifl_n: int = 90
-    ofl_n: int = 60
+    target_client: int = _key("attack.target_client", 0)
+    attack_list: tuple[str, ...] = _key("attack.list", ("loss_series", "fta_l", "fedmia_i"))
+    attack_target: str = _key("attack.target", "local")  # local | global | coalition
+    members_n: int = _key("eval.members", 60)
+    ifl_n: int = _key("eval.ifl", 90)
+    ofl_n: int = _key("eval.ofl", 60)
     # output
-    out_dir: str = ""
+    out_dir: str = _key("output.dir", "")
 
 
-def _parse_int(v: str) -> int:
-    return int(v)
+def _tuple_of(parse):
+    """Parser of a comma-separated list; empty text is the empty tuple."""
+    return lambda v: tuple(parse(part.strip()) for part in v.split(",")) if v.strip() else ()
 
 
-def _parse_float(v: str) -> float:
-    return float(v)
-
-
-def _parse_str(v: str) -> str:
-    return v
-
-
-def _parse_ints(v: str) -> tuple[int, ...]:
-    v = v.strip()
-    if not v:
-        return ()
-    return tuple(int(part.strip()) for part in v.split(","))
-
-
-def _parse_strs(v: str) -> tuple[str, ...]:
-    v = v.strip()
-    if not v:
-        return ()
-    return tuple(part.strip() for part in v.split(","))
-
-
-# dotted config key -> (attribute, parser)
-SCHEMA: dict[str, tuple[str, object]] = {
-    "data.source": ("source", _parse_str),
-    "data.csv_path": ("csv_path", _parse_str),
-    "data.num_classes": ("num_classes", _parse_int),
-    "data.samples_per_class": ("samples_per_class", _parse_int),
-    "data.input_dim": ("input_dim", _parse_int),
-    "data.cluster_spread": ("cluster_spread", _parse_float),
-    "data.mean_scale": ("mean_scale", _parse_float),
-    "data.test_fraction": ("test_fraction", _parse_float),
-    "data.partition": ("partition", _parse_str),
-    "data.beta": ("beta", _parse_float),
-    "data.ofl_fraction": ("ofl_fraction", _parse_float),
-    "model.hidden_dim": ("hidden_dim", _parse_int),
-    "fl.K": ("num_clients", _parse_int),
-    "fl.T": ("rounds", _parse_int),
-    "fl.lr": ("lr", _parse_float),
-    "fl.local_epochs": ("local_epochs", _parse_int),
-    "fl.batch_size": ("batch_size", _parse_int),
-    "fl.snapshot_every": ("snapshot_every", _parse_int),
-    "fl.seed": ("seed", _parse_int),
-    "fl.threads": ("threads", _parse_int),
-    "defense.kind": ("defense", _parse_str),
-    "defense.coalition": ("coalition", _parse_ints),
-    "defense.m_max": ("m_max", _parse_int),
-    "defense.m_min": ("m_min", _parse_int),
-    "defense.decay": ("decay", _parse_str),
-    "defense.t0": ("t0", _parse_int),
-    "defense.intervals": ("intervals", _parse_int),
-    "defense.r_l": ("r_l", _parse_float),
-    "defense.mu": ("mu", _parse_float),
-    "defense.eta": ("eta", _parse_float),
-    "defense.val_fraction": ("val_fraction", _parse_float),
-    "defense.sigma": ("sigma", _parse_float),
-    "defense.r_p": ("r_p", _parse_float),
-    "defense.keep_rate": ("keep_rate", _parse_float),
-    "defense.noise_sigma": ("noise_sigma", _parse_float),
-    "attack.target_client": ("target_client", _parse_int),
-    "attack.list": ("attack_list", _parse_strs),
-    "attack.target": ("attack_target", _parse_str),
-    "eval.members": ("members_n", _parse_int),
-    "eval.ifl": ("ifl_n", _parse_int),
-    "eval.ofl": ("ofl_n", _parse_int),
-    "output.dir": ("out_dir", _parse_str),
+# field annotation -> parser of the value text
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[str, ...]": _tuple_of(str),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in SCHEMA.items()}
+# dotted config key -> (attribute, parser), in field order
+SCHEMA = {f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 _REQUIRED = ("data.source", "fl.K", "fl.T")
+# a '#' at the start of a line or after whitespace starts a comment
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
@@ -154,7 +107,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> ExperimentConfig:
     cfg = ExperimentConfig()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -192,6 +145,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("data.source", f"must be synthetic or csv, got {cfg.source!r}")
     if cfg.source == "csv" and not cfg.csv_path:
         bad("data.csv_path", "required when data.source = csv")
+    for key, path in (("data.csv_path", cfg.csv_path), ("output.dir", cfg.out_dir)):
+        if _COMMENT.search(path):
+            bad(key, f"{path!r} would be cut at a '#' that begins it or follows whitespace")
     if cfg.partition not in ("iid", "dirichlet"):
         bad("data.partition", f"must be iid or dirichlet, got {cfg.partition!r}")
     if not 0.0 <= cfg.test_fraction < 1.0:
@@ -288,7 +244,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines = []
     defaults = ExperimentConfig()
     for f in fields(ExperimentConfig):
-        key = _ATTR_TO_KEY[f.name]
+        key = f.metadata["key"]
         value = getattr(cfg, f.name)
         if value is None:
             continue

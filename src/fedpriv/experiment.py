@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -114,19 +114,8 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
 
 def build_fl_config(cfg: ExperimentConfig) -> FlConfig:
-    return FlConfig(
-        num_clients=cfg.num_clients,
-        rounds=cfg.rounds,
-        lr=cfg.lr,
-        local_epochs=cfg.local_epochs,
-        batch_size=cfg.batch_size,
-        snapshot_every=cfg.snapshot_every,
-        defense=cfg.defense,
-        coalition=cfg.coalition,
-        seed=cfg.seed,
-        keep_rate=cfg.keep_rate,
-        noise_sigma=cfg.noise_sigma,
-    )
+    """FlConfig from the ExperimentConfig fields of the same names."""
+    return FlConfig(**{f.name: getattr(cfg, f.name) for f in fields(FlConfig)})
 
 
 def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> CoalitionDefenseConfig | None:

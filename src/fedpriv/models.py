@@ -58,24 +58,7 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def unpack(spec: ModelSpec, params: np.ndarray):
     """Split the flat vector into per-layer views (W1, b1, W2, b2) or (W, b)."""
-    if params.shape != (spec.param_count,):
-        raise ValueError(
-            f"parameter vector has length {params.shape}, expected ({spec.param_count},)"
-        )
-    d, h, n = spec.input_dim, spec.hidden_dim, spec.num_classes
-    if h == 0:
-        w = params[: n * d].reshape(n, d)
-        b = params[n * d :]
-        return w, b
-    o = 0
-    w1 = params[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = params[o : o + h]
-    o += h
-    w2 = params[o : o + n * h].reshape(n, h)
-    o += n * h
-    b2 = params[o:]
-    return w1, b1, w2, b2
+    return tuple(v[0] for v in _single_layers(spec, params))
 
 
 def _layers(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
@@ -92,6 +75,15 @@ def _layers(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
         theta[:, o + h : o + h + n * h].reshape(g, n, h),
         theta[:, o + h + n * h :],
     ]
+
+
+def _single_layers(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
+    """`_layers` of one flat parameter vector (P,), as a stack of one model."""
+    if params.shape != (spec.param_count,):
+        raise ValueError(
+            f"parameter vector has length {params.shape}, expected ({spec.param_count},)"
+        )
+    return _layers(spec, params[None])
 
 
 def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray):
@@ -139,7 +131,7 @@ def _logits_and_hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     where they enter the program (`data.load_csv`).
     """
     x = _as_batch(spec, x)
-    layers = [v[None] for v in unpack(spec, params)]
+    layers = _single_layers(spec, params)
     logits, cache = _forward(spec, layers, x[None])
     if cache is not None:
         cache = (cache[0][0], cache[1][0])
@@ -178,7 +170,7 @@ def grad_from_dlogits(
 ) -> np.ndarray:
     """Backpropagate a gradient w.r.t. the logits into a flat parameter gradient."""
     x = _as_batch(spec, x)
-    layers = [v[None] for v in unpack(spec, params)]
+    layers = _single_layers(spec, params)
     _, cache = _forward(spec, layers, x[None])
     grads = _backward(spec, layers, x[None], cache, np.asarray(dlogits)[None])
     return np.concatenate([g[0].ravel() for g in grads])
@@ -198,7 +190,7 @@ def loss_and_grad(
     n = x.shape[0]
     if n == 0:
         raise ValueError("empty batch")
-    layers = [v[None] for v in unpack(spec, params)]
+    layers = _single_layers(spec, params)
     logits, cache = _forward(spec, layers, x[None])
     logp = log_softmax(logits[0])
     loss = float(-logp[np.arange(n), y].mean())

@@ -1,7 +1,11 @@
 """Tests for the class-subset assignment: bound, decay, greedy assigner."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpriv import assignment as asg
 from fedpriv.assignment import CoalitionSpec
@@ -157,3 +161,31 @@ def test_select_assigned_subset_empty():
 def test_select_assigned_subset_filters_exactly():
     pos = asg.select_assigned_subset(_toy_client(), frozenset({0}))
     assert np.array_equal(pos, np.array([0, 1, 2]))
+
+
+@functools.lru_cache(maxsize=None)
+def _optimum(n, d, m):
+    return brute_min_max_overlap(n, d, m, lower_bound=asg.theoretical_overlap_bound(n, d, m))
+
+
+@st.composite
+def covering_cases(draw):
+    """(N, d, m) with N <= 6 classes, 2 <= d <= 4 members and d * m >= N."""
+    n = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 4))
+    m = draw(st.integers(-(-n // d), n))
+    return n, d, m
+
+
+# The greedy is not always optimal: on this grid with seeds 0-19 it matched
+# the exhaustive optimum at round 1 in 940 of 980 cases and was one above it in the rest.
+@settings(max_examples=200, deadline=None)
+@given(case=covering_cases(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_greedy_overlap_lies_between_bound_optimum_and_subset_size(case, seed, data):
+    n, d, m = case
+    rounds = data.draw(st.integers(1, 8), label="rounds")
+    round_t = data.draw(st.integers(1, rounds), label="round_t")
+    subsets, lam = asg.assign_classes(_spec(d, n, m, m, rounds), round_t, seed)
+    assert asg.theoretical_overlap_bound(n, d, m) <= _optimum(n, d, m) <= lam <= m
+    assert all(len(s) == m for s in subsets)
+    assert frozenset().union(*subsets) == frozenset(range(n))

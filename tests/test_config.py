@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedpriv.assignment import DECAY_KINDS
 from fedpriv.attacks import ATTACK_NAMES
+from fedpriv.compensation import RecycleConfig
 from fedpriv.config import (
     SCHEMA,
     ConfigError,
@@ -19,7 +20,8 @@ from fedpriv.config import (
     training_fingerprint,
     validate_config,
 )
-from fedpriv.federation import DEFENSE_KINDS
+from fedpriv.experiment import build_defense_config, build_fl_config
+from fedpriv.federation import DEFENSE_KINDS, CoalitionDefenseConfig, FlConfig
 
 MINIMAL = """
 # minimal experiment
@@ -43,6 +45,28 @@ def test_minimal_config_gets_reference_defaults():
 def test_comments_and_inline_comments():
     cfg = parse_config_text(MINIMAL + "fl.lr = 0.5  # higher step\n")
     assert cfg.lr == 0.5
+
+
+def test_comment_starts_only_at_line_start_or_after_whitespace():
+    cfg = parse_config_text(
+        "data.source = csv\ndata.csv_path = runs/data#1.csv  # the #1 run\nfl.K = 4\nfl.T = 5\n"
+    )
+    assert cfg.csv_path == "runs/data#1.csv"
+    with pytest.raises(ConfigError, match=re.escape("'fl.lr'")):
+        parse_config_text(MINIMAL + "fl.lr = 0.5#x\n")
+
+
+def test_path_with_hash_round_trips():
+    cfg = replace(parse_config_text(MINIMAL), out_dir="runs/a#b")
+    assert parse_config_text(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("key, attr", [("data.csv_path", "csv_path"), ("output.dir", "out_dir")])
+@pytest.mark.parametrize("value", ["runs/a #b", "runs/a\t#b", "#b"])
+def test_path_that_would_read_as_a_comment_is_rejected(key, attr, value):
+    cfg = replace(parse_config_text(MINIMAL), source="csv", csv_path="runs/d.csv")
+    with pytest.raises(ConfigError, match=re.escape(repr(key))):
+        validate_config(replace(cfg, **{attr: value}))
 
 
 def test_unknown_key_reports_line():
@@ -199,11 +223,132 @@ def test_config_equality_is_field_wise():
     assert a == b and isinstance(a, ExperimentConfig)
 
 
+# Every key but fl.threads set to a value other than its default (fl.threads
+# accepts only its default, 1, which serialize_config leaves out).
+EVERY_KEY = ExperimentConfig(
+    source="csv",
+    csv_path="runs/data.csv",
+    num_classes=6,
+    samples_per_class=50,
+    input_dim=5,
+    cluster_spread=1.5,
+    mean_scale=3.0,
+    test_fraction=0.25,
+    partition="dirichlet",
+    beta=0.3,
+    ofl_fraction=0.15,
+    hidden_dim=16,
+    num_clients=5,
+    rounds=20,
+    lr=0.05,
+    local_epochs=2,
+    batch_size=16,
+    snapshot_every=5,
+    seed=7,
+    threads=1,
+    defense="coalition",
+    coalition=(1, 3),
+    m_max=5,
+    m_min=2,
+    decay="cosine",
+    t0=4,
+    intervals=5,
+    r_l=0.2,
+    mu=0.01,
+    eta=0.2,
+    val_fraction=0.2,
+    sigma=0.05,
+    r_p=0.3,
+    keep_rate=0.5,
+    noise_sigma=0.02,
+    target_client=3,
+    attack_list=("fta_c", "fedmia_ii"),
+    attack_target="coalition",
+    members_n=30,
+    ifl_n=40,
+    ofl_n=20,
+    out_dir="runs/pinned",
+)
+
+# config.txt of EVERY_KEY: a reordered, renamed or re-rendered key changes it.
+EVERY_KEY_TEXT = """\
+data.source = csv
+data.csv_path = runs/data.csv
+data.num_classes = 6
+data.samples_per_class = 50
+data.input_dim = 5
+data.cluster_spread = 1.5
+data.mean_scale = 3.0
+data.test_fraction = 0.25
+data.partition = dirichlet
+data.beta = 0.3
+data.ofl_fraction = 0.15
+model.hidden_dim = 16
+fl.K = 5
+fl.T = 20
+fl.lr = 0.05
+fl.local_epochs = 2
+fl.batch_size = 16
+fl.snapshot_every = 5
+fl.seed = 7
+defense.kind = coalition
+defense.coalition = 1,3
+defense.m_max = 5
+defense.m_min = 2
+defense.decay = cosine
+defense.t0 = 4
+defense.intervals = 5
+defense.r_l = 0.2
+defense.mu = 0.01
+defense.eta = 0.2
+defense.val_fraction = 0.2
+defense.sigma = 0.05
+defense.r_p = 0.3
+defense.keep_rate = 0.5
+defense.noise_sigma = 0.02
+attack.target_client = 3
+attack.list = fta_c,fedmia_ii
+attack.target = coalition
+eval.members = 30
+eval.ifl = 40
+eval.ofl = 20
+output.dir = runs/pinned
+"""
+
+
+def test_serialized_bytes_of_every_key_are_pinned():
+    defaults = ExperimentConfig()
+    same = [
+        f.name
+        for f in fields(ExperimentConfig)
+        if getattr(EVERY_KEY, f.name) == getattr(defaults, f.name)
+    ]
+    assert same == ["threads"]
+    validate_config(EVERY_KEY)
+    assert serialize_config(EVERY_KEY) == EVERY_KEY_TEXT
+    assert parse_config_text(EVERY_KEY_TEXT) == EVERY_KEY
+
+
+def test_library_and_config_defaults_agree():
+    cfg = parse_config_text(MINIMAL)
+    assert build_fl_config(cfg) == FlConfig(num_clients=10, rounds=60)
+    defended = parse_config_text(MINIMAL + COALITION)
+    defense = build_defense_config(defended, defended.num_classes)
+    assert defense.recycle == RecycleConfig()
+    reference = CoalitionDefenseConfig(m_max=defense.m_max, m_min=defense.m_min)
+    assert (defense.decay, defense.sigma, defense.tail_ratio) == (
+        reference.decay,
+        reference.sigma,
+        reference.tail_ratio,
+    )
+
+
 # --- property tests of the canonical form -----------------------------------
 
-# No '#' or spaces: a value cannot hold '#' (it starts a comment), and parsing
-# strips surrounding whitespace.
-PATH_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-", min_size=1, max_size=12)
+# '#' but no spaces: a '#' at the start of a value or after whitespace starts
+# a comment (validate_config rejects such paths), and parsing strips
+# surrounding whitespace.
+PATH_TEXT = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_./-#", min_size=1, max_size=12)
 
 
 def _finite(lo, hi):
