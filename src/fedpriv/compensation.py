@@ -8,6 +8,10 @@ training; the reward is the validation-loss reduction of the local update.
 Recycled samples additionally carry a confidence-regularized loss built
 from a soft label that keeps the true-class probability and spreads the
 rest evenly, minus an entropy bonus weighted by mu.
+
+A defended update is planned (`plan_local_update`), trained as one row of a
+round's `models.sgd_clients` call (`planned_rows`, `cr_term`) and rewarded
+(`reward_local_update`); `compensated_local_update` runs all three alone.
 """
 
 from __future__ import annotations
@@ -228,6 +232,11 @@ def confidence_regularized_loss(
     return float(loss[0]), np.concatenate([g[0].ravel() for g in grads])
 
 
+def cr_term(mu: float):
+    """The confidence-regularized loss as an `sgd_clients` extra-term function."""
+    return lambda probs, y_rows: _cr_loss_and_dlogits(probs, soft_label(probs, y_rows), mu)[1]
+
+
 def combined_sgd_epochs(
     spec: ModelSpec,
     params: np.ndarray,
@@ -244,15 +253,77 @@ def combined_sgd_epochs(
 
     Per mini-batch the objective is (sum CE + sum_recycled CR) divided by the
     batch's size; soft targets are rebuilt from the current model each batch
-    and treated as constants.
+    and treated as constants. A None mask trains on cross-entropy alone.
     """
-
-    def cr_dlogits(probs: np.ndarray, y_rows: np.ndarray) -> np.ndarray:
-        return _cr_loss_and_dlogits(probs, soft_label(probs, y_rows), mu)[1]
-
     return models.sgd_clients(
-        spec, params, [x], [y], lr, epochs, batch_size, [rng], ([recycled_mask], cr_dlogits)
+        spec, params, [x], [y], lr, epochs, batch_size, [rng], ([recycled_mask], cr_term(mu))
     )[0]
+
+
+def plan_local_update(
+    spec: ModelSpec,
+    global_params: np.ndarray,
+    client: ClientDataset,
+    assigned_pos: np.ndarray,
+    round_t: int,
+    recycle: RecycleConfig,
+    bandit: BanditState,
+    bandit_rng: np.random.Generator,
+) -> tuple[np.ndarray, int, int]:
+    """Plan one defended local update: (rows, arm, number of recycled rows).
+
+    The rows are training positions, assigned then recycled. Before the start
+    round the arm is -1 and nothing is recycled; from it on, intervals of the
+    received global model's per-sample losses are built, one is drawn, and
+    its not-assigned samples (capped) are recycled.
+    """
+    assigned_pos = np.asarray(assigned_pos, dtype=np.int64)
+    if round_t < recycle.start_round:
+        return assigned_pos, -1, 0
+    losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
+    intervals = init_intervals(losses, recycle.num_intervals)
+    arm = exp3_select(bandit, bandit_rng)
+    recycled = select_recycled(
+        intervals, arm, assigned_pos, recycle.max_ratio, len(losses), bandit_rng
+    )
+    return np.concatenate([assigned_pos, recycled]), arm, len(recycled)
+
+
+def planned_rows(client: ClientDataset, plan) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A plan's (x, y, mask) for one client of an `sgd_clients` call; the mask
+    marks the recycled rows, or is None when there are none (plain training)."""
+    rows, _, n_recycled = plan
+    mask = np.arange(len(rows)) >= len(rows) - n_recycled if n_recycled else None
+    return client.train_X[rows], client.train_y[rows], mask
+
+
+def reward_local_update(
+    spec: ModelSpec,
+    global_params: np.ndarray,
+    params: np.ndarray,
+    client: ClientDataset,
+    plan,
+    round_t: int,
+    bandit: BanditState,
+) -> Telemetry:
+    """Reward the planned update that trained `params` by its validation-loss
+    reduction and return its telemetry; before the start round, or with no
+    rows to train, the bandit is not updated and the reward is 0."""
+    rows, arm, n_recycled = plan
+    raw = norm = 0.0
+    if arm >= 0 and len(rows):
+        if len(client.val_y):
+            val = (client.val_X, client.val_y)
+            before = float(models.per_sample_losses(spec, global_params, *val).mean())
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
+                after = float(models.per_sample_losses(spec, params, *val).mean())
+            if not math.isfinite(after):
+                raise FloatingPointError("non-finite validation loss after the local update")
+            raw = compute_reward(before, after)
+        norm = normalize_reward(raw, bandit.rewards) if len(bandit.rewards) >= 5 else 0.0
+        bandit.rewards.append(raw)
+        exp3_update(bandit, arm, norm)
+    return Telemetry(round_t, client.client_id, arm, raw, norm, len(rows) - n_recycled, n_recycled)
 
 
 def compensated_local_update(
@@ -269,77 +340,13 @@ def compensated_local_update(
     train_rng: np.random.Generator,
     bandit_rng: np.random.Generator,
 ) -> tuple[np.ndarray, Telemetry]:
-    """One defended local update: assigned samples plus bandit-chosen recycling.
-
-    Before the start round, trains with plain cross-entropy on the assigned
-    samples. From the start round on, intervals are rebuilt from the received
-    global model's per-sample losses, an interval is drawn, its
-    not-assigned samples (capped) are recycled under the
-    confidence-regularized loss, and the bandit is updated with the
-    validation-loss reduction. If nothing is trainable the global parameters
-    are returned unchanged and the bandit is not updated.
+    """One client's defended local update: plan, train, reward. If nothing is
+    trainable the global parameters are returned and the bandit is not updated.
     """
-    assigned_pos = np.asarray(assigned_pos, dtype=np.int64)
-
-    def _telemetry(arm, raw, norm, n_rec):
-        return Telemetry(round_t, client.client_id, arm, raw, norm, len(assigned_pos), n_rec)
-
-    if round_t < recycle.start_round:
-        arm, recycled_pos = -1, np.empty(0, dtype=np.int64)
-    else:
-        losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
-        intervals = init_intervals(losses, recycle.num_intervals)
-        arm = exp3_select(bandit, bandit_rng)
-        recycled_pos = select_recycled(
-            intervals, arm, assigned_pos, recycle.max_ratio, len(losses), bandit_rng
-        )
-    if len(assigned_pos) == 0 and len(recycled_pos) == 0:
-        return global_params.copy(), _telemetry(arm, 0.0, 0.0, 0)
-
-    if len(recycled_pos) == 0:
-        params = models.sgd_epochs(
-            spec,
-            global_params,
-            client.train_X[assigned_pos],
-            client.train_y[assigned_pos],
-            lr,
-            epochs,
-            batch_size,
-            train_rng,
-        )
-    else:
-        pos = np.concatenate([assigned_pos, recycled_pos])
-        mask = np.zeros(len(pos), dtype=bool)
-        mask[len(assigned_pos) :] = True
-        params = combined_sgd_epochs(
-            spec,
-            global_params,
-            client.train_X[pos],
-            client.train_y[pos],
-            mask,
-            recycle.mu,
-            lr,
-            epochs,
-            batch_size,
-            train_rng,
-        )
-    if arm < 0:  # before the start round: no recycling, no bandit update
-        return params, _telemetry(arm, 0.0, 0.0, 0)
-
-    if len(client.val_y):
-        before = float(
-            models.per_sample_losses(spec, global_params, client.val_X, client.val_y).mean()
-        )
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
-            after = float(
-                models.per_sample_losses(spec, params, client.val_X, client.val_y).mean()
-            )
-        if not math.isfinite(after):
-            raise FloatingPointError("non-finite validation loss after the local update")
-        raw = compute_reward(before, after)
-    else:
-        raw = 0.0
-    norm = normalize_reward(raw, bandit.rewards) if len(bandit.rewards) >= 5 else 0.0
-    bandit.rewards.append(raw)
-    exp3_update(bandit, arm, norm)
-    return params, _telemetry(arm, raw, norm, len(recycled_pos))
+    plan = plan_local_update(
+        spec, global_params, client, assigned_pos, round_t, recycle, bandit, bandit_rng
+    )
+    x, y, mask = planned_rows(client, plan)
+    args = (x, y, mask, recycle.mu, lr, epochs, batch_size, train_rng)
+    params = combined_sgd_epochs(spec, global_params, *args) if len(y) else global_params.copy()
+    return params, reward_local_update(spec, global_params, params, client, plan, round_t, bandit)

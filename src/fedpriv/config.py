@@ -148,6 +148,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for key, path in (("data.csv_path", cfg.csv_path), ("output.dir", cfg.out_dir)):
         if _COMMENT.search(path):
             bad(key, f"{path!r} would be cut at a '#' that begins it or follows whitespace")
+        if path != path.strip() or "".join(path.splitlines()) != path:
+            bad(key, f"{path!r} has surrounding whitespace or a line break: config text loses both")
     if cfg.partition not in ("iid", "dirichlet"):
         bad("data.partition", f"must be iid or dirichlet, got {cfg.partition!r}")
     if not 0.0 <= cfg.test_fraction < 1.0:

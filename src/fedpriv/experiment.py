@@ -34,6 +34,7 @@ from .config import (
     resolved_class_bounds,
     serialize_config,
     training_fingerprint,
+    validate_config,
 )
 from .compensation import RecycleConfig
 from .data import (
@@ -394,9 +395,12 @@ def load_run_config(out_dir: str, config_path: str | None = None) -> ExperimentC
 def with_overrides(
     cfg: ExperimentConfig, seed: int | None = None, out_dir: str | None = None
 ) -> ExperimentConfig:
+    """cfg with the command line's seed and output directory, validated again."""
     updates = {}
     if seed is not None:
         updates["seed"] = seed
     if out_dir:
         updates["out_dir"] = out_dir
-    return replace(cfg, **updates) if updates else cfg
+    cfg = replace(cfg, **updates)
+    validate_config(cfg)
+    return cfg

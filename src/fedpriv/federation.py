@@ -1,12 +1,13 @@
 """FedAvg round loop with pluggable per-client defenses and snapshot recording.
 
 Every client trains every round (full participation keeps the coalition's
-noise cancellation exact). The clients that train plainly do so together in
-one lock-step `models.sgd_clients` call; coalition members under the
-coalition defense train one by one. The server aggregates local parameters
-with weights proportional to each client's original local dataset size, and
-records model snapshots — the global broadcast and every uploaded local —
-at round 1 and every snapshot_every rounds thereafter.
+noise cancellation exact), all together in one lock-step
+`models.sgd_clients` call; coalition members under the coalition defense
+plan their recycled rows before it and reward their bandits after it. The
+server aggregates local parameters with weights proportional to each
+client's original local dataset size, and records model snapshots — the
+global broadcast and every uploaded local — at round 1 and every
+snapshot_every rounds thereafter.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .assignment import (
     build_schedule,
     select_assigned_subset,
 )
-from .compensation import BanditState, RecycleConfig, Telemetry, compensated_local_update
+from .compensation import BanditState, RecycleConfig, Telemetry, cr_term, plan_local_update
+from .compensation import planned_rows, reward_local_update
 from .data import ClientDataset
 from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
@@ -52,6 +54,8 @@ class FlConfig:
     def __post_init__(self) -> None:
         if self.num_clients < 1 or self.rounds < 1 or self.snapshot_every < 1:
             raise ValueError("num_clients, rounds, snapshot_every must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.defense not in DEFENSE_KINDS:
             raise ValueError(f"defense must be one of {DEFENSE_KINDS}")
         coalition = tuple(sorted(set(self.coalition)))
@@ -344,63 +348,57 @@ def _diverged(round_t: int, clients) -> FloatingPointError:
     )
 
 
-def _plain_updates(state: TrainingState, uploads: np.ndarray, ids: list[int], round_t: int):
-    """Write the upload rows of the clients that train plainly, all trained in
-    one lock-step call; the grad_sparse / grad_noise baselines then alter
-    their coalition's rows in place."""
-    cfg = state.config
-    try:
-        uploads[ids] = models.sgd_clients(
-            state.spec,
-            state.global_params,
-            [state.clients[k].train_X for k in ids],
-            [state.clients[k].train_y for k in ids],
-            cfg.lr,
-            cfg.local_epochs,
-            cfg.batch_size,
-            [stream(cfg.seed, "train", k, round_t) for k in ids],
-        )
-    except models.NonFiniteLoss as err:
-        raise _diverged(round_t, [ids[i] for i in err.clients]) from None
+def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
+    """The round's (K, P) upload matrix: coalition members under the coalition
+    defense are planned, every client with rows to train trains in one
+    lock-step call (a member with none uploads the broadcast), and the members
+    are rewarded and perturbed; grad_sparse / grad_noise alter their rows."""
+    cfg, dcfg, start = state.config, state.defense_cfg, state.global_params
+    plans = {}
+    if cfg.defense == "coalition":
+        subsets = state.schedule.round_subsets(round_t)
+        for member, k in enumerate(cfg.coalition):
+            client = state.clients[k]
+            assigned = select_assigned_subset(client, subsets[member])
+            rng = stream(cfg.seed, "bandit", k, round_t)
+            plans[k] = plan_local_update(
+                state.spec, start, client, assigned, round_t, dcfg.recycle, state.bandits[k], rng
+            )
+    rows = {k: (c.train_X, c.train_y, None) for k, c in enumerate(state.clients)}
+    rows.update({k: planned_rows(state.clients[k], plan) for k, plan in plans.items()})
+    ids = [k for k, (_, y, _) in rows.items() if len(y)]
+    uploads = np.tile(start, (cfg.num_clients, 1))
+    if ids:
+        xs, ys, masks = zip(*(rows[k] for k in ids))
+        rngs = [stream(cfg.seed, "train", k, round_t) for k in ids]
+        extra = (masks, cr_term(dcfg.recycle.mu) if plans else None)
+        try:
+            uploads[ids] = models.sgd_clients(
+                state.spec, start, xs, ys, cfg.lr, cfg.local_epochs, cfg.batch_size, rngs, extra
+            )
+        except models.NonFiniteLoss as err:
+            raise _diverged(round_t, [ids[i] for i in err.clients]) from None
+    for member, (k, plan) in enumerate(plans.items()):
+        try:
+            tele = reward_local_update(
+                state.spec, start, uploads[k], state.clients[k], plan, round_t, state.bandits[k]
+            )
+        except FloatingPointError:  # non-finite validation loss
+            raise _diverged(round_t, [k]) from None
+        state.telemetry.append(tele)
+        if dcfg.sigma > 0:
+            delta = float(state.noise_plan.round_deltas(round_t)[member])
+            uploads[k] = apply_perturbation(uploads[k], delta, dcfg.tail_ratio)
     if cfg.defense in ("grad_sparse", "grad_noise"):
         for k in cfg.coalition:
-            update = uploads[k] - state.global_params
+            update = uploads[k] - start
             if cfg.defense == "grad_sparse":
                 update = grad_sparsify(update, cfg.keep_rate)
             else:
                 noise_rng = stream(cfg.seed, "gradnoise", k, round_t)
                 update = grad_gaussian_noise(update, cfg.noise_sigma, noise_rng)
-            uploads[k] = state.global_params + update
-
-
-def _coalition_update(state: TrainingState, client_id: int, round_t: int):
-    """One coalition member's defended round: (uploaded params, telemetry)."""
-    cfg = state.config
-    dcfg = state.defense_cfg
-    member = cfg.coalition.index(client_id)
-    client = state.clients[client_id]
-    classes = state.schedule.round_subsets(round_t)[member]
-    try:
-        params, tele = compensated_local_update(
-            state.spec,
-            state.global_params,
-            client,
-            select_assigned_subset(client, classes),
-            round_t,
-            dcfg.recycle,
-            state.bandits[client_id],
-            cfg.lr,
-            cfg.local_epochs,
-            cfg.batch_size,
-            stream(cfg.seed, "train", client_id, round_t),
-            stream(cfg.seed, "bandit", client_id, round_t),
-        )
-    except FloatingPointError:  # non-finite training or validation loss
-        raise _diverged(round_t, [client_id]) from None
-    if dcfg.sigma > 0:
-        delta = float(state.noise_plan.round_deltas(round_t)[member])
-        params = apply_perturbation(params, delta, dcfg.tail_ratio)
-    return params, tele
+            uploads[k] = start + update
+    return uploads
 
 
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:
@@ -414,15 +412,7 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
     if not 1 <= round_t <= cfg.rounds:
         raise ValueError(f"round {round_t} outside [1, {cfg.rounds}]")
 
-    defended = cfg.coalition if cfg.defense == "coalition" else ()
-    ids = [k for k in range(cfg.num_clients) if k not in defended]
-    uploads = np.empty((cfg.num_clients, state.spec.param_count))
-    if ids:
-        _plain_updates(state, uploads, ids, round_t)
-    for k in defended:
-        uploads[k], tele = _coalition_update(state, k, round_t)
-        state.telemetry.append(tele)
-
+    uploads = _local_updates(state, round_t)
     if snapshot_due(round_t, cfg.snapshot_every):
         state.store.record(round_t, state.global_params, uploads)
 

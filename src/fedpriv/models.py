@@ -211,12 +211,13 @@ class NonFiniteLoss(FloatingPointError):
         super().__init__(f"non-finite loss at client(s) {self.clients}")
 
 
-def _lockstep_layout(sizes: np.ndarray, batch_size: int):
+def _lockstep_layout(sizes: np.ndarray, cr: np.ndarray, batch_size: int):
     """Where every client's rows go in one epoch of lock-step training.
 
-    Clients are ranked by size, largest first. At step s a ranked client's
-    batch has min(batch_size, n - s * batch_size) rows, which does not grow
-    along the ranking, so the clients sharing a batch size form contiguous
+    Clients are ranked by path (plain first, then those flagged in cr), then
+    by size, largest first. At step s a ranked client's batch has
+    min(batch_size, n - s * batch_size) rows, which does not grow within a
+    path, so the clients sharing a path and a batch size form contiguous
     runs: the step's groups. Each group's rows are stored contiguously, group
     after group and step after step, in one buffer of sum(sizes) rows.
 
@@ -226,19 +227,19 @@ def _lockstep_layout(sizes: np.ndarray, batch_size: int):
     group is (j0, j1, b, row) -- ranked clients j0..j1-1, batch size b, first
     buffer row.
     """
-    rank = np.argsort(-sizes, kind="stable")
+    rank = np.lexsort((-sizes, cr))
     n = sizes[rank]
     starts = np.concatenate([[0], np.cumsum(n)[:-1]])
     slots = np.empty(int(n.sum()), dtype=np.int64)
     groups = []
     row = 0
-    for s in range(-(-int(n[0]) // batch_size)):
+    for s in range(-(-int(n.max()) // batch_size)):
         b_s = np.clip(n - s * batch_size, 0, batch_size)
-        cuts = [0, *(np.flatnonzero(np.diff(b_s)) + 1), len(n)]
+        cuts = [0, *(np.flatnonzero(np.diff(b_s + (batch_size + 1) * cr[rank])) + 1), len(n)]
         for j0, j1 in zip(cuts, cuts[1:]):
             b = int(b_s[j0])
             if b == 0:  # these clients have finished the epoch
-                break
+                continue
             pos = starts[j0:j1, None] + s * batch_size + np.arange(b)
             slots[pos] = row + np.arange((j1 - j0) * b).reshape(j1 - j0, b)
             groups.append((j0, j1, b, row))
@@ -269,34 +270,37 @@ def sgd_clients(
     would, so row k is bit-identical to training client k alone.
 
     extra_term, if given, is (masks, dlogits_fn): per-client boolean row
-    masks, and a function (probs, y) -> gradient w.r.t. the logits of an
-    extra loss on the masked rows of a batch, added to the cross-entropy
-    gradient before the division. The probabilities are then softmax(logits)
-    rather than exp(log_softmax(logits)); the two differ in the last bits,
-    and each path keeps the arithmetic it has always had.
+    masks (None for a client that trains on cross-entropy alone) and a
+    function (probs, y) -> gradient w.r.t. the logits of an extra loss on the
+    masked rows of a batch, added to the cross-entropy gradient before the
+    division. Masked clients take softmax(logits) rather than
+    exp(log_softmax(logits)); the two differ in the last bits, so each path
+    keeps the arithmetic it has always had, in groups of its own.
 
     Returns the (K, P) trained parameters; `params` is not modified.
     Raises NonFiniteLoss naming the clients whose batch loss (cross-entropy)
-    or logit gradient (with extra_term) is not finite.
+    or logit gradient (with a mask) is not finite.
     """
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not lr >= 0:  # written so that NaN fails
+        raise ValueError(f"lr must be >= 0, got {lr}")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
     k = len(xs)
-    if k == 0 or len(ys) != k or len(rngs) != k:
-        raise ValueError("need one dataset and one generator per client, at least one client")
+    masks, dlogits_fn = extra_term if extra_term is not None else ([None] * k, None)
+    if k == 0 or len(ys) != k or len(rngs) != k or len(masks) != k:
+        raise ValueError("need one dataset, mask and generator per client, at least one client")
     if len({id(rng) for rng in rngs}) != k:
         raise ValueError("each client needs its own generator")
     sizes = np.asarray([len(x) for x in xs], dtype=np.int64)
     if sizes.min() == 0:
         raise ValueError("empty dataset")
-    rank, starts, slots, groups = _lockstep_layout(sizes, batch_size)
+    cr = np.asarray([mask is not None for mask in masks])
+    rank, starts, slots, groups = _lockstep_layout(sizes, cr, batch_size)
     x_all = np.concatenate([np.asarray(xs[i], dtype=np.float64) for i in rank])
     y_all = np.concatenate([np.asarray(ys[i], dtype=np.int64) for i in rank])
-    if extra_term is not None:
-        masks, dlogits_fn = extra_term
-        mask_all = np.concatenate([np.asarray(masks[i], dtype=bool) for i in rank])
+    mask_all = np.concatenate(
+        [np.asarray(masks[i] if cr[i] else np.zeros(sizes[i]), bool) for i in rank]
+    )
     eye = np.eye(spec.num_classes)
     theta = np.repeat(np.asarray(params, dtype=np.float64)[None, :], k, axis=0)
     layers = _layers(spec, theta)
@@ -309,8 +313,6 @@ def sgd_clients(
             )
             x_ep, y_ep = x_all[order], y_all[order]
             onehot_ep = eye[y_ep]
-            if extra_term is not None:
-                mask_ep = mask_all[order]
             for j0, j1, b, row in groups:
                 g, rows = j1 - j0, slice(row, row + (j1 - j0) * b)
                 xb = x_ep[rows].reshape(g, b, -1)
@@ -318,7 +320,7 @@ def sgd_clients(
                 onehot = onehot_ep[rows].reshape(g, b, -1)
                 group = [v[j0:j1] for v in layers]
                 logits, cache = _forward(spec, group, xb)
-                if extra_term is None:
+                if not cr[rank[j0]]:
                     logp = log_softmax(logits)
                     loss = np.take_along_axis(logp, yb[..., None], axis=-1).sum(axis=(1, 2))
                     finite = np.isfinite(loss)
@@ -326,7 +328,7 @@ def sgd_clients(
                 else:
                     probs = softmax(logits)
                     dlogits = probs - onehot
-                    rb = mask_ep[rows].reshape(g, b)
+                    rb = mask_all[order[rows]].reshape(g, b)
                     if rb.any():
                         dlogits[rb] += dlogits_fn(probs[rb], yb[rb])
                     finite = np.isfinite(dlogits).all(axis=(1, 2))

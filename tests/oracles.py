@@ -185,13 +185,14 @@ def sequential_sgd(spec, params, x, y, lr, epochs, batch_size, rng, extra_term=N
 
 
 def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, extra_term=None):
-    """Drop-in for `models.sgd_clients` that trains the clients one after another."""
-    masks, fn = extra_term if extra_term is not None else (None, None)
+    """Drop-in for `models.sgd_clients` that trains the clients one after
+    another; a client whose mask is None trains on plain cross-entropy."""
+    masks, fn = extra_term if extra_term is not None else ([None] * len(xs), None)
     return np.stack(
         [
             sequential_sgd(
                 spec, params, xs[k], ys[k], lr, epochs, batch_size, rngs[k],
-                None if masks is None else (masks[k], fn),
+                None if masks[k] is None else (masks[k], fn),
             )
             for k in range(len(xs))
         ]

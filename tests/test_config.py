@@ -62,7 +62,22 @@ def test_path_with_hash_round_trips():
 
 
 @pytest.mark.parametrize("key, attr", [("data.csv_path", "csv_path"), ("output.dir", "out_dir")])
-@pytest.mark.parametrize("value", ["runs/a #b", "runs/a\t#b", "#b"])
+@pytest.mark.parametrize(
+    "value",
+    [
+        "runs/a #b",
+        "runs/a\t#b",
+        "#b",
+        # config text strips a value and splits lines wherever str.splitlines does
+        "runs/a ",
+        " runs/a",
+        "runs/a\nfl.K = 9",
+        "runs/a\rb",
+        "runs/a\x0bb",
+        "runs/a\x85b",
+        "runs/a\u2028b",
+    ],
+)
 def test_path_that_would_read_as_a_comment_is_rejected(key, attr, value):
     cfg = replace(parse_config_text(MINIMAL), source="csv", csv_path="runs/d.csv")
     with pytest.raises(ConfigError, match=re.escape(repr(key))):

@@ -232,6 +232,20 @@ def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monke
     assert calls == []
 
 
+def test_out_override_that_config_text_cannot_keep_is_refused(tmp_path, capsys, monkeypatch):
+    # `--out` replaces output.dir after the config file was validated
+    calls = []
+    monkeypatch.setattr(models, "sgd_clients", lambda *args, **kwargs: calls.append(args))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    out = tmp_path / "x #y"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'output.dir'" in err[0]
+    assert calls == []
+    assert not out.exists()
+
+
 def test_cli_has_no_threads_option(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL, encoding="utf-8")

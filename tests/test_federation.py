@@ -1,5 +1,7 @@
 """Tests for aggregation, perturbation baselines, and the round loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,6 +169,55 @@ def test_lockstep_training_matches_sequential_oracle(monkeypatch):
         for k in range(5):
             assert np.array_equal(lockstep.store.locals[row][k], oracle.store.locals[row][k])
     assert np.array_equal(lockstep.global_params, oracle.global_params)
+
+
+@pytest.mark.parametrize("kind", ["none", "coalition", "grad_noise"])
+def test_every_round_trains_in_one_lockstep_call(kind, monkeypatch):
+    extra = "" if kind == "none" else f"defense.kind = {kind}\ndefense.coalition = 0,1\n"
+    cfg = make_config(clients=5, rounds=4, extra=extra + "defense.t0 = 2\n")
+    calls = []
+    lockstep = models.sgd_clients
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(models, "sgd_clients", counting)
+    _, state = run_from_config(cfg)
+    assert calls == [5] * 4
+    if kind == "coalition":
+        assert sum(tele.n_recycled for tele in state.telemetry) > 0
+
+
+def test_member_with_nothing_to_train_uploads_the_broadcast():
+    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
+    rng = np.random.default_rng(5)
+    clients = _random_clients(rng, [20, 24, 30], spec.input_dim, spec.num_classes)
+    cfg = FlConfig(
+        num_clients=3, rounds=2, lr=0.1, batch_size=8, defense="coalition", coalition=(0, 1)
+    )
+    # recycling from round 1 on, but capped at zero rows; no perturbation
+    recycle = RecycleConfig(start_round=1, num_intervals=2, max_ratio=0.0)
+    defense = CoalitionDefenseConfig(m_max=3, m_min=1, recycle=recycle, sigma=0.0)
+    test_X, test_y = rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
+    state = fed.init_training(cfg, spec, clients, test_X, test_y, defense)
+    state.schedule.subsets[0][0] = frozenset()  # member 0 is assigned no class in round 1
+    start = state.global_params.copy()
+    fed.run_round(state, 1)
+    uploads = state.store.locals[0]
+    assert np.array_equal(uploads[0], start)
+    assert not np.array_equal(uploads[1], start)
+    tele = state.telemetry[0]
+    assert (tele.client_id, tele.n_assigned, tele.n_recycled) == (0, 0, 0)
+    assert tele.arm >= 0 and tele.raw_reward == tele.norm_reward == 0.0
+    assert state.bandits[0].rewards == [] and len(state.bandits[1].rewards) == 1
+    assert np.array_equal(state.bandits[0].weights, np.ones(2))
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
+def test_fl_config_rejects_a_non_finite_or_negative_lr(lr):
+    with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+        FlConfig(num_clients=2, rounds=1, lr=lr)
 
 
 def test_diverging_training_names_round_and_clients():

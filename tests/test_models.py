@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpriv import models
+from fedpriv.compensation import cr_term
 from fedpriv.models import ModelSpec
 from oracles import finite_difference_grad, max_rel_error, sequential_sgd_clients
 
@@ -176,6 +177,50 @@ def test_lockstep_sgd_is_bit_identical_to_sequential_oracle(
     got = models.sgd_clients(*args, streams())
     assert got.shape == (len(sizes), spec.param_count)
     assert np.array_equal(got, sequential_sgd_clients(*args, streams()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    batch_size=st.integers(1, 16),
+    epochs=st.integers(1, 3),
+    hidden=st.sampled_from([0, 7]),
+    seed=st.integers(0, 2**16),
+)
+def test_lockstep_sgd_with_mixed_masks_is_bit_identical_to_sequential_oracle(
+    data, sizes, batch_size, epochs, hidden, seed
+):
+    # a None mask trains on cross-entropy alone; an all-False mask still takes
+    # the extra-term arithmetic, so a call can mix both paths
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(seed)
+    params = models.init_params(spec, rng)
+    xs = [2.0 * rng.normal(size=(n, 4)) for n in sizes]
+    ys = [rng.integers(0, 3, size=n) for n in sizes]
+    kind = st.sampled_from(["none", "false", "mixed"])
+    kinds = data.draw(st.lists(kind, min_size=len(sizes), max_size=len(sizes)), label="kinds")
+    masks = [
+        None if kind == "none" else (rng.random(n) < 0.5) & (kind == "mixed")
+        for kind, n in zip(kinds, sizes)
+    ]
+
+    def streams():
+        return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+
+    args = (spec, params, xs, ys, 0.3, epochs, batch_size)
+    extra = (masks, cr_term(0.05))
+    got = models.sgd_clients(*args, streams(), extra)
+    assert got.shape == (len(sizes), spec.param_count)
+    assert np.array_equal(got, sequential_sgd_clients(*args, streams(), extra))
+
+
+@pytest.mark.parametrize("lr", [math.nan, -0.1])
+def test_lockstep_sgd_rejects_a_nan_or_negative_lr(lr):
+    x, y = np.zeros((4, 5)), np.zeros(4, dtype=np.int64)
+    params = np.zeros(LOGISTIC.param_count)
+    with pytest.raises(ValueError, match="lr must be >= 0"):
+        models.sgd_clients(LOGISTIC, params, [x], [y], lr, 1, 4, [np.random.default_rng(0)])
 
 
 def test_lockstep_sgd_names_the_diverging_clients():
