@@ -108,7 +108,7 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     else:
         pre, hid = cache
         _, _, w2, _ = models.unpack(spec, params)
-        layers = [(x, np.where(pre > 0.0, dlogits @ w2, 0.0)), (hid, dlogits)]
+        layers = [(x, models._relu_backward(pre, dlogits @ w2)), (hid, dlogits)]
     blocks = models._layers(spec, directions)
     dots = np.zeros((m, n))
     sq_norms = np.zeros(n)

@@ -401,6 +401,27 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     return uploads
 
 
+def _client_loss_sums(state: TrainingState) -> list[float]:
+    """Every client's summed training loss under the global model, in client
+    order: one stacked forward pass per group of clients whose training sets
+    have the same size; a client with a size of its own is not copied."""
+    groups: dict[int, list[int]] = {}
+    for k, client in enumerate(state.clients):
+        groups.setdefault(len(client.train_y), []).append(k)
+    sums = [0.0] * len(state.clients)
+    with np.errstate(over="ignore", invalid="ignore"):  # run_round raises on a non-finite sum
+        for ids in groups.values():
+            group = [state.clients[k] for k in ids]
+            if len(group) == 1:
+                x, y = group[0].train_X[None], group[0].train_y[None]
+            else:
+                x, y = np.stack([c.train_X for c in group]), np.stack([c.train_y for c in group])
+            losses = models.per_sample_losses(state.spec, state.global_params, x, y)
+            for k, row in zip(ids, losses):
+                sums[k] = float(row.sum())
+    return sums
+
+
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:
     """Round 1 is always snapshotted; later rounds at the snapshot cadence."""
     return round_t == 1 or round_t % snapshot_every == 0
@@ -423,14 +444,9 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
         )
 
     loss_sum = 0.0
-    sample_count = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
-        for client in state.clients:
-            losses = models.per_sample_losses(
-                state.spec, state.global_params, client.train_X, client.train_y
-            )
-            loss_sum += float(losses.sum())
-            sample_count += len(losses)
+    for client_sum in _client_loss_sums(state):  # not sum(): it compensates on Python >= 3.12
+        loss_sum += client_sum
+    sample_count = sum(len(c.train_y) for c in state.clients)
     if not math.isfinite(loss_sum):
         raise FloatingPointError(
             f"training diverged at round {round_t}: the global model's training loss is not finite"

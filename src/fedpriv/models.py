@@ -89,13 +89,32 @@ def _single_layers(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
 def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray):
     """Stacked forward pass: x (G, b, input_dim) through G models; returns the
     logits (G, b, num_classes) and the cache the backward pass reuses."""
+    # biases are added in place, so no layer makes a second temporary
     if spec.hidden_dim == 0:
         w, b = layers
-        return x @ w.transpose(0, 2, 1) + b[:, None, :], None
+        logits = x @ w.transpose(0, 2, 1)
+        logits += b[:, None, :]
+        return logits, None
     w1, b1, w2, b2 = layers
-    pre = x @ w1.transpose(0, 2, 1) + b1[:, None, :]
+    pre = x @ w1.transpose(0, 2, 1)
+    pre += b1[:, None, :]
     hid = np.maximum(pre, 0.0)
-    return hid @ w2.transpose(0, 2, 1) + b2[:, None, :], (pre, hid)
+    logits = hid @ w2.transpose(0, 2, 1)
+    logits += b2[:, None, :]
+    return logits, (pre, hid)
+
+
+def _relu_backward(pre: np.ndarray, dhid: np.ndarray) -> np.ndarray:
+    """np.where(pre > 0.0, dhid, 0.0), written into dhid (float64) and
+    returned: masked entries become +0.0 (not -0.0, as a 0/1 multiply would
+    give) and kept ones keep their bits, NaN included. An integer AND with an
+    all-ones or all-zeros word avoids np.where's data-dependent branch, which
+    mispredicts on a ReLU's random mask."""
+    keep = (pre > 0.0).astype(np.int64)
+    np.negative(keep, out=keep)
+    bits = dhid.view(np.int64)
+    np.bitwise_and(bits, keep, out=bits)
+    return dhid
 
 
 def _backward(spec: ModelSpec, layers, x, cache, dlogits) -> list[np.ndarray]:
@@ -104,8 +123,7 @@ def _backward(spec: ModelSpec, layers, x, cache, dlogits) -> list[np.ndarray]:
     if spec.hidden_dim == 0:
         return [dlogits.transpose(0, 2, 1) @ x, dlogits.sum(axis=1)]
     pre, hid = cache
-    # np.where, not a 0/1 multiply, so masked entries are +0.0 rather than -0.0
-    dhid = np.where(pre > 0.0, dlogits @ layers[2], 0.0)
+    dhid = _relu_backward(pre, dlogits @ layers[2])
     return [
         dhid.transpose(0, 2, 1) @ x,
         dhid.sum(axis=1),
@@ -159,10 +177,16 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
 def per_sample_losses(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Cross-entropy of each sample in a batch, (n,)."""
-    logits, _, _ = _logits_and_hidden(spec, params, x)
-    y = np.asarray(y, dtype=np.int64)
-    return -log_softmax(logits)[np.arange(len(y)), y]
+    """Cross-entropy of each sample in a batch x (n, input_dim) -> (n,), or in
+    a stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n).
+    Each batch of a stack gets the arithmetic it would get on its own."""
+    x = np.asarray(x, dtype=np.float64)
+    stack = x if x.ndim == 3 else _as_batch(spec, x)[None]
+    logits, _ = _forward(spec, _single_layers(spec, params), stack)
+    logp = log_softmax(logits).reshape(-1, spec.num_classes)
+    y = np.asarray(y, dtype=np.int64).ravel()
+    losses = -logp[np.arange(len(y)), y].reshape(stack.shape[:2])
+    return losses if x.ndim == 3 else losses[0]
 
 
 def grad_from_dlogits(
@@ -336,7 +360,8 @@ def sgd_clients(
                     raise NonFiniteLoss(rank[j0:j1][~finite])
                 dlogits /= b
                 for v, grad in zip(group, _backward(spec, group, xb, cache, dlogits)):
-                    v -= lr * grad
+                    grad *= lr
+                    v -= grad
     out = np.empty_like(theta)
     out[rank] = theta
     return out

@@ -1,6 +1,7 @@
 """Tests for aggregation, perturbation baselines, and the round loop."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,47 @@ def test_perturbation_cancels_for_random_coalitions_sizes_and_sigma(
         assert np.max(np.abs(g_on - g_off)) <= 1e-12
     # the noise is really there: some member's upload differs
     assert np.max(np.abs(on.store.locals[-1] - off.store.locals[-1])) > 0
+
+
+# training-set sizes 9, 14, 9, 20, 14, 9, 31: two repeated sizes and two unique ones
+EVAL_SIZES = [11, 16, 11, 22, 16, 11, 33]
+
+
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_round_report_equals_per_client_evaluation(hidden):
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(21)
+    clients = _random_clients(rng, EVAL_SIZES, spec.input_dim, spec.num_classes)
+    test_X, test_y = rng.normal(size=(25, spec.input_dim)), rng.integers(0, 3, 25)
+    cfg = FlConfig(num_clients=len(clients), rounds=3, lr=0.3, batch_size=4, seed=5)
+    state = fed.init_training(cfg, spec, clients, test_X, test_y)
+    for t in range(1, 4):
+        fed.run_round(state, t)
+        g = state.global_params
+        loss_sum = 0.0
+        for c in clients:  # one client at a time, in client order
+            loss_sum += float(models.per_sample_losses(spec, g, c.train_X, c.train_y).sum())
+        report = state.reports[-1]
+        assert report.mean_train_loss == loss_sum / sum(len(c.train_y) for c in clients)
+        assert report.test_acc == models.accuracy(spec, g, test_X, test_y)
+
+
+@pytest.mark.parametrize("client", [0, 3], ids=["repeated_size", "unique_size"])
+def test_non_finite_global_training_loss_names_the_round(client, monkeypatch):
+    spec = ModelSpec(input_dim=4, hidden_dim=16, num_classes=3)
+    rng = np.random.default_rng(22)
+    clients = _random_clients(rng, EVAL_SIZES, spec.input_dim, spec.num_classes)
+    clients[client].train_X[0, 0] = np.inf
+    # local training leaves the broadcast as it is, so only the evaluation meets the inf
+    monkeypatch.setattr(
+        models, "sgd_clients", lambda spec, params, xs, *rest: np.tile(params, (len(xs), 1))
+    )
+    cfg = FlConfig(num_clients=len(clients), rounds=2, seed=5)
+    state = fed.init_training(cfg, spec, clients, rng.normal(size=(5, 4)), np.zeros(5, int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the non-finite loss is raised, not warned about
+        with pytest.raises(FloatingPointError, match="round 1: the global model's training loss"):
+            fed.run_round(state, 1)
 
 
 def test_aggregation_weights_are_dataset_sizes():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpriv import models
@@ -243,3 +243,70 @@ def test_lockstep_sgd_needs_a_generator_per_client():
     shared = np.random.default_rng(0)
     with pytest.raises(ValueError, match="own generator"):
         models.sgd_clients(LOGISTIC, params, [x, x], [y, y], 0.1, 1, 4, [shared, shared])
+
+
+# Signed zeros, NaNs of both signs, infinities and subnormals: every pair of
+# a pre-activation and a backpropagated value below meets once.
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -2.5])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (40, 32, 64)], ids=["pairs", "benchmark"])
+def test_relu_backward_is_bit_equal_to_where(shape):
+    rng = np.random.default_rng(12)
+    pre, m = rng.normal(size=shape), rng.normal(size=shape)
+    special_pre, special_m = np.meshgrid(SPECIAL, SPECIAL)
+    pre.reshape(-1)[: special_pre.size] = special_pre.ravel()
+    m.reshape(-1)[: special_m.size] = special_m.ravel()
+    want = np.where(pre > 0.0, m, 0.0)
+    dhid = m.copy()
+    got = models._relu_backward(pre, dhid)
+    assert got is dhid
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.integers(1, 40).flatmap(
+        lambda k: st.lists(st.integers(1, 70), min_size=k, max_size=k)
+    ),
+    batch_size=st.integers(1, 32),
+    epochs=st.integers(1, 2),
+    hidden=st.sampled_from([0, 64]),
+    seed=st.integers(0, 2**16),
+)
+@example(sizes=[64] * 40, batch_size=32, epochs=1, hidden=64, seed=0)  # scale_k40's round
+def test_lockstep_sgd_matches_sequential_oracle_bit_for_bit_at_benchmark_shapes(
+    sizes, batch_size, epochs, hidden, seed
+):
+    # compares the bits, so a -0.0 where the oracle has +0.0 fails too
+    spec = ModelSpec(input_dim=12, hidden_dim=hidden, num_classes=10)
+    rng = np.random.default_rng(seed)
+    params = models.init_params(spec, rng)
+    xs = [3.0 * rng.normal(size=(n, 12)) for n in sizes]
+    ys = [rng.integers(0, 10, size=n) for n in sizes]
+
+    def streams():
+        return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+
+    args = (spec, params, xs, ys, 0.3, epochs, batch_size)
+    got = models.sgd_clients(*args, streams())
+    assert np.array_equal(_bits(got), _bits(sequential_sgd_clients(*args, streams())))
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+def test_stacked_losses_equal_each_batch_alone(spec):
+    rng = np.random.default_rng(13)
+    params = models.init_params(spec, rng)
+    x = 2.0 * rng.normal(size=(4, 9, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, size=(4, 9))
+    got = models.per_sample_losses(spec, params, x, y)
+    assert got.shape == (4, 9)
+    for g in range(4):
+        alone = models.per_sample_losses(spec, params, x[g], y[g])
+        assert np.array_equal(_bits(got[g]), _bits(alone))
+    with pytest.raises(ValueError):
+        models.per_sample_losses(spec, params, x[..., :-1], y)
