@@ -404,22 +404,28 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
 def _client_loss_sums(state: TrainingState) -> list[float]:
     """Every client's summed training loss under the global model, in client
     order: one stacked forward pass per group of clients whose training sets
-    have the same size; a client with a size of its own is not copied."""
+    have the same size, and one log-softmax over all rows; a client with a
+    size of its own is not copied."""
     groups: dict[int, list[int]] = {}
     for k, client in enumerate(state.clients):
         groups.setdefault(len(client.train_y), []).append(k)
-    sums = [0.0] * len(state.clients)
+    xs, ys, at = [], [], {}
+    row = 0
+    for n, ids in groups.items():
+        group = [state.clients[k] for k in ids]
+        if len(group) == 1:
+            xs.append(group[0].train_X[None])
+            ys.append(group[0].train_y[None])
+        else:
+            xs.append(np.stack([c.train_X for c in group]))
+            ys.append(np.stack([c.train_y for c in group]))
+        for k in ids:
+            at[k], row = row, row + n
     with np.errstate(over="ignore", invalid="ignore"):  # run_round raises on a non-finite sum
-        for ids in groups.values():
-            group = [state.clients[k] for k in ids]
-            if len(group) == 1:
-                x, y = group[0].train_X[None], group[0].train_y[None]
-            else:
-                x, y = np.stack([c.train_X for c in group]), np.stack([c.train_y for c in group])
-            losses = models.per_sample_losses(state.spec, state.global_params, x, y)
-            for k, row in zip(ids, losses):
-                sums[k] = float(row.sum())
-    return sums
+        losses = models.per_sample_losses(state.spec, state.global_params, xs, ys)
+    return [
+        float(losses[at[k] : at[k] + len(c.train_y)].sum()) for k, c in enumerate(state.clients)
+    ]
 
 
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:

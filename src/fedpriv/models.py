@@ -86,20 +86,21 @@ def _single_layers(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     return _layers(spec, params[None])
 
 
-def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray):
+def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, out=None):
     """Stacked forward pass: x (G, b, input_dim) through G models; returns the
-    logits (G, b, num_classes) and the cache the backward pass reuses."""
+    logits (G, b, num_classes), written into `out` if given, and the cache
+    the backward pass reuses."""
     # biases are added in place, so no layer makes a second temporary
     if spec.hidden_dim == 0:
         w, b = layers
-        logits = x @ w.transpose(0, 2, 1)
+        logits = np.matmul(x, w.transpose(0, 2, 1), out=out)
         logits += b[:, None, :]
         return logits, None
     w1, b1, w2, b2 = layers
     pre = x @ w1.transpose(0, 2, 1)
     pre += b1[:, None, :]
     hid = np.maximum(pre, 0.0)
-    logits = hid @ w2.transpose(0, 2, 1)
+    logits = np.matmul(hid, w2.transpose(0, 2, 1), out=out)
     logits += b2[:, None, :]
     return logits, (pre, hid)
 
@@ -177,15 +178,32 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
 def per_sample_losses(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Cross-entropy of each sample in a batch x (n, input_dim) -> (n,), or in
-    a stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n).
-    Each batch of a stack gets the arithmetic it would get on its own."""
-    x = np.asarray(x, dtype=np.float64)
-    stack = x if x.ndim == 3 else _as_batch(spec, x)[None]
-    logits, _ = _forward(spec, _single_layers(spec, params), stack)
-    logp = log_softmax(logits).reshape(-1, spec.num_classes)
-    y = np.asarray(y, dtype=np.int64).ravel()
-    losses = -logp[np.arange(len(y)), y].reshape(stack.shape[:2])
+    """Cross-entropy of each sample in a batch x (n, input_dim) -> (n,), in a
+    stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n), or
+    in a list of such 3-D stacks -> (sum of G * n,), stack after stack and batch
+    after batch. Each batch gets the arithmetic it would get on its own; a
+    list takes one forward pass per stack and one log-softmax in all."""
+    layers = _single_layers(spec, params)
+    many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
+    if many:
+        stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
+    else:
+        x = np.asarray(x, dtype=np.float64)
+        stacks, ys = [x if x.ndim == 3 else _as_batch(spec, x)[None]], [y]
+    y = np.concatenate([np.asarray(t, dtype=np.int64).ravel() for t in ys])
+    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
+    if samples != len(y):
+        raise ValueError(f"{len(y)} labels for {samples} samples")
+    logits = np.empty((samples, spec.num_classes))
+    row = 0
+    for s in stacks:
+        end = row + s.shape[0] * s.shape[1]
+        _forward(spec, layers, s, out=logits[row:end].reshape(*s.shape[:2], -1))
+        row = end
+    losses = -log_softmax(logits).ravel()[np.arange(len(y)) * spec.num_classes + y]
+    if many:
+        return losses
+    losses = losses.reshape(stacks[0].shape[:2])
     return losses if x.ndim == 3 else losses[0]
 
 
@@ -245,30 +263,45 @@ def _lockstep_layout(sizes: np.ndarray, cr: np.ndarray, batch_size: int):
     runs: the step's groups. Each group's rows are stored contiguously, group
     after group and step after step, in one buffer of sum(sizes) rows.
 
-    Returns (rank, starts, slots, groups): ranked client j's rows start at
+    Returns (rank, starts, slots, passes): ranked client j's rows start at
     starts[j] when the clients are concatenated in rank order;
-    slots[starts[j] + p] is the buffer row of its p-th shuffled sample; each
-    group is (j0, j1, b, row) -- ranked clients j0..j1-1, batch size b, first
-    buffer row.
+    slots[starts[j] + p] is the buffer row of its p-th shuffled sample;
+    passes lists the groups step by step, one list per step and path (the
+    plain one first), each group (j0, j1, b, row) -- ranked clients
+    j0..j1-1, batch size b, first buffer row. A pass's rows are contiguous.
     """
     rank = np.lexsort((-sizes, cr))
     n = sizes[rank]
     starts = np.concatenate([[0], np.cumsum(n)[:-1]])
-    slots = np.empty(int(n.sum()), dtype=np.int64)
-    groups = []
-    row = 0
-    for s in range(-(-int(n.max()) // batch_size)):
-        b_s = np.clip(n - s * batch_size, 0, batch_size)
-        cuts = [0, *(np.flatnonzero(np.diff(b_s + (batch_size + 1) * cr[rank])) + 1), len(n)]
-        for j0, j1 in zip(cuts, cuts[1:]):
-            b = int(b_s[j0])
-            if b == 0:  # these clients have finished the epoch
-                continue
-            pos = starts[j0:j1, None] + s * batch_size + np.arange(b)
-            slots[pos] = row + np.arange((j1 - j0) * b).reshape(j1 - j0, b)
-            groups.append((j0, j1, b, row))
-            row += (j1 - j0) * b
-    return rank, starts, slots, groups
+    steps = -(-int(n.max()) // batch_size)
+    b = np.clip(n - batch_size * np.arange(steps)[:, None], 0, batch_size)
+    s, j = np.nonzero(b)  # one entry per client batch, in buffer order
+    b = b[s, j]
+    row = np.concatenate([[0], np.cumsum(b)[:-1]])
+    path = cr[rank][j]
+    new_pass = (s[1:] != s[:-1]) | (path[1:] != path[:-1])
+    cut = np.flatnonzero(new_pass | (b[1:] != b[:-1])) + 1
+    first, last = np.concatenate([[0], cut]), np.concatenate([cut, [len(b)]]) - 1
+    total = int(n.sum())
+    slots = np.empty(total, dtype=np.int64)
+    # the p-th row of entry (s, j) is sample s * batch_size + p of ranked client j
+    slots[np.arange(total) + np.repeat(starts[j] + s * batch_size - row, b)] = np.arange(total)
+    groups = list(
+        zip(j[first].tolist(), (j[last] + 1).tolist(), b[first].tolist(), row[first].tolist())
+    )
+    bounds = [0, *(np.flatnonzero(new_pass[first[1:] - 1]) + 1).tolist(), len(groups)]
+    return rank, starts, slots, [groups[a:z] for a, z in zip(bounds, bounds[1:])]
+
+
+def _pass_rows(groups):
+    """Rows of one pass of `_lockstep_layout`: its buffer rows r0..r1-1 and
+    each row's batch size, a scalar when the pass is one group."""
+    counts = [(j1 - j0) * b for j0, j1, b, _ in groups]
+    if len(groups) == 1:
+        row_b = groups[0][2]
+    else:
+        row_b = np.repeat(np.asarray([g[2] for g in groups], dtype=np.float64), counts)[:, None]
+    return groups[0][3], groups[0][3] + sum(counts), row_b
 
 
 def sgd_clients(
@@ -288,22 +321,28 @@ def sgd_clients(
     rngs[k].permutation(n_k) and steps through consecutive batches of
     batch_size samples, the last one possibly shorter; each batch's gradient
     is its summed loss divided by its own size. All clients step in
-    lock-step: at each step the clients whose batch has the same size are
-    stacked into one (G, b, ...) group and take one forward and one backward
-    pass together. Every slice of a group does the arithmetic a lone client
-    would, so row k is bit-identical to training client k alone.
+    lock-step. At each step the clients whose batch has the same size and
+    path (below) form a group, stacked as (G, b, ...), that takes one
+    forward and one backward pass: the GEMMs' shapes fix their bits. The
+    row-wise work between them -- log-softmax or softmax, the target
+    gather, the one-hot subtraction and the division by each row's batch
+    size -- runs once over all of a step's rows on a path. Every client
+    thus gets the arithmetic it would get alone: row k is bit-identical to
+    training client k by itself.
 
     extra_term, if given, is (masks, dlogits_fn): per-client boolean row
     masks (None for a client that trains on cross-entropy alone) and a
-    function (probs, y) -> gradient w.r.t. the logits of an extra loss on the
-    masked rows of a batch, added to the cross-entropy gradient before the
-    division. Masked clients take softmax(logits) rather than
+    row-wise function (probs, y) -> gradient w.r.t. the logits of an extra
+    loss on the masked rows of a batch, added to the cross-entropy gradient
+    before the division. Masked clients take softmax(logits) rather than
     exp(log_softmax(logits)); the two differ in the last bits, so each path
-    keeps the arithmetic it has always had, in groups of its own.
+    keeps the arithmetic it has always had, in groups and passes of its own.
 
     Returns the (K, P) trained parameters; `params` is not modified.
-    Raises NonFiniteLoss naming the clients whose batch loss (cross-entropy)
-    or logit gradient (with a mask) is not finite.
+    Raises ValueError, naming the client's position, when its labels or
+    mask do not match its rows, and NonFiniteLoss naming the clients whose
+    batch loss (cross-entropy) or logit gradient (with a mask) is not finite,
+    among those of the first step and path where one is.
     """
     if not lr >= 0:  # written so that NaN fails
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -318,50 +357,73 @@ def sgd_clients(
     sizes = np.asarray([len(x) for x in xs], dtype=np.int64)
     if sizes.min() == 0:
         raise ValueError("empty dataset")
+    for i, (n, y, mask) in enumerate(zip(sizes, ys, masks)):
+        if len(y) != n:
+            raise ValueError(f"client {i} has {n} rows but {len(y)} labels")
+        if mask is not None and len(mask) != n:
+            raise ValueError(f"client {i} has {n} rows but {len(mask)} mask entries")
     cr = np.asarray([mask is not None for mask in masks])
-    rank, starts, slots, groups = _lockstep_layout(sizes, cr, batch_size)
+    rank, starts, slots, passes = _lockstep_layout(sizes, cr, batch_size)
+    plans = [_pass_rows(groups) for groups in passes]
     x_all = np.concatenate([np.asarray(xs[i], dtype=np.float64) for i in rank])
     y_all = np.concatenate([np.asarray(ys[i], dtype=np.int64) for i in rank])
     mask_all = np.concatenate(
         [np.asarray(masks[i] if cr[i] else np.zeros(sizes[i]), bool) for i in rank]
     )
-    eye = np.eye(spec.num_classes)
     theta = np.repeat(np.asarray(params, dtype=np.float64)[None, :], k, axis=0)
     layers = _layers(spec, theta)
     order = np.empty(len(slots), dtype=np.int64)
+    width = max(r1 - r0 for r0, r1, _ in plans)
+    logits_buf = np.empty((width, spec.num_classes))
+    row_base = np.arange(width) * spec.num_classes  # flat index of each row's first logit
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             order[slots] = np.concatenate(
                 [starts[j] + rngs[i].permutation(sizes[i]) for j, i in enumerate(rank)]
             )
-            x_ep, y_ep = x_all[order], y_all[order]
-            onehot_ep = eye[y_ep]
-            for j0, j1, b, row in groups:
-                g, rows = j1 - j0, slice(row, row + (j1 - j0) * b)
-                xb = x_ep[rows].reshape(g, b, -1)
-                yb = y_ep[rows].reshape(g, b)
-                onehot = onehot_ep[rows].reshape(g, b, -1)
-                group = [v[j0:j1] for v in layers]
-                logits, cache = _forward(spec, group, xb)
-                if not cr[rank[j0]]:
-                    logp = log_softmax(logits)
-                    loss = np.take_along_axis(logp, yb[..., None], axis=-1).sum(axis=(1, 2))
-                    finite = np.isfinite(loss)
-                    dlogits = np.exp(logp) - onehot
+            for groups, (r0, r1, row_b) in zip(passes, plans):
+                rows = order[r0:r1]
+                x, y = x_all[rows], y_all[rows]
+                logits = logits_buf[: r1 - r0]
+                target = row_base[: r1 - r0] + y
+                stacked = []
+                for j0, j1, b, row in groups:
+                    g, at = j1 - j0, slice(row - r0, row - r0 + (j1 - j0) * b)
+                    group = [v[j0:j1] for v in layers]
+                    xb = x[at].reshape(g, b, -1)
+                    _, cache = _forward(spec, group, xb, out=logits[at].reshape(g, b, -1))
+                    stacked.append((group, xb, cache, at, g, b))
+                j_lo, j_hi = groups[0][0], groups[-1][1]
+                masked = cr[rank[j_lo]]
+                if not masked:
+                    dlogits = log_softmax(logits)
+                    checked = dlogits.ravel()[target]  # each row's target log-probability
+                    np.exp(dlogits, out=dlogits)
                 else:
                     probs = softmax(logits)
-                    dlogits = probs - onehot
-                    rb = mask_all[order[rows]].reshape(g, b)
+                    dlogits = probs.copy()
+                dlogits.ravel()[target] -= 1.0
+                if masked:
+                    rb = mask_all[rows]
                     if rb.any():
-                        dlogits[rb] += dlogits_fn(probs[rb], yb[rb])
-                    finite = np.isfinite(dlogits).all(axis=(1, 2))
-                if not finite.all():
-                    raise NonFiniteLoss(rank[j0:j1][~finite])
-                dlogits /= b
-                for v, grad in zip(group, _backward(spec, group, xb, cache, dlogits)):
-                    grad *= lr
-                    v -= grad
+                        dlogits[rb] += dlogits_fn(probs[rb], y[rb])
+                    checked = np.where(np.isfinite(dlogits).all(axis=1), 0.0, np.nan)
+                # every value is <= 0 or NaN, so no client's sum of at most
+                # batch_size of them can overflow when this product is finite
+                if not np.isfinite(checked.min() * (4 * batch_size)):
+                    # sum each client's rows as a lone client's batch does: the
+                    # order of a sum decides whether it overflows
+                    sums = [checked[at].reshape(g, b).sum(axis=1) for *_, at, g, b in stacked]
+                    finite = np.isfinite(np.concatenate(sums))
+                    if not finite.all():
+                        raise NonFiniteLoss(rank[j_lo:j_hi][~finite])
+                dlogits /= row_b
+                for group, xb, cache, at, g, b in stacked:
+                    grads = _backward(spec, group, xb, cache, dlogits[at].reshape(g, b, -1))
+                    for v, grad in zip(group, grads):
+                        grad *= lr
+                        v -= grad
     out = np.empty_like(theta)
     out[rank] = theta
     return out

@@ -3,8 +3,9 @@
 Deliberately written as straight-line brute force, separate from the
 library's implementations: finite-difference gradients, exhaustive
 subset-assignment search, pair-counting AUC, the scipy rank-sum AUC the
-library used to compute, a threshold-sweep TPR@FPR, and mini-batch SGD that
-trains one client and one batch at a time.
+library used to compute, a threshold-sweep TPR@FPR, the step-by-step loop
+that built the lock-step layout, and mini-batch SGD that trains one client
+and one batch at a time.
 """
 
 import itertools
@@ -197,3 +198,26 @@ def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, e
             for k in range(len(xs))
         ]
     )
+
+
+def loop_lockstep_layout(sizes, cr, batch_size):
+    """`models._lockstep_layout` as a loop over steps, with the groups in one
+    flat list: (rank, starts, slots, groups)."""
+    rank = np.lexsort((-sizes, cr))
+    n = sizes[rank]
+    starts = np.concatenate([[0], np.cumsum(n)[:-1]])
+    slots = np.empty(int(n.sum()), dtype=np.int64)
+    groups = []
+    row = 0
+    for s in range(-(-int(n.max()) // batch_size)):
+        b_s = np.clip(n - s * batch_size, 0, batch_size)
+        cuts = [0, *(np.flatnonzero(np.diff(b_s + (batch_size + 1) * cr[rank])) + 1), len(n)]
+        for j0, j1 in zip(cuts, cuts[1:]):
+            b = int(b_s[j0])
+            if b == 0:  # these clients have finished the epoch
+                continue
+            pos = starts[j0:j1, None] + s * batch_size + np.arange(b)
+            slots[pos] = row + np.arange((j1 - j0) * b).reshape(j1 - j0, b)
+            groups.append((j0, j1, b, row))
+            row += (j1 - j0) * b
+    return rank, starts, slots, groups

@@ -1,6 +1,7 @@
 """Tests for the flat-parameter models: forward, gradients, SGD."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,32 @@ from hypothesis import strategies as st
 from fedpriv import models
 from fedpriv.compensation import cr_term
 from fedpriv.models import ModelSpec
-from oracles import finite_difference_grad, max_rel_error, sequential_sgd_clients
+from oracles import (
+    finite_difference_grad,
+    loop_lockstep_layout,
+    max_rel_error,
+    sequential_sgd_clients,
+)
 
 LOGISTIC = ModelSpec(input_dim=5, hidden_dim=0, num_classes=3)
 MLP = ModelSpec(input_dim=5, hidden_dim=6, num_classes=3)
+
+# The client sizes of the dirichlet_logreg benchmark workload at seed 0.
+DIRICHLET_SIZES = [
+    302, 265, 248, 189, 189, 185, 180, 176, 175, 160,
+    160, 157, 154, 137, 126, 119, 105, 99, 56, 49,
+]
+
+
+class Drawn:
+    """Stands in for hypothesis's `st.data()` in an `@example`: every draw
+    returns the same given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy, label=None):
+        return self.value
 
 
 def test_param_count_layout():
@@ -188,6 +211,14 @@ def test_lockstep_sgd_is_bit_identical_to_sequential_oracle(
     hidden=st.sampled_from([0, 7]),
     seed=st.integers(0, 2**16),
 )
+@example(  # the third step holds three plain and three masked groups
+    data=Drawn(["none", "none", "none", "mixed", "false", "mixed"]),
+    sizes=[40, 38, 36, 39, 37, 35],
+    batch_size=16,
+    epochs=2,
+    hidden=7,
+    seed=5,
+)
 def test_lockstep_sgd_with_mixed_masks_is_bit_identical_to_sequential_oracle(
     data, sizes, batch_size, epochs, hidden, seed
 ):
@@ -236,6 +267,116 @@ def test_lockstep_sgd_names_the_diverging_clients():
     assert err.value.clients == [1, 3]
 
 
+def test_lockstep_sgd_names_the_diverging_masked_clients():
+    rng = np.random.default_rng(18)
+    params = models.init_params(MLP, rng)
+    xs = [rng.normal(size=(n, 5)) for n in (9, 12, 5, 12)]
+    ys = [rng.integers(0, 3, size=len(x)) for x in xs]
+    xs[1] = xs[1] * 1e300
+    xs[3] = xs[3] * 1e300
+    masks = [rng.random(len(x)) < 0.5 for x in xs]
+    masks[3][:] = False  # an all-False mask still takes the masked path
+    rngs = [np.random.default_rng(k) for k in range(4)]
+    with pytest.raises(models.NonFiniteLoss, match=r"client\(s\) \[1, 3\]") as err:
+        models.sgd_clients(MLP, params, xs, ys, 0.1, 1, 4, rngs, (masks, cr_term(0.05)))
+    assert err.value.clients == [1, 3]
+
+
+def test_lockstep_sgd_names_only_clients_whose_target_logit_is_minus_infinity():
+    # class 2's logit is -inf on every row; only client 1's batch carries class 2
+    params = np.zeros(LOGISTIC.param_count)
+    params[-1] = -np.inf
+    rng = np.random.default_rng(14)
+    xs = [rng.normal(size=(n, 5)) for n in (6, 5, 7)]
+    ys = [np.array([0, 1, 0, 1, 0, 1]), np.array([0, 2, 1, 0, 1]), np.array([1, 0] * 3 + [1])]
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    with pytest.raises(models.NonFiniteLoss) as err:
+        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 8, rngs)
+    assert err.value.clients == [1]
+    rngs = [np.random.default_rng(k) for k in (0, 2)]
+    got = models.sgd_clients(LOGISTIC, params, xs[::2], ys[::2], 0.1, 1, 8, rngs)
+    assert np.isfinite(got[:, :-1]).all()
+
+
+def test_lockstep_sgd_names_a_client_whose_batch_loss_overflows_only_as_a_sum():
+    # class 1's log-probability is about -1e308 on every row: one such row
+    # leaves a batch loss finite, two make it overflow
+    params = np.zeros(LOGISTIC.param_count)
+    params[3 * 5 + 1] = -1e308
+    xs = [np.zeros((n, 5)) for n in (4, 3, 2)]
+    ys = [np.array([1, 0, 2, 0]), np.array([1, 1, 0]), np.array([0, 2])]
+    rngs = [np.random.default_rng(k) for k in range(3)]
+    with pytest.raises(models.NonFiniteLoss) as err:
+        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 4, rngs)
+    assert err.value.clients == [1]
+    with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+        sequential_sgd_clients(LOGISTIC, params, xs[1:2], ys[1:2], 0.1, 1, 4, rngs[1:2])
+    rngs = [np.random.default_rng(k) for k in (0, 2)]
+    args = (LOGISTIC, params, xs[::2], ys[::2], 0.1, 1, 4)
+    got = models.sgd_clients(*args, rngs)
+    rngs = [np.random.default_rng(k) for k in (0, 2)]
+    assert np.array_equal(got, sequential_sgd_clients(*args, rngs))
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["labels", "mask"])
+def test_lockstep_sgd_rejects_labels_or_masks_that_do_not_match_the_rows(masked):
+    rng = np.random.default_rng(15)
+    params = models.init_params(LOGISTIC, rng)
+    xs = [rng.normal(size=(6, 5)), rng.normal(size=(4, 5))]
+    ys = [rng.integers(0, 3, size=6), rng.integers(0, 3, size=4)]
+    extra = None
+    if masked:  # a 9-entry mask for client 1's 4 rows
+        extra = ([np.zeros(6, bool), np.ones(9, bool)], cr_term(0.05))
+        client = 1
+    else:  # eight labels for client 0's six rows
+        ys[0] = rng.integers(0, 3, size=8)
+        client = 0
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    with pytest.raises(ValueError, match=f"client {client} has"):
+        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 4, rngs, extra)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.integers(1, 40).flatmap(
+        lambda k: st.lists(st.integers(1, 400), min_size=k, max_size=k)
+    ),
+    batch_size=st.integers(1, 32),
+)
+@example(data=Drawn([False] * 20), sizes=DIRICHLET_SIZES, batch_size=32)
+def test_array_layout_equals_the_step_loop(data, sizes, batch_size):
+    cr = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rank, starts, slots, passes = models._lockstep_layout(sizes, cr, batch_size)
+    want = loop_lockstep_layout(sizes, cr, batch_size)
+    assert np.array_equal(rank, want[0]) and rank.dtype == want[0].dtype
+    assert np.array_equal(starts, want[1]) and starts.dtype == want[1].dtype
+    assert np.array_equal(slots, want[2]) and slots.dtype == want[2].dtype
+    assert [group for groups in passes for group in groups] == want[3]
+    for groups in passes:  # a pass is one step's groups on one path, row after row
+        assert len({bool(cr[rank[j0]]) for j0, _, _, _ in groups}) == 1
+        for (j0, j1, b, row), nxt in zip(groups, groups[1:]):
+            assert nxt[3] == row + (j1 - j0) * b
+
+
+def test_lockstep_sgd_peak_allocation_stays_under_three_times_the_features():
+    # dirichlet_logreg's round: 20 clients of unequal size, logistic regression
+    spec = ModelSpec(input_dim=20, hidden_dim=0, num_classes=10)
+    rng = np.random.default_rng(16)
+    params = models.init_params(spec, rng)
+    xs = [rng.normal(size=(n, 20)) for n in DIRICHLET_SIZES]
+    ys = [rng.integers(0, 10, size=n) for n in DIRICHLET_SIZES]
+    rngs = [np.random.default_rng(k) for k in range(len(xs))]
+    tracemalloc.start()
+    try:
+        models.sgd_clients(spec, params, xs, ys, 0.2, 2, 32, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(x.nbytes for x in xs)
+
+
 def test_lockstep_sgd_needs_a_generator_per_client():
     rng = np.random.default_rng(11)
     params = models.init_params(LOGISTIC, rng)
@@ -279,6 +420,7 @@ def test_relu_backward_is_bit_equal_to_where(shape):
     seed=st.integers(0, 2**16),
 )
 @example(sizes=[64] * 40, batch_size=32, epochs=1, hidden=64, seed=0)  # scale_k40's round
+@example(sizes=DIRICHLET_SIZES, batch_size=32, epochs=2, hidden=0, seed=0)  # dirichlet_logreg's
 def test_lockstep_sgd_matches_sequential_oracle_bit_for_bit_at_benchmark_shapes(
     sizes, batch_size, epochs, hidden, seed
 ):
@@ -310,3 +452,17 @@ def test_stacked_losses_equal_each_batch_alone(spec):
         assert np.array_equal(_bits(got[g]), _bits(alone))
     with pytest.raises(ValueError):
         models.per_sample_losses(spec, params, x[..., :-1], y)
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+def test_a_list_of_stacks_gives_each_batch_its_own_losses(spec):
+    rng = np.random.default_rng(17)
+    params = models.init_params(spec, rng)
+    xs = [2.0 * rng.normal(size=(3, 7, spec.input_dim)), 2.0 * rng.normal(size=(1, 4, 5))]
+    ys = [rng.integers(0, spec.num_classes, size=(3, 7)), rng.integers(0, 3, size=(1, 4))]
+    got = models.per_sample_losses(spec, params, xs, ys)
+    want = [models.per_sample_losses(spec, params, x, y) for x, y in zip(xs[0], ys[0])]
+    want.append(models.per_sample_losses(spec, params, xs[1][0], ys[1][0]))
+    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
+    with pytest.raises(ValueError, match="24 labels for 25 samples"):
+        models.per_sample_losses(spec, params, xs, [ys[0], ys[1][:, :-1]])
