@@ -89,51 +89,67 @@ def decay_subset_size(spec: CoalitionSpec, round_t: int) -> int:
     return int(min(spec.m_max, max(spec.m_min, math.floor(v))))
 
 
-def _pairwise_overlap(subsets: list[set[int]]) -> int:
+def _pairwise_overlap(masks: list[int]) -> int:
+    """Max pairwise overlap of class subsets given as bitmasks (bit c = class c)."""
     worst = 0
-    for i in range(len(subsets)):
-        for j in range(i + 1, len(subsets)):
-            worst = max(worst, len(subsets[i] & subsets[j]))
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            worst = max(worst, (a & b).bit_count())
     return worst
 
 
 def _greedy_pass(
     num_classes: int, d: int, m: int, overlap_cap: int, rng: np.random.Generator
-) -> list[set[int]] | None:
-    """One randomized greedy placement; None if the overlap cap is violated.
+) -> list[int] | None:
+    """One randomized greedy placement as class bitmasks; None if the overlap
+    cap is violated.
 
     Classes are picked lowest-usage-first; among equally used candidates the
-    ones that keep every pairwise overlap within the cap are preferred, with
-    remaining ties broken by seeded shuffle.
+    ones that keep every pairwise overlap within the cap are preferred (once
+    an overlap is above the cap, no class is), with remaining ties broken by
+    a seeded draw from the ascending candidates.
     """
-    freq = np.zeros(num_classes, dtype=np.int64)
-    subsets: list[set[int]] = []
+    everything = (1 << num_classes) - 1
+    by_use = [everything]  # by_use[f]: the classes that f subsets hold so far
+    holders: list[list[int]] = [[] for _ in range(num_classes)]  # subsets holding each class
+    masks: list[int] = []
     for _ in range(d):
-        chosen: set[int] = set()
-        overlaps = [0] * len(subsets)
+        chosen = 0
+        overlaps = [0] * len(masks)
+        # the classes of the subsets at the cap, or all once one is above it;
+        # at a cap of 0 every subset is at it, holding all classes used so far
+        unsafe = 0 if overlap_cap else everything & ~by_use[0]
         for _ in range(m):
-            available = [c for c in range(num_classes) if c not in chosen]
-            lowest = min(freq[c] for c in available)
-            candidates = [c for c in available if freq[c] == lowest]
-            safe = [
-                c
-                for c in candidates
-                if all(
-                    overlaps[i] + (1 if c in subsets[i] else 0) <= overlap_cap
-                    for i in range(len(subsets))
-                )
-            ]
-            pool = safe if safe else candidates
-            pick = int(rng.choice(np.asarray(sorted(pool))))
-            chosen.add(pick)
-            freq[pick] += 1
-            for i, prev in enumerate(subsets):
-                if pick in prev:
-                    overlaps[i] += 1
-        if any(len(chosen & prev) > overlap_cap for prev in subsets):
+            use = next(f for f, classes in enumerate(by_use) if classes & ~chosen)
+            candidates = by_use[use] & ~chosen
+            pool = candidates & ~unsafe or candidates
+            # the drawn index into the pool's classes in ascending order: drop
+            # that many of its lowest classes and take the lowest one left
+            for _ in range(rng.integers(0, pool.bit_count())):
+                pool &= pool - 1
+            pick = (pool & -pool).bit_length() - 1
+            chosen |= 1 << pick
+            by_use[use] ^= 1 << pick
+            if use + 1 == len(by_use):
+                by_use.append(0)
+            by_use[use + 1] |= 1 << pick
+            for i in holders[pick]:
+                overlaps[i] += 1
+                if overlaps[i] == overlap_cap:
+                    unsafe |= masks[i]
+                elif overlaps[i] > overlap_cap:
+                    unsafe = everything
+        if any(overlap > overlap_cap for overlap in overlaps):
             return None
-        subsets.append(chosen)
-    return subsets
+        for c in _classes(chosen):
+            holders[c].append(len(masks))
+        masks.append(chosen)
+    return masks
+
+
+def _classes(mask: int) -> frozenset[int]:
+    """The class ids whose bits are set in a class bitmask."""
+    return frozenset(c for c in range(mask.bit_length()) if mask >> c & 1)
 
 
 def assign_classes(
@@ -159,11 +175,10 @@ def assign_classes(
         cap += 1
         if cap > m:
             raise RuntimeError("overlap cap exceeded subset size")  # unreachable
-    if d * m >= n:
-        covered = set().union(*subsets)
-        if len(covered) != n:
-            raise RuntimeError("greedy failed to cover the class set")  # unreachable
-    return [frozenset(s) for s in subsets], _pairwise_overlap([set(s) for s in subsets])
+    classes = [_classes(mask) for mask in subsets]
+    if d * m >= n and len(frozenset().union(*classes)) != n:
+        raise RuntimeError("greedy failed to cover the class set")  # unreachable
+    return classes, _pairwise_overlap(subsets)
 
 
 def build_schedule(spec: CoalitionSpec, seed: int) -> ClassAssignmentSchedule:
@@ -184,7 +199,8 @@ def select_assigned_subset(
     May be empty when the client holds no samples of the assigned classes,
     in which case the assignment is effectively ignored.
     """
-    if not classes:
+    if not classes or not len(client.train_y):
         return np.empty(0, dtype=np.int64)
-    mask = np.isin(client.train_y, sorted(classes))
-    return np.flatnonzero(mask)
+    assigned = np.zeros(max(max(classes), int(client.train_y.max())) + 1, dtype=bool)
+    assigned[list(classes)] = True
+    return np.flatnonzero(assigned[client.train_y])

@@ -9,13 +9,16 @@ Recycled samples additionally carry a confidence-regularized loss built
 from a soft label that keeps the true-class probability and spreads the
 rest evenly, minus an entropy bonus weighted by mu.
 
-A defended update is planned (`plan_local_update`), trained as one row of a
-round's `models.sgd_clients` call (`planned_rows`, `cr_term`) and rewarded
-(`reward_local_update`); `compensated_local_update` runs all three alone.
+A defended update is planned (`plan_local_update`) from the per-sample
+training losses of the received model, trained as one row of a round's
+`models.sgd_clients` call (`planned_rows`, `cr_term`) and rewarded
+(`reward_local_update`) by the `validation_losses` of all members at once;
+`compensated_local_update` runs all three alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -71,7 +74,8 @@ class SampleIntervals:
 
 @dataclass
 class BanditState:
-    """EXP3 state: positive arm weights, exploration rate, reward history."""
+    """EXP3 state: positive arm weights, exploration rate, reward history
+    (the raw rewards so far, kept in ascending order)."""
 
     weights: np.ndarray
     eta: float
@@ -133,15 +137,31 @@ def compute_reward(val_loss_before: float, val_loss_after: float) -> float:
     return float(val_loss_before - val_loss_after)
 
 
+def _percentile(ascending: list[float], q: float) -> float:
+    """`np.percentile(ascending, 100 * q)` of an ascending list, with numpy's
+    linear-interpolation arithmetic."""
+    at = (len(ascending) - 1) * q
+    i = math.floor(at)
+    if i >= len(ascending) - 1:
+        return ascending[-1]
+    a, b = ascending[i], ascending[i + 1]
+    g, d = at - i, b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
 def normalize_reward(reward: float, history) -> float:
-    """Rescale a raw reward to [-1, 1] via the 20th/80th percentiles of history."""
-    hist = np.asarray(list(history), dtype=np.float64)
-    if len(hist) < 1:
+    """Rescale a raw reward to [-1, 1] via the 20th/80th percentiles of
+    history, which must be finite. Sorting an ascending history, as
+    BanditState keeps it, is one linear pass."""
+    hist = sorted(float(r) for r in history)
+    if not hist:
         raise ValueError("reward history is empty")
-    r20, r80 = np.percentile(hist, [20.0, 80.0])
+    if not all(map(math.isfinite, hist)):
+        raise ValueError("reward history must be finite")
+    r20, r80 = _percentile(hist, 0.2), _percentile(hist, 0.8)
     if r80 == r20:
         return 0.0
-    return float(np.clip(2.0 * (reward - r20) / (r80 - r20) - 1.0, -1.0, 1.0))
+    return min(max(2.0 * (reward - r20) / (r80 - r20) - 1.0, -1.0), 1.0)
 
 
 def exp3_select(state: BanditState, rng: np.random.Generator) -> int:
@@ -176,7 +196,10 @@ def select_recycled(
 ) -> np.ndarray:
     """Recycled sample positions: interval members minus the assigned set,
     subsampled to at most floor(max_ratio * total_samples)."""
-    candidates = np.setdiff1d(intervals.members(arm), assigned_pos, assume_unique=True)
+    members = intervals.members(arm)
+    assigned = np.zeros(len(intervals.normalized), dtype=bool)
+    assigned[np.asarray(assigned_pos, dtype=np.int64)] = True
+    candidates = members[~assigned[members]]
     cap = int(math.floor(max_ratio * total_samples))
     if len(candidates) > cap:
         candidates = np.sort(rng.choice(candidates, size=cap, replace=False))
@@ -261,9 +284,7 @@ def combined_sgd_epochs(
 
 
 def plan_local_update(
-    spec: ModelSpec,
-    global_params: np.ndarray,
-    client: ClientDataset,
+    losses: np.ndarray | None,
     assigned_pos: np.ndarray,
     round_t: int,
     recycle: RecycleConfig,
@@ -273,14 +294,14 @@ def plan_local_update(
     """Plan one defended local update: (rows, arm, number of recycled rows).
 
     The rows are training positions, assigned then recycled. Before the start
-    round the arm is -1 and nothing is recycled; from it on, intervals of the
-    received global model's per-sample losses are built, one is drawn, and
-    its not-assigned samples (capped) are recycled.
+    round the arm is -1 and nothing is recycled (`losses` may be None); from
+    it on, intervals of `losses`, the received global model's per-sample
+    training losses, are built, one is drawn, and its not-assigned samples
+    (capped) are recycled.
     """
     assigned_pos = np.asarray(assigned_pos, dtype=np.int64)
     if round_t < recycle.start_round:
         return assigned_pos, -1, 0
-    losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
     intervals = init_intervals(losses, recycle.num_intervals)
     arm = exp3_select(bandit, bandit_rng)
     recycled = select_recycled(
@@ -297,33 +318,47 @@ def planned_rows(client: ClientDataset, plan) -> tuple[np.ndarray, np.ndarray, n
     return client.train_X[rows], client.train_y[rows], mask
 
 
+def is_rewarded(plan) -> bool:
+    """Whether a plan's update is rewarded: it recycles and has rows to train."""
+    rows, arm, _ = plan
+    return arm >= 0 and len(rows) > 0
+
+
+def validation_losses(
+    spec: ModelSpec, global_params: np.ndarray, uploads: np.ndarray, clients: list[ClientDataset]
+) -> list[tuple[float, float]]:
+    """Each client's mean validation loss under the global model and under
+    its upload, uploads[i] for clients[i], which must have validation rows.
+
+    Two forward passes cover all clients: one of the global model and one of
+    the stacked uploads, each a stack per group of equal validation sizes;
+    every mean has the bits of a call of its own. Non-finite means are
+    returned, not warned about.
+    """
+    xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
+    with np.errstate(over="ignore", invalid="ignore"):
+        before = models.losses_by_batch(spec, global_params, xs, ys)
+        after = models.losses_by_batch(spec, uploads, xs, ys)
+    return [(float(b.mean()), float(a.mean())) for b, a in zip(before, after)]
+
+
 def reward_local_update(
-    spec: ModelSpec,
-    global_params: np.ndarray,
-    params: np.ndarray,
-    client: ClientDataset,
-    plan,
-    round_t: int,
-    bandit: BanditState,
+    client_id: int, plan, val_losses: tuple[float, float] | None, round_t: int, bandit: BanditState
 ) -> Telemetry:
-    """Reward the planned update that trained `params` by its validation-loss
-    reduction and return its telemetry; before the start round, or with no
-    rows to train, the bandit is not updated and the reward is 0."""
+    """Reward the planned update by its validation-loss reduction and return
+    its telemetry. `val_losses` holds the client's mean validation loss
+    before and after the update, or is None when it has no validation rows
+    (the reward is then 0). An update that is not rewarded (`is_rewarded`)
+    leaves the bandit as it is and gets a reward of 0."""
     rows, arm, n_recycled = plan
     raw = norm = 0.0
-    if arm >= 0 and len(rows):
-        if len(client.val_y):
-            val = (client.val_X, client.val_y)
-            before = float(models.per_sample_losses(spec, global_params, *val).mean())
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is raised below
-                after = float(models.per_sample_losses(spec, params, *val).mean())
-            if not math.isfinite(after):
-                raise FloatingPointError("non-finite validation loss after the local update")
-            raw = compute_reward(before, after)
+    if is_rewarded(plan):
+        if val_losses is not None:
+            raw = compute_reward(*val_losses)
         norm = normalize_reward(raw, bandit.rewards) if len(bandit.rewards) >= 5 else 0.0
-        bandit.rewards.append(raw)
+        bisect.insort(bandit.rewards, raw)
         exp3_update(bandit, arm, norm)
-    return Telemetry(round_t, client.client_id, arm, raw, norm, len(rows) - n_recycled, n_recycled)
+    return Telemetry(round_t, client_id, arm, raw, norm, len(rows) - n_recycled, n_recycled)
 
 
 def compensated_local_update(
@@ -343,10 +378,14 @@ def compensated_local_update(
     """One client's defended local update: plan, train, reward. If nothing is
     trainable the global parameters are returned and the bandit is not updated.
     """
-    plan = plan_local_update(
-        spec, global_params, client, assigned_pos, round_t, recycle, bandit, bandit_rng
-    )
+    losses = None
+    if round_t >= recycle.start_round:
+        losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
+    plan = plan_local_update(losses, assigned_pos, round_t, recycle, bandit, bandit_rng)
     x, y, mask = planned_rows(client, plan)
     args = (x, y, mask, recycle.mu, lr, epochs, batch_size, train_rng)
     params = combined_sgd_epochs(spec, global_params, *args) if len(y) else global_params.copy()
-    return params, reward_local_update(spec, global_params, params, client, plan, round_t, bandit)
+    val = None
+    if is_rewarded(plan) and len(client.val_y):
+        val = validation_losses(spec, global_params, params[None], [client])[0]
+    return params, reward_local_update(client.client_id, plan, val, round_t, bandit)

@@ -156,8 +156,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("data.test_fraction", "must be in [0, 1)")
     if not 0.0 <= cfg.ofl_fraction < 1.0:
         bad("data.ofl_fraction", "must be in [0, 1)")
-    if not cfg.beta > 0:
-        bad("data.beta", "must be > 0")
+    if not (math.isfinite(cfg.beta) and cfg.beta > 0):
+        bad("data.beta", f"must be a finite number > 0, got {cfg.beta}")
     if cfg.num_clients < 2:
         bad("fl.K", "need at least 2 clients")
     if cfg.rounds < 1:
@@ -182,8 +182,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("defense.coalition", f"must be non-empty for defense {cfg.defense!r}")
     if cfg.defense == "grad_sparse" and not 0.0 < cfg.keep_rate <= 1.0:
         bad("defense.keep_rate", "must be in (0, 1]")
-    if cfg.defense == "grad_noise" and not cfg.noise_sigma >= 0:
-        bad("defense.noise_sigma", "must be >= 0")
+    noise_sigma = cfg.noise_sigma
+    if cfg.defense == "grad_noise" and not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        bad("defense.noise_sigma", f"must be a finite number >= 0, got {noise_sigma}")
     if cfg.defense == "coalition":
         if cfg.t0 < 1:
             bad("defense.t0", "must be >= 1")
@@ -195,16 +196,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("defense.eta", "must be in [0, 1]")
         if cfg.decay not in DECAY_KINDS:
             bad("defense.decay", f"must be one of {DECAY_KINDS}, got {cfg.decay!r}")
-        if not cfg.sigma >= 0:
-            bad("defense.sigma", "must be >= 0")
+        if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
+            bad("defense.sigma", f"must be a finite number >= 0, got {cfg.sigma}")
         if cfg.sigma > 0 and len(set(cfg.coalition)) < 2:
             bad("defense.sigma", "perturbation needs a coalition of >= 2 (or sigma = 0)")
         if not 0.0 < cfg.r_p <= 1.0:
             bad("defense.r_p", "must be in (0, 1]")
         if not 0.0 <= cfg.r_l <= 1.0:
             bad("defense.r_l", "must be in [0, 1]")
-        if not cfg.mu >= 0:
-            bad("defense.mu", "must be >= 0")
+        if not (math.isfinite(cfg.mu) and cfg.mu >= 0):
+            bad("defense.mu", f"must be a finite number >= 0, got {cfg.mu}")
     if cfg.source == "synthetic":
         if not (math.isfinite(cfg.cluster_spread) and cfg.cluster_spread >= 0):
             bad("data.cluster_spread", f"must be a finite number >= 0, got {cfg.cluster_spread}")

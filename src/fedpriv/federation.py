@@ -3,7 +3,9 @@
 Every client trains every round (full participation keeps the coalition's
 noise cancellation exact), all together in one lock-step
 `models.sgd_clients` call; coalition members under the coalition defense
-plan their recycled rows before it and reward their bandits after it. The
+plan their recycled rows before it, from the per-sample training losses of
+the evaluation that ended the previous round, and reward their bandits
+after it, from two forward passes over all their validation sets. The
 server aggregates local parameters with weights proportional to each
 client's original local dataset size, and records model snapshots — the
 global broadcast and every uploaded local — at round 1 and every
@@ -25,8 +27,8 @@ from .assignment import (
     build_schedule,
     select_assigned_subset,
 )
-from .compensation import BanditState, RecycleConfig, Telemetry, cr_term, plan_local_update
-from .compensation import planned_rows, reward_local_update
+from .compensation import BanditState, RecycleConfig, Telemetry, cr_term, is_rewarded
+from .compensation import plan_local_update, planned_rows, reward_local_update, validation_losses
 from .data import ClientDataset
 from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
@@ -291,6 +293,9 @@ class TrainingState:
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
     defense_cfg: CoalitionDefenseConfig | None = None
+    # (params, {client id: per-sample training losses under params}) of the
+    # evaluation that ended the last round, params being the global model then
+    evaluation: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
 
 
 def init_training(
@@ -348,6 +353,20 @@ def _diverged(round_t: int, clients) -> FloatingPointError:
     )
 
 
+def _member_losses(state: TrainingState, round_t: int) -> dict[int, np.ndarray | None]:
+    """Each coalition member's per-sample training losses under the round's
+    broadcast, None before recycling starts: those of the evaluation that
+    produced the broadcast, else (in round 1) of one evaluation of the
+    initial model."""
+    members = state.config.coalition
+    if round_t < state.defense_cfg.recycle.start_round:
+        return dict.fromkeys(members)
+    params, losses = state.evaluation or (None, None)
+    if params is not state.global_params:
+        losses = dict(zip(members, _client_losses(state, members)))
+    return losses
+
+
 def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     """The round's (K, P) upload matrix: coalition members under the coalition
     defense are planned, every client with rows to train trains in one
@@ -357,12 +376,13 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     plans = {}
     if cfg.defense == "coalition":
         subsets = state.schedule.round_subsets(round_t)
+        losses = _member_losses(state, round_t)
         for member, k in enumerate(cfg.coalition):
             client = state.clients[k]
             assigned = select_assigned_subset(client, subsets[member])
             rng = stream(cfg.seed, "bandit", k, round_t)
             plans[k] = plan_local_update(
-                state.spec, start, client, assigned, round_t, dcfg.recycle, state.bandits[k], rng
+                losses[k], assigned, round_t, dcfg.recycle, state.bandits[k], rng
             )
     rows = {k: (c.train_X, c.train_y, None) for k, c in enumerate(state.clients)}
     rows.update({k: planned_rows(state.clients[k], plan) for k, plan in plans.items()})
@@ -378,13 +398,17 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
             )
         except models.NonFiniteLoss as err:
             raise _diverged(round_t, [ids[i] for i in err.clients]) from None
+    rewarded = [k for k, plan in plans.items() if is_rewarded(plan) and len(state.clients[k].val_y)]
+    val = {}
+    if rewarded:
+        members = [state.clients[k] for k in rewarded]
+        val = dict(zip(rewarded, validation_losses(state.spec, start, uploads[rewarded], members)))
+        diverged = [k for k in rewarded if not all(map(math.isfinite, val[k]))]
+        if diverged:  # the first member in coalition order, as a member-by-member reward finds
+            raise _diverged(round_t, diverged[:1])
     for member, (k, plan) in enumerate(plans.items()):
-        try:
-            tele = reward_local_update(
-                state.spec, start, uploads[k], state.clients[k], plan, round_t, state.bandits[k]
-            )
-        except FloatingPointError:  # non-finite validation loss
-            raise _diverged(round_t, [k]) from None
+        client_id = state.clients[k].client_id
+        tele = reward_local_update(client_id, plan, val.get(k), round_t, state.bandits[k])
         state.telemetry.append(tele)
         if dcfg.sigma > 0:
             delta = float(state.noise_plan.round_deltas(round_t)[member])
@@ -401,31 +425,15 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     return uploads
 
 
-def _client_loss_sums(state: TrainingState) -> list[float]:
-    """Every client's summed training loss under the global model, in client
-    order: one stacked forward pass per group of clients whose training sets
-    have the same size, and one log-softmax over all rows; a client with a
-    size of its own is not copied."""
-    groups: dict[int, list[int]] = {}
-    for k, client in enumerate(state.clients):
-        groups.setdefault(len(client.train_y), []).append(k)
-    xs, ys, at = [], [], {}
-    row = 0
-    for n, ids in groups.items():
-        group = [state.clients[k] for k in ids]
-        if len(group) == 1:
-            xs.append(group[0].train_X[None])
-            ys.append(group[0].train_y[None])
-        else:
-            xs.append(np.stack([c.train_X for c in group]))
-            ys.append(np.stack([c.train_y for c in group]))
-        for k in ids:
-            at[k], row = row, row + n
-    with np.errstate(over="ignore", invalid="ignore"):  # run_round raises on a non-finite sum
-        losses = models.per_sample_losses(state.spec, state.global_params, xs, ys)
-    return [
-        float(losses[at[k] : at[k] + len(c.train_y)].sum()) for k, c in enumerate(state.clients)
-    ]
+def _client_losses(state: TrainingState, ids) -> list[np.ndarray]:
+    """The per-sample training losses of clients `ids` under the global
+    model, in that order: one stacked forward pass per group of clients whose
+    training sets have the same size, and one log-softmax over all rows.
+    Non-finite losses are returned, not warned about."""
+    xs = [state.clients[k].train_X for k in ids]
+    ys = [state.clients[k].train_y for k in ids]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return models.losses_by_batch(state.spec, state.global_params, xs, ys)
 
 
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:
@@ -449,9 +457,11 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
             f"training diverged at round {round_t}: the aggregated global model is not finite"
         )
 
+    losses = _client_losses(state, range(cfg.num_clients))
+    state.evaluation = (state.global_params, dict(enumerate(losses)))
     loss_sum = 0.0
-    for client_sum in _client_loss_sums(state):  # not sum(): it compensates on Python >= 3.12
-        loss_sum += client_sum
+    for client_losses in losses:  # not sum(): it compensates on Python >= 3.12
+        loss_sum += float(client_losses.sum())
     sample_count = sum(len(c.train_y) for c in state.clients)
     if not math.isfinite(loss_sum):
         raise FloatingPointError(

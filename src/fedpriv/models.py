@@ -5,8 +5,10 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-All functions are pure: they never mutate their inputs and are safe to call
-concurrently.
+The public functions never mutate their inputs and are safe to call
+concurrently. Two private helpers write into arrays they are given:
+`_forward` writes the logits into `out`, and `_relu_backward` overwrites
+`dhid` with its result.
 """
 
 from __future__ import annotations
@@ -182,8 +184,10 @@ def per_sample_losses(
     stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n), or
     in a list of such 3-D stacks -> (sum of G * n,), stack after stack and batch
     after batch. Each batch gets the arithmetic it would get on its own; a
-    list takes one forward pass per stack and one log-softmax in all."""
-    layers = _single_layers(spec, params)
+    list takes one forward pass per stack and one log-softmax in all.
+
+    `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
+    the model of each of their B batches, in the same order."""
     many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
     if many:
         stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
@@ -194,9 +198,21 @@ def per_sample_losses(
     samples = sum(s.shape[0] * s.shape[1] for s in stacks)
     if samples != len(y):
         raise ValueError(f"{len(y)} labels for {samples} samples")
+    if np.ndim(params) == 2:
+        theta = np.asarray(params, dtype=np.float64)
+        batches = sum(s.shape[0] for s in stacks)
+        if theta.shape != (batches, spec.param_count):
+            raise ValueError(
+                f"parameter matrix has shape {theta.shape}, expected "
+                f"({batches}, {spec.param_count}): one model per batch"
+            )
+        ends = np.cumsum([s.shape[0] for s in stacks])
+        layer_sets = [_layers(spec, theta[e - s.shape[0] : e]) for s, e in zip(stacks, ends)]
+    else:
+        layer_sets = [_single_layers(spec, params)] * len(stacks)
     logits = np.empty((samples, spec.num_classes))
     row = 0
-    for s in stacks:
+    for layers, s in zip(layer_sets, stacks):
         end = row + s.shape[0] * s.shape[1]
         _forward(spec, layers, s, out=logits[row:end].reshape(*s.shape[:2], -1))
         row = end
@@ -205,6 +221,33 @@ def per_sample_losses(
         return losses
     losses = losses.reshape(stacks[0].shape[:2])
     return losses if x.ndim == 3 else losses[0]
+
+
+def losses_by_batch(
+    spec: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Cross-entropy of each sample of each batch (xs[i], ys[i]), under one
+    flat `params` (P,) or under model params[i] of a matrix (len(xs), P):
+    one `per_sample_losses` call on a stack per group of equal-sized batches
+    (a lone batch is a view, not a copy). Each batch gets the bits of a call
+    of its own; its losses are a view into one array."""
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(xs):
+        groups.setdefault(len(x), []).append(i)
+    order = [i for ids in groups.values() for i in ids]
+
+    def stacked(arrays):
+        return [
+            np.stack([arrays[i] for i in ids]) if len(ids) > 1 else np.asarray(arrays[ids[0]])[None]
+            for ids in groups.values()
+        ]
+
+    theta = params if np.ndim(params) == 1 else np.asarray(params)[order]
+    flat = per_sample_losses(spec, theta, stacked(xs), stacked(ys))
+    out, row = [None] * len(xs), 0
+    for i in order:
+        out[i], row = flat[row : row + len(xs[i])], row + len(xs[i])
+    return out
 
 
 def grad_from_dlogits(

@@ -2,10 +2,11 @@
 
 Deliberately written as straight-line brute force, separate from the
 library's implementations: finite-difference gradients, exhaustive
-subset-assignment search, pair-counting AUC, the scipy rank-sum AUC the
-library used to compute, a threshold-sweep TPR@FPR, the step-by-step loop
-that built the lock-step layout, and mini-batch SGD that trains one client
-and one batch at a time.
+subset-assignment search, the greedy class placement on Python sets and the
+percentile-based reward normalization the library used to run, pair-counting
+AUC, the scipy rank-sum AUC the library used to compute, a threshold-sweep
+TPR@FPR, the step-by-step loop that built the lock-step layout, and
+mini-batch SGD that trains one client and one batch at a time.
 """
 
 import itertools
@@ -46,6 +47,54 @@ def brute_min_max_overlap(num_classes, coalition_size, m, lower_bound=0):
         if best <= lower_bound:
             break
     return best
+
+
+def set_greedy_pass(num_classes, d, m, overlap_cap, rng, over_cap=None):
+    """`assignment._greedy_pass` as it ran on Python sets: a list of d class
+    sets, or None. If `over_cap` is a list, one True is appended for each
+    pick made while some overlap is already above the cap (every class is
+    then unsafe, so the pick is drawn from all candidates)."""
+    freq = np.zeros(num_classes, dtype=np.int64)
+    subsets = []
+    for _ in range(d):
+        chosen = set()
+        overlaps = [0] * len(subsets)
+        for _ in range(m):
+            available = [c for c in range(num_classes) if c not in chosen]
+            lowest = min(freq[c] for c in available)
+            candidates = [c for c in available if freq[c] == lowest]
+            safe = [
+                c
+                for c in candidates
+                if all(
+                    overlaps[i] + (1 if c in subsets[i] else 0) <= overlap_cap
+                    for i in range(len(subsets))
+                )
+            ]
+            if over_cap is not None and any(o > overlap_cap for o in overlaps):
+                over_cap.append(True)
+            pool = safe if safe else candidates
+            pick = int(rng.choice(np.asarray(sorted(pool))))
+            chosen.add(pick)
+            freq[pick] += 1
+            for i, prev in enumerate(subsets):
+                if pick in prev:
+                    overlaps[i] += 1
+        if any(len(chosen & prev) > overlap_cap for prev in subsets):
+            return None
+        subsets.append(chosen)
+    return subsets
+
+
+def percentile_normalize_reward(reward, history):
+    """`compensation.normalize_reward` as it ran on `np.percentile`."""
+    hist = np.asarray(list(history), dtype=np.float64)
+    if len(hist) < 1:
+        raise ValueError("reward history is empty")
+    r20, r80 = np.percentile(hist, [20.0, 80.0])
+    if r80 == r20:
+        return 0.0
+    return float(np.clip(2.0 * (reward - r20) / (r80 - r20) - 1.0, -1.0, 1.0))
 
 
 def pair_counting_auc(scores, labels):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpriv import compensation as cmp
 from fedpriv import models
 from fedpriv.compensation import BanditState, RecycleConfig
 from fedpriv.data import ClientDataset
 from fedpriv.models import ModelSpec
-from oracles import finite_difference_grad, max_rel_error, sequential_sgd
+from oracles import finite_difference_grad, max_rel_error, percentile_normalize_reward
+from oracles import sequential_sgd
 
 
 # --- intervals -------------------------------------------------------------
@@ -83,6 +86,38 @@ def test_normalize_reward_degenerate_history():
     assert cmp.normalize_reward(0.7, [0.3, 0.3, 0.3]) == 0.0
     with pytest.raises(ValueError):
         cmp.normalize_reward(0.1, [])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_normalize_reward_rejects_a_non_finite_history(bad):
+    # a NaN has no place in a sorted history, so its percentiles would be arbitrary
+    with pytest.raises(ValueError, match="reward history must be finite"):
+        cmp.normalize_reward(0.1, [0.0, bad, 1.0, 2.0, 3.0])
+
+
+# few distinct values, so that histories hold ties, and both zeros
+REWARDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(reward=REWARDS, history=st.lists(REWARDS, min_size=1, max_size=60))
+def test_normalize_reward_equals_the_percentile_version_bit_for_bit(reward, history):
+    with np.errstate(over="ignore"):  # extreme rewards overflow both versions alike
+        want = np.float64(percentile_normalize_reward(reward, history)).view(np.int64)
+    assert np.float64(cmp.normalize_reward(reward, history)).view(np.int64) == want
+    assert np.float64(cmp.normalize_reward(reward, sorted(history))).view(np.int64) == want
+
+
+def test_bandit_history_stays_ascending():
+    bandit = BanditState.fresh(2, 0.1)
+    plan = (np.arange(3), 0, 0)
+    for k, (before, after) in enumerate([(1.0, 0.5), (1.0, 0.9), (1.0, 1.2), (1.0, 0.1)]):
+        cmp.reward_local_update(0, plan, (before, after), k + 1, bandit)
+    assert bandit.rewards == [1.0 - 1.2, 1.0 - 0.9, 1.0 - 0.5, 1.0 - 0.1]
 
 
 # --- bandit ----------------------------------------------------------------

@@ -169,6 +169,10 @@ COALITION = "defense.kind = coalition\ndefense.coalition = 0,1\n"
         ("fl.snapshot_every", "0", ""),
         ("data.beta", "nan", "data.partition = dirichlet\n"),
         ("defense.mu", "nan", COALITION),
+        ("defense.mu", "inf", COALITION),
+        ("defense.sigma", "inf", COALITION),
+        ("defense.noise_sigma", "inf", "defense.kind = grad_noise\ndefense.coalition = 0\n"),
+        ("data.beta", "inf", "data.partition = dirichlet\n"),
         ("data.cluster_spread", "inf", ""),
         ("data.mean_scale", "nan", ""),
     ],

@@ -141,6 +141,27 @@ def test_compensation_telemetry_matches_schedule(tmp_path):
         assert int(parts[6]) <= 3
 
 
+def test_assignments_lambda_is_the_max_pairwise_overlap_of_the_listed_classes(tmp_path):
+    text = SMALL.replace("fl.K = 5", "fl.K = 6") + (
+        "defense.kind = coalition\ndefense.coalition = 0,2,3,5\ndefense.t0 = 4\n"
+    )
+    out = tmp_path / "assign"
+    ex.stage_train(parse_config_text(text), str(out))
+    rounds = {}
+    for row in _lines(out / ex.ASSIGNMENTS_CSV)[1:]:
+        t, client, classes, lam = row.split(",")
+        rounds.setdefault(int(t), []).append((int(client), set(map(int, classes.split(";"))), lam))
+    assert sorted(rounds) == list(range(1, 9))
+    lambdas = set()
+    for rows in rounds.values():
+        assert [client for client, *_ in rows] == [0, 2, 3, 5]
+        subsets = [classes for _, classes, _ in rows]
+        worst = max(len(a & b) for i, a in enumerate(subsets) for b in subsets[i + 1 :])
+        assert {lam for *_, lam in rows} == {str(worst)}
+        lambdas.add(worst)
+    assert len(lambdas) >= 3  # subsets shrink from 5 classes to 1 over the rounds
+
+
 def test_defended_and_undefended_summaries_comparable(tmp_path):
     base, defended = tmp_path / "none", tmp_path / "coal"
     ex.run_experiment(parse_config_text(SMALL), str(base))

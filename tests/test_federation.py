@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -499,3 +500,94 @@ def test_store_load_reads_each_member_once(tmp_path, monkeypatch):
     assert sorted(reads) == sorted(fed.SNAPSHOT_FIELDS)
     with np.load(path) as blob:
         assert sorted(blob.files) == sorted(fed.SNAPSHOT_FIELDS)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _coalition_state(
+    spec, rng, sizes, val_sizes, t0, sigma, snapshot_every=10, coalition=(0, 1, 3)
+):
+    """A coalition run of 4 rounds on Gaussian clients with the given
+    training and validation sizes, recycling from round t0 on."""
+    clients = []
+    for k, (n, v) in enumerate(zip(sizes, val_sizes)):
+        x = rng.normal(size=(n + v, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=n + v)
+        clients.append(
+            ClientDataset(k, x[v:], y[v:], x[:v], y[:v], np.arange(v, n + v), np.arange(v))
+        )
+    cfg = FlConfig(
+        num_clients=len(sizes), rounds=4, lr=0.3, batch_size=8, snapshot_every=snapshot_every,
+        defense="coalition", coalition=coalition, seed=3,
+    )
+    recycle = RecycleConfig(start_round=t0, num_intervals=3)
+    defense = CoalitionDefenseConfig(m_max=3, m_min=1, recycle=recycle, sigma=sigma)
+    test_X, test_y = rng.normal(size=(6, spec.input_dim)), np.zeros(6, dtype=np.int64)
+    return fed.init_training(cfg, spec, clients, test_X, test_y, defense)
+
+
+# few distinct sizes, so that members share a size with others or hold one of their own
+@settings(max_examples=25, deadline=None)
+@given(
+    data=st.data(),
+    sizes=st.lists(st.sampled_from([12, 20, 27]), min_size=3, max_size=6),
+    hidden=st.sampled_from([0, 5]),
+    t0=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_plans_take_the_training_losses_of_the_broadcast_bit_for_bit(data, sizes, hidden, t0, seed):
+    # from round 2 on the losses come from the previous round's evaluation,
+    # in round 1 (t0 = 1) from one evaluation of the initial model
+    members = data.draw(st.lists(st.integers(0, len(sizes) - 1), min_size=2, unique=True))
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(seed)
+    state = _coalition_state(spec, rng, sizes, [2] * len(sizes), t0, 0.1, coalition=members)
+    seen = []
+    plan = fed.plan_local_update
+
+    def recording(losses, assigned, round_t, recycle, bandit, bandit_rng):
+        if losses is not None:
+            (k,) = [k for k, b in state.bandits.items() if b is bandit]
+            seen.append((round_t, k, losses.copy(), state.global_params.copy()))
+        return plan(losses, assigned, round_t, recycle, bandit, bandit_rng)
+
+    with mock.patch.object(fed, "plan_local_update", recording):
+        for t in range(1, 5):
+            fed.run_round(state, t)
+    assert [(t, k) for t, k, *_ in seen] == [(t, k) for t in range(t0, 5) for k in sorted(members)]
+    for _, k, losses, broadcast in seen:
+        client = state.clients[k]
+        alone = models.per_sample_losses(spec, broadcast, client.train_X, client.train_y)
+        assert np.array_equal(_bits(losses), _bits(alone))
+
+
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_rewards_take_each_members_validation_losses_alone_bit_for_bit(hidden):
+    # validation sizes 3, 5 and 3 for the members, and none for a plain client
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(37)
+    state = _coalition_state(
+        spec, rng, [20, 24, 26, 33, 20], [3, 5, 0, 3, 4], 1, sigma=0.0, snapshot_every=1
+    )
+    for t in range(1, 5):
+        fed.run_round(state, t)
+    assert len(state.telemetry) == 12
+    for tele in state.telemetry:
+        client, row = state.clients[tele.client_id], tele.round_t - 1
+        val = (client.val_X, client.val_y)
+        before = float(models.per_sample_losses(spec, state.store.globals[row], *val).mean())
+        local = state.store.locals[row][tele.client_id]
+        after = float(models.per_sample_losses(spec, local, *val).mean())
+        assert tele.arm >= 0 and _bits(tele.raw_reward) == _bits(before - after)
+
+
+def test_non_finite_validation_loss_at_the_broadcast_names_the_round_and_member():
+    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
+    state = _coalition_state(spec, np.random.default_rng(41), [20] * 5, [2] * 5, 1, sigma=0.1)
+    state.clients[1].val_X[0, 0] = np.inf  # every model's loss on this row is not finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the non-finite loss is raised, not warned about
+        with pytest.raises(FloatingPointError, match=r"round 1: non-finite .* client\(s\) \[1\]"):
+            fed.run_round(state, 1)

@@ -466,3 +466,34 @@ def test_a_list_of_stacks_gives_each_batch_its_own_losses(spec):
     assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
     with pytest.raises(ValueError, match="24 labels for 25 samples"):
         models.per_sample_losses(spec, params, xs, [ys[0], ys[1][:, :-1]])
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+def test_a_model_per_batch_gives_each_batch_the_losses_of_its_model_alone(spec):
+    rng = np.random.default_rng(19)
+    theta = np.stack([models.init_params(spec, rng) for _ in range(4)])
+    xs = [2.0 * rng.normal(size=(3, 7, spec.input_dim)), 2.0 * rng.normal(size=(1, 4, 5))]
+    ys = [rng.integers(0, spec.num_classes, size=(3, 7)), rng.integers(0, 3, size=(1, 4))]
+    got = models.per_sample_losses(spec, theta, xs, ys)
+    batches = [*zip(xs[0], ys[0]), (xs[1][0], ys[1][0])]
+    want = [models.per_sample_losses(spec, p, x, y) for p, (x, y) in zip(theta, batches)]
+    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
+    stacked = models.per_sample_losses(spec, theta[:3], xs[0], ys[0])
+    assert np.array_equal(_bits(stacked), _bits(np.stack(want[:3])))
+    with pytest.raises(ValueError, match=r"expected \(4, \d+\): one model per batch"):
+        models.per_sample_losses(spec, theta[:3], xs, ys)
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+@pytest.mark.parametrize("one_model", [True, False], ids=["one_model", "model_per_batch"])
+def test_losses_by_batch_equal_each_batch_alone(spec, one_model):
+    rng = np.random.default_rng(23)
+    sizes = [9, 4, 9, 13, 4, 9]  # two repeated sizes and one lone one
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in sizes]
+    ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
+    theta = np.stack([models.init_params(spec, rng) for _ in sizes])
+    params = theta[0] if one_model else theta
+    got = models.losses_by_batch(spec, params, xs, ys)
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        alone = models.per_sample_losses(spec, theta[0 if one_model else i], x, y)
+        assert np.array_equal(_bits(got[i]), _bits(alone))
