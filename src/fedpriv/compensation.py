@@ -289,15 +289,15 @@ def plan_local_update(
     round_t: int,
     recycle: RecycleConfig,
     bandit: BanditState,
-    bandit_rng: np.random.Generator,
+    bandit_rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, int, int]:
     """Plan one defended local update: (rows, arm, number of recycled rows).
 
     The rows are training positions, assigned then recycled. Before the start
-    round the arm is -1 and nothing is recycled (`losses` may be None); from
-    it on, intervals of `losses`, the received global model's per-sample
-    training losses, are built, one is drawn, and its not-assigned samples
-    (capped) are recycled.
+    round the arm is -1 and nothing is recycled (`losses` and `bandit_rng`
+    may be None); from it on, intervals of `losses`, the received global
+    model's per-sample training losses, are built, one is drawn, and its
+    not-assigned samples (capped) are recycled.
     """
     assigned_pos = np.asarray(assigned_pos, dtype=np.int64)
     if round_t < recycle.start_round:

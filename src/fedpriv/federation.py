@@ -240,6 +240,8 @@ def aggregate_weighted(params_list, weights) -> np.ndarray:
     """Element-wise weighted average sum(w_k * theta_k) / sum(w_k) of the
     parameter vectors in `params_list` (a sequence or the rows of a matrix)."""
     weights = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be finite, got {weights}")
     if len(params_list) != len(weights):
         raise ValueError("params_list and weights differ in length")
     if len(params_list) == 0:
@@ -249,10 +251,11 @@ def aggregate_weighted(params_list, weights) -> np.ndarray:
     length = len(params_list[0])
     if any(len(p) != length for p in params_list):
         raise ValueError("parameter vectors differ in length")
-    out = np.zeros(length)
-    for w, p in zip(weights, params_list):
-        out += w * p
-    return out / weights.sum()
+    weighted = weights[:, None] * np.asarray(params_list, dtype=np.float64)
+    if length == 1:  # numpy would sum a contiguous column pairwise, not in order
+        weighted = np.repeat(weighted, 2, axis=1)
+    # from +0.0 and row after row, as a loop of `out += w * p` sums
+    return np.add.reduce(weighted, axis=0, initial=0.0)[:length] / weights.sum()
 
 
 def grad_sparsify(update: np.ndarray, keep_rate: float) -> np.ndarray:
@@ -296,6 +299,10 @@ class TrainingState:
     # (params, {client id: per-sample training losses under params}) of the
     # evaluation that ended the last round, params being the global model then
     evaluation: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
+    # (ids, prepared lock-step inputs or None) of the clients with rows to
+    # train in a round without coalition plans: built at the first such round,
+    # dropped when run_training ends
+    plain_lockstep: tuple[list[int], models.LockstepInputs | None] | None = None
 
 
 def init_training(
@@ -367,6 +374,25 @@ def _member_losses(state: TrainingState, round_t: int) -> dict[int, np.ndarray |
     return losses
 
 
+def _lockstep_inputs(state: TrainingState, plans: dict):
+    """(ids, prepared lock-step inputs, or None when ids is empty) of the
+    round's clients with rows to train, in client order. Plans give their
+    members rows of the round's own; without plans every client trains on
+    its training set, whose inputs are prepared once and kept on the state."""
+    if not plans and state.plain_lockstep is not None:
+        return state.plain_lockstep
+    rows = {k: (c.train_X, c.train_y, None) for k, c in enumerate(state.clients)}
+    rows.update({k: planned_rows(state.clients[k], plan) for k, plan in plans.items()})
+    ids = [k for k, (_, y, _) in rows.items() if len(y)]
+    inputs = None
+    if ids:
+        xs, ys, masks = zip(*(rows[k] for k in ids))
+        inputs = models.prepare_lockstep(xs, ys, state.config.batch_size, masks)
+    if not plans:
+        state.plain_lockstep = (ids, inputs)
+    return ids, inputs
+
+
 def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     """The round's (K, P) upload matrix: coalition members under the coalition
     defense are planned, every client with rows to train trains in one
@@ -377,24 +403,22 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     if cfg.defense == "coalition":
         subsets = state.schedule.round_subsets(round_t)
         losses = _member_losses(state, round_t)
+        recycling = round_t >= dcfg.recycle.start_round  # a plan draws only then
         for member, k in enumerate(cfg.coalition):
             client = state.clients[k]
             assigned = select_assigned_subset(client, subsets[member])
-            rng = stream(cfg.seed, "bandit", k, round_t)
+            rng = stream(cfg.seed, "bandit", k, round_t) if recycling else None
             plans[k] = plan_local_update(
                 losses[k], assigned, round_t, dcfg.recycle, state.bandits[k], rng
             )
-    rows = {k: (c.train_X, c.train_y, None) for k, c in enumerate(state.clients)}
-    rows.update({k: planned_rows(state.clients[k], plan) for k, plan in plans.items()})
-    ids = [k for k, (_, y, _) in rows.items() if len(y)]
+    ids, inputs = _lockstep_inputs(state, plans)
     uploads = np.tile(start, (cfg.num_clients, 1))
     if ids:
-        xs, ys, masks = zip(*(rows[k] for k in ids))
         rngs = [stream(cfg.seed, "train", k, round_t) for k in ids]
-        extra = (masks, cr_term(dcfg.recycle.mu) if plans else None)
+        dlogits_fn = cr_term(dcfg.recycle.mu) if plans else None
         try:
-            uploads[ids] = models.sgd_clients(
-                state.spec, start, xs, ys, cfg.lr, cfg.local_epochs, cfg.batch_size, rngs, extra
+            uploads[ids] = models.sgd_lockstep(
+                state.spec, start, inputs, cfg.lr, cfg.local_epochs, rngs, dlogits_fn
             )
         except models.NonFiniteLoss as err:
             raise _diverged(round_t, [ids[i] for i in err.clients]) from None
@@ -490,4 +514,7 @@ def run_training(
     state = init_training(config, spec, clients, test_X, test_y, defense_cfg)
     for t in range(1, config.rounds + 1):
         run_round(state, t)
+    # a finished state keeps no copy of the clients' rows, which a caller
+    # would otherwise hold through its attack stage
+    state.plain_lockstep = None
     return state

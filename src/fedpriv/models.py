@@ -6,9 +6,12 @@ out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
 The public functions never mutate their inputs and are safe to call
-concurrently. Two private helpers write into arrays they are given:
-`_forward` writes the logits into `out`, and `_relu_backward` overwrites
-`dhid` with its result.
+concurrently; `prepare_lockstep`'s inputs are read-only, so concurrent
+`sgd_lockstep` calls may share them (the generators they draw from are
+their own). Four private helpers write into arrays they are given:
+`_forward` writes the logits, `_backward` the gradients and `_log_softmax`
+the log-probabilities into `out`, and `_relu_backward` overwrites `dhid`
+with its result.
 """
 
 from __future__ import annotations
@@ -120,18 +123,23 @@ def _relu_backward(pre: np.ndarray, dhid: np.ndarray) -> np.ndarray:
     return dhid
 
 
-def _backward(spec: ModelSpec, layers, x, cache, dlogits) -> list[np.ndarray]:
+def _backward(spec: ModelSpec, layers, x, cache, dlogits, out=None) -> list[np.ndarray]:
     """Stacked backward pass from the forward cache: per-layer gradients
-    (G, ...) in `_layers` order for a gradient dlogits (G, b, num_classes)."""
+    (G, ...) in `_layers` order for a gradient dlogits (G, b, num_classes),
+    written into the arrays of `out` (in the same order) if given."""
+    out = out or [None] * (2 if spec.hidden_dim == 0 else 4)
     if spec.hidden_dim == 0:
-        return [dlogits.transpose(0, 2, 1) @ x, dlogits.sum(axis=1)]
+        return [
+            np.matmul(dlogits.transpose(0, 2, 1), x, out=out[0]),
+            dlogits.sum(axis=1, out=out[1]),
+        ]
     pre, hid = cache
     dhid = _relu_backward(pre, dlogits @ layers[2])
     return [
-        dhid.transpose(0, 2, 1) @ x,
-        dhid.sum(axis=1),
-        dlogits.transpose(0, 2, 1) @ hid,
-        dlogits.sum(axis=1),
+        np.matmul(dhid.transpose(0, 2, 1), x, out=out[0]),
+        dhid.sum(axis=1, out=out[1]),
+        np.matmul(dlogits.transpose(0, 2, 1), hid, out=out[2]),
+        dlogits.sum(axis=1, out=out[3]),
     ]
 
 
@@ -159,16 +167,35 @@ def _logits_and_hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
     return logits[0], cache, x
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's max, logits.max(axis=-1, keepdims=True), class by class.
+
+    numpy reduces a short last axis row by row, about 66 ns a row at 10
+    classes; the maximum of a column-major copy's columns runs along all
+    rows at once. Where the max is a tie of +0.0 and -0.0, or of NaNs of
+    both signs, the other one may come back. Softmax and log-softmax keep
+    their bits all the same, but for a NaN's sign: a row whose max is a tied
+    zero has an exponential sum of at least 2, so none of its outputs is 0.
+    """
+    cols = logits.reshape(-1, logits.shape[-1]).T.copy()
+    return np.maximum.reduce(cols, axis=0).reshape(*logits.shape[:-1], 1)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-logit subtraction for stability."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    z = logits - _row_max(logits)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return _log_softmax(logits)
+
+
+def _log_softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """`log_softmax`, written into `out` if given (which may be logits)."""
+    z = np.subtract(logits, _row_max(logits), out=out)
+    return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z)
 
 
 def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -347,6 +374,174 @@ def _pass_rows(groups):
     return groups[0][3], groups[0][3] + sum(counts), row_b
 
 
+@dataclass(frozen=True, eq=False)
+class LockstepInputs:
+    """Read-only inputs of lock-step training for a list of K client
+    datasets, built by `prepare_lockstep`; any number of `sgd_lockstep`
+    calls may share them.
+
+    sizes (K,) are the clients' row counts in list order, and rank, starts
+    and slots are `_lockstep_layout`'s. Each pass is (groups, r0, r1, row_b,
+    masked): the layout's groups, `_pass_rows`' rows, and whether its
+    clients carry a row mask. x, y and mask hold every client's rows in rank
+    order (mask is False where a client has none); width is the most rows
+    of any pass.
+    """
+
+    sizes: np.ndarray
+    batch_size: int
+    rank: np.ndarray
+    starts: np.ndarray
+    slots: np.ndarray
+    passes: tuple
+    width: int
+    x: np.ndarray
+    y: np.ndarray
+    mask: np.ndarray
+
+
+def prepare_lockstep(xs, ys, batch_size: int, masks=None) -> LockstepInputs:
+    """Check and lay out client k's rows (xs[k], ys[k]) and optional boolean
+    row mask masks[k] (masks None, or None for a client without one) for
+    `sgd_lockstep` at batch_size; the rows are copied.
+
+    Raises ValueError, naming the client's position, when its labels or
+    mask do not match its rows.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    k = len(xs)
+    masks = [None] * k if masks is None else masks
+    if k == 0 or len(ys) != k or len(masks) != k:
+        raise ValueError("need one dataset and mask per client, at least one client")
+    sizes = np.asarray([len(x) for x in xs], dtype=np.int64)
+    if sizes.min() == 0:
+        raise ValueError("empty dataset")
+    for i, (n, y, mask) in enumerate(zip(sizes, ys, masks)):
+        if len(y) != n:
+            raise ValueError(f"client {i} has {n} rows but {len(y)} labels")
+        if mask is not None and len(mask) != n:
+            raise ValueError(f"client {i} has {n} rows but {len(mask)} mask entries")
+    cr = np.asarray([mask is not None for mask in masks])
+    rank, starts, slots, layout = _lockstep_layout(sizes, cr, batch_size)
+    passes = tuple(
+        (tuple(groups), *_pass_rows(groups), bool(cr[rank[groups[0][0]]])) for groups in layout
+    )
+    inputs = LockstepInputs(
+        sizes=sizes,
+        batch_size=batch_size,
+        rank=rank,
+        starts=starts,
+        slots=slots,
+        passes=passes,
+        width=max(r1 - r0 for _, r0, r1, _, _ in passes),
+        x=np.concatenate([np.asarray(xs[i], dtype=np.float64) for i in rank]),
+        y=np.concatenate([np.asarray(ys[i], dtype=np.int64) for i in rank]),
+        mask=np.concatenate(
+            [np.asarray(masks[i] if cr[i] else np.zeros(sizes[i]), bool) for i in rank]
+        ),
+    )
+    row_bs = [row_b for *_, row_b, _ in passes if np.ndim(row_b)]
+    for array in (sizes, rank, starts, slots, inputs.x, inputs.y, inputs.mask, *row_bs):
+        array.flags.writeable = False
+    return inputs
+
+
+def sgd_lockstep(
+    spec: ModelSpec,
+    params: np.ndarray,
+    inputs: LockstepInputs,
+    lr: float,
+    epochs: int,
+    rngs: list[np.random.Generator],
+    dlogits_fn=None,
+) -> np.ndarray:
+    """`sgd_clients` on prepared inputs: mini-batch SGD from `params` for
+    the K clients of `inputs`, client k shuffled by rngs[k]; dlogits_fn is
+    the extra term's function for the masked clients. Returns the (K, P)
+    trained parameters; neither `params` nor `inputs` is modified.
+
+    Each pass's gradients are written into one (K, P) buffer, group by group,
+    and its clients, contiguous in rank, take one update.
+    """
+    if not lr >= 0:  # written so that NaN fails
+        raise ValueError(f"lr must be >= 0, got {lr}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    k = len(inputs.sizes)
+    if len(rngs) != k:
+        raise ValueError(f"need one generator per client: {len(rngs)} for {k} clients")
+    if len({id(rng) for rng in rngs}) != k:
+        raise ValueError("each client needs its own generator")
+    rank, starts, sizes = inputs.rank, inputs.starts, inputs.sizes
+    theta = np.repeat(np.asarray(params, dtype=np.float64)[None, :], k, axis=0)
+    step = np.empty_like(theta)  # a pass's gradients, then its update
+    layers, grads = _layers(spec, theta), _layers(spec, step)
+    passes = []  # per pass: its rows, clients and groups, with their layer views
+    for groups, r0, r1, row_b, masked in inputs.passes:
+        stacked = [
+            (
+                [v[j0:j1] for v in layers],
+                [v[j0:j1] for v in grads],
+                slice(row - r0, row - r0 + (j1 - j0) * b),
+                j1 - j0,
+                b,
+            )
+            for j0, j1, b, row in groups
+        ]
+        passes.append((r0, r1, row_b, masked, groups[0][0], groups[-1][1], stacked))
+    order = np.empty(len(inputs.slots), dtype=np.int64)
+    logits_buf = np.empty((inputs.width, spec.num_classes))
+    row_base = np.arange(inputs.width) * spec.num_classes  # flat index of each row's first logit
+    # non-finite values are detected and reported below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            order[inputs.slots] = np.concatenate(
+                [starts[j] + rngs[i].permutation(sizes[i]) for j, i in enumerate(rank)]
+            )
+            for r0, r1, row_b, masked, j_lo, j_hi, stacked in passes:
+                rows = order[r0:r1]
+                x, y = inputs.x[rows], inputs.y[rows]
+                logits = logits_buf[: r1 - r0]
+                target = row_base[: r1 - r0] + y
+                forwards = []
+                for group, _, at, g, b in stacked:
+                    xb = x[at].reshape(g, b, -1)
+                    _, cache = _forward(spec, group, xb, out=logits[at].reshape(g, b, -1))
+                    forwards.append((xb, cache))
+                if not masked:
+                    dlogits = _log_softmax(logits, out=logits)
+                    checked = dlogits.ravel()[target]  # each row's target log-probability
+                    np.exp(dlogits, out=dlogits)
+                else:
+                    probs = softmax(logits)
+                    dlogits = probs.copy()
+                dlogits.ravel()[target] -= 1.0
+                if masked:
+                    rb = inputs.mask[rows]
+                    if rb.any():
+                        dlogits[rb] += dlogits_fn(probs[rb], y[rb])
+                    checked = np.where(np.isfinite(dlogits).all(axis=1), 0.0, np.nan)
+                # every value is <= 0 or NaN, so no client's sum of at most
+                # batch_size of them can overflow when this product is finite
+                if not np.isfinite(checked.min() * (4 * inputs.batch_size)):
+                    # sum each client's rows as a lone client's batch does: the
+                    # order of a sum decides whether it overflows
+                    sums = [checked[at].reshape(g, b).sum(axis=1) for *_, at, g, b in stacked]
+                    finite = np.isfinite(np.concatenate(sums))
+                    if not finite.all():
+                        raise NonFiniteLoss(rank[j_lo:j_hi][~finite])
+                dlogits /= row_b
+                for (group, grad, at, g, b), (xb, cache) in zip(stacked, forwards):
+                    _backward(spec, group, xb, cache, dlogits[at].reshape(g, b, -1), out=grad)
+                update = step[j_lo:j_hi]
+                update *= lr
+                theta[j_lo:j_hi] -= update
+    out = np.empty_like(theta)
+    out[rank] = theta
+    return out
+
+
 def sgd_clients(
     spec: ModelSpec,
     params: np.ndarray,
@@ -386,90 +581,13 @@ def sgd_clients(
     mask do not match its rows, and NonFiniteLoss naming the clients whose
     batch loss (cross-entropy) or logit gradient (with a mask) is not finite,
     among those of the first step and path where one is.
+
+    It is `prepare_lockstep` then `sgd_lockstep`; a caller that trains the
+    same rows again can keep the prepared inputs.
     """
-    if not lr >= 0:  # written so that NaN fails
-        raise ValueError(f"lr must be >= 0, got {lr}")
-    if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
-    k = len(xs)
-    masks, dlogits_fn = extra_term if extra_term is not None else ([None] * k, None)
-    if k == 0 or len(ys) != k or len(rngs) != k or len(masks) != k:
-        raise ValueError("need one dataset, mask and generator per client, at least one client")
-    if len({id(rng) for rng in rngs}) != k:
-        raise ValueError("each client needs its own generator")
-    sizes = np.asarray([len(x) for x in xs], dtype=np.int64)
-    if sizes.min() == 0:
-        raise ValueError("empty dataset")
-    for i, (n, y, mask) in enumerate(zip(sizes, ys, masks)):
-        if len(y) != n:
-            raise ValueError(f"client {i} has {n} rows but {len(y)} labels")
-        if mask is not None and len(mask) != n:
-            raise ValueError(f"client {i} has {n} rows but {len(mask)} mask entries")
-    cr = np.asarray([mask is not None for mask in masks])
-    rank, starts, slots, passes = _lockstep_layout(sizes, cr, batch_size)
-    plans = [_pass_rows(groups) for groups in passes]
-    x_all = np.concatenate([np.asarray(xs[i], dtype=np.float64) for i in rank])
-    y_all = np.concatenate([np.asarray(ys[i], dtype=np.int64) for i in rank])
-    mask_all = np.concatenate(
-        [np.asarray(masks[i] if cr[i] else np.zeros(sizes[i]), bool) for i in rank]
-    )
-    theta = np.repeat(np.asarray(params, dtype=np.float64)[None, :], k, axis=0)
-    layers = _layers(spec, theta)
-    order = np.empty(len(slots), dtype=np.int64)
-    width = max(r1 - r0 for r0, r1, _ in plans)
-    logits_buf = np.empty((width, spec.num_classes))
-    row_base = np.arange(width) * spec.num_classes  # flat index of each row's first logit
-    # non-finite values are detected and reported below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            order[slots] = np.concatenate(
-                [starts[j] + rngs[i].permutation(sizes[i]) for j, i in enumerate(rank)]
-            )
-            for groups, (r0, r1, row_b) in zip(passes, plans):
-                rows = order[r0:r1]
-                x, y = x_all[rows], y_all[rows]
-                logits = logits_buf[: r1 - r0]
-                target = row_base[: r1 - r0] + y
-                stacked = []
-                for j0, j1, b, row in groups:
-                    g, at = j1 - j0, slice(row - r0, row - r0 + (j1 - j0) * b)
-                    group = [v[j0:j1] for v in layers]
-                    xb = x[at].reshape(g, b, -1)
-                    _, cache = _forward(spec, group, xb, out=logits[at].reshape(g, b, -1))
-                    stacked.append((group, xb, cache, at, g, b))
-                j_lo, j_hi = groups[0][0], groups[-1][1]
-                masked = cr[rank[j_lo]]
-                if not masked:
-                    dlogits = log_softmax(logits)
-                    checked = dlogits.ravel()[target]  # each row's target log-probability
-                    np.exp(dlogits, out=dlogits)
-                else:
-                    probs = softmax(logits)
-                    dlogits = probs.copy()
-                dlogits.ravel()[target] -= 1.0
-                if masked:
-                    rb = mask_all[rows]
-                    if rb.any():
-                        dlogits[rb] += dlogits_fn(probs[rb], y[rb])
-                    checked = np.where(np.isfinite(dlogits).all(axis=1), 0.0, np.nan)
-                # every value is <= 0 or NaN, so no client's sum of at most
-                # batch_size of them can overflow when this product is finite
-                if not np.isfinite(checked.min() * (4 * batch_size)):
-                    # sum each client's rows as a lone client's batch does: the
-                    # order of a sum decides whether it overflows
-                    sums = [checked[at].reshape(g, b).sum(axis=1) for *_, at, g, b in stacked]
-                    finite = np.isfinite(np.concatenate(sums))
-                    if not finite.all():
-                        raise NonFiniteLoss(rank[j_lo:j_hi][~finite])
-                dlogits /= row_b
-                for group, xb, cache, at, g, b in stacked:
-                    grads = _backward(spec, group, xb, cache, dlogits[at].reshape(g, b, -1))
-                    for v, grad in zip(group, grads):
-                        grad *= lr
-                        v -= grad
-    out = np.empty_like(theta)
-    out[rank] = theta
-    return out
+    masks, dlogits_fn = extra_term if extra_term is not None else (None, None)
+    inputs = prepare_lockstep(xs, ys, batch_size, masks)
+    return sgd_lockstep(spec, params, inputs, lr, epochs, rngs, dlogits_fn)
 
 
 def sgd_epochs(

@@ -5,11 +5,13 @@ library's implementations: finite-difference gradients, exhaustive
 subset-assignment search, the greedy class placement on Python sets and the
 percentile-based reward normalization the library used to run, pair-counting
 AUC, the scipy rank-sum AUC the library used to compute, a threshold-sweep
-TPR@FPR, the step-by-step loop that built the lock-step layout, and
+TPR@FPR, the step-by-step loop that built the lock-step layout, the softmax,
+log-softmax and weighted aggregation formulas the library used to run, and
 mini-batch SGD that trains one client and one batch at a time.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -167,6 +169,28 @@ def trapezoid_auc(scores, labels):
     return float(np.trapezoid(tpr_pts, fpr_pts))
 
 
+def reference_softmax(logits):
+    """`models.softmax` as it ran on numpy's row-wise max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_log_softmax(logits):
+    """`models.log_softmax` as it ran on numpy's row-wise max."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def loop_aggregate(params_list, weights):
+    """`federation.aggregate_weighted` as it ran: one `out += w * p` per vector."""
+    weights = np.asarray(weights, dtype=np.float64)
+    out = np.zeros(len(params_list[0]))
+    for w, p in zip(weights, params_list):
+        out += w * p
+    return out / weights.sum()
+
+
 def _forward_2d(spec, params, x):
     """One model's forward pass on an (n, d) batch, layer by layer."""
     from fedpriv.models import unpack
@@ -203,8 +227,6 @@ def sequential_sgd(spec, params, x, y, lr, epochs, batch_size, rng, extra_term=N
     step takes softmax probabilities and adds dlogits_fn(probs, y) on the
     masked rows. Each batch's gradient is divided by its own size.
     """
-    from fedpriv.models import log_softmax, softmax
-
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = x.shape[0]
@@ -216,14 +238,14 @@ def sequential_sgd(spec, params, x, y, lr, epochs, batch_size, rng, extra_term=N
             xb, yb, b = x[idx], y[idx], len(idx)
             logits, _ = _forward_2d(spec, out, xb)
             if extra_term is None:
-                logp = log_softmax(logits)
+                logp = reference_log_softmax(logits)
                 if not np.isfinite(-logp[np.arange(b), yb].mean()):
                     raise FloatingPointError("non-finite loss")
                 dlogits = np.exp(logp)
                 dlogits[np.arange(b), yb] -= 1.0
             else:
                 mask, dlogits_fn = extra_term
-                probs = softmax(logits)
+                probs = reference_softmax(logits)
                 dlogits = probs.copy()
                 dlogits[np.arange(b), yb] -= 1.0
                 rb = np.asarray(mask, dtype=bool)[idx]
@@ -246,6 +268,24 @@ def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, e
             )
             for k in range(len(xs))
         ]
+    )
+
+
+def recorded_lockstep_inputs(xs, ys, batch_size, masks=None):
+    """Stand-in for `models.prepare_lockstep` that keeps its arguments as
+    given, for `sequential_sgd_lockstep`."""
+    return SimpleNamespace(
+        xs=xs, ys=ys, batch_size=batch_size, masks=masks, sizes=[len(x) for x in xs]
+    )
+
+
+def sequential_sgd_lockstep(spec, params, inputs, lr, epochs, rngs, dlogits_fn=None):
+    """Stand-in for `models.sgd_lockstep` on `recorded_lockstep_inputs`: the
+    clients train one after another (`sequential_sgd_clients`)."""
+    masks = inputs.masks if inputs.masks is not None else [None] * len(inputs.xs)
+    return sequential_sgd_clients(
+        spec, params, inputs.xs, inputs.ys, lr, epochs, inputs.batch_size, rngs,
+        (masks, dlogits_fn),
     )
 
 

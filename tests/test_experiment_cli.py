@@ -1,9 +1,11 @@
 """End-to-end tests for the experiment stages and the CLI."""
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 import zipfile
 
 import numpy as np
@@ -13,7 +15,7 @@ from fedpriv import cli, experiment as ex
 from fedpriv import models
 from fedpriv.config import ConfigError, parse_config_text
 from fedpriv.federation import MODEL_FIELDS, SNAPSHOT_FIELDS
-from oracles import sequential_sgd_clients
+from oracles import recorded_lockstep_inputs, sequential_sgd_lockstep
 
 SMALL = """
 data.source = synthetic
@@ -101,10 +103,32 @@ def test_lockstep_outputs_match_sequential_oracle(tmp_path, monkeypatch):
     cfg = parse_config_text(DEFENDED)
     a, b = tmp_path / "lockstep", tmp_path / "oracle"
     ex.run_experiment(cfg, str(a))
-    monkeypatch.setattr(models, "sgd_clients", sequential_sgd_clients)
+    monkeypatch.setattr(models, "prepare_lockstep", recorded_lockstep_inputs)
+    monkeypatch.setattr(models, "sgd_lockstep", sequential_sgd_lockstep)
     ex.run_experiment(cfg, str(b))
     for name in (ex.ROUNDS_CSV, ex.COMPENSATION_CSV, ex.ATTACKS_CSV, ex.SNAPSHOTS_NPZ):
         assert _read(a / name) == _read(b / name), name
+
+
+def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch):
+    # nothing keeps a finished run's rows alive: the prepared lock-step inputs
+    # are gone with the run, the clients' arrays with the state
+    prepared = []
+    prepare = models.prepare_lockstep
+
+    def recording(*args, **kwargs):
+        inputs = prepare(*args, **kwargs)
+        prepared.append(weakref.ref(inputs))
+        return inputs
+
+    monkeypatch.setattr(models, "prepare_lockstep", recording)
+    state = ex.stage_train(parse_config_text(SMALL), str(tmp_path / "t"))
+    gc.collect()
+    assert len(prepared) == 1 and prepared[0]() is None
+    refs = [weakref.ref(c.train_X) for c in state.clients]
+    del state
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
 
 
 def test_undefended_run_has_header_only_side_csvs(tmp_path):
@@ -246,7 +270,7 @@ def test_cli_infeasible_pools_fail_before_training(tmp_path, capsys):
 
 def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(models, "sgd_clients", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
     cfg = parse_config_text(DEFENDED + "defense.intervals = 40\n")
     with pytest.raises(ConfigError, match=r"'defense.intervals': 40 intervals .* client 0$"):
         ex.stage_train(cfg, str(tmp_path / "t"))
@@ -256,7 +280,7 @@ def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monke
 def test_out_override_that_config_text_cannot_keep_is_refused(tmp_path, capsys, monkeypatch):
     # `--out` replaces output.dir after the config file was validated
     calls = []
-    monkeypatch.setattr(models, "sgd_clients", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL, encoding="utf-8")
     out = tmp_path / "x #y"

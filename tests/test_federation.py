@@ -6,9 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedpriv import experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
 from fedpriv.compensation import RecycleConfig
@@ -16,7 +17,7 @@ from fedpriv.data import ClientDataset
 from fedpriv.federation import CoalitionDefenseConfig, FlConfig
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
-from oracles import sequential_sgd_clients
+from oracles import loop_aggregate, recorded_lockstep_inputs, sequential_sgd_lockstep
 
 
 # --- aggregation -----------------------------------------------------------
@@ -54,6 +55,36 @@ def test_aggregate_rejects_mismatch():
         fed.aggregate_weighted([np.zeros(2), np.zeros(3)], [1.0, 1.0])
     with pytest.raises(ValueError):
         fed.aggregate_weighted([np.zeros(2)], [0.0])
+
+
+@pytest.mark.parametrize("weights", [[1.0, np.nan], [np.inf, 1.0], [-np.inf, 2.0]])
+def test_aggregate_rejects_non_finite_weights_naming_them(weights):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused up front, not warned about
+        with pytest.raises(ValueError, match=r"weights must be finite, got \[.*(nan|inf)"):
+            fed.aggregate_weighted([np.ones(3), np.ones(3)], weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 64),
+    p=st.integers(1, 50),
+    seed=st.integers(0, 2**16),
+    as_rows=st.booleans(),
+)
+@example(k=9, p=1, seed=0, as_rows=False)  # numpy would sum this column pairwise
+@example(k=64, p=1, seed=1, as_rows=True)
+def test_aggregate_keeps_the_bits_of_the_loop(k, p, seed, as_rows):
+    # magnitudes over six decades, signed zeros and zero weights, so that the
+    # order of the additions and the sign of a zero sum both show
+    rng = np.random.default_rng(seed)
+    params = rng.normal(size=(k, p)) * 10.0 ** rng.integers(-3, 4, size=(k, p))
+    params[rng.random((k, p)) < 0.3] = -0.0
+    weights = rng.integers(0, 400, size=k).astype(np.float64)
+    weights[0] += 1.0
+    vectors = list(params) if as_rows else params
+    got = fed.aggregate_weighted(vectors, weights)
+    assert np.array_equal(_bits(got), _bits(loop_aggregate(vectors, weights)))
 
 
 # --- baseline defenses -----------------------------------------------------
@@ -163,7 +194,8 @@ def test_lockstep_training_matches_sequential_oracle(monkeypatch):
         extra="defense.kind = coalition\ndefense.coalition = 0,1\ndefense.t0 = 2\n",
     )
     _, lockstep = run_from_config(cfg)
-    monkeypatch.setattr(models, "sgd_clients", sequential_sgd_clients)
+    monkeypatch.setattr(models, "prepare_lockstep", recorded_lockstep_inputs)
+    monkeypatch.setattr(models, "sgd_lockstep", sequential_sgd_lockstep)
     _, oracle = run_from_config(cfg)
     assert sum(tele.n_recycled for tele in oracle.telemetry) > 0
     assert lockstep.store.rounds == oracle.store.rounds
@@ -178,17 +210,61 @@ def test_every_round_trains_in_one_lockstep_call(kind, monkeypatch):
     extra = "" if kind == "none" else f"defense.kind = {kind}\ndefense.coalition = 0,1\n"
     cfg = make_config(clients=5, rounds=4, extra=extra + "defense.t0 = 2\n")
     calls = []
-    lockstep = models.sgd_clients
+    lockstep = models.sgd_lockstep
 
     def counting(*args, **kwargs):
-        calls.append(len(args[2]))
+        calls.append(len(args[2].sizes))
         return lockstep(*args, **kwargs)
 
-    monkeypatch.setattr(models, "sgd_clients", counting)
+    monkeypatch.setattr(models, "sgd_lockstep", counting)
     _, state = run_from_config(cfg)
     assert calls == [5] * 4
     if kind == "coalition":
         assert sum(tele.n_recycled for tele in state.telemetry) > 0
+
+
+@pytest.mark.parametrize("kind, prepared", [("none", 1), ("grad_noise", 1), ("coalition", 4)])
+def test_rounds_without_plans_prepare_their_lockstep_inputs_once(kind, prepared, monkeypatch):
+    # coalition plans change the members' rows every round; nothing else does
+    extra = "" if kind == "none" else f"defense.kind = {kind}\ndefense.coalition = 0,1\n"
+    cfg = make_config(clients=5, rounds=4, extra=extra + "defense.t0 = 2\n")
+    calls = []
+    prepare = models.prepare_lockstep
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(models, "prepare_lockstep", counting)
+    run_from_config(cfg)
+    assert calls == [5] * prepared
+
+
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_kept_lockstep_inputs_give_the_uploads_of_inputs_rebuilt_every_round(hidden):
+    cfg = make_config(
+        clients=5,
+        rounds=4,
+        hidden=hidden,
+        snapshot_every=1,
+        extra="defense.kind = grad_noise\ndefense.coalition = 0,1\n",
+    )
+    prep = ex.prepare_data(cfg)
+
+    def run(rebuild):
+        fl = ex.build_fl_config(cfg)
+        state = fed.init_training(fl, prep.spec, prep.clients, prep.test.X, prep.test.y)
+        for t in range(1, 5):
+            if rebuild:
+                state.plain_lockstep = None
+            fed.run_round(state, t)
+        return state
+
+    kept, rebuilt = run(False), run(True)
+    assert kept.plain_lockstep is not None
+    for a, b in zip(kept.store.locals, rebuilt.store.locals, strict=True):
+        assert np.array_equal(_bits(a), _bits(b))
+    assert np.array_equal(_bits(kept.global_params), _bits(rebuilt.global_params))
 
 
 def test_member_with_nothing_to_train_uploads_the_broadcast():
@@ -351,7 +427,9 @@ def test_non_finite_global_training_loss_names_the_round(client, monkeypatch):
     clients[client].train_X[0, 0] = np.inf
     # local training leaves the broadcast as it is, so only the evaluation meets the inf
     monkeypatch.setattr(
-        models, "sgd_clients", lambda spec, params, xs, *rest: np.tile(params, (len(xs), 1))
+        models,
+        "sgd_lockstep",
+        lambda spec, params, inputs, *rest: np.tile(params, (len(inputs.sizes), 1)),
     )
     cfg = FlConfig(num_clients=len(clients), rounds=2, seed=5)
     state = fed.init_training(cfg, spec, clients, rng.normal(size=(5, 4)), np.zeros(5, int))
@@ -581,6 +659,49 @@ def test_rewards_take_each_members_validation_losses_alone_bit_for_bit(hidden):
         local = state.store.locals[row][tele.client_id]
         after = float(models.per_sample_losses(spec, local, *val).mean())
         assert tele.arm >= 0 and _bits(tele.raw_reward) == _bits(before - after)
+
+
+def test_bandit_generators_are_made_only_from_t0_on(tmp_path):
+    # a plan before t0 draws nothing, so no generator is made for it: members
+    # x (T - t0 + 1) "bandit" streams, and the plans and compensation.csv of
+    # runs that made one every round
+    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
+    runs = []
+    for every_round in (False, True):
+        rng = np.random.default_rng(43)
+        state = _coalition_state(spec, rng, [20, 24, 26, 33, 20], [3] * 5, 3, sigma=0.1)
+        made, plans = [], []
+        stream, plan = fed.stream, fed.plan_local_update
+
+        def counting(seed, *labels):
+            made.append(labels)
+            return stream(seed, *labels)
+
+        def recording(losses, assigned, round_t, recycle, bandit, bandit_rng):
+            if every_round and bandit_rng is None:  # the generator such a round made
+                (k,) = [k for k, b in state.bandits.items() if b is bandit]
+                bandit_rng = stream(state.config.seed, "bandit", k, round_t)
+            plans.append(plan(losses, assigned, round_t, recycle, bandit, bandit_rng))
+            return plans[-1]
+
+        with mock.patch.object(fed, "stream", counting):
+            with mock.patch.object(fed, "plan_local_update", recording):
+                for t in range(1, 5):
+                    fed.run_round(state, t)
+        path = tmp_path / f"compensation_{every_round}.csv"
+        ex.write_compensation_csv(str(path), state.telemetry)
+        runs.append((made, plans, path.read_bytes(), state.global_params))
+    (made, plans, csv, final), (_, old_plans, old_csv, old_final) = runs
+    members, t0, rounds = (0, 1, 3), 3, 4
+    bandit = [labels for labels in made if labels[0] == "bandit"]
+    assert len(bandit) == len(members) * (rounds - t0 + 1)
+    assert sorted(bandit) == [("bandit", k, t) for k in members for t in range(t0, rounds + 1)]
+    assert sum(n for *_, n in plans) > 0  # some rows were recycled
+    assert len(plans) == len(old_plans) == len(members) * rounds
+    for (rows, arm, n), (old_rows, old_arm, old_n) in zip(plans, old_plans):
+        assert np.array_equal(rows, old_rows) and (arm, n) == (old_arm, old_n)
+    assert csv == old_csv
+    assert np.array_equal(_bits(final), _bits(old_final))
 
 
 def test_non_finite_validation_loss_at_the_broadcast_names_the_round_and_member():

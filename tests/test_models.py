@@ -15,6 +15,8 @@ from oracles import (
     finite_difference_grad,
     loop_lockstep_layout,
     max_rel_error,
+    reference_log_softmax,
+    reference_softmax,
     sequential_sgd_clients,
 )
 
@@ -134,6 +136,47 @@ def test_softmax_sums_to_one_property():
         probs = models.predict_proba(MLP, params, rng.normal(size=(4, 5)))
         assert np.all(probs >= 0)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-9
+
+
+# Signed zeros, ones, infinities, subnormals, huge values and a NaN: the
+# values where a max's tie or a subtraction's rounding could show.
+EDGE_LOGITS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+
+
+def _edge_rows(values):
+    return st.integers(2, 20).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from(values), min_size=c, max_size=c), min_size=1, max_size=12
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_edge_rows(EDGE_LOGITS))
+@example(rows=[[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [np.inf, np.inf, 0.0], [np.nan, -np.inf, 1.0]])
+def test_softmax_and_log_softmax_keep_the_bits_of_the_row_wise_max_formulas(rows):
+    logits = np.asarray(rows)
+    with np.errstate(all="ignore"):
+        for got, want in (
+            (models.log_softmax(logits), reference_log_softmax(logits)),
+            (models.softmax(logits), reference_softmax(logits)),
+        ):
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_edge_rows(EDGE_LOGITS + [-np.nan]))
+def test_softmax_with_nans_of_both_signs_differs_at_most_in_a_nans_sign(rows):
+    # which of two NaNs a max returns depends on its order of comparisons
+    logits = np.asarray(rows)
+    with np.errstate(all="ignore"):
+        for got, want in (
+            (models.log_softmax(logits), reference_log_softmax(logits)),
+            (models.softmax(logits), reference_softmax(logits)),
+        ):
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
 
 
 def test_sgd_zero_lr_is_identity():
@@ -384,6 +427,54 @@ def test_lockstep_sgd_needs_a_generator_per_client():
     shared = np.random.default_rng(0)
     with pytest.raises(ValueError, match="own generator"):
         models.sgd_clients(LOGISTIC, params, [x, x], [y, y], 0.1, 1, 4, [shared, shared])
+
+
+def _dirichlet_round(seed, hidden=0):
+    """dirichlet_logreg's round shapes: 20 unequal clients, 20 features, 10 classes."""
+    spec = ModelSpec(input_dim=20, hidden_dim=hidden, num_classes=10)
+    rng = np.random.default_rng(seed)
+    xs = [rng.normal(size=(n, 20)) for n in DIRICHLET_SIZES]
+    ys = [rng.integers(0, 10, size=n) for n in DIRICHLET_SIZES]
+    return spec, xs, ys
+
+
+def test_prepared_lockstep_inputs_are_read_only_copies():
+    _, xs, ys = _dirichlet_round(17)
+    masks = [None] * len(xs)
+    masks[3] = np.arange(len(xs[3])) % 2 == 0
+    inputs = models.prepare_lockstep(xs, ys, 32, masks)
+    arrays = [inputs.sizes, inputs.rank, inputs.starts, inputs.slots, inputs.x, inputs.y]
+    arrays += [inputs.mask] + [row_b for *_, row_b, _ in inputs.passes if np.ndim(row_b)]
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+    assert not any(np.shares_memory(inputs.x, x) for x in xs)
+    xs[0][0, 0] = 99.0  # the caller's rows stay the caller's
+    assert 99.0 not in inputs.x
+
+
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_prepared_inputs_reused_across_calls_train_as_fresh_ones(hidden):
+    # one prepared set, three rounds from three starts with fresh streams:
+    # each round equals an sgd_clients call that prepares its own inputs
+    spec, xs, ys = _dirichlet_round(18, hidden)
+    masks = [None] * len(xs)
+    masks[5] = np.arange(len(xs[5])) < 40
+    fn = cr_term(0.05)
+    inputs = models.prepare_lockstep(xs, ys, 32, masks)
+    x_before = inputs.x.copy()
+    rng = np.random.default_rng(19)
+    for t in range(3):
+        start = models.init_params(spec, rng)
+
+        def streams():
+            return [np.random.default_rng([t, k]) for k in range(len(xs))]
+
+        got = models.sgd_lockstep(spec, start, inputs, 0.2, 2, streams(), fn)
+        want = models.sgd_clients(spec, start, xs, ys, 0.2, 2, 32, streams(), (masks, fn))
+        assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(inputs.x), _bits(x_before))
 
 
 # Signed zeros, NaNs of both signs, infinities and subnormals: every pair of
