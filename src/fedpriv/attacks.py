@@ -9,6 +9,10 @@ Targets: the global model series, one client's local model series, or the
 weighted aggregate of the defender coalition's locals (the adaptive
 attacker's target, which the cancellation property makes identical with
 and without perturbation).
+
+Several attacks read the same measurements: `run_attack` calls that pass
+one `shared` dict compute each trajectory and OUT statistic once between
+them (`experiment.stage_attack` makes one dict per call).
 """
 
 from __future__ import annotations
@@ -63,16 +67,45 @@ def _target_params(store: SnapshotStore, selector, row: int) -> np.ndarray:
     return aggregate_weighted(locals_t[ids], store.client_sizes[ids])
 
 
+# Most bytes of hidden activations and logits that one stacked forward pass
+# of `_static_measurements` holds. glibc serves a larger request from a fresh
+# mapping (its default mmap threshold is 128 KiB) and unmaps it on free, so
+# every further pass would fault its pages in again.
+STACK_CHUNK_BYTES = 128 * 1024
+
+
 def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
     """Per-sample cross-entropy ("loss") or true-class probability
-    ("confidence") from one forward pass."""
-    logits, _, _ = models._logits_and_hidden(spec, params, x)
+    ("confidence") of a batch x (n, input_dim): (n,) under one model params
+    (P,), or (G, n) under each model of a stack (G, P).
+
+    A stack goes through `models._forward` as many models at a time as keep
+    one chunk's hidden activations and logits within STACK_CHUNK_BYTES (at
+    least one model), with one log-softmax or softmax per chunk. Each model's
+    values are bit-identical to a call with that model alone.
+    """
+    if kind not in ("loss", "confidence"):
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    theta = np.asarray(params, dtype=np.float64)
+    if theta.shape[-1:] != (spec.param_count,) or theta.ndim > 2:
+        raise ValueError(
+            f"parameters have shape {theta.shape}, expected (P,) or (G, P) with "
+            f"P = {spec.param_count}"
+        )
+    stack = np.atleast_2d(theta)
+    x = models._as_batch(spec, x)
+    y = np.asarray(y, dtype=np.int64)
     rows = np.arange(len(y))
+    row_bytes = 8 * (spec.hidden_dim + spec.num_classes) * max(len(y), 1)
+    chunk = max(1, STACK_CHUNK_BYTES // row_bytes)
+    normalise = models.log_softmax if kind == "loss" else models.softmax
+    out = np.empty((len(stack), len(y)))
+    for g0 in range(0, len(stack), chunk):
+        logits, _ = models._forward(spec, models._layers(spec, stack[g0 : g0 + chunk]), x[None])
+        out[g0 : g0 + chunk] = normalise(logits)[:, rows, y]
     if kind == "loss":
-        return -models.log_softmax(logits)[rows, y]
-    if kind == "confidence":
-        return models.softmax(logits)[rows, y]
-    raise ValueError(f"unknown measurement kind {kind!r}")
+        np.negative(out, out=out)
+    return out[0] if theta.ndim == 1 else out
 
 
 def _grad_matrix(spec, params, x, y) -> np.ndarray:
@@ -114,7 +147,8 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     sq_norms = np.zeros(n)
     for (a, delta), w, c in zip(layers, blocks[0::2], blocks[1::2]):
         rows, cols = w.shape[1:]
-        proj = (a @ w.reshape(m * rows, cols).T).reshape(n, m, rows) + c
+        proj = (a @ w.reshape(m * rows, cols).T).reshape(n, m, rows)
+        proj += c  # in place: a second (n, m, rows) array would double the peak
         dots += np.einsum("nmr,nr->mn", proj, delta)
         sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
     norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)
@@ -200,7 +234,9 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
     """Per-round mean/std (n, rounds) of each sample's measurement under the
     local models of every client outside `exclude_clients`.
 
-    Uses the population standard deviation, floored at 1e-6.
+    Each round takes one `_static_measurements` call on the stack of those
+    models, or one `_grad_cosines` call with their update directions. Uses
+    the population standard deviation, floored at 1e-6.
     """
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
@@ -210,13 +246,21 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
         if kind == "grad_cosine":
             stack = _grad_cosines(store.spec, global_t, x, y, locals_t[others] - global_t)
         else:
-            stack = np.stack(
-                [_static_measurements(store.spec, locals_t[k], x, y, kind) for k in others]
-            )
+            stack = _static_measurements(store.spec, locals_t[others], x, y, kind)
         # stack: (others, n)
         per_round_means.append(stack.mean(axis=0))
         per_round_stds.append(np.maximum(stack.std(axis=0), OUT_STD_FLOOR))
     return np.column_stack(per_round_means), np.column_stack(per_round_stds)
+
+
+def _once(shared, key, compute):
+    """compute(), kept in the dict `shared` under key for later calls that
+    pass the same dict; with shared None, computed afresh."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
 
 
 def attack_fedmia(
@@ -226,6 +270,7 @@ def attack_fedmia(
     target_selector,
     variant: str,
     exclude_clients=None,
+    shared=None,
 ) -> np.ndarray:
     """Likelihood-ratio-style attack: sum of signed per-round z-scores.
 
@@ -236,6 +281,9 @@ def attack_fedmia(
     negated to keep higher score = more likely member. The OUT distribution
     is estimated from clients outside `exclude_clients` (default: just the
     target client).
+
+    `shared` is `run_attack`'s dict of measurements; its entries must belong
+    to this store, dataset and sample_ids.
     """
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
@@ -247,8 +295,16 @@ def attack_fedmia(
         if not (isinstance(target_selector, tuple) and target_selector[0] == "local"):
             raise ValueError("exclude_clients is required for non-local targets")
         exclude_clients = {target_selector[1]}
-    values, _ = trajectory_matrix(store, target_selector, x, y, kind)
-    out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
+    values, _ = _once(
+        shared,
+        ("trajectory", target_selector, kind),
+        lambda: trajectory_matrix(store, target_selector, x, y, kind),
+    )
+    out_mean, out_std = _once(
+        shared,
+        ("out", frozenset(exclude_clients), kind),
+        lambda: _out_stats_matrix(store, x, y, set(exclude_clients), kind),
+    )
     z = (values - out_mean) / out_std
     return sign * z.sum(axis=1)
 
@@ -302,6 +358,7 @@ def run_attack(
     target_client: int,
     name: str,
     selector=None,
+    shared=None,
 ) -> AttackResult:
     """Score the member/non-member pools with one named attack.
 
@@ -309,11 +366,22 @@ def run_attack(
     "global" or ("coalition", ids) to retarget. FedMIA always estimates its
     OUT distribution from clients other than the target (and, for a
     coalition target, other than every coalition member).
+
+    `shared` is an optional dict that calls on one store, dataset and pools
+    pass in common. The first call that needs a (selector, kind) trajectory
+    or an (excluded clients, kind) OUT statistic computes it and keeps it
+    there for the others; the scores are those of a call without it. A call
+    with another store, dataset or pools than the dict's first raises
+    ValueError.
     """
     if name not in ATTACK_NAMES:
         raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
     if selector is None:
         selector = ("local", target_client)
+    if shared is not None:
+        first = shared.setdefault("inputs", (store, dataset, pools))
+        if any(a is not b for a, b in zip(first, (store, dataset, pools))):
+            raise ValueError("the shared measurements belong to another store, dataset or pools")
     ids, labels = _pool_ids_and_labels(pools)
 
     if name in ("fedmia_i", "fedmia_ii"):
@@ -322,7 +390,7 @@ def run_attack(
         else:
             exclude = {target_client}
         scores = attack_fedmia(
-            store, dataset, ids, selector, "i" if name == "fedmia_i" else "ii", exclude
+            store, dataset, ids, selector, "i" if name == "fedmia_i" else "ii", exclude, shared
         )
     else:
         kind = {
@@ -331,7 +399,11 @@ def run_attack(
             "fta_c": "confidence",
             "avg_cosine": "grad_cosine",
         }[name]
-        values, rounds = trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kind)
+        values, rounds = _once(
+            shared,
+            ("trajectory", selector, kind),
+            lambda: trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kind),
+        )
         if name == "loss_series":
             scores = attack_loss_series(values)
         elif name == "avg_cosine":
@@ -347,4 +419,3 @@ def run_attack(
         else "coalition(" + ",".join(str(k) for k in selector[1]) + ")"
     )
     return evaluate_attack(scores, labels, attack=name, target=target_desc)
-

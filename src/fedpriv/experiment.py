@@ -14,6 +14,10 @@ Stages communicate through files in an output directory:
                     tpr_at_fpr_0.1,n_members,n_nonmembers
   summary.csv       defense,final_test_acc,acc_delta_vs_undefended,mean_attack_auc
 
+train removes the attacks.csv and summary.csv of an earlier run in the same
+directory, and report refuses a baseline run trained on other data, model
+or federation settings.
+
 All outputs are deterministic functions of (config, seed) — reruns produce
 byte-identical files.
 """
@@ -68,6 +72,8 @@ ATTACKS_CSV = "attacks.csv"
 SUMMARY_CSV = "summary.csv"
 SNAPSHOTS_NPZ = "snapshots.npz"
 CONFIG_TXT = "config.txt"
+# written after training by attack and report; a new training run removes them
+DOWNSTREAM_CSVS = (ATTACKS_CSV, SUMMARY_CSV)
 
 
 def _fmt(x: float) -> str:
@@ -236,7 +242,10 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     The evaluation pools are drawn first, and every coalition member's
     training set is checked to fill defense.intervals, so a config that does
     not fit its partition fails before any training; the pools have their
-    own random stream, so drawing them here changes no artefact.
+    own random stream, so drawing them here changes no artefact. Once
+    training has succeeded, the attack and report outputs of an earlier run
+    in `out_dir` are removed before anything is written, so none of them can
+    be read as this run's.
     """
     prep = prepare_data(cfg)
     build_pools(cfg, prep)
@@ -257,6 +266,9 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
         prep.test.y,
         defense_cfg=build_defense_config(cfg, prep.spec.num_classes),
     )
+    for name in DOWNSTREAM_CSVS:
+        if os.path.exists(os.path.join(out_dir, name)):
+            os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, CONFIG_TXT), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
     write_rounds_csv(os.path.join(out_dir, ROUNDS_CSV), state.reports)
@@ -323,15 +335,23 @@ def stage_attack(
 ) -> list[atk.AttackResult]:
     """Score the configured attacks against the recorded snapshots; the
     snapshots are loaded from `out_dir` after their stamp is checked unless
-    `store` is given."""
+    `store` is given.
+
+    The attacks share one dict of measurements, so each trajectory and OUT
+    statistic that several of them read is computed once; it is dropped when
+    this call returns.
+    """
     if store is None:
         _check_snapshot_stamp(cfg, out_dir)
         store = SnapshotStore.load(os.path.join(out_dir, SNAPSHOTS_NPZ))
     prep = prepare_data(cfg)
     pools = build_pools(cfg, prep)
     selector = _attack_selector(cfg)
+    shared: dict = {}
     results = [
-        atk.run_attack(store, prep.train, pools, cfg.target_client, name, selector=selector)
+        atk.run_attack(
+            store, prep.train, pools, cfg.target_client, name, selector=selector, shared=shared
+        )
         for name in cfg.attack_list
     ]
     write_attacks_csv(os.path.join(out_dir, ATTACKS_CSV), results)
@@ -347,16 +367,46 @@ def _read_final_test_acc(out_dir: str) -> float:
 
 
 def _read_mean_attack_auc(out_dir: str) -> float | None:
-    with open(os.path.join(out_dir, ATTACKS_CSV), newline="", encoding="utf-8") as fh:
+    path = os.path.join(out_dir, ATTACKS_CSV)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{path} not found: run `fedpriv attack` on this run first")
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         return None
     return float(np.mean([float(r["auc"]) for r in rows]))
 
 
+def _check_baseline(cfg: ExperimentConfig, baseline_dir: str) -> None:
+    """Refuse a baseline run that differs from `cfg` in more than its defense.
+
+    Reads the baseline's config.txt and the stamp of its snapshots, which
+    must agree. Its seed and its data./model./fl. settings must equal
+    cfg's; only defense.*, attack.*, eval.* and output.dir may differ. The
+    error names the first key that differs.
+    """
+    base = parse_config(os.path.join(baseline_dir, CONFIG_TXT))
+    _check_snapshot_stamp(base, baseline_dir)
+    sections = ("data.", "model.", "fl.")
+    for f in fields(ExperimentConfig):
+        key = f.metadata["key"]
+        mine, theirs = getattr(cfg, f.name), getattr(base, f.name)
+        if key.startswith(sections) and mine != theirs:
+            raise ConfigError(
+                f"config field {key!r}: {mine!r} differs from {theirs!r} in baseline "
+                f"{baseline_dir}; only defense.*, attack.*, eval.* and output.dir may differ"
+            )
+
+
 def stage_report(cfg: ExperimentConfig, out_dir: str, baseline_dir: str | None = None) -> None:
-    """Summarize a finished run; optional baseline gives the accuracy delta."""
+    """Summarize a finished run; optional baseline gives the accuracy delta.
+
+    The baseline must be the same training setup without (or with another)
+    defense: `_check_baseline` refuses any other before anything is written.
+    """
     _check_snapshot_stamp(cfg, out_dir)
+    if baseline_dir:
+        _check_baseline(cfg, baseline_dir)
     final_acc = _read_final_test_acc(out_dir)
     mean_auc = _read_mean_attack_auc(out_dir)
     delta = ""

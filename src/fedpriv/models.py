@@ -374,6 +374,22 @@ def _pass_rows(groups):
     return groups[0][3], groups[0][3] + sum(counts), row_b
 
 
+def _shuffled_rows(rank, starts, sizes, rngs) -> np.ndarray:
+    """One epoch's row order in rank order: ranked client j's rows
+    starts[j] .. starts[j] + n - 1 (n = sizes[rank[j]]), shuffled by
+    rngs[rank[j]].
+
+    It equals concatenate([starts[j] + rngs[i].permutation(n) ...]) with the
+    same generator states after: permutation(n) is arange(n) then shuffle,
+    and each client's slice of one arange is shuffled in place instead.
+    """
+    rows = np.arange(int(sizes.sum()))
+    n = sizes.tolist()
+    for start, i in zip(starts.tolist(), rank.tolist()):
+        rngs[i].shuffle(rows[start : start + n[i]])
+    return rows
+
+
 @dataclass(frozen=True, eq=False)
 class LockstepInputs:
     """Read-only inputs of lock-step training for a list of K client
@@ -496,9 +512,7 @@ def sgd_lockstep(
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            order[inputs.slots] = np.concatenate(
-                [starts[j] + rngs[i].permutation(sizes[i]) for j, i in enumerate(rank)]
-            )
+            order[inputs.slots] = _shuffled_rows(rank, starts, sizes, rngs)
             for r0, r1, row_b, masked, j_lo, j_hi, stacked in passes:
                 rows = order[r0:r1]
                 x, y = inputs.x[rows], inputs.y[rows]

@@ -6,8 +6,10 @@ subset-assignment search, the greedy class placement on Python sets and the
 percentile-based reward normalization the library used to run, pair-counting
 AUC, the scipy rank-sum AUC the library used to compute, a threshold-sweep
 TPR@FPR, the step-by-step loop that built the lock-step layout, the softmax,
-log-softmax and weighted aggregation formulas the library used to run, and
-mini-batch SGD that trains one client and one batch at a time.
+log-softmax and weighted aggregation formulas the library used to run,
+mini-batch SGD that trains one client and one batch at a time, the
+per-client `permutation` epoch order, and the OUT measurements taken one
+model at a time.
 """
 
 import itertools
@@ -310,3 +312,32 @@ def loop_lockstep_layout(sizes, cr, batch_size):
             groups.append((j0, j1, b, row))
             row += (j1 - j0) * b
     return rank, starts, slots, groups
+
+
+def permutation_epoch_order(rank, starts, sizes, rngs):
+    """`models._shuffled_rows` as it ran: one `permutation` per ranked client,
+    shifted to its first row and concatenated."""
+    return np.concatenate([starts[j] + rngs[i].permutation(sizes[i]) for j, i in enumerate(rank)])
+
+
+def per_model_out_stats(store, x, y, exclude_clients, kind):
+    """`attacks._out_stats_matrix` for "loss" or "confidence" as it ran: one
+    forward pass per (round, client), stacked, then each round's mean and
+    population std floored at 1e-6."""
+    from fedpriv import attacks, models
+
+    others = [k for k in range(store.num_clients) if k not in exclude_clients]
+    means, stds = [], []
+    for locals_t in store.locals:
+        per_model = []
+        for k in others:
+            logits, _, _ = models._logits_and_hidden(store.spec, locals_t[k], x)
+            rows = np.arange(len(y))
+            if kind == "loss":
+                per_model.append(-models.log_softmax(logits)[rows, y])
+            else:
+                per_model.append(models.softmax(logits)[rows, y])
+        stack = np.stack(per_model)
+        means.append(stack.mean(axis=0))
+        stds.append(np.maximum(stack.std(axis=0), attacks.OUT_STD_FLOOR))
+    return np.column_stack(means), np.column_stack(stds)

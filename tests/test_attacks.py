@@ -12,6 +12,7 @@ from fedpriv.data import LabeledDataset
 from fedpriv.federation import SnapshotStore
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
+from oracles import per_model_out_stats
 
 
 # --- fabricated stores with exactly known measurements ----------------------
@@ -288,3 +289,114 @@ def test_run_attack_rejects_unknown_name():
     pools = ex.build_pools(cfg, prep)
     with pytest.raises(ValueError):
         atk.run_attack(state.store, prep.train, pools, 0, "shadow_model")
+
+
+# --- stacked OUT forwards and measurements shared within one stage ----------
+
+
+def _random_store(spec, clients, rounds, seed):
+    rng = np.random.default_rng(seed)
+    store = SnapshotStore(spec, rng.integers(10, 50, clients))
+    for t in range(1, rounds + 1):
+        uploads = rng.normal(size=(clients, spec.param_count))
+        store.record(t, rng.normal(size=spec.param_count), uploads)
+    return store, rng
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+LOGREG_CHUNKED = ModelSpec(input_dim=5, hidden_dim=0, num_classes=4)  # 4 models a chunk at n = 1000
+MLP_CHUNKED = ModelSpec(input_dim=5, hidden_dim=16, num_classes=3)  # 2 models a chunk at n = 300
+
+
+def _chunk(spec, n):
+    return atk.STACK_CHUNK_BYTES // (8 * (spec.hidden_dim + spec.num_classes) * n)
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300)], ids=["logistic", "mlp"]
+)
+@pytest.mark.parametrize("kind", ["loss", "confidence"])
+def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind):
+    chunk = _chunk(spec, n)
+    assert chunk >= 2
+    store, rng = _random_store(spec, 2 * chunk + 1, 1, seed=4)
+    x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
+    for g in (1, chunk + 1, 2 * chunk):
+        stack = store.locals[0][:g]
+        got = atk._static_measurements(spec, stack, x, y, kind)
+        assert got.shape == (g, n)
+        alone = np.stack([atk._static_measurements(spec, p, x, y, kind) for p in stack])
+        assert np.array_equal(_bits(got), _bits(alone)), g
+
+
+@pytest.mark.parametrize(
+    "spec, n, others",
+    [
+        (LOGREG_CHUNKED, 1000, lambda c: c + 1),
+        (LOGREG_CHUNKED, 1000, lambda c: 2 * c),
+        (MLP_CHUNKED, 300, lambda c: c + 1),
+    ],
+    ids=["logistic-chunk+1", "logistic-2chunks", "mlp"],
+)
+@pytest.mark.parametrize("kind", ["loss", "confidence"])
+def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
+    g = others(_chunk(spec, n))
+    store, rng = _random_store(spec, g + 1, 3, seed=5)
+    x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
+    got = atk._out_stats_matrix(store, x, y, {0}, kind)
+    want = per_model_out_stats(store, x, y, {0}, kind)
+    for a, b in zip(got, want):
+        assert a.shape == (n, 3)
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+def test_static_measurements_reject_a_parameter_stack_of_the_wrong_width():
+    spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
+    for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((1, 2, 6))):
+        with pytest.raises(ValueError, match="expected"):
+            atk._static_measurements(spec, bad, np.zeros((1, 2)), [0], "loss")
+
+
+ALL_ATTACKS = "loss_series,avg_cosine,fta_l,fta_c,fedmia_i,fedmia_ii"
+
+
+@pytest.mark.parametrize("target", ["local", "coalition"])
+def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, target):
+    extra = f"attack.list = {ALL_ATTACKS}\nattack.target = {target}\n"
+    extra += "defense.kind = grad_noise\ndefense.coalition = 0,1\n"
+    cfg = make_config(
+        clients=5, rounds=10, snapshot_every=5, samples_per_class=40, members=10, extra=extra
+    )
+    state = ex.stage_train(cfg, str(tmp_path))
+    rounds = len(state.store.rounds)
+    calls = []
+    cosines = atk._grad_cosines
+    monkeypatch.setattr(atk, "_grad_cosines", lambda *a: calls.append(1) or cosines(*a))
+    ex.stage_attack(cfg, str(tmp_path), store=state.store)
+    assert len(calls) == 2 * rounds  # avg_cosine and fedmia_ii share the target trajectory
+    shared_csv = (tmp_path / ex.ATTACKS_CSV).read_bytes()
+
+    prep = ex.prepare_data(cfg)
+    pools = ex.build_pools(cfg, prep)
+    selector = ex._attack_selector(cfg)
+    alone = [
+        atk.run_attack(state.store, prep.train, pools, cfg.target_client, name, selector=selector)
+        for name in cfg.attack_list
+    ]
+    ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
+    assert (tmp_path / "alone.csv").read_bytes() == shared_csv
+    assert len(calls) == 2 * rounds + 3 * rounds  # unshared, fedmia_ii repeats the trajectory
+
+
+def test_shared_measurements_refuse_another_pool():
+    cfg = make_config(clients=4, rounds=4, snapshot_every=2, samples_per_class=40)
+    prep, state = run_from_config(cfg)
+    pools = ex.build_pools(cfg, prep)
+    shared = {}
+    atk.run_attack(state.store, prep.train, pools, 0, "loss_series", shared=shared)
+    other = ex.build_pools(cfg, prep)
+    with pytest.raises(ValueError, match="another store, dataset or pools"):
+        atk.run_attack(state.store, prep.train, other, 0, "fta_l", shared=shared)

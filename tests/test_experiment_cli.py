@@ -319,14 +319,16 @@ def test_cli_attack_without_train_errors(tmp_path, capsys):
 
 
 def test_cli_baseline_delta(tmp_path):
-    cfg_path = tmp_path / "exp.cfg"
+    """A baseline that differs only in defense.kind is accepted."""
+    cfg_path, defended_path = tmp_path / "exp.cfg", tmp_path / "defended.cfg"
     cfg_path.write_text(SMALL, encoding="utf-8")
+    defended_path.write_text(DEFENDED, encoding="utf-8")
     base = tmp_path / "base"
     run = tmp_path / "run"
     cli.main(["train", "--config", str(cfg_path), "--out", str(base)])
     cli.main(["attack", "--out", str(base)])
     cli.main(["report", "--out", str(base)])
-    cli.main(["train", "--config", str(cfg_path), "--out", str(run), "--seed", "9"])
+    cli.main(["train", "--config", str(defended_path), "--out", str(run)])
     cli.main(["attack", "--out", str(run)])
     assert cli.main(["report", "--out", str(run), "--baseline", str(base)]) == 0
     row = _lines(run / ex.SUMMARY_CSV)[1].split(",")
@@ -449,3 +451,63 @@ def test_format_1_snapshots_are_refused(trained_run, tmp_path, capsys, command):
     _rewrite_as_format_1(out / ex.SNAPSHOTS_NPZ)
     err = _refused(capsys, [command, "--out", str(out)])
     assert "'format'" in err and "re-run `fedpriv train`" in err
+
+
+# --- report reads the artefacts of one training run only ---------------------
+
+
+def test_retraining_removes_the_earlier_runs_attacks_and_summary(trained_run, tmp_path, capsys):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    assert cli.main(["report", "--out", str(out)]) == 0
+    b_path = tmp_path / "b.cfg"
+    b_path.write_text(SMALL + "fl.lr = 0.25\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(b_path), "--out", str(out)]) == 0
+    assert not (out / ex.ATTACKS_CSV).exists() and not (out / ex.SUMMARY_CSV).exists()
+    err = _refused(capsys, ["report", "--out", str(out)])
+    assert ex.ATTACKS_CSV in err
+    assert not (out / ex.SUMMARY_CSV).exists()
+
+    fresh = tmp_path / "fresh"
+    assert cli.main(["train", "--config", str(b_path), "--out", str(fresh)]) == 0
+    for out_dir in (out, fresh):
+        assert cli.main(["attack", "--out", str(out_dir)]) == 0
+        assert cli.main(["report", "--out", str(out_dir)]) == 0
+    for name in (ex.ATTACKS_CSV, ex.SUMMARY_CSV, ex.ROUNDS_CSV, ex.SNAPSHOTS_NPZ):
+        assert _read(out / name) == _read(fresh / name), name
+
+
+def _train_baseline(tmp_path, name, text):
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / name
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [(SMALL + "fl.seed = 3\n", "'fl.seed'"), (SMALL + "fl.lr = 0.25\n", "'fl.lr'")],
+    ids=["seed", "lr"],
+)
+def test_report_refuses_a_baseline_with_other_training_settings(
+    trained_run, tmp_path, capsys, text, key
+):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    base = _train_baseline(tmp_path, "base", text)
+    err = _refused(capsys, ["report", "--out", str(out), "--baseline", str(base)])
+    assert key in err and str(base) in err
+    assert not (out / ex.SUMMARY_CSV).exists()
+
+
+def test_report_refuses_a_baseline_whose_config_is_not_the_one_that_trained_it(
+    trained_run, tmp_path, capsys
+):
+    out = shutil.copytree(trained_run, tmp_path / "run")
+    base = shutil.copytree(trained_run, tmp_path / "base")
+    (base / ex.CONFIG_TXT).write_text(
+        (base / ex.CONFIG_TXT).read_text(encoding="utf-8") + "defense.kind = grad_noise\n"
+        "defense.coalition = 0\n",
+        encoding="utf-8",
+    )
+    err = _refused(capsys, ["report", "--out", str(out), "--baseline", str(base)])
+    assert "differ from the ones that trained" in err

@@ -1,5 +1,7 @@
 """Closed-form gradient cosines against explicit per-sample gradients."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,3 +99,18 @@ def test_closed_form_matches_explicit_gradients(d, h, c, n, m, seed):
     spec = ModelSpec(input_dim=d, hidden_dim=h, num_classes=c)
     params, x, y, directions = _problem(spec, n, m, seed)
     assert _max_gap(spec, params, x, y, directions) <= TOL
+
+
+def test_one_call_holds_one_projection_at_the_benchmark_out_shape():
+    """scale_k40's OUT shape: 550 query samples, 39 directions, 64 hidden units."""
+    n, m = 550, 39
+    spec = ModelSpec(input_dim=12, hidden_dim=64, num_classes=10)
+    params, x, y, directions = _problem(spec, n, m, seed=6)
+    projection = n * m * spec.hidden_dim * 8
+    tracemalloc.start()
+    try:
+        atk._grad_cosines(spec, params, x, y, directions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * projection, peak / projection

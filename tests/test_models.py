@@ -15,6 +15,7 @@ from oracles import (
     finite_difference_grad,
     loop_lockstep_layout,
     max_rel_error,
+    permutation_epoch_order,
     reference_log_softmax,
     reference_softmax,
     sequential_sgd_clients,
@@ -287,6 +288,27 @@ def test_lockstep_sgd_with_mixed_masks_is_bit_identical_to_sequential_oracle(
     got = models.sgd_clients(*args, streams(), extra)
     assert got.shape == (len(sizes), spec.param_count)
     assert np.array_equal(got, sequential_sgd_clients(*args, streams(), extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 1500), min_size=1, max_size=8),
+    cr=st.data(),
+    seed=st.integers(0, 2**63 - 1),
+)
+@example(sizes=[1, 2, 3, 17, 64, 250, 999, 1500], cr=Drawn([False] * 8), seed=0)
+def test_in_place_epoch_shuffle_equals_one_permutation_per_client(sizes, cr, seed):
+    sizes = np.asarray(sizes, dtype=np.int64)
+    flags = np.asarray(cr.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))))
+    rank, starts, _, _ = models._lockstep_layout(sizes, flags, 32)
+    ours = [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+    theirs = [np.random.default_rng([seed, k]) for k in range(len(sizes))]
+    for _ in range(2):  # the second epoch starts from the states the first left
+        got = models._shuffled_rows(rank, starts, sizes, ours)
+        assert np.array_equal(got, permutation_epoch_order(rank, starts, sizes, theirs))
+        assert got.dtype == np.int64
+        for a, b in zip(ours, theirs):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("lr", [math.nan, -0.1])
