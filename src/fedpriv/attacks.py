@@ -10,9 +10,9 @@ weighted aggregate of the defender coalition's locals (the adaptive
 attacker's target, which the cancellation property makes identical with
 and without perturbation).
 
-Several attacks read the same measurements: `run_attack` calls that pass
-one `shared` dict compute each trajectory and OUT statistic once between
-them (`experiment.stage_attack` makes one dict per call).
+Several attacks read the same trajectory: `run_attack` calls that pass one
+`shared` dict compute each (target, kind) trajectory once between them
+(`experiment.stage_attack` makes one dict per call).
 """
 
 from __future__ import annotations
@@ -83,6 +83,10 @@ def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
     one chunk's hidden activations and logits within STACK_CHUNK_BYTES (at
     least one model), with one log-softmax or softmax per chunk. Each model's
     values are bit-identical to a call with that model alone.
+
+    `models.per_sample_losses` also runs a stack of models, but pairs each
+    model with a batch of its own; here every model reads the one batch x,
+    broadcast rather than copied G times, and "confidence" is served too.
     """
     if kind not in ("loss", "confidence"):
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -282,8 +286,9 @@ def attack_fedmia(
     is estimated from clients outside `exclude_clients` (default: just the
     target client).
 
-    `shared` is `run_attack`'s dict of measurements; its entries must belong
-    to this store, dataset and sample_ids.
+    `shared` is `run_attack`'s dict of trajectories; its entries must belong
+    to this store, dataset and sample_ids. The OUT statistic is computed
+    afresh: no two attacks read the same one.
     """
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
@@ -300,11 +305,7 @@ def attack_fedmia(
         ("trajectory", target_selector, kind),
         lambda: trajectory_matrix(store, target_selector, x, y, kind),
     )
-    out_mean, out_std = _once(
-        shared,
-        ("out", frozenset(exclude_clients), kind),
-        lambda: _out_stats_matrix(store, x, y, set(exclude_clients), kind),
-    )
+    out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
     z = (values - out_mean) / out_std
     return sign * z.sum(axis=1)
 
@@ -368,20 +369,14 @@ def run_attack(
     coalition target, other than every coalition member).
 
     `shared` is an optional dict that calls on one store, dataset and pools
-    pass in common. The first call that needs a (selector, kind) trajectory
-    or an (excluded clients, kind) OUT statistic computes it and keeps it
-    there for the others; the scores are those of a call without it. A call
-    with another store, dataset or pools than the dict's first raises
-    ValueError.
+    pass in common; a dict must not outlive them. The first call that needs
+    a (selector, kind) trajectory computes it and keeps it there for the
+    others; the scores are those of a call without it.
     """
     if name not in ATTACK_NAMES:
         raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
     if selector is None:
         selector = ("local", target_client)
-    if shared is not None:
-        first = shared.setdefault("inputs", (store, dataset, pools))
-        if any(a is not b for a, b in zip(first, (store, dataset, pools))):
-            raise ValueError("the shared measurements belong to another store, dataset or pools")
     ids, labels = _pool_ids_and_labels(pools)
 
     if name in ("fedmia_i", "fedmia_ii"):

@@ -367,10 +367,7 @@ def _read_final_test_acc(out_dir: str) -> float:
 
 
 def _read_mean_attack_auc(out_dir: str) -> float | None:
-    path = os.path.join(out_dir, ATTACKS_CSV)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"{path} not found: run `fedpriv attack` on this run first")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, ATTACKS_CSV), newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         return None

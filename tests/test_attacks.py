@@ -390,13 +390,3 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
     assert (tmp_path / "alone.csv").read_bytes() == shared_csv
     assert len(calls) == 2 * rounds + 3 * rounds  # unshared, fedmia_ii repeats the trajectory
 
-
-def test_shared_measurements_refuse_another_pool():
-    cfg = make_config(clients=4, rounds=4, snapshot_every=2, samples_per_class=40)
-    prep, state = run_from_config(cfg)
-    pools = ex.build_pools(cfg, prep)
-    shared = {}
-    atk.run_attack(state.store, prep.train, pools, 0, "loss_series", shared=shared)
-    other = ex.build_pools(cfg, prep)
-    with pytest.raises(ValueError, match="another store, dataset or pools"):
-        atk.run_attack(state.store, prep.train, other, 0, "fta_l", shared=shared)
