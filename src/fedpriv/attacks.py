@@ -73,6 +73,18 @@ def _target_params(store: SnapshotStore, selector, row: int) -> np.ndarray:
 # every further pass would fault its pages in again.
 STACK_CHUNK_BYTES = 128 * 1024
 
+# Most bytes of the (rows, directions, units) projection block that
+# `_grad_cosines` holds at once. 1 MiB ran fastest on the benchmark's OUT
+# shape; a one-shot projection there is 11 MB and grows with every factor.
+COSINE_BLOCK_BYTES = 1024 * 1024
+
+# OpenBLAS's SkylakeX kernels run a product of a transposed and a plain
+# matrix (what numpy issues for `a @ W.T`) with at most this many outputs
+# and an inner dimension of 32 or more through a small-matrix kernel whose
+# bits differ from the blocked kernel's. `_grad_cosines` keeps every block's
+# product above it whenever the whole product is.
+SMALL_GEMM_OUTPUTS = 1200
+
 
 def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
     """Per-sample cross-entropy ("loss") or true-class probability
@@ -123,6 +135,31 @@ def _grad_matrix(spec, params, x, y) -> np.ndarray:
     )
 
 
+def _cosine_block_rows(row_bytes: int, least: int) -> int:
+    """Query rows per block of `_grad_cosines`: as many as keep a block of
+    `row_bytes` a row within COSINE_BLOCK_BYTES, in whole multiples of 12,
+    but at least 12 and at least `least`."""
+    groups = max(COSINE_BLOCK_BYTES // max(row_bytes, 1) // 12, -(-least // 12), 1)
+    return 12 * groups
+
+
+def _cosine_blocks(n: int, m: int, units) -> list[tuple[int, int]]:
+    """(start, stop) of each block of query rows that `_grad_cosines` projects
+    at once, for n samples, m directions and layers of `units` outputs.
+
+    Every block starts at a multiple of 12. Each has enough rows that its
+    product keeps more than SMALL_GEMM_OUTPUTS outputs in every layer, and at
+    least 2 (numpy computes a one-row product as a vector product); a last
+    block with fewer joins the one before it.
+    """
+    least = max(2, SMALL_GEMM_OUTPUTS // max(m * min(units), 1) + 1)
+    step = _cosine_block_rows(8 * m * max(units), least)
+    starts = list(range(0, max(n, 1), step))
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     """Cosine of every sample's cross-entropy gradient at `params` with every
     direction row: (m, n) for m directions (rows of length P) and n samples.
@@ -133,6 +170,15 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     arXiv:1510.01799), so against a direction block (V, c) its dot product is
     sum(delta * (a V^T + c)) and its squared norm is |delta|^2 (|a|^2 + 1).
     A zero gradient or a zero direction gives cosine 0.
+
+    The projection a V^T + c runs over `_cosine_blocks` of query rows in
+    one buffer that both layers reuse, so a call holds a (rows, m, units)
+    block of about COSINE_BLOCK_BYTES instead of all n rows. With one BLAS
+    thread the cosines keep the bits of a one-shot projection: OpenBLAS
+    computes each row of a block that starts at a multiple of 12 rows with
+    the bits of the whole product, no block is small enough to switch
+    kernels, and each (direction, sample) dot product sums the same units in
+    the same order. Splitting the directions instead can change bits.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
@@ -147,19 +193,23 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
         _, _, w2, _ = models.unpack(spec, params)
         layers = [(x, models._relu_backward(pre, dlogits @ w2)), (hid, dlogits)]
     blocks = models._layers(spec, directions)
+    units = [w.shape[1] for w in blocks[0::2]]
+    bounds = _cosine_blocks(n, m, units)
+    buffer = np.empty(max(e - s for s, e in bounds) * m * max(units))
     dots = np.zeros((m, n))
     sq_norms = np.zeros(n)
     for (a, delta), w, c in zip(layers, blocks[0::2], blocks[1::2]):
         rows, cols = w.shape[1:]
-        proj = (a @ w.reshape(m * rows, cols).T).reshape(n, m, rows)
-        proj += c  # in place: a second (n, m, rows) array would double the peak
-        dots += np.einsum("nmr,nr->mn", proj, delta)
+        w_t = w.reshape(m * rows, cols).T
+        for s, e in bounds:
+            proj = buffer[: (e - s) * m * rows].reshape(e - s, m * rows)
+            np.matmul(a[s:e], w_t, out=proj)
+            proj = proj.reshape(e - s, m, rows)
+            proj += c
+            dots[:, s:e] += np.einsum("nmr,nr->mn", proj, delta[s:e])
         sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
     norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)
-    out = np.zeros((m, n))
-    ok = norms > 0
-    out[ok] = dots[ok] / norms[ok]
-    return out
+    return np.divide(dots, norms, out=np.zeros((m, n)), where=norms > 0)
 
 
 def trajectory_matrix(

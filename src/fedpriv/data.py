@@ -242,7 +242,10 @@ def build_eval_pools(
 
     member_src = plan.client_indices[target_client]
     if exclude is not None and len(exclude):
-        member_src = np.setdiff1d(member_src, np.asarray(exclude), assume_unique=False)
+        # client index arrays are sorted and unique (both partitioners sort
+        # disjoint parts), so this is setdiff1d without its np.unique, whose
+        # first call imports numpy.ma
+        member_src = member_src[np.isin(member_src, exclude, assume_unique=True, invert=True)]
     if members_n > len(member_src):
         raise ValueError(f"target client holds {len(member_src)} usable samples < {members_n}")
     members = np.sort(rng.choice(member_src, size=members_n, replace=False))

@@ -337,9 +337,9 @@ def stage_attack(
     snapshots are loaded from `out_dir` after their stamp is checked unless
     `store` is given.
 
-    The attacks share one dict of measurements, so each trajectory and OUT
-    statistic that several of them read is computed once; it is dropped when
-    this call returns.
+    The attacks share one dict of trajectories, so each trajectory that
+    several of them read is computed once; it is dropped when this call
+    returns.
     """
     if store is None:
         _check_snapshot_stamp(cfg, out_dir)

@@ -140,8 +140,8 @@ class SnapshotStore:
 
     @classmethod
     def load(cls, path: str) -> "SnapshotStore":
-        """Read a file written by `save`, checking its stamp and every field's
-        shape.
+        """Read a file written by `save`, checking its stamp, every field's
+        shape and that every weight is finite.
 
         Each stored array is read exactly once; the per-round snapshots are
         row views into the loaded stacks.
@@ -201,6 +201,7 @@ def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
 
     Raises ValueError naming the first field that does not fit the others:
     spec (d, h, C), globals (R, P) with P = spec.param_count, locals (R, K, P),
+    both finite (the first non-finite row, and client, is named),
     client_sizes (K,) and rounds (R,) strictly increasing.
     """
     raw_spec = fields["spec"]
@@ -222,6 +223,12 @@ def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
     locals_stack = fields["locals"]
     if locals_stack.ndim != 3 or locals_stack.shape[0] != r or locals_stack.shape[2] != p:
         raise _bad_field("locals", f"must have shape ({r}, K, {p}), got {locals_stack.shape}")
+    for name, stack in (("globals", globals_stack), ("locals", locals_stack)):
+        # min and max carry any NaN or infinity without a mask the size of the stack
+        if not (np.isfinite(stack.min()) and np.isfinite(stack.max())):
+            where = np.argwhere(~np.isfinite(stack))[0]
+            at = f"row {where[0]}" + (f", client {where[1]}" if name == "locals" else "")
+            raise _bad_field(name, f"holds a non-finite weight at {at}")
     k = locals_stack.shape[1]
     sizes = fields["client_sizes"]
     if sizes.shape != (k,) or not _is_int(sizes):

@@ -8,8 +8,9 @@ AUC, the scipy rank-sum AUC the library used to compute, a threshold-sweep
 TPR@FPR, the step-by-step loop that built the lock-step layout, the softmax,
 log-softmax and weighted aggregation formulas the library used to run,
 mini-batch SGD that trains one client and one batch at a time, the
-per-client `permutation` epoch order, and the OUT measurements taken one
-model at a time.
+per-client `permutation` epoch order, the OUT measurements taken one
+model at a time, and the gradient cosines with one projection of all query
+rows.
 """
 
 import itertools
@@ -341,3 +342,36 @@ def per_model_out_stats(store, x, y, exclude_clients, kind):
         means.append(stack.mean(axis=0))
         stds.append(np.maximum(stack.std(axis=0), attacks.OUT_STD_FLOOR))
     return np.column_stack(means), np.column_stack(stds)
+
+
+def one_shot_grad_cosines(spec, params, x, y, directions):
+    """`attacks._grad_cosines` as it ran: each layer projects all n query
+    rows at once into an (n, m, rows) array."""
+    from fedpriv import models
+
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    logits, cache, x = models._logits_and_hidden(spec, params, x)
+    n, m = len(y), len(directions)
+    dlogits = np.exp(models.log_softmax(logits))
+    dlogits[np.arange(n), y] -= 1.0
+    if spec.hidden_dim == 0:
+        layers = [(x, dlogits)]
+    else:
+        pre, hid = cache
+        _, _, w2, _ = models.unpack(spec, params)
+        layers = [(x, models._relu_backward(pre, dlogits @ w2)), (hid, dlogits)]
+    blocks = models._layers(spec, directions)
+    dots = np.zeros((m, n))
+    sq_norms = np.zeros(n)
+    for (a, delta), w, c in zip(layers, blocks[0::2], blocks[1::2]):
+        rows, cols = w.shape[1:]
+        proj = (a @ w.reshape(m * rows, cols).T).reshape(n, m, rows)
+        proj += c
+        dots += np.einsum("nmr,nr->mn", proj, delta)
+        sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
+    norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)
+    out = np.zeros((m, n))
+    ok = norms > 0
+    out[ok] = dots[ok] / norms[ok]
+    return out

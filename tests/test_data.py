@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpriv import data, models
 from fedpriv.models import ModelSpec
@@ -151,6 +153,25 @@ def test_build_eval_pools_exclude_keeps_members_out():
     exclude = plan.client_indices[0][:10]
     pools = data.build_eval_pools(plan, 0, 10, 0, 0, seed=3, exclude=exclude)
     assert not set(pools.member_ids) & set(exclude)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sets(st.integers(0, 5000), min_size=1, max_size=300),
+    exclude=st.lists(st.integers(0, 5000), min_size=1, max_size=200, unique=True),
+    take=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_eval_pools_exclude_matches_setdiff1d(source, exclude, take, seed):
+    """Members drawn from a sorted, unique source minus `exclude` are the ones
+    that np.setdiff1d's result gives the same generator."""
+    member_src = np.array(sorted(source), dtype=np.int64)
+    plan = data.PartitionPlan([member_src, np.array([5001])], np.empty(0, dtype=np.int64))
+    usable = np.setdiff1d(member_src, np.array(exclude))
+    members_n = int(take * len(usable))
+    pools = data.build_eval_pools(plan, 0, members_n, 0, 0, seed=seed, exclude=np.array(exclude))
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(pools.member_ids, np.sort(rng.choice(usable, members_n, replace=False)))
 
 
 def test_csv_round_trip(tmp_path):

@@ -313,6 +313,26 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_building_pools_imports_no_numpy_ma():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys\n"
+        "from fedpriv import experiment as ex\n"
+        "from fedpriv.config import parse_config_text\n"
+        f"cfg = parse_config_text({SMALL!r})\n"
+        "prep = ex.prepare_data(cfg)\n"
+        "assert len(prep.clients[cfg.target_client].val_indices)\n"
+        "ex.build_pools(cfg, prep)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_cli_attack_without_train_errors(tmp_path, capsys):
     rc = cli.main(["attack", "--out", str(tmp_path / "missing")])
     assert rc == 1
@@ -451,6 +471,25 @@ def test_format_1_snapshots_are_refused(trained_run, tmp_path, capsys, command):
     _rewrite_as_format_1(out / ex.SNAPSHOTS_NPZ)
     err = _refused(capsys, [command, "--out", str(out)])
     assert "'format'" in err and "re-run `fedpriv train`" in err
+
+
+@pytest.mark.parametrize(
+    "field, index, at",
+    [("globals", (1, 5), "row 1"), ("locals", (1, 3, 5), "row 1, client 3")],
+)
+def test_snapshots_with_a_non_finite_weight_are_refused(
+    trained_run, tmp_path, capsys, field, index, at
+):
+    out = shutil.copytree(trained_run, tmp_path / "nan")
+    path = out / ex.SNAPSHOTS_NPZ
+    with np.load(path) as blob:
+        fields = {name: blob[name] for name in blob.files}
+    fields[field][index] = np.nan
+    np.savez(path, **fields)
+    before = _read(out / ex.ATTACKS_CSV)
+    err = _refused(capsys, ["attack", "--out", str(out)])
+    assert f"'{field}'" in err and f"non-finite weight at {at}" in err
+    assert _read(out / ex.ATTACKS_CSV) == before
 
 
 # --- report reads the artefacts of one training run only ---------------------

@@ -1,14 +1,18 @@
-"""Closed-form gradient cosines against explicit per-sample gradients."""
+"""Closed-form gradient cosines against explicit per-sample gradients, and
+the row-blocked projection against the one-shot one."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpriv import attacks as atk
 from fedpriv import models
 from fedpriv.models import ModelSpec
+from oracles import one_shot_grad_cosines
 
 TOL = 1e-12
 
@@ -114,3 +118,81 @@ def test_one_call_holds_one_projection_at_the_benchmark_out_shape():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * projection, peak / projection
+
+
+# --- row blocks: the bits of one-shot projections, a bounded working set -----
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n, m, h", [(550, 39, 64), (1850, 99, 128)])
+def test_blocked_cosines_keep_the_bits_of_one_shot_projections(n, m, h):
+    """scale_k40's OUT shape, and one with more samples, directions and units."""
+    spec = ModelSpec(input_dim=12, hidden_dim=h, num_classes=10)
+    params, x, y, directions = _problem(spec, n, m, seed=7)
+    assert len(atk._cosine_blocks(n, m, [h, 10])) > 1
+    got = atk._grad_cosines(spec, params, x, y, directions)
+    assert np.array_equal(_bits(got), _bits(one_shot_grad_cosines(spec, params, x, y, directions)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 700),
+    m=st.integers(1, 50),
+    h=st.sampled_from([0, 8, 64]),
+    d=st.sampled_from([5, 12, 40]),
+    c=st.sampled_from([2, 10]),
+    block_rows=st.integers(1, 240),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=5, m=3, h=8, d=12, c=10, block_rows=1, seed=0)  # fewer rows than a block
+@example(n=24, m=50, h=64, d=12, c=10, block_rows=12, seed=1)  # two full blocks
+@example(n=700, m=50, h=64, d=40, c=10, block_rows=1, seed=2)  # many blocks, a short last one
+@example(n=25, m=50, h=64, d=12, c=10, block_rows=1, seed=3)  # a one-row last block
+@example(n=130, m=1, h=0, d=40, c=10, block_rows=1, seed=4)  # blocks above the small kernel
+def test_any_block_budget_keeps_the_bits_of_one_shot_projections(
+    n, m, h, d, c, block_rows, seed
+):
+    spec = ModelSpec(input_dim=d, hidden_dim=h, num_classes=c)
+    params, x, y, directions = _problem(spec, n, m, seed)
+    units = [h, c] if h else [c]
+    with mock.patch.object(atk, "COSINE_BLOCK_BYTES", block_rows * 8 * m * max(units)):
+        bounds = atk._cosine_blocks(n, m, units)
+        got = atk._grad_cosines(spec, params, x, y, directions)
+    starts = [s for s, _ in bounds]
+    assert all(s % 12 == 0 for s in starts)
+    assert starts[0] == 0 and [e for _, e in bounds] == starts[1:] + [n]
+    assert np.array_equal(_bits(got), _bits(one_shot_grad_cosines(spec, params, x, y, directions)))
+
+
+def test_one_call_at_a_large_shape_stays_within_20_mb():
+    """The one-shot projection at this shape peaks at 200.9 MB."""
+    spec = ModelSpec(input_dim=12, hidden_dim=128, num_classes=10)
+    params, x, y, directions = _problem(spec, n=1850, m=99, seed=8)
+    tracemalloc.start()
+    try:
+        atk._grad_cosines(spec, params, x, y, directions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
+
+
+@pytest.mark.parametrize("row_bytes", [8, 8 * 39 * 64, atk.COSINE_BLOCK_BYTES, 10**9])
+@pytest.mark.parametrize("least", [1, 2, 13, 100])
+def test_block_rows_are_whole_multiples_of_12(row_bytes, least):
+    rows = atk._cosine_block_rows(row_bytes, least)
+    assert rows % 12 == 0 and rows >= max(12, least)
+    if row_bytes * rows > atk.COSINE_BLOCK_BYTES:  # only the floors may exceed the budget
+        assert rows == max(12, -(-least // 12) * 12)
+
+
+def test_a_short_last_block_joins_the_one_before():
+    """One row left over would run as a vector product, which numpy computes
+    another way; the last block takes it instead."""
+    with mock.patch.object(atk, "COSINE_BLOCK_BYTES", 1):
+        assert atk._cosine_blocks(25, 50, [64, 10]) == [(0, 12), (12, 25)]
+        assert atk._cosine_blocks(12, 50, [64, 10]) == [(0, 12)]
+        assert atk._cosine_blocks(0, 50, [64, 10]) == [(0, 0)]
