@@ -25,6 +25,7 @@ from . import models
 from .data import EvalPools, LabeledDataset
 from .federation import SnapshotStore, aggregate_weighted
 from .metrics import DEFAULT_FPR_LEVELS, auc_score, tpr_at_fpr
+from .models import STACK_CHUNK_BYTES
 
 MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine")
 ATTACK_NAMES = ("loss_series", "avg_cosine", "fta_l", "fta_c", "fedmia_i", "fedmia_ii")
@@ -66,12 +67,6 @@ def _target_params(store: SnapshotStore, selector, row: int) -> np.ndarray:
         return locals_t[ids[0]]
     return aggregate_weighted(locals_t[ids], store.client_sizes[ids])
 
-
-# Most bytes of hidden activations and logits that one stacked forward pass
-# of `_static_measurements` holds. glibc serves a larger request from a fresh
-# mapping (its default mmap threshold is 128 KiB) and unmaps it on free, so
-# every further pass would fault its pages in again.
-STACK_CHUNK_BYTES = 128 * 1024
 
 # Most bytes of the (rows, directions, units) projection block that
 # `_grad_cosines` holds at once. 1 MiB ran fastest on the benchmark's OUT

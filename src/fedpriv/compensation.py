@@ -12,7 +12,8 @@ rest evenly, minus an entropy bonus weighted by mu.
 A defended update is planned (`plan_local_update`) from the per-sample
 training losses of the received model, trained as one row of a round's
 `models.sgd_clients` call (`planned_rows`, `cr_term`) and rewarded
-(`reward_local_update`) by the `validation_losses` of all members at once;
+(`reward_local_update`) by the `validation_losses` of all members' uploads
+at once and their validation losses under the received model;
 `compensated_local_update` runs all three alone.
 """
 
@@ -325,21 +326,20 @@ def is_rewarded(plan) -> bool:
 
 
 def validation_losses(
-    spec: ModelSpec, global_params: np.ndarray, uploads: np.ndarray, clients: list[ClientDataset]
-) -> list[tuple[float, float]]:
-    """Each client's mean validation loss under the global model and under
-    its upload, uploads[i] for clients[i], which must have validation rows.
+    spec: ModelSpec, params: np.ndarray, clients: list[ClientDataset]
+) -> list[float]:
+    """Each client's mean validation loss under `params`, one flat vector
+    (P,) for all or a matrix (len(clients), P) holding clients[i]'s model in
+    row i; every client must have validation rows.
 
-    Two forward passes cover all clients: one of the global model and one of
-    the stacked uploads, each a stack per group of equal validation sizes;
-    every mean has the bits of a call of its own. Non-finite means are
-    returned, not warned about.
+    One forward pass covers all clients, a stack per group of equal
+    validation sizes; every mean has the bits of a call of its own.
+    Non-finite means are returned, not warned about.
     """
     xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
     with np.errstate(over="ignore", invalid="ignore"):
-        before = models.losses_by_batch(spec, global_params, xs, ys)
-        after = models.losses_by_batch(spec, uploads, xs, ys)
-    return [(float(b.mean()), float(a.mean())) for b, a in zip(before, after)]
+        losses = models.losses_by_batch(spec, params, xs, ys)
+    return [float(v.mean()) for v in losses]
 
 
 def reward_local_update(
@@ -387,5 +387,8 @@ def compensated_local_update(
     params = combined_sgd_epochs(spec, global_params, *args) if len(y) else global_params.copy()
     val = None
     if is_rewarded(plan) and len(client.val_y):
-        val = validation_losses(spec, global_params, params[None], [client])[0]
+        val = (
+            validation_losses(spec, global_params, [client])[0],
+            validation_losses(spec, params[None], [client])[0],
+        )
     return params, reward_local_update(client.client_id, plan, val, round_t, bandit)

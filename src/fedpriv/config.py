@@ -164,6 +164,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("fl.T", "must be >= 1")
     if cfg.threads != 1:
         bad("fl.threads", f"must be 1 (clients train in lock-step), got {cfg.threads}")
+    if not -(2**63) <= cfg.seed < 2**63:
+        bad("fl.seed", f"must fit a signed 64-bit integer (the snapshot stamp), got {cfg.seed}")
     if not (math.isfinite(cfg.lr) and cfg.lr >= 0):
         bad("fl.lr", f"must be a finite number >= 0, got {cfg.lr}")
     for key, value in (

@@ -236,8 +236,11 @@ def write_attacks_csv(path: str, results) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
+def stage_train(
+    cfg: ExperimentConfig, out_dir: str, prep: PreparedData | None = None
+) -> TrainingState:
     """Run training and write rounds/assignments/compensation CSVs + snapshots.
+    The data are prepared here unless `prep`, `prepare_data(cfg)`, is given.
 
     The evaluation pools are drawn first, and every coalition member's
     training set is checked to fill defense.intervals, so a config that does
@@ -247,7 +250,7 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     in `out_dir` are removed before anything is written, so none of them can
     be read as this run's.
     """
-    prep = prepare_data(cfg)
+    prep = prepare_data(cfg) if prep is None else prep
     build_pools(cfg, prep)
     if cfg.defense == "coalition":
         for k in cfg.coalition:
@@ -331,11 +334,15 @@ def _attack_selector(cfg: ExperimentConfig):
 
 
 def stage_attack(
-    cfg: ExperimentConfig, out_dir: str, store: SnapshotStore | None = None
+    cfg: ExperimentConfig,
+    out_dir: str,
+    store: SnapshotStore | None = None,
+    prep: PreparedData | None = None,
 ) -> list[atk.AttackResult]:
     """Score the configured attacks against the recorded snapshots; the
     snapshots are loaded from `out_dir` after their stamp is checked unless
-    `store` is given.
+    `store` is given, and the data are prepared unless `prep`,
+    `prepare_data(cfg)`, is given.
 
     The attacks share one dict of trajectories, so each trajectory that
     several of them read is computed once; it is dropped when this call
@@ -344,7 +351,7 @@ def stage_attack(
     if store is None:
         _check_snapshot_stamp(cfg, out_dir)
         store = SnapshotStore.load(os.path.join(out_dir, SNAPSHOTS_NPZ))
-    prep = prepare_data(cfg)
+    prep = prepare_data(cfg) if prep is None else prep
     pools = build_pools(cfg, prep)
     selector = _attack_selector(cfg)
     shared: dict = {}
@@ -422,9 +429,11 @@ def run_experiment(
     out_dir: str,
     baseline_dir: str | None = None,
 ) -> int:
-    """Train, attack, and report in one pass. Returns a process exit status."""
-    state = stage_train(cfg, out_dir)
-    stage_attack(cfg, out_dir, store=state.store)
+    """Train, attack, and report in one pass, on data prepared once.
+    Returns a process exit status."""
+    prep = prepare_data(cfg)
+    state = stage_train(cfg, out_dir, prep)
+    stage_attack(cfg, out_dir, store=state.store, prep=prep)
     stage_report(cfg, out_dir, baseline_dir=baseline_dir)
     return 0
 

@@ -2,14 +2,17 @@
 
 Every client trains every round (full participation keeps the coalition's
 noise cancellation exact), all together in one lock-step
-`models.sgd_clients` call; coalition members under the coalition defense
+`models.sgd_lockstep` call; coalition members under the coalition defense
 plan their recycled rows before it, from the per-sample training losses of
 the evaluation that ended the previous round, and reward their bandits
-after it, from two forward passes over all their validation sets. The
-server aggregates local parameters with weights proportional to each
-client's original local dataset size, and records model snapshots — the
-global broadcast and every uploaded local — at round 1 and every
-snapshot_every rounds thereafter.
+after it, from their validation losses under that evaluation's model and
+one forward pass of their uploads. The server aggregates local parameters
+with weights proportional to each client's original local dataset size,
+and records model snapshots — the global broadcast and every uploaded
+local — at round 1 and every snapshot_every rounds thereafter.
+
+A run makes its generators and its large arrays once (`RunBuffers`) and
+reuses them every round; `run_training` drops them when it returns.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .compensation import plan_local_update, planned_rows, reward_local_update, 
 from .data import ClientDataset
 from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
-from .rng import stream
+from .rng import RoundStreams, stream
 
 DEFENSE_KINDS = ("none", "coalition", "grad_sparse", "grad_noise")
 
@@ -98,14 +101,21 @@ SNAPSHOT_FIELDS = ("format", "config_sha256", "seed") + MODEL_FIELDS
 class SnapshotStore:
     """Recorded model snapshots, one entry per recorded round: the global
     broadcast (P,) in `globals` and the uploaded locals (K, P) in `locals`,
-    row k holding client k's upload."""
+    row k holding client k's upload.
 
-    def __init__(self, spec: ModelSpec, client_sizes: np.ndarray):
+    Given the number of snapshots to come (`capacity`), the store records
+    them into two stacks made up front, which `save` then writes as they
+    are instead of stacking a copy of every snapshot."""
+
+    def __init__(self, spec: ModelSpec, client_sizes: np.ndarray, capacity: int = 0):
         self.spec = spec
         self.client_sizes = np.asarray(client_sizes, dtype=np.int64)
         self.rounds: list[int] = []
         self.globals: list[np.ndarray] = []
         self.locals: list[np.ndarray] = []
+        p = spec.param_count
+        self._globals = np.empty((capacity, p))
+        self._locals = np.empty((capacity, self.num_clients, p))
 
     @property
     def num_clients(self) -> int:
@@ -116,16 +126,26 @@ class SnapshotStore:
         shape = (self.num_clients, self.spec.param_count)
         if np.shape(uploads) != shape:
             raise ValueError(f"uploads must have shape {shape}, got {np.shape(uploads)}")
+        row = len(self.rounds)
+        if row < len(self._globals):
+            self._globals[row], self._locals[row] = global_params, uploads
+            global_params, uploads = self._globals[row], self._locals[row]
+        else:
+            global_params, uploads = global_params.copy(), np.array(uploads, dtype=np.float64)
         self.rounds.append(round_t)
-        self.globals.append(global_params.copy())
-        self.locals.append(np.array(uploads, dtype=np.float64))
+        self.globals.append(global_params)
+        self.locals.append(uploads)
 
     def save(self, path: str, config_sha256: str, seed: int) -> None:
         """Write format 2: the stamp of the run that trained these models,
         then the stacked snapshots. Members are stored uncompressed, since
         float64 weights barely compress; numpy gives every zip member the
         same fixed timestamp, so the bytes are a function of the contents."""
-        spec = self.spec
+        spec, n = self.spec, len(self.rounds)
+        if all(g.base is self._globals for g in self.globals):  # recorded into the stacks
+            globals_stack, locals_stack = self._globals[:n], self._locals[:n]
+        else:
+            globals_stack, locals_stack = np.stack(self.globals), np.stack(self.locals)
         np.savez(
             path,
             format=np.int64(SNAPSHOT_FORMAT),
@@ -134,8 +154,8 @@ class SnapshotStore:
             rounds=np.asarray(self.rounds, dtype=np.int64),
             client_sizes=self.client_sizes,
             spec=np.asarray([spec.input_dim, spec.hidden_dim, spec.num_classes], dtype=np.int64),
-            globals=np.stack(self.globals),
-            locals=np.stack(self.locals),
+            globals=globals_stack,
+            locals=locals_stack,
         )
 
     @classmethod
@@ -243,9 +263,11 @@ def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
     return spec
 
 
-def aggregate_weighted(params_list, weights) -> np.ndarray:
+def aggregate_weighted(params_list, weights, product=None) -> np.ndarray:
     """Element-wise weighted average sum(w_k * theta_k) / sum(w_k) of the
-    parameter vectors in `params_list` (a sequence or the rows of a matrix)."""
+    parameter vectors in `params_list` (a sequence or the rows of a matrix).
+    `product`, a float64 array of the matrix's shape (K, P) and possibly the
+    matrix itself, takes the weighted rows if given."""
     weights = np.asarray(weights, dtype=np.float64)
     if not np.all(np.isfinite(weights)):
         raise ValueError(f"weights must be finite, got {weights}")
@@ -258,7 +280,7 @@ def aggregate_weighted(params_list, weights) -> np.ndarray:
     length = len(params_list[0])
     if any(len(p) != length for p in params_list):
         raise ValueError("parameter vectors differ in length")
-    weighted = weights[:, None] * np.asarray(params_list, dtype=np.float64)
+    weighted = np.multiply(weights[:, None], np.asarray(params_list, dtype=np.float64), out=product)
     if length == 1:  # numpy would sum a contiguous column pairwise, not in order
         weighted = np.repeat(weighted, 2, axis=1)
     # from +0.0 and row after row, as a loop of `out += w * p` sums
@@ -286,6 +308,24 @@ def grad_gaussian_noise(update: np.ndarray, sigma: float, rng: np.random.Generat
     return update + rng.normal(0.0, sigma, size=len(update))
 
 
+@dataclass(eq=False)
+class RunBuffers:
+    """What every round of a run reuses instead of making it anew: a
+    per-client generator for each of its "train", "bandit" and "gradnoise"
+    streams; the stacked rows of the evaluation that ends a round (every
+    client's training set, then the validation sets of `val_members`, the
+    coalition members that have one) and of the test set; the (K, P) upload
+    matrix, which aggregation overwrites with its product; and one workspace
+    for the lock-step training and both evaluations."""
+
+    streams: dict[str, RoundStreams]
+    workspace: models.Workspace
+    evaluation: models.StackedBatches
+    val_members: list[int]
+    test: models.StackedBatches
+    uploads: np.ndarray
+
+
 @dataclass
 class TrainingState:
     """Mutable state threaded through run_round."""
@@ -303,13 +343,16 @@ class TrainingState:
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
     defense_cfg: CoalitionDefenseConfig | None = None
-    # (params, {client id: per-sample training losses under params}) of the
-    # evaluation that ended the last round, params being the global model then
-    evaluation: tuple[np.ndarray, dict[int, np.ndarray]] | None = None
+    # (params, {client id: per-sample training losses}, {member: mean
+    # validation loss}) under params, the global model of the evaluation that
+    # ended the last round (see `_evaluate`)
+    evaluation: tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]] | None = None
     # (ids, prepared lock-step inputs or None) of the clients with rows to
     # train in a round without coalition plans: built at the first such round,
     # dropped when run_training ends
     plain_lockstep: tuple[list[int], models.LockstepInputs | None] | None = None
+    # made at the first round, dropped when run_training ends
+    buffers: RunBuffers | None = None
 
 
 def init_training(
@@ -325,6 +368,7 @@ def init_training(
     if len(clients) != config.num_clients:
         raise ValueError("client list does not match num_clients")
     sizes = np.asarray([c.num_samples for c in clients], dtype=np.int64)
+    snapshots = sum(snapshot_due(t, config.snapshot_every) for t in range(1, config.rounds + 1))
     state = TrainingState(
         config=config,
         spec=spec,
@@ -332,7 +376,7 @@ def init_training(
         test_X=np.asarray(test_X, dtype=np.float64),
         test_y=np.asarray(test_y, dtype=np.int64),
         global_params=models.init_params(spec, stream(config.seed, "init")),
-        store=SnapshotStore(spec, sizes),
+        store=SnapshotStore(spec, sizes, capacity=snapshots),
     )
     if config.defense == "coalition":
         if defense_cfg is None:
@@ -367,18 +411,54 @@ def _diverged(round_t: int, clients) -> FloatingPointError:
     )
 
 
-def _member_losses(state: TrainingState, round_t: int) -> dict[int, np.ndarray | None]:
-    """Each coalition member's per-sample training losses under the round's
-    broadcast, None before recycling starts: those of the evaluation that
-    produced the broadcast, else (in round 1) of one evaluation of the
-    initial model."""
-    members = state.config.coalition
-    if round_t < state.defense_cfg.recycle.start_round:
-        return dict.fromkeys(members)
-    params, losses = state.evaluation or (None, None)
-    if params is not state.global_params:
-        losses = dict(zip(members, _client_losses(state, members)))
-    return losses
+def _buffers(state: TrainingState) -> RunBuffers:
+    """The run's `RunBuffers`, made at its first call."""
+    if state.buffers is None:
+        cfg, clients = state.config, state.clients
+        rounds = range(1, cfg.rounds + 1)
+        streams = {"train": RoundStreams(cfg.seed, "train", range(cfg.num_clients), rounds)}
+        val_members = []
+        if cfg.defense == "coalition":
+            t0 = state.defense_cfg.recycle.start_round  # a plan draws only from then on
+            streams["bandit"] = RoundStreams(cfg.seed, "bandit", cfg.coalition, rounds[t0 - 1 :])
+            val_members = [k for k in cfg.coalition if len(clients[k].val_y)]
+        if cfg.defense == "grad_noise":
+            streams["gradnoise"] = RoundStreams(cfg.seed, "gradnoise", cfg.coalition, rounds)
+        xs = [c.train_X for c in clients] + [clients[k].val_X for k in val_members]
+        ys = [c.train_y for c in clients] + [clients[k].val_y for k in val_members]
+        workspace = models.Workspace()
+        state.buffers = RunBuffers(
+            streams=streams,
+            workspace=workspace,
+            evaluation=models.StackedBatches(state.spec, xs, ys, workspace),
+            val_members=val_members,
+            test=models.StackedBatches(state.spec, [state.test_X], [state.test_y], workspace),
+            uploads=np.empty((cfg.num_clients, state.spec.param_count)),
+        )
+    return state.buffers
+
+
+def _evaluate(state: TrainingState):
+    """(params, {client id: per-sample training losses}, {member: mean
+    validation loss}) under params, the global model: one pass over every
+    client's training rows and the validation rows of the coalition members
+    that have some, each with the bits of a pass of its own. Non-finite
+    losses are returned, not warned about."""
+    bufs = _buffers(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = bufs.evaluation.losses(state.global_params)
+    k = state.config.num_clients
+    val = {m: float(v.mean()) for m, v in zip(bufs.val_members, losses[k:])}
+    return state.global_params, dict(enumerate(losses[:k])), val
+
+
+def _evaluation(state: TrainingState):
+    """`_evaluate`'s result for the round's broadcast: that of the evaluation
+    that produced it, else (in round 1) of one evaluation of the initial
+    model."""
+    if state.evaluation is None or state.evaluation[0] is not state.global_params:
+        state.evaluation = _evaluate(state)
+    return state.evaluation
 
 
 def _lockstep_inputs(state: TrainingState, plans: dict):
@@ -401,31 +481,36 @@ def _lockstep_inputs(state: TrainingState, plans: dict):
 
 
 def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
-    """The round's (K, P) upload matrix: coalition members under the coalition
-    defense are planned, every client with rows to train trains in one
-    lock-step call (a member with none uploads the broadcast), and the members
-    are rewarded and perturbed; grad_sparse / grad_noise alter their rows."""
+    """The round's (K, P) upload matrix, the run's buffer: coalition members
+    under the coalition defense are planned, every client with rows to train
+    trains in one lock-step call (a member with none uploads the broadcast),
+    and the members are rewarded and perturbed; grad_sparse / grad_noise
+    alter their rows."""
     cfg, dcfg, start = state.config, state.defense_cfg, state.global_params
-    plans = {}
+    bufs = _buffers(state)
+    plans, losses, val_before = {}, {}, {}
     if cfg.defense == "coalition":
         subsets = state.schedule.round_subsets(round_t)
-        losses = _member_losses(state, round_t)
         recycling = round_t >= dcfg.recycle.start_round  # a plan draws only then
+        if recycling:
+            _, losses, val_before = _evaluation(state)
         for member, k in enumerate(cfg.coalition):
             client = state.clients[k]
             assigned = select_assigned_subset(client, subsets[member])
-            rng = stream(cfg.seed, "bandit", k, round_t) if recycling else None
+            rng = bufs.streams["bandit"](k, round_t) if recycling else None
             plans[k] = plan_local_update(
-                losses[k], assigned, round_t, dcfg.recycle, state.bandits[k], rng
+                losses.get(k), assigned, round_t, dcfg.recycle, state.bandits[k], rng
             )
     ids, inputs = _lockstep_inputs(state, plans)
-    uploads = np.tile(start, (cfg.num_clients, 1))
+    uploads = bufs.uploads
+    uploads[:] = start
     if ids:
-        rngs = [stream(cfg.seed, "train", k, round_t) for k in ids]
+        rngs = [bufs.streams["train"](k, round_t) for k in ids]
         dlogits_fn = cr_term(dcfg.recycle.mu) if plans else None
         try:
             uploads[ids] = models.sgd_lockstep(
-                state.spec, start, inputs, cfg.lr, cfg.local_epochs, rngs, dlogits_fn
+                state.spec, start, inputs, cfg.lr, cfg.local_epochs, rngs, dlogits_fn,
+                bufs.workspace,
             )
         except models.NonFiniteLoss as err:
             raise _diverged(round_t, [ids[i] for i in err.clients]) from None
@@ -433,7 +518,8 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     val = {}
     if rewarded:
         members = [state.clients[k] for k in rewarded]
-        val = dict(zip(rewarded, validation_losses(state.spec, start, uploads[rewarded], members)))
+        after = validation_losses(state.spec, uploads[rewarded], members)
+        val = {k: (val_before[k], a) for k, a in zip(rewarded, after)}
         diverged = [k for k in rewarded if not all(map(math.isfinite, val[k]))]
         if diverged:  # the first member in coalition order, as a member-by-member reward finds
             raise _diverged(round_t, diverged[:1])
@@ -450,21 +536,10 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
             if cfg.defense == "grad_sparse":
                 update = grad_sparsify(update, cfg.keep_rate)
             else:
-                noise_rng = stream(cfg.seed, "gradnoise", k, round_t)
+                noise_rng = bufs.streams["gradnoise"](k, round_t)
                 update = grad_gaussian_noise(update, cfg.noise_sigma, noise_rng)
             uploads[k] = start + update
     return uploads
-
-
-def _client_losses(state: TrainingState, ids) -> list[np.ndarray]:
-    """The per-sample training losses of clients `ids` under the global
-    model, in that order: one stacked forward pass per group of clients whose
-    training sets have the same size, and one log-softmax over all rows.
-    Non-finite losses are returned, not warned about."""
-    xs = [state.clients[k].train_X for k in ids]
-    ys = [state.clients[k].train_y for k in ids]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return models.losses_by_batch(state.spec, state.global_params, xs, ys)
 
 
 def snapshot_due(round_t: int, snapshot_every: int) -> bool:
@@ -482,16 +557,16 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
     if snapshot_due(round_t, cfg.snapshot_every):
         state.store.record(round_t, state.global_params, uploads)
 
-    state.global_params = aggregate_weighted(uploads, state.store.client_sizes)
+    # the product overwrites the uploads, which the round no longer needs
+    state.global_params = aggregate_weighted(uploads, state.store.client_sizes, uploads)
     if not np.all(np.isfinite(state.global_params)):
         raise FloatingPointError(
             f"training diverged at round {round_t}: the aggregated global model is not finite"
         )
 
-    losses = _client_losses(state, range(cfg.num_clients))
-    state.evaluation = (state.global_params, dict(enumerate(losses)))
+    state.evaluation = _evaluate(state)
     loss_sum = 0.0
-    for client_losses in losses:  # not sum(): it compensates on Python >= 3.12
+    for client_losses in state.evaluation[1].values():  # not sum(): it compensates on 3.12+
         loss_sum += float(client_losses.sum())
     sample_count = sum(len(c.train_y) for c in state.clients)
     if not math.isfinite(loss_sum):
@@ -501,7 +576,7 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
     state.reports.append(
         RoundReport(
             round_t=round_t,
-            test_acc=models.accuracy(state.spec, state.global_params, state.test_X, state.test_y),
+            test_acc=state.buffers.test.accuracy(state.global_params),
             mean_train_loss=loss_sum / max(1, sample_count),
         )
     )
@@ -521,7 +596,7 @@ def run_training(
     state = init_training(config, spec, clients, test_X, test_y, defense_cfg)
     for t in range(1, config.rounds + 1):
         run_round(state, t)
-    # a finished state keeps no copy of the clients' rows, which a caller
-    # would otherwise hold through its attack stage
-    state.plain_lockstep = None
+    # a finished state keeps no copy of the clients' rows and no buffer, which
+    # a caller would otherwise hold through its attack stage
+    state.plain_lockstep = state.buffers = None
     return state

@@ -8,10 +8,13 @@ weighted aggregation can treat models as plain vectors.
 The public functions never mutate their inputs and are safe to call
 concurrently; `prepare_lockstep`'s inputs are read-only, so concurrent
 `sgd_lockstep` calls may share them (the generators they draw from are
-their own). Four private helpers write into arrays they are given:
-`_forward` writes the logits, `_backward` the gradients and `_log_softmax`
-the log-probabilities into `out`, and `_relu_backward` overwrites `dhid`
-with its result.
+their own, and so is a `Workspace`). A `Workspace`, and a `StackedBatches`
+that draws on one, serves one call at a time. Four private helpers write
+into arrays they are given: `_forward` writes the logits into `out` and the
+hidden layer into `hidden`, `_backward` the gradients into `out` (and, if
+asked to, its hidden gradient and ReLU mask over the forward cache),
+`_log_softmax` the log-probabilities into `out`, and `_relu_backward`
+overwrites `dhid` with its result.
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Most bytes of hidden activations and logits that one stacked forward pass
+# over many batches or models holds (`StackedBatches`, and the attacks' OUT
+# statistics). glibc serves a larger request from a fresh mapping (its
+# default mmap threshold is 128 KiB) and unmaps it on free, so every further
+# pass would fault its pages in again.
+STACK_CHUNK_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -91,10 +101,11 @@ def _single_layers(spec: ModelSpec, params: np.ndarray) -> list[np.ndarray]:
     return _layers(spec, params[None])
 
 
-def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, out=None):
+def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, out=None, hidden=None):
     """Stacked forward pass: x (G, b, input_dim) through G models; returns the
     logits (G, b, num_classes), written into `out` if given, and the cache
-    the backward pass reuses."""
+    the backward pass reuses: an MLP's pre-activations and hidden
+    activations (G, b, hidden_dim), written into the pair `hidden` if given."""
     # biases are added in place, so no layer makes a second temporary
     if spec.hidden_dim == 0:
         w, b = layers
@@ -102,31 +113,37 @@ def _forward(spec: ModelSpec, layers: list[np.ndarray], x: np.ndarray, out=None)
         logits += b[:, None, :]
         return logits, None
     w1, b1, w2, b2 = layers
-    pre = x @ w1.transpose(0, 2, 1)
+    pre, hid = hidden or (None, None)
+    pre = np.matmul(x, w1.transpose(0, 2, 1), out=pre)
     pre += b1[:, None, :]
-    hid = np.maximum(pre, 0.0)
+    hid = np.maximum(pre, 0.0, out=hid)
     logits = np.matmul(hid, w2.transpose(0, 2, 1), out=out)
     logits += b2[:, None, :]
     return logits, (pre, hid)
 
 
-def _relu_backward(pre: np.ndarray, dhid: np.ndarray) -> np.ndarray:
+def _relu_backward(pre: np.ndarray, dhid: np.ndarray, keep=None) -> np.ndarray:
     """np.where(pre > 0.0, dhid, 0.0), written into dhid (float64) and
     returned: masked entries become +0.0 (not -0.0, as a 0/1 multiply would
     give) and kept ones keep their bits, NaN included. An integer AND with an
     all-ones or all-zeros word avoids np.where's data-dependent branch, which
-    mispredicts on a ReLU's random mask."""
-    keep = (pre > 0.0).astype(np.int64)
+    mispredicts on a ReLU's random mask. `keep`, an int64 array of pre's
+    shape, takes the mask if given."""
+    if keep is None:
+        keep = np.empty(pre.shape, np.int64)
+    np.greater(pre, 0.0, out=keep)
     np.negative(keep, out=keep)
     bits = dhid.view(np.int64)
     np.bitwise_and(bits, keep, out=bits)
     return dhid
 
 
-def _backward(spec: ModelSpec, layers, x, cache, dlogits, out=None) -> list[np.ndarray]:
+def _backward(spec: ModelSpec, layers, x, cache, dlogits, out=None, consume=False):
     """Stacked backward pass from the forward cache: per-layer gradients
     (G, ...) in `_layers` order for a gradient dlogits (G, b, num_classes),
-    written into the arrays of `out` (in the same order) if given."""
+    written into the arrays of `out` (in the same order) if given. With
+    `consume`, an MLP's hidden gradient and ReLU mask are written over the
+    cache's hidden activations and pre-activations, once they are read."""
     out = out or [None] * (2 if spec.hidden_dim == 0 else 4)
     if spec.hidden_dim == 0:
         return [
@@ -134,12 +151,15 @@ def _backward(spec: ModelSpec, layers, x, cache, dlogits, out=None) -> list[np.n
             dlogits.sum(axis=1, out=out[1]),
         ]
     pre, hid = cache
-    dhid = _relu_backward(pre, dlogits @ layers[2])
+    d_w2 = np.matmul(dlogits.transpose(0, 2, 1), hid, out=out[2])
+    d_b2 = dlogits.sum(axis=1, out=out[3])
+    dhid = np.matmul(dlogits, layers[2], out=hid if consume else None)
+    dhid = _relu_backward(pre, dhid, pre.view(np.int64) if consume else None)
     return [
         np.matmul(dhid.transpose(0, 2, 1), x, out=out[0]),
         dhid.sum(axis=1, out=out[1]),
-        np.matmul(dlogits.transpose(0, 2, 1), hid, out=out[2]),
-        dlogits.sum(axis=1, out=out[3]),
+        d_w2,
+        d_b2,
     ]
 
 
@@ -250,31 +270,131 @@ def per_sample_losses(
     return losses if x.ndim == 3 else losses[0]
 
 
+class Workspace:
+    """Named arrays that calls reuse instead of allocating their own:
+    `array(name, shape)` is a C-contiguous view of the buffer `name`, which
+    a larger one replaces when a call needs more. `allocations` counts the
+    buffers made, so that views built before a replacement can be told
+    stale; `sgd_lockstep` keeps the views of its last call in `lockstep`.
+    One call at a time may use a workspace."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+        self.allocations = 0
+        self.lockstep = None
+
+    def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._arrays[name] = np.empty(size, dtype=dtype)
+            self.allocations += 1
+        return buf[:size].reshape(shape)
+
+
+class StackedBatches:
+    """Batches (xs[i], ys[i]) stacked once per group of equal size, to be
+    scored again and again: `losses` gives each batch's per-sample
+    cross-entropy and `accuracy` the share of all samples predicted right,
+    every batch with the bits of a `per_sample_losses` call of its own.
+
+    A group goes through `_forward` in chunks of as many batches as keep a
+    chunk's hidden activations and logits within STACK_CHUNK_BYTES (at least
+    one batch), and the log-softmax runs over row chunks within the same
+    bound. The logits and the hidden layer are written into the buffers
+    "logits", "pre" and "hid" of `workspace` (one of its own if None), so a
+    call allocates little more than its result. A lone batch of a size is a
+    view, not a copy.
+    """
+
+    def __init__(self, spec: ModelSpec, xs, ys, workspace: Workspace | None = None):
+        groups: dict[int, list[int]] = {}
+        for i, x in enumerate(xs):
+            groups.setdefault(len(x), []).append(i)
+        self.spec = spec
+        self.workspace = Workspace() if workspace is None else workspace
+        self.order = [i for ids in groups.values() for i in ids]
+        self.stacks = [
+            np.stack([xs[i] for i in ids], dtype=np.float64)
+            if len(ids) > 1
+            else np.asarray(xs[ids[0]], dtype=np.float64)[None]
+            for ids in groups.values()
+        ]
+        labels = [np.asarray(ys[i], dtype=np.int64).ravel() for i in self.order]
+        self.y = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
+        h, c = spec.hidden_dim, spec.num_classes
+        self.chunks = []  # (stack, first and end batch, first batch in order, first row)
+        first = row = most = 0
+        for s, stack in enumerate(self.stacks):
+            g, n = stack.shape[:2]
+            per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
+            for b0 in range(0, g, per):
+                b1 = min(g, b0 + per)
+                self.chunks.append((s, b0, b1, first + b0, row))
+                row += (b1 - b0) * n
+                most = max(most, (b1 - b0) * n)
+            first += g
+        if row != len(self.y):
+            raise ValueError(f"{len(self.y)} labels for {row} samples")
+        self.most = most  # rows of the largest chunk
+        self.targets = np.arange(row) * c + self.y
+        ends = np.cumsum([len(xs[i]) for i in self.order]).tolist()
+        self.rows = [None] * len(xs)  # batch i's rows in the logits
+        for i, end in zip(self.order, ends):
+            self.rows[i] = slice(end - len(xs[i]), end)
+
+    def _forward(self, params) -> np.ndarray:
+        """All batches' logits (rows, num_classes), in group order, under one
+        flat `params` (P,) or under model params[i] of a matrix (B, P) for
+        batch i; the array is the workspace's buffer."""
+        spec, ws = self.spec, self.workspace
+        matrix = np.ndim(params) == 2
+        if matrix:
+            theta = np.asarray(params, dtype=np.float64)
+            if theta.shape != (len(self.order), spec.param_count):
+                raise ValueError(
+                    f"parameter matrix has shape {theta.shape}, expected "
+                    f"({len(self.order)}, {spec.param_count}): one model per batch"
+                )
+            theta = theta[self.order]
+        else:
+            layers = _single_layers(spec, params)
+        logits = ws.array("logits", (len(self.y), spec.num_classes))
+        hidden = [ws.array(name, (self.most, spec.hidden_dim)) for name in ("pre", "hid")]
+        for s, b0, b1, first, row in self.chunks:
+            x = self.stacks[s][b0:b1]
+            g, n = x.shape[:2]
+            if matrix:
+                layers = _layers(spec, theta[first : first + g])
+            out = logits[row : row + g * n].reshape(g, n, -1)
+            chunk_hidden = [a[: g * n].reshape(g, n, -1) for a in hidden]
+            _forward(spec, layers, x, out=out, hidden=chunk_hidden)
+        return logits
+
+    def losses(self, params) -> list[np.ndarray]:
+        """Each batch's per-sample cross-entropy, in batch order, as views
+        into one fresh array."""
+        logits = self._forward(params)
+        step = max(1, STACK_CHUNK_BYTES // (8 * self.spec.num_classes))
+        for r0 in range(0, len(logits), step):
+            _log_softmax(logits[r0 : r0 + step], out=logits[r0 : r0 + step])
+        flat = logits.ravel()[self.targets]
+        np.negative(flat, out=flat)
+        return [flat[rows] for rows in self.rows]
+
+    def accuracy(self, params: np.ndarray) -> float:
+        """Share of all samples whose argmax prediction is their label."""
+        return float((self._forward(params).argmax(axis=1) == self.y).mean())
+
+
 def losses_by_batch(
     spec: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
 ) -> list[np.ndarray]:
     """Cross-entropy of each sample of each batch (xs[i], ys[i]), under one
     flat `params` (P,) or under model params[i] of a matrix (len(xs), P):
-    one `per_sample_losses` call on a stack per group of equal-sized batches
-    (a lone batch is a view, not a copy). Each batch gets the bits of a call
-    of its own; its losses are a view into one array."""
-    groups: dict[int, list[int]] = {}
-    for i, x in enumerate(xs):
-        groups.setdefault(len(x), []).append(i)
-    order = [i for ids in groups.values() for i in ids]
-
-    def stacked(arrays):
-        return [
-            np.stack([arrays[i] for i in ids]) if len(ids) > 1 else np.asarray(arrays[ids[0]])[None]
-            for ids in groups.values()
-        ]
-
-    theta = params if np.ndim(params) == 1 else np.asarray(params)[order]
-    flat = per_sample_losses(spec, theta, stacked(xs), stacked(ys))
-    out, row = [None] * len(xs), 0
-    for i in order:
-        out[i], row = flat[row : row + len(xs[i])], row + len(xs[i])
-    return out
+    `StackedBatches.losses` for a single use. Each batch gets the bits of a
+    call of its own; its losses are a view into one array."""
+    return StackedBatches(spec, xs, ys).losses(params)
 
 
 def grad_from_dlogits(
@@ -463,6 +583,56 @@ def prepare_lockstep(xs, ys, batch_size: int, masks=None) -> LockstepInputs:
     return inputs
 
 
+def _lockstep_views(spec: ModelSpec, inputs: LockstepInputs, workspace: Workspace):
+    """(theta, step, order, passes) of an `sgd_lockstep` call on `inputs`,
+    in `workspace`'s buffers: theta (K, P) the clients' parameters in rank
+    order, step a pass's gradients then update; per pass its rows, path and
+    clients with its feature and logit buffers, and per group its layer,
+    gradient, feature, logit and hidden views. The views of the last call
+    are reused while the inputs and the buffers stay the same."""
+    k, p, n, h = len(inputs.sizes), spec.param_count, inputs.width, spec.hidden_dim
+    # asked for first: a buffer that has to grow makes the kept views stale
+    arrays = (
+        workspace.array("theta", (k, p)),
+        workspace.array("step", (k, p)),
+        workspace.array("order", (len(inputs.slots),), np.int64),
+        workspace.array("x", (n, spec.input_dim)),
+        workspace.array("logits", (n, spec.num_classes)),
+        workspace.array("pre", (n, h)),
+        workspace.array("hid", (n, h)),
+    )
+    key = (spec, inputs, workspace.allocations)
+    if workspace.lockstep is not None and workspace.lockstep[0] == key:
+        return workspace.lockstep[1]
+    theta, step, order, x_buf, logit_buf, pre, hid = arrays
+    layers, grads = _layers(spec, theta), _layers(spec, step)
+    passes = []
+    for groups, r0, r1, row_b, masked in inputs.passes:
+        stacked = []
+        for j0, j1, b, row in groups:
+            at = slice(row - r0, row - r0 + (j1 - j0) * b)
+
+            def view(buf, at=at, g=j1 - j0, b=b):
+                return buf[at].reshape(g, b, -1)
+
+            stacked.append(
+                (
+                    [v[j0:j1] for v in layers],
+                    [v[j0:j1] for v in grads],
+                    at,
+                    view(x_buf),
+                    view(logit_buf),
+                    (view(pre), view(hid)) if h else None,
+                )
+            )
+        passes.append(
+            (r0, r1, row_b, masked, groups[0][0], groups[-1][1],
+             x_buf[: r1 - r0], logit_buf[: r1 - r0], stacked)
+        )
+    workspace.lockstep = (key, (theta, step, order, passes))
+    return workspace.lockstep[1]
+
+
 def sgd_lockstep(
     spec: ModelSpec,
     params: np.ndarray,
@@ -471,6 +641,7 @@ def sgd_lockstep(
     epochs: int,
     rngs: list[np.random.Generator],
     dlogits_fn=None,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """`sgd_clients` on prepared inputs: mini-batch SGD from `params` for
     the K clients of `inputs`, client k shuffled by rngs[k]; dlogits_fn is
@@ -478,7 +649,9 @@ def sgd_lockstep(
     trained parameters; neither `params` nor `inputs` is modified.
 
     Each pass's gradients are written into one (K, P) buffer, group by group,
-    and its clients, contiguous in rank, take one update.
+    and its clients, contiguous in rank, take one update. The buffers come
+    from `workspace`, which a caller that trains every round can keep; the
+    result is then one of them, valid until the workspace's next use.
     """
     if not lr >= 0:  # written so that NaN fails
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -490,39 +663,21 @@ def sgd_lockstep(
     if len({id(rng) for rng in rngs}) != k:
         raise ValueError("each client needs its own generator")
     rank, starts, sizes = inputs.rank, inputs.starts, inputs.sizes
-    theta = np.repeat(np.asarray(params, dtype=np.float64)[None, :], k, axis=0)
-    step = np.empty_like(theta)  # a pass's gradients, then its update
-    layers, grads = _layers(spec, theta), _layers(spec, step)
-    passes = []  # per pass: its rows, clients and groups, with their layer views
-    for groups, r0, r1, row_b, masked in inputs.passes:
-        stacked = [
-            (
-                [v[j0:j1] for v in layers],
-                [v[j0:j1] for v in grads],
-                slice(row - r0, row - r0 + (j1 - j0) * b),
-                j1 - j0,
-                b,
-            )
-            for j0, j1, b, row in groups
-        ]
-        passes.append((r0, r1, row_b, masked, groups[0][0], groups[-1][1], stacked))
-    order = np.empty(len(inputs.slots), dtype=np.int64)
-    logits_buf = np.empty((inputs.width, spec.num_classes))
+    workspace = Workspace() if workspace is None else workspace
+    theta, step, order, passes = _lockstep_views(spec, inputs, workspace)
+    theta[:] = np.asarray(params, dtype=np.float64)
     row_base = np.arange(inputs.width) * spec.num_classes  # flat index of each row's first logit
     # non-finite values are detected and reported below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
             order[inputs.slots] = _shuffled_rows(rank, starts, sizes, rngs)
-            for r0, r1, row_b, masked, j_lo, j_hi, stacked in passes:
+            for r0, r1, row_b, masked, j_lo, j_hi, x, logits, stacked in passes:
                 rows = order[r0:r1]
-                x, y = inputs.x[rows], inputs.y[rows]
-                logits = logits_buf[: r1 - r0]
+                np.take(inputs.x, rows, axis=0, out=x, mode="clip")  # rows are in range
+                y = inputs.y[rows]
                 target = row_base[: r1 - r0] + y
-                forwards = []
-                for group, _, at, g, b in stacked:
-                    xb = x[at].reshape(g, b, -1)
-                    _, cache = _forward(spec, group, xb, out=logits[at].reshape(g, b, -1))
-                    forwards.append((xb, cache))
+                for group, _, _, xb, lb, hidden in stacked:
+                    _forward(spec, group, xb, out=lb, hidden=hidden)
                 if not masked:
                     dlogits = _log_softmax(logits, out=logits)
                     checked = dlogits.ravel()[target]  # each row's target log-probability
@@ -541,19 +696,22 @@ def sgd_lockstep(
                 if not np.isfinite(checked.min() * (4 * inputs.batch_size)):
                     # sum each client's rows as a lone client's batch does: the
                     # order of a sum decides whether it overflows
-                    sums = [checked[at].reshape(g, b).sum(axis=1) for *_, at, g, b in stacked]
+                    sums = [
+                        checked[at].reshape(xb.shape[:2]).sum(axis=1)
+                        for _, _, at, xb, *_ in stacked
+                    ]
                     finite = np.isfinite(np.concatenate(sums))
                     if not finite.all():
                         raise NonFiniteLoss(rank[j_lo:j_hi][~finite])
                 dlogits /= row_b
-                for (group, grad, at, g, b), (xb, cache) in zip(stacked, forwards):
-                    _backward(spec, group, xb, cache, dlogits[at].reshape(g, b, -1), out=grad)
+                for group, grad, at, xb, lb, hidden in stacked:
+                    dl = lb if dlogits is logits else dlogits[at].reshape(lb.shape)
+                    _backward(spec, group, xb, hidden, dl, out=grad, consume=True)
                 update = step[j_lo:j_hi]
                 update *= lr
                 theta[j_lo:j_hi] -= update
-    out = np.empty_like(theta)
-    out[rank] = theta
-    return out
+    step[rank] = theta  # the trained parameters in client order
+    return step
 
 
 def sgd_clients(

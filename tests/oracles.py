@@ -282,9 +282,12 @@ def recorded_lockstep_inputs(xs, ys, batch_size, masks=None):
     )
 
 
-def sequential_sgd_lockstep(spec, params, inputs, lr, epochs, rngs, dlogits_fn=None):
+def sequential_sgd_lockstep(
+    spec, params, inputs, lr, epochs, rngs, dlogits_fn=None, workspace=None
+):
     """Stand-in for `models.sgd_lockstep` on `recorded_lockstep_inputs`: the
-    clients train one after another (`sequential_sgd_clients`)."""
+    clients train one after another (`sequential_sgd_clients`); the
+    workspace, which only holds buffers, is not needed."""
     masks = inputs.masks if inputs.masks is not None else [None] * len(inputs.xs)
     return sequential_sgd_clients(
         spec, params, inputs.xs, inputs.ys, lr, epochs, inputs.batch_size, rngs,

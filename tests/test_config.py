@@ -182,6 +182,17 @@ def test_out_of_range_value_names_its_key(key, value, extra):
         parse_config_text(MINIMAL + extra + f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 2**64])
+def test_seed_outside_a_signed_64_bit_integer_is_rejected(seed):
+    with pytest.raises(ConfigError, match=re.escape("'fl.seed'")):
+        parse_config_text(MINIMAL + f"fl.seed = {seed}\n")
+
+
+@pytest.mark.parametrize("seed", [-(2**63), -1, 2**63 - 1])
+def test_seed_at_the_ends_of_a_signed_64_bit_integer_is_accepted(seed):
+    assert parse_config_text(MINIMAL + f"fl.seed = {seed}\n").seed == seed
+
+
 def test_defense_keys_are_checked_only_under_their_defense():
     cfg = parse_config_text(MINIMAL + "defense.keep_rate = 0\ndefense.decay = step\n")
     assert cfg.keep_rate == 0.0 and cfg.decay == "step"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from fedpriv import cli, experiment as ex
+from fedpriv import federation as fed
 from fedpriv import models
 from fedpriv.config import ConfigError, parse_config_text
 from fedpriv.federation import MODEL_FIELDS, SNAPSHOT_FIELDS
@@ -74,6 +75,15 @@ def test_run_experiment_writes_all_outputs(tmp_path):
     assert summary[1].startswith("coalition,")
 
 
+ALL_CSVS = (
+    ex.ROUNDS_CSV,
+    ex.ASSIGNMENTS_CSV,
+    ex.COMPENSATION_CSV,
+    ex.ATTACKS_CSV,
+    ex.SUMMARY_CSV,
+)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = parse_config_text(DEFENDED)
     a, b = tmp_path / "a", tmp_path / "b"
@@ -88,6 +98,28 @@ def test_rerun_is_byte_identical(tmp_path):
         ex.SNAPSHOTS_NPZ,
     ):
         assert _read(a / name) == _read(b / name), name
+
+
+def test_run_experiment_prepares_the_data_once_for_the_artefacts_of_the_stages(
+    tmp_path, monkeypatch
+):
+    cfg = parse_config_text(DEFENDED)
+    staged, together = tmp_path / "staged", tmp_path / "together"
+    ex.stage_train(cfg, str(staged))
+    ex.stage_attack(cfg, str(staged))
+    ex.stage_report(cfg, str(staged))
+    calls = []
+    prepare = ex.prepare_data
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "prepare_data", counting)
+    ex.run_experiment(cfg, str(together))
+    assert len(calls) == 1
+    for name in (ex.CONFIG_TXT,) + ALL_CSVS + (ex.SNAPSHOTS_NPZ,):
+        assert _read(staged / name) == _read(together / name), name
 
 
 def test_snapshot_members_are_stored_uncompressed(tmp_path):
@@ -111,8 +143,9 @@ def test_lockstep_outputs_match_sequential_oracle(tmp_path, monkeypatch):
 
 
 def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch):
-    # nothing keeps a finished run's rows alive: the prepared lock-step inputs
-    # are gone with the run, the clients' arrays with the state
+    # nothing keeps a finished run's rows alive: the prepared lock-step inputs,
+    # the generators, the workspace and the evaluation's stacked rows are gone
+    # with the run, the clients' arrays with the state
     prepared = []
     prepare = models.prepare_lockstep
 
@@ -121,10 +154,25 @@ def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch)
         prepared.append(weakref.ref(inputs))
         return inputs
 
+    made = []
+    make = fed._buffers
+
+    def keeping(state):
+        buffers = make(state)
+        if not made:  # the same buffers serve every round
+            parts = [buffers, buffers.workspace, buffers.evaluation, buffers.test, buffers.uploads]
+            parts += [buffers.evaluation.stacks[0], *buffers.streams.values()]
+            made.extend(weakref.ref(part) for part in parts)
+        return buffers
+
     monkeypatch.setattr(models, "prepare_lockstep", recording)
-    state = ex.stage_train(parse_config_text(SMALL), str(tmp_path / "t"))
+    monkeypatch.setattr(fed, "_buffers", keeping)
+    text = SMALL + "defense.kind = grad_noise\ndefense.coalition = 0,1\n"
+    state = ex.stage_train(parse_config_text(text), str(tmp_path / "t"))
+    assert state.buffers is None and state.plain_lockstep is None
     gc.collect()
     assert len(prepared) == 1 and prepared[0]() is None
+    assert len(made) == 8 and [ref() for ref in made] == [None] * 8
     refs = [weakref.ref(c.train_X) for c in state.clients]
     del state
     gc.collect()
@@ -291,6 +339,27 @@ def test_out_override_that_config_text_cannot_keep_is_refused(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config_seed, cli_seed",
+    [(2**63, None), (-(2**63) - 1, None), (0, 2**63)],
+    ids=["config_above", "config_below", "cli_above"],
+)
+def test_seed_outside_int64_fails_before_anything_is_written(
+    tmp_path, capsys, monkeypatch, config_seed, cli_seed
+):
+    # the snapshot stamp stores the seed as an int64
+    calls = []
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL + f"fl.seed = {config_seed}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    argv = ["train", "--config", str(cfg_path), "--out", str(out)]
+    err = _refused(capsys, argv + ([] if cli_seed is None else ["--seed", str(cli_seed)]))
+    assert "'fl.seed'" in err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_cli_has_no_threads_option(tmp_path):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(SMALL, encoding="utf-8")
@@ -311,6 +380,32 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_runs_of_other_shapes_in_one_process_train_as_in_a_fresh_process(tmp_path):
+    # a run's buffers belong to it: neither run sees the other's sizes
+    texts = {
+        "mlp": DEFENDED,
+        "logistic": SMALL.replace("model.hidden_dim = 8", "model.hidden_dim = 0").replace(
+            "fl.K = 5", "fl.K = 7"
+        )
+        + "defense.kind = grad_noise\ndefense.coalition = 1,2\nfl.batch_size = 8\n",
+    }
+    for name, text in texts.items():
+        ex.stage_train(parse_config_text(text), str(tmp_path / "together" / name))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for name, text in texts.items():
+        out = tmp_path / "alone" / name
+        code = (
+            "from fedpriv import experiment as ex\n"
+            "from fedpriv.config import parse_config_text\n"
+            f"ex.stage_train(parse_config_text({text!r}), {str(out)!r})\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        for artefact in (ex.ROUNDS_CSV, ex.COMPENSATION_CSV, ex.SNAPSHOTS_NPZ):
+            assert _read(out / artefact) == _read(tmp_path / "together" / name / artefact)
 
 
 def test_building_pools_imports_no_numpy_ma():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fedpriv import experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
+from fedpriv import rng as fedrng
 from fedpriv.compensation import RecycleConfig
 from fedpriv.data import ClientDataset
 from fedpriv.federation import CoalitionDefenseConfig, FlConfig
@@ -661,8 +662,46 @@ def test_rewards_take_each_members_validation_losses_alone_bit_for_bit(hidden):
         assert tele.arm >= 0 and _bits(tele.raw_reward) == _bits(before - after)
 
 
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_rewards_equal_two_validation_passes_over_the_rewarded_members(hidden):
+    # the broadcast's validation losses come from the evaluation that ended
+    # the previous round (in round 1, of the initial model), the uploads'
+    # from one pass: each pair equals that of a pass of the broadcast and a
+    # pass of the uploads over the rewarded members' validation sets
+    spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
+    rng = np.random.default_rng(47)
+    state = _coalition_state(
+        spec, rng, [20, 24, 26, 33, 20], [3, 5, 0, 3, 4], 1, sigma=0.1,
+        coalition=(0, 1, 2, 3),
+    )
+    passes, pairs = [], []
+    validation, reward = fed.validation_losses, fed.reward_local_update
+
+    def passing(spec, params, clients):
+        passes.append((state.global_params.copy(), params.copy(), clients))
+        return validation(spec, params, clients)
+
+    def rewarding(client_id, plan, val, round_t, bandit):
+        if val is not None:
+            pairs.append(val)
+        return reward(client_id, plan, val, round_t, bandit)
+
+    with mock.patch.object(fed, "validation_losses", passing):
+        with mock.patch.object(fed, "reward_local_update", rewarding):
+            for t in range(1, 5):
+                fed.run_round(state, t)
+    two_pass = []
+    for broadcast, uploads, clients in passes:
+        xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
+        before = models.losses_by_batch(spec, broadcast, xs, ys)
+        after = models.losses_by_batch(spec, uploads, xs, ys)
+        two_pass += [(float(b.mean()), float(a.mean())) for b, a in zip(before, after)]
+    assert len(pairs) == 4 * 3  # every round, every member with validation rows
+    assert np.array_equal(_bits(pairs), _bits(two_pass))
+
+
 def test_bandit_generators_are_made_only_from_t0_on(tmp_path):
-    # a plan before t0 draws nothing, so no generator is made for it: members
+    # a plan before t0 draws nothing, so no stream is derived for it: members
     # x (T - t0 + 1) "bandit" streams, and the plans and compensation.csv of
     # runs that made one every round
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
@@ -671,20 +710,20 @@ def test_bandit_generators_are_made_only_from_t0_on(tmp_path):
         rng = np.random.default_rng(43)
         state = _coalition_state(spec, rng, [20, 24, 26, 33, 20], [3] * 5, 3, sigma=0.1)
         made, plans = [], []
-        stream, plan = fed.stream, fed.plan_local_update
+        derive, plan = fedrng.derive_seed, fed.plan_local_update
 
         def counting(seed, *labels):
             made.append(labels)
-            return stream(seed, *labels)
+            return derive(seed, *labels)
 
         def recording(losses, assigned, round_t, recycle, bandit, bandit_rng):
             if every_round and bandit_rng is None:  # the generator such a round made
                 (k,) = [k for k, b in state.bandits.items() if b is bandit]
-                bandit_rng = stream(state.config.seed, "bandit", k, round_t)
+                bandit_rng = fedrng.stream(state.config.seed, "bandit", k, round_t)
             plans.append(plan(losses, assigned, round_t, recycle, bandit, bandit_rng))
             return plans[-1]
 
-        with mock.patch.object(fed, "stream", counting):
+        with mock.patch.object(fedrng, "derive_seed", counting):
             with mock.patch.object(fed, "plan_local_update", recording):
                 for t in range(1, 5):
                     fed.run_round(state, t)
