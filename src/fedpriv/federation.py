@@ -100,19 +100,16 @@ SNAPSHOT_FIELDS = ("format", "config_sha256", "seed") + MODEL_FIELDS
 
 class SnapshotStore:
     """Recorded model snapshots, one entry per recorded round: the global
-    broadcast (P,) in `globals` and the uploaded locals (K, P) in `locals`,
-    row k holding client k's upload.
+    broadcasts in `globals` (R, P) and the uploaded locals in `locals`
+    (R, K, P), row k of an entry holding client k's upload.
 
-    Given the number of snapshots to come (`capacity`), the store records
-    them into two stacks made up front, which `save` then writes as they
-    are instead of stacking a copy of every snapshot."""
+    They are recorded into two stacks made for `capacity` snapshots and
+    doubled when full, so `save` writes them as they are."""
 
-    def __init__(self, spec: ModelSpec, client_sizes: np.ndarray, capacity: int = 0):
+    def __init__(self, spec: ModelSpec, client_sizes: np.ndarray, capacity: int = 1):
         self.spec = spec
         self.client_sizes = np.asarray(client_sizes, dtype=np.int64)
         self.rounds: list[int] = []
-        self.globals: list[np.ndarray] = []
-        self.locals: list[np.ndarray] = []
         p = spec.param_count
         self._globals = np.empty((capacity, p))
         self._locals = np.empty((capacity, self.num_clients, p))
@@ -121,31 +118,33 @@ class SnapshotStore:
     def num_clients(self) -> int:
         return len(self.client_sizes)
 
+    @property
+    def globals(self) -> np.ndarray:
+        return self._globals[: len(self.rounds)]
+
+    @property
+    def locals(self) -> np.ndarray:
+        return self._locals[: len(self.rounds)]
+
     def record(self, round_t: int, global_params: np.ndarray, uploads: np.ndarray):
         """Copy one round's global broadcast and its (K, P) upload matrix."""
         shape = (self.num_clients, self.spec.param_count)
         if np.shape(uploads) != shape:
             raise ValueError(f"uploads must have shape {shape}, got {np.shape(uploads)}")
         row = len(self.rounds)
-        if row < len(self._globals):
-            self._globals[row], self._locals[row] = global_params, uploads
-            global_params, uploads = self._globals[row], self._locals[row]
-        else:
-            global_params, uploads = global_params.copy(), np.array(uploads, dtype=np.float64)
+        if row == len(self._globals):
+            more = max(1, row)
+            self._globals = np.concatenate([self._globals, np.empty((more, shape[1]))])
+            self._locals = np.concatenate([self._locals, np.empty((more, *shape))])
+        self._globals[row], self._locals[row] = global_params, uploads
         self.rounds.append(round_t)
-        self.globals.append(global_params)
-        self.locals.append(uploads)
 
     def save(self, path: str, config_sha256: str, seed: int) -> None:
         """Write format 2: the stamp of the run that trained these models,
         then the stacked snapshots. Members are stored uncompressed, since
         float64 weights barely compress; numpy gives every zip member the
         same fixed timestamp, so the bytes are a function of the contents."""
-        spec, n = self.spec, len(self.rounds)
-        if all(g.base is self._globals for g in self.globals):  # recorded into the stacks
-            globals_stack, locals_stack = self._globals[:n], self._locals[:n]
-        else:
-            globals_stack, locals_stack = np.stack(self.globals), np.stack(self.locals)
+        spec = self.spec
         np.savez(
             path,
             format=np.int64(SNAPSHOT_FORMAT),
@@ -154,8 +153,8 @@ class SnapshotStore:
             rounds=np.asarray(self.rounds, dtype=np.int64),
             client_sizes=self.client_sizes,
             spec=np.asarray([spec.input_dim, spec.hidden_dim, spec.num_classes], dtype=np.int64),
-            globals=globals_stack,
-            locals=locals_stack,
+            globals=self.globals,
+            locals=self.locals,
         )
 
     @classmethod
@@ -163,16 +162,15 @@ class SnapshotStore:
         """Read a file written by `save`, checking its stamp, every field's
         shape and that every weight is finite.
 
-        Each stored array is read exactly once; the per-round snapshots are
-        row views into the loaded stacks.
+        Each stored array is read exactly once; the loaded stacks are the
+        store's.
         """
         with np.load(path) as blob:
             _read_stamp(blob, path)
             fields = {name: blob[name] for name in MODEL_FIELDS}
-        store = cls(_check_snapshot_fields(fields), fields["client_sizes"])
+        store = cls(_check_snapshot_fields(fields), fields["client_sizes"], capacity=0)
         store.rounds = [int(t) for t in fields["rounds"]]
-        store.globals = list(fields["globals"])
-        store.locals = list(fields["locals"])
+        store._globals, store._locals = fields["globals"], fields["locals"]
         return store
 
 
@@ -314,15 +312,14 @@ class RunBuffers:
     per-client generator for each of its "train", "bandit" and "gradnoise"
     streams; the stacked rows of the evaluation that ends a round (every
     client's training set, then the validation sets of `val_members`, the
-    coalition members that have one) and of the test set; the (K, P) upload
-    matrix, which aggregation overwrites with its product; and one workspace
-    for the lock-step training and both evaluations."""
+    coalition members that have one); the (K, P) upload matrix, which
+    aggregation overwrites with its product; and one workspace for the
+    lock-step training, that evaluation and the test accuracy."""
 
     streams: dict[str, RoundStreams]
     workspace: models.Workspace
     evaluation: models.StackedBatches
     val_members: list[int]
-    test: models.StackedBatches
     uploads: np.ndarray
 
 
@@ -432,7 +429,6 @@ def _buffers(state: TrainingState) -> RunBuffers:
             workspace=workspace,
             evaluation=models.StackedBatches(state.spec, xs, ys, workspace),
             val_members=val_members,
-            test=models.StackedBatches(state.spec, [state.test_X], [state.test_y], workspace),
             uploads=np.empty((cfg.num_clients, state.spec.param_count)),
         )
     return state.buffers
@@ -576,7 +572,9 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
     state.reports.append(
         RoundReport(
             round_t=round_t,
-            test_acc=state.buffers.test.accuracy(state.global_params),
+            test_acc=models.accuracy(
+                state.spec, state.global_params, state.test_X, state.test_y, state.buffers.workspace
+            ),
             mean_train_loss=loss_sum / max(1, sample_count),
         )
     )

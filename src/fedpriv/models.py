@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # Most bytes of hidden activations and logits that one stacked forward pass
-# over many batches or models holds (`StackedBatches`, and the attacks' OUT
-# statistics). glibc serves a larger request from a fresh mapping (its
-# default mmap threshold is 128 KiB) and unmaps it on free, so every further
-# pass would fault its pages in again.
+# over many batches or models holds (`per_sample_losses`, `accuracy`, and the
+# attacks' OUT statistics). glibc serves a larger request from a fresh
+# mapping (its default mmap threshold is 128 KiB) and unmaps it on free, so
+# every further pass would fault its pages in again.
 STACK_CHUNK_BYTES = 128 * 1024
 
 
@@ -224,17 +224,83 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
     return softmax(logits)
 
 
+class Workspace:
+    """Named arrays that calls reuse instead of allocating their own:
+    `array(name, shape)` is a C-contiguous view of the buffer `name`, which
+    a larger one replaces when a call needs more. One call at a time may
+    use a workspace."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._arrays[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace) -> np.ndarray:
+    """The logits (rows, num_classes) of every row of 3-D stacks, stack after
+    stack and batch after batch, under one flat `params` (P,) or under
+    model params[i] of a matrix (B, P) for the i-th of their B batches.
+
+    A forward pass takes as many batches of a stack as keep their hidden
+    activations and logits within STACK_CHUNK_BYTES (at least one), each
+    batch with the bits of a pass of its own. The logits and the hidden
+    layer are written into the buffers "logits", "pre" and "hid" of
+    `workspace`; the result is its "logits" buffer."""
+    matrix = np.ndim(params) == 2
+    if matrix:
+        theta = np.asarray(params, dtype=np.float64)
+        batches = sum(s.shape[0] for s in stacks)
+        if theta.shape != (batches, spec.param_count):
+            raise ValueError(
+                f"parameter matrix has shape {theta.shape}, expected "
+                f"({batches}, {spec.param_count}): one model per batch"
+            )
+    else:
+        layers = _single_layers(spec, params)
+    h, c = spec.hidden_dim, spec.num_classes
+    chunks = []  # (stack, first and end batch, first batch of all, first row)
+    first = row = most = 0
+    for s, stack in enumerate(stacks):
+        g, n = stack.shape[:2]
+        per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
+        for b0 in range(0, g, per):
+            b1 = min(g, b0 + per)
+            chunks.append((s, b0, b1, first + b0, row))
+            row += (b1 - b0) * n
+            most = max(most, (b1 - b0) * n)
+        first += g
+    logits = workspace.array("logits", (row, c))
+    hidden = [workspace.array(name, (most, h)) for name in ("pre", "hid")]
+    for s, b0, b1, first, row in chunks:
+        x = stacks[s][b0:b1]
+        if matrix:
+            layers = _layers(spec, theta[first : first + b1 - b0])
+        g, n = x.shape[:2]
+        out = logits[row : row + g * n].reshape(g, n, c)
+        _forward(spec, layers, x, out=out, hidden=[a[: g * n].reshape(g, n, h) for a in hidden])
+    return logits
+
+
 def per_sample_losses(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray
+    spec: ModelSpec, params: np.ndarray, x, y, workspace: Workspace | None = None
 ) -> np.ndarray:
     """Cross-entropy of each sample in a batch x (n, input_dim) -> (n,), in a
     stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n), or
     in a list of such 3-D stacks -> (sum of G * n,), stack after stack and batch
-    after batch. Each batch gets the arithmetic it would get on its own; a
-    list takes one forward pass per stack and one log-softmax in all.
+    after batch. Each batch gets the arithmetic it would get on its own.
 
     `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
-    the model of each of their B batches, in the same order."""
+    the model of each of their B batches, in the same order.
+
+    The forward passes run in chunks of batches and the log-softmax in
+    chunks of rows, each within STACK_CHUNK_BYTES, in the buffers of
+    `workspace` (one of its own if None), so a call allocates little more
+    than its result."""
     many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
     if many:
         stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
@@ -245,66 +311,25 @@ def per_sample_losses(
     samples = sum(s.shape[0] * s.shape[1] for s in stacks)
     if samples != len(y):
         raise ValueError(f"{len(y)} labels for {samples} samples")
-    if np.ndim(params) == 2:
-        theta = np.asarray(params, dtype=np.float64)
-        batches = sum(s.shape[0] for s in stacks)
-        if theta.shape != (batches, spec.param_count):
-            raise ValueError(
-                f"parameter matrix has shape {theta.shape}, expected "
-                f"({batches}, {spec.param_count}): one model per batch"
-            )
-        ends = np.cumsum([s.shape[0] for s in stacks])
-        layer_sets = [_layers(spec, theta[e - s.shape[0] : e]) for s, e in zip(stacks, ends)]
-    else:
-        layer_sets = [_single_layers(spec, params)] * len(stacks)
-    logits = np.empty((samples, spec.num_classes))
-    row = 0
-    for layers, s in zip(layer_sets, stacks):
-        end = row + s.shape[0] * s.shape[1]
-        _forward(spec, layers, s, out=logits[row:end].reshape(*s.shape[:2], -1))
-        row = end
-    losses = -log_softmax(logits).ravel()[np.arange(len(y)) * spec.num_classes + y]
+    workspace = Workspace() if workspace is None else workspace
+    logits = _stack_logits(spec, params, stacks, workspace)
+    step = max(1, STACK_CHUNK_BYTES // (8 * spec.num_classes))
+    for r0 in range(0, samples, step):
+        _log_softmax(logits[r0 : r0 + step], out=logits[r0 : r0 + step])
+    losses = logits.ravel()[np.arange(samples) * spec.num_classes + y]
+    np.negative(losses, out=losses)
     if many:
         return losses
     losses = losses.reshape(stacks[0].shape[:2])
     return losses if x.ndim == 3 else losses[0]
 
 
-class Workspace:
-    """Named arrays that calls reuse instead of allocating their own:
-    `array(name, shape)` is a C-contiguous view of the buffer `name`, which
-    a larger one replaces when a call needs more. `allocations` counts the
-    buffers made, so that views built before a replacement can be told
-    stale; `sgd_lockstep` keeps the views of its last call in `lockstep`.
-    One call at a time may use a workspace."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-        self.allocations = 0
-        self.lockstep = None
-
-    def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._arrays.get(name)
-        if buf is None or len(buf) < size:
-            buf = self._arrays[name] = np.empty(size, dtype=dtype)
-            self.allocations += 1
-        return buf[:size].reshape(shape)
-
-
 class StackedBatches:
     """Batches (xs[i], ys[i]) stacked once per group of equal size, to be
     scored again and again: `losses` gives each batch's per-sample
-    cross-entropy and `accuracy` the share of all samples predicted right,
-    every batch with the bits of a `per_sample_losses` call of its own.
-
-    A group goes through `_forward` in chunks of as many batches as keep a
-    chunk's hidden activations and logits within STACK_CHUNK_BYTES (at least
-    one batch), and the log-softmax runs over row chunks within the same
-    bound. The logits and the hidden layer are written into the buffers
-    "logits", "pre" and "hid" of `workspace` (one of its own if None), so a
-    call allocates little more than its result. A lone batch of a size is a
-    view, not a copy.
+    cross-entropy through one `per_sample_losses` call on the stacks, every
+    batch with the bits of a call of its own, in the buffers of `workspace`
+    (one of its own if None). A lone batch of a size is a view, not a copy.
     """
 
     def __init__(self, spec: ModelSpec, xs, ys, workspace: Workspace | None = None):
@@ -321,70 +346,20 @@ class StackedBatches:
             for ids in groups.values()
         ]
         labels = [np.asarray(ys[i], dtype=np.int64).ravel() for i in self.order]
-        self.y = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-        h, c = spec.hidden_dim, spec.num_classes
-        self.chunks = []  # (stack, first and end batch, first batch in order, first row)
-        first = row = most = 0
-        for s, stack in enumerate(self.stacks):
-            g, n = stack.shape[:2]
-            per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
-            for b0 in range(0, g, per):
-                b1 = min(g, b0 + per)
-                self.chunks.append((s, b0, b1, first + b0, row))
-                row += (b1 - b0) * n
-                most = max(most, (b1 - b0) * n)
-            first += g
-        if row != len(self.y):
-            raise ValueError(f"{len(self.y)} labels for {row} samples")
-        self.most = most  # rows of the largest chunk
-        self.targets = np.arange(row) * c + self.y
+        self.labels = [np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)]
         ends = np.cumsum([len(xs[i]) for i in self.order]).tolist()
-        self.rows = [None] * len(xs)  # batch i's rows in the logits
+        self.rows = [None] * len(xs)  # batch i's rows in the losses
         for i, end in zip(self.order, ends):
             self.rows[i] = slice(end - len(xs[i]), end)
 
-    def _forward(self, params) -> np.ndarray:
-        """All batches' logits (rows, num_classes), in group order, under one
-        flat `params` (P,) or under model params[i] of a matrix (B, P) for
-        batch i; the array is the workspace's buffer."""
-        spec, ws = self.spec, self.workspace
-        matrix = np.ndim(params) == 2
-        if matrix:
-            theta = np.asarray(params, dtype=np.float64)
-            if theta.shape != (len(self.order), spec.param_count):
-                raise ValueError(
-                    f"parameter matrix has shape {theta.shape}, expected "
-                    f"({len(self.order)}, {spec.param_count}): one model per batch"
-                )
-            theta = theta[self.order]
-        else:
-            layers = _single_layers(spec, params)
-        logits = ws.array("logits", (len(self.y), spec.num_classes))
-        hidden = [ws.array(name, (self.most, spec.hidden_dim)) for name in ("pre", "hid")]
-        for s, b0, b1, first, row in self.chunks:
-            x = self.stacks[s][b0:b1]
-            g, n = x.shape[:2]
-            if matrix:
-                layers = _layers(spec, theta[first : first + g])
-            out = logits[row : row + g * n].reshape(g, n, -1)
-            chunk_hidden = [a[: g * n].reshape(g, n, -1) for a in hidden]
-            _forward(spec, layers, x, out=out, hidden=chunk_hidden)
-        return logits
-
     def losses(self, params) -> list[np.ndarray]:
-        """Each batch's per-sample cross-entropy, in batch order, as views
-        into one fresh array."""
-        logits = self._forward(params)
-        step = max(1, STACK_CHUNK_BYTES // (8 * self.spec.num_classes))
-        for r0 in range(0, len(logits), step):
-            _log_softmax(logits[r0 : r0 + step], out=logits[r0 : r0 + step])
-        flat = logits.ravel()[self.targets]
-        np.negative(flat, out=flat)
+        """Each batch's per-sample cross-entropy under one flat `params` (P,)
+        or under model params[i] of a matrix (B, P) for batch i, in batch
+        order, as views into one fresh array."""
+        if np.ndim(params) == 2 and len(params) == len(self.order):
+            params = np.asarray(params)[self.order]  # other shapes are refused below
+        flat = per_sample_losses(self.spec, params, self.stacks, self.labels, self.workspace)
         return [flat[rows] for rows in self.rows]
-
-    def accuracy(self, params: np.ndarray) -> float:
-        """Share of all samples whose argmax prediction is their label."""
-        return float((self._forward(params).argmax(axis=1) == self.y).mean())
 
 
 def losses_by_batch(
@@ -588,23 +563,13 @@ def _lockstep_views(spec: ModelSpec, inputs: LockstepInputs, workspace: Workspac
     in `workspace`'s buffers: theta (K, P) the clients' parameters in rank
     order, step a pass's gradients then update; per pass its rows, path and
     clients with its feature and logit buffers, and per group its layer,
-    gradient, feature, logit and hidden views. The views of the last call
-    are reused while the inputs and the buffers stay the same."""
+    gradient, feature, logit and hidden views."""
     k, p, n, h = len(inputs.sizes), spec.param_count, inputs.width, spec.hidden_dim
-    # asked for first: a buffer that has to grow makes the kept views stale
-    arrays = (
-        workspace.array("theta", (k, p)),
-        workspace.array("step", (k, p)),
-        workspace.array("order", (len(inputs.slots),), np.int64),
-        workspace.array("x", (n, spec.input_dim)),
-        workspace.array("logits", (n, spec.num_classes)),
-        workspace.array("pre", (n, h)),
-        workspace.array("hid", (n, h)),
-    )
-    key = (spec, inputs, workspace.allocations)
-    if workspace.lockstep is not None and workspace.lockstep[0] == key:
-        return workspace.lockstep[1]
-    theta, step, order, x_buf, logit_buf, pre, hid = arrays
+    theta, step = workspace.array("theta", (k, p)), workspace.array("step", (k, p))
+    order = workspace.array("order", (len(inputs.slots),), np.int64)
+    x_buf = workspace.array("x", (n, spec.input_dim))
+    logit_buf = workspace.array("logits", (n, spec.num_classes))
+    pre, hid = workspace.array("pre", (n, h)), workspace.array("hid", (n, h))
     layers, grads = _layers(spec, theta), _layers(spec, step)
     passes = []
     for groups, r0, r1, row_b, masked in inputs.passes:
@@ -629,8 +594,7 @@ def _lockstep_views(spec: ModelSpec, inputs: LockstepInputs, workspace: Workspac
             (r0, r1, row_b, masked, groups[0][0], groups[-1][1],
              x_buf[: r1 - r0], logit_buf[: r1 - r0], stacked)
         )
-    workspace.lockstep = (key, (theta, step, order, passes))
-    return workspace.lockstep[1]
+    return theta, step, order, passes
 
 
 def sgd_lockstep(
@@ -778,7 +742,12 @@ def sgd_epochs(
     return sgd_clients(spec, params, [x], [y], lr, epochs, batch_size, [rng])[0]
 
 
-def accuracy(spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of samples whose argmax prediction matches the label."""
-    logits, _, _ = _logits_and_hidden(spec, params, x)
+def accuracy(
+    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
+    workspace: Workspace | None = None,
+) -> float:
+    """Fraction of samples whose argmax prediction matches the label; the
+    logits and hidden layer go into the buffers of `workspace` if given."""
+    workspace = Workspace() if workspace is None else workspace
+    logits = _stack_logits(spec, params, [_as_batch(spec, x)[None]], workspace)
     return float((logits.argmax(axis=1) == np.asarray(y)).mean())

@@ -6,8 +6,8 @@ execution order, so clients can be trained in any interleaving, such as in
 lock-step, without changing results.
 
 `stream` makes one stream's generator. `RoundStreams` serves the per-client,
-per-round streams of a whole run: it derives their PCG64 states many at a
-time and resets one reusable generator per client to them, which costs
+per-round streams of a whole run: it derives all their PCG64 states at
+once and resets one reusable generator per client to them, which costs
 about a third of making each generator afresh.
 """
 
@@ -105,46 +105,31 @@ def pcg64_states(seeds) -> np.ndarray:
     return np.stack([state_hi, state_lo, inc_hi, inc_lo], axis=1)
 
 
-# streams whose states one vectorised pass derives
-BLOCK_STREAMS = 4096
-
-
 class RoundStreams:
     """The streams (master, label, k, t) of the clients k in `ids` and the
     rounds t in `rounds`: `self(k, t)` is client k's generator, reset to
     the start of `stream(master, label, k, t)`.
 
     Each client keeps one generator, valid until its next call. The states
-    of a block of rounds (about BLOCK_STREAMS streams) are derived together
-    when a round of it is first asked for, and only the latest block is
-    kept, as words in one array: a block of 128-bit Python integers would
-    stay scattered through the interpreter's heap after the run, and keep
-    its pages resident.
+    of all the streams are derived at construction, in one vectorised pass,
+    and kept as words in one (rounds, ids, 4) array: as 128-bit Python
+    integers they would stay scattered through the interpreter's heap after
+    the run, and keep its pages resident.
     """
 
     def __init__(self, master: int, label: str, ids, rounds: range):
-        self.master, self.label, self.rounds = master, label, rounds
-        self.ids = list(ids)
-        self._position = {k: i for i, k in enumerate(self.ids)}
-        self._block_rounds = max(1, BLOCK_STREAMS // max(1, len(self.ids)))
-        self._block = (range(0), None)  # (its rounds, their states (rounds, ids, 4))
-        self._round = (None, None)  # (round, its states as Python integers)
+        self.label, self.rounds = label, rounds
+        ids = list(ids)
+        self._position = {k: i for i, k in enumerate(ids)}
+        seeds = [derive_seed(master, label, k, t) for t in rounds for k in ids]
+        self._states = pcg64_states(seeds).reshape(len(rounds), len(ids), 4)
         self._generators: dict[int, np.random.Generator] = {}
 
     def __call__(self, k: int, round_t: int) -> np.random.Generator:
         position = self._position.get(k)
         if position is None or round_t not in self.rounds:
             raise ValueError(f"no {self.label!r} stream for client {k} at round {round_t}")
-        if self._round[0] != round_t:
-            block, words = self._block
-            if round_t not in block:
-                first = self.rounds.index(round_t) // self._block_rounds * self._block_rounds
-                block, ids = self.rounds[first : first + self._block_rounds], self.ids
-                seeds = [derive_seed(self.master, self.label, c, t) for t in block for c in ids]
-                words = pcg64_states(seeds).reshape(len(block), len(ids), 4)
-                self._block = (block, words)
-            self._round = (round_t, words[block.index(round_t)].tolist())
-        s_hi, s_lo, i_hi, i_lo = self._round[1][position]
+        s_hi, s_lo, i_hi, i_lo = self._states[self.rounds.index(round_t), position].tolist()
         gen = self._generators.get(k)
         if gen is None:
             gen = self._generators[k] = np.random.default_rng(0)

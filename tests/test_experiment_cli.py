@@ -160,7 +160,7 @@ def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch)
     def keeping(state):
         buffers = make(state)
         if not made:  # the same buffers serve every round
-            parts = [buffers, buffers.workspace, buffers.evaluation, buffers.test, buffers.uploads]
+            parts = [buffers, buffers.workspace, buffers.evaluation, buffers.uploads]
             parts += [buffers.evaluation.stacks[0], *buffers.streams.values()]
             made.extend(weakref.ref(part) for part in parts)
         return buffers
@@ -172,7 +172,7 @@ def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch)
     assert state.buffers is None and state.plain_lockstep is None
     gc.collect()
     assert len(prepared) == 1 and prepared[0]() is None
-    assert len(made) == 8 and [ref() for ref in made] == [None] * 8
+    assert len(made) == 7 and [ref() for ref in made] == [None] * 7
     refs = [weakref.ref(c.train_X) for c in state.clients]
     del state
     gc.collect()

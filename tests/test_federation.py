@@ -389,8 +389,8 @@ def test_perturbation_cancels_for_random_coalitions_sizes_and_sigma(
 
     on, off = run(sigma), run(0.0)
     assert on.store.rounds == off.store.rounds == [1, 2, 3]
-    trajectory_on = on.store.globals + [on.global_params]
-    trajectory_off = off.store.globals + [off.global_params]
+    trajectory_on = [*on.store.globals, on.global_params]
+    trajectory_off = [*off.store.globals, off.global_params]
     for g_on, g_off in zip(trajectory_on, trajectory_off):
         assert np.max(np.abs(g_on - g_off)) <= 1e-12
     # the noise is really there: some member's upload differs

@@ -610,3 +610,20 @@ def test_losses_by_batch_equal_each_batch_alone(spec, one_model):
     for i, (x, y) in enumerate(zip(xs, ys)):
         alone = models.per_sample_losses(spec, theta[0 if one_model else i], x, y)
         assert np.array_equal(_bits(got[i]), _bits(alone))
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+def test_losses_in_smaller_chunks_keep_their_bits(spec, monkeypatch):
+    # forwards of one or two batches of a stack, log-softmax over a few rows
+    rng = np.random.default_rng(29)
+    sizes = [9, 4, 9, 9, 4, 9, 13]
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in sizes]
+    ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
+    theta = np.stack([models.init_params(spec, rng) for _ in sizes])
+    want = [models.losses_by_batch(spec, p, xs, ys) for p in (theta[0], theta)]
+    row_bytes = 8 * (spec.hidden_dim + spec.num_classes)
+    for chunk_bytes in (1, 2 * 9 * row_bytes):
+        monkeypatch.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
+        for params, losses in zip((theta[0], theta), want):
+            got = models.losses_by_batch(spec, params, xs, ys)
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, losses))

@@ -71,7 +71,7 @@ def test_each_client_reuses_one_generator_reset_for_every_round():
     assert table(4, 2).bit_generator.state == stream(3, "train", 4, 2).bit_generator.state
 
 
-def test_states_are_derived_once_per_block_of_rounds(monkeypatch):
+def test_every_state_is_derived_once_at_construction(monkeypatch):
     derived = []
     derive = fedrng.derive_seed
 
@@ -79,14 +79,12 @@ def test_states_are_derived_once_per_block_of_rounds(monkeypatch):
         derived.append(labels)
         return derive(master, *labels)
 
-    monkeypatch.setattr(fedrng, "BLOCK_STREAMS", 4)
     monkeypatch.setattr(fedrng, "derive_seed", counting)
-    table = RoundStreams(0, "gradnoise", [2, 5], range(3, 8))  # 2 rounds a block
+    table = RoundStreams(0, "gradnoise", [2, 5], range(3, 8))
+    assert derived == [("gradnoise", k, t) for t in range(3, 8) for k in (2, 5)]
     for t in range(3, 8):
         for k in (5, 2):
             table(k, t)
-    assert derived == [("gradnoise", k, t) for t in range(3, 8) for k in (2, 5)]
-    table(2, 7)
     assert len(derived) == 10
 
 
