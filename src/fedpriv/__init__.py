@@ -23,15 +23,12 @@ from .compensation import (
     BanditState,
     RecycleConfig,
     SampleIntervals,
-    compensated_local_update,
     compute_reward,
-    confidence_regularized_loss,
     exp3_select,
     exp3_update,
     init_intervals,
     normalize_reward,
     select_recycled,
-    soft_label,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, serialize_config
 from .data import (
@@ -60,19 +57,12 @@ from .federation import (
     run_training,
 )
 from .metrics import auc_score, roc_points, tpr_at_fpr
-from .models import (
-    ModelSpec,
-    init_params,
-    loss_and_grad,
-    predict_proba,
-    sgd_epochs,
-)
+from .models import ModelSpec, init_params
 from .perturbation import (
     NoisePlan,
     apply_perturbation,
     build_noise_plan,
     project_neutral,
-    sample_base_noise,
     verify_cancellation,
 )
 

@@ -29,6 +29,8 @@ from .models import STACK_CHUNK_BYTES
 
 MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine")
 ATTACK_NAMES = ("loss_series", "avg_cosine", "fta_l", "fta_c", "fedmia_i", "fedmia_ii")
+# the attacks that score a trajectory's differences or slope
+MULTI_ROUND_ATTACKS = ("avg_cosine", "fta_l", "fta_c")
 
 OUT_STD_FLOOR = 1e-6
 

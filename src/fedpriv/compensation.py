@@ -10,8 +10,8 @@ from a soft label that keeps the true-class probability and spreads the
 rest evenly, minus an entropy bonus weighted by mu.
 
 A defended update is planned (`plan_local_update`) from the per-sample
-training losses of the received model, trained as one row of a round's
-`models.sgd_clients` call (`planned_rows`, `cr_term`) and rewarded
+training losses of the received model, trained as one client of a round's
+`models.sgd_lockstep` call (`planned_rows`, `cr_term`) and rewarded
 (`reward_local_update`) by the `validation_losses` of all members' uploads
 at once and their validation losses under the received model;
 `compensated_local_update` runs all three alone.
@@ -221,44 +221,28 @@ def soft_label(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cr_loss_and_dlogits(probs: np.ndarray, targets: np.ndarray, mu: float):
-    """Per-sample confidence-regularized loss and its logit gradient.
+def cr_term(mu: float):
+    """The confidence-regularized loss on recycled rows as `sgd_lockstep`'s
+    `dlogits_fn`: its gradient w.r.t. the logits of probabilities (n, C)
+    with classes y (n,). Per sample
 
     loss_i = KL(f_i || target_i) - mu * entropy(f_i)
            = (1 + mu) * sum_j f_ij ln f_ij - sum_j f_ij ln target_ij,
-    with targets treated as constants. The soft-label targets are clamped to
-    >= 1e-6 and renormalized before their log is taken.
+
+    with the soft-label targets treated as constants, clamped to >= 1e-6 and
+    renormalized before their log is taken.
     """
-    targets = np.clip(targets, 1e-6, None)
-    targets = targets / targets.sum(axis=1, keepdims=True)
-    safe = np.clip(probs, 1e-300, 1.0)
-    logf = np.log(safe)
-    logt = np.log(targets)
-    s = (probs * logf).sum(axis=1)  # sum f ln f
-    tt = (probs * logt).sum(axis=1)  # sum f ln target
-    loss = (1.0 + mu) * s - tt
-    dlogits = probs * ((1.0 + mu) * (logf - s[:, None]) - (logt - tt[:, None]))
-    return loss, dlogits
 
+    def dlogits(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        targets = np.clip(soft_label(probs, y), 1e-6, None)
+        targets = targets / targets.sum(axis=1, keepdims=True)
+        logf = np.log(np.clip(probs, 1e-300, 1.0))
+        logt = np.log(targets)
+        s = (probs * logf).sum(axis=1)  # sum f ln f
+        tt = (probs * logt).sum(axis=1)  # sum f ln target
+        return probs * ((1.0 + mu) * (logf - s[:, None]) - (logt - tt[:, None]))
 
-def confidence_regularized_loss(
-    spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: int, mu: float
-) -> tuple[float, np.ndarray]:
-    """Confidence-regularized loss of one sample and its analytic gradient."""
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    xb = models._as_batch(spec, x)[None]
-    layers = models._single_layers(spec, params)
-    logits, cache = models._forward(spec, layers, xb)
-    probs = models.softmax(logits[0])
-    loss, dlogits = _cr_loss_and_dlogits(probs, soft_label(probs, np.asarray([int(y)])), mu)
-    grads = models._backward(spec, layers, xb, cache, dlogits[None])
-    return float(loss[0]), np.concatenate([g[0].ravel() for g in grads])
-
-
-def cr_term(mu: float):
-    """The confidence-regularized loss as an `sgd_clients` extra-term function."""
-    return lambda probs, y_rows: _cr_loss_and_dlogits(probs, soft_label(probs, y_rows), mu)[1]
+    return dlogits
 
 
 def combined_sgd_epochs(
@@ -279,9 +263,8 @@ def combined_sgd_epochs(
     batch's size; soft targets are rebuilt from the current model each batch
     and treated as constants. A None mask trains on cross-entropy alone.
     """
-    return models.sgd_clients(
-        spec, params, [x], [y], lr, epochs, batch_size, [rng], ([recycled_mask], cr_term(mu))
-    )[0]
+    inputs = models.prepare_lockstep([x], [y], batch_size, [recycled_mask])
+    return models.sgd_lockstep(spec, params, inputs, lr, epochs, [rng], cr_term(mu))[0]
 
 
 def plan_local_update(
@@ -312,7 +295,7 @@ def plan_local_update(
 
 
 def planned_rows(client: ClientDataset, plan) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A plan's (x, y, mask) for one client of an `sgd_clients` call; the mask
+    """A plan's (x, y, mask) for one client of an `sgd_lockstep` call; the mask
     marks the recycled rows, or is None when there are none (plain training)."""
     rows, _, n_recycled = plan
     mask = np.arange(len(rows)) >= len(rows) - n_recycled if n_recycled else None
@@ -336,9 +319,9 @@ def validation_losses(
     validation sizes; every mean has the bits of a call of its own.
     Non-finite means are returned, not warned about.
     """
-    xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
+    batches = models.StackedBatches(spec, [c.val_X for c in clients], [c.val_y for c in clients])
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = models.losses_by_batch(spec, params, xs, ys)
+        losses = batches.losses(params)
     return [float(v.mean()) for v in losses]
 
 

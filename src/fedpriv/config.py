@@ -168,13 +168,21 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("fl.seed", f"must fit a signed 64-bit integer (the snapshot stamp), got {cfg.seed}")
     if not (math.isfinite(cfg.lr) and cfg.lr >= 0):
         bad("fl.lr", f"must be a finite number >= 0, got {cfg.lr}")
-    for key, value in (
-        ("fl.local_epochs", cfg.local_epochs),
-        ("fl.batch_size", cfg.batch_size),
-        ("fl.snapshot_every", cfg.snapshot_every),
-    ):
-        if value < 1:
-            bad(key, f"must be >= 1, got {value}")
+    sizes = [
+        ("model.hidden_dim", cfg.hidden_dim, 0),
+        ("fl.local_epochs", cfg.local_epochs, 1),
+        ("fl.batch_size", cfg.batch_size, 1),
+        ("fl.snapshot_every", cfg.snapshot_every, 1),
+    ]
+    if cfg.source == "synthetic":
+        sizes += [
+            ("data.num_classes", cfg.num_classes, 2),
+            ("data.samples_per_class", cfg.samples_per_class, 1),
+            ("data.input_dim", cfg.input_dim, 1),
+        ]
+    for key, value, least in sizes:
+        if value < least:
+            bad(key, f"must be >= {least}, got {value}")
     if cfg.defense not in DEFENSE_KINDS:
         bad("defense.kind", f"must be one of {DEFENSE_KINDS}")
     for cid in cfg.coalition:
@@ -213,12 +221,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("data.cluster_spread", f"must be a finite number >= 0, got {cfg.cluster_spread}")
         if not math.isfinite(cfg.mean_scale):
             bad("data.mean_scale", f"must be a finite number, got {cfg.mean_scale}")
-        n = cfg.num_classes
-        if cfg.m_max is not None and cfg.m_max > n:
-            bad("defense.m_max", f"m_max={cfg.m_max} exceeds data.num_classes={n}")
-        mm = cfg.m_max if cfg.m_max is not None else n
-        if cfg.m_min is not None and not 1 <= cfg.m_min <= mm:
-            bad("defense.m_min", f"need 1 <= m_min <= m_max ({mm})")
+        resolved_class_bounds(cfg, cfg.num_classes)
     if not 0 <= cfg.target_client < cfg.num_clients:
         bad("attack.target_client", f"client id outside [0, {cfg.num_clients})")
     for name in cfg.attack_list:
@@ -235,13 +238,17 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def resolved_class_bounds(cfg: ExperimentConfig, num_classes: int) -> tuple[int, int]:
-    """Fill m_max/m_min defaults once the class count is known."""
+    """(m_max, m_min) with their defaults filled in once the class count is
+    known; raises ConfigError naming the key that does not fit it. Only the
+    default m_min is clamped to m_max."""
     m_max = cfg.m_max if cfg.m_max is not None else num_classes
-    m_min = cfg.m_min if cfg.m_min is not None else max(1, math.ceil(0.2 * num_classes))
-    m_min = min(m_min, m_max)
-    if m_max > num_classes:
-        raise ConfigError(f"config field 'defense.m_max': {m_max} exceeds {num_classes} classes")
-    return m_max, m_min
+    if not 1 <= m_max <= num_classes:
+        raise ConfigError(f"config field 'defense.m_max': {m_max} outside [1, {num_classes} classes]")
+    if cfg.m_min is None:
+        return m_max, min(max(1, math.ceil(0.2 * num_classes)), m_max)
+    if not 1 <= cfg.m_min <= m_max:
+        raise ConfigError(f"config field 'defense.m_min': {cfg.m_min} outside [1, m_max = {m_max}]")
+    return m_max, cfg.m_min
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

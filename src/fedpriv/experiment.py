@@ -157,78 +157,53 @@ def comm_overhead_estimate(num_classes: int, rounds: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_rounds_csv(path: str, reports) -> None:
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "test_acc", "mean_train_loss"])
-        for rep in reports:
-            writer.writerow([rep.round_t, _fmt(rep.test_acc), _fmt(rep.mean_train_loss)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(out_dir: str, name: str) -> list[dict[str, str]]:
+    with open(os.path.join(out_dir, name), newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def write_rounds_csv(path: str, reports) -> None:
+    rows = ([rep.round_t, _fmt(rep.test_acc), _fmt(rep.mean_train_loss)] for rep in reports)
+    _write_csv(path, ["round", "test_acc", "mean_train_loss"], rows)
 
 
 def write_assignments_csv(path: str, state: TrainingState) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "client", "classes", "lambda"])
-        if state.schedule is None:
-            return
-        coalition = state.config.coalition
-        for t in range(1, state.config.rounds + 1):
-            subsets = state.schedule.round_subsets(t)
-            lam = state.schedule.lambdas[t - 1]
-            for member, client_id in enumerate(coalition):
-                classes = ";".join(str(c) for c in sorted(subsets[member]))
-                writer.writerow([t, client_id, classes, lam])
+    schedule = state.schedule
+    rounds = range(1, state.config.rounds + 1) if schedule is not None else ()
+    rows = (
+        [t, client_id, ";".join(str(c) for c in sorted(subset)), schedule.lambdas[t - 1]]
+        for t in rounds
+        for client_id, subset in zip(state.config.coalition, schedule.round_subsets(t))
+    )
+    _write_csv(path, ["round", "client", "classes", "lambda"], rows)
 
 
 def write_compensation_csv(path: str, telemetry) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["round", "client", "arm", "raw_reward", "norm_reward", "n_assigned", "n_recycled"]
-        )
-        for tele in telemetry:
-            writer.writerow(
-                [
-                    tele.round_t,
-                    tele.client_id,
-                    tele.arm,
-                    _fmt(tele.raw_reward),
-                    _fmt(tele.norm_reward),
-                    tele.n_assigned,
-                    tele.n_recycled,
-                ]
-            )
+    header = ["round", "client", "arm", "raw_reward", "norm_reward", "n_assigned", "n_recycled"]
+    rows = (
+        [t.round_t, t.client_id, t.arm, _fmt(t.raw_reward), _fmt(t.norm_reward)]
+        + [t.n_assigned, t.n_recycled]
+        for t in telemetry
+    )
+    _write_csv(path, header, rows)
 
 
 def write_attacks_csv(path: str, results) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "attack",
-                "target",
-                "auc",
-                "tpr_at_fpr_0.001",
-                "tpr_at_fpr_0.01",
-                "tpr_at_fpr_0.1",
-                "n_members",
-                "n_nonmembers",
-            ]
-        )
-        for res in results:
-            n_members = int(res.labels.sum())
-            writer.writerow(
-                [
-                    res.attack,
-                    res.target,
-                    _fmt(res.auc),
-                    _fmt(res.tpr_at_fpr[0.001]),
-                    _fmt(res.tpr_at_fpr[0.01]),
-                    _fmt(res.tpr_at_fpr[0.1]),
-                    n_members,
-                    len(res.labels) - n_members,
-                ]
-            )
+    header = ["attack", "target", "auc"] + [f"tpr_at_fpr_{q}" for q in (0.001, 0.01, 0.1)]
+    rows = (
+        [res.attack, res.target, _fmt(res.auc)]
+        + [_fmt(res.tpr_at_fpr[q]) for q in (0.001, 0.01, 0.1)]
+        + [int(res.labels.sum()), len(res.labels) - int(res.labels.sum())]
+        for res in results
+    )
+    _write_csv(path, header + ["n_members", "n_nonmembers"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +227,7 @@ def stage_train(
     """
     prep = prepare_data(cfg) if prep is None else prep
     build_pools(cfg, prep)
+    defense_cfg = build_defense_config(cfg, prep.spec.num_classes)
     if cfg.defense == "coalition":
         for k in cfg.coalition:
             n = len(prep.clients[k].train_y)
@@ -267,7 +243,7 @@ def stage_train(
         prep.clients,
         prep.test.X,
         prep.test.y,
-        defense_cfg=build_defense_config(cfg, prep.spec.num_classes),
+        defense_cfg=defense_cfg,
     )
     for name in DOWNSTREAM_CSVS:
         if os.path.exists(os.path.join(out_dir, name)):
@@ -342,7 +318,8 @@ def stage_attack(
     """Score the configured attacks against the recorded snapshots; the
     snapshots are loaded from `out_dir` after their stamp is checked unless
     `store` is given, and the data are prepared unless `prep`,
-    `prepare_data(cfg)`, is given.
+    `prepare_data(cfg)`, is given. An attack that needs two recorded rounds
+    is refused, before any attack runs, when the snapshots hold fewer.
 
     The attacks share one dict of trajectories, so each trajectory that
     several of them read is computed once; it is dropped when this call
@@ -351,6 +328,12 @@ def stage_attack(
     if store is None:
         _check_snapshot_stamp(cfg, out_dir)
         store = SnapshotStore.load(os.path.join(out_dir, SNAPSHOTS_NPZ))
+    for name in cfg.attack_list:
+        if name in atk.MULTI_ROUND_ATTACKS and len(store.rounds) < 2:
+            raise ConfigError(
+                f"config field 'attack.list': {name} needs at least 2 recorded rounds, "
+                f"the run recorded {len(store.rounds)} (see fl.T and fl.snapshot_every)"
+            )
     prep = prepare_data(cfg) if prep is None else prep
     pools = build_pools(cfg, prep)
     selector = _attack_selector(cfg)
@@ -366,19 +349,15 @@ def stage_attack(
 
 
 def _read_final_test_acc(out_dir: str) -> float:
-    with open(os.path.join(out_dir, ROUNDS_CSV), newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_csv(out_dir, ROUNDS_CSV)
     if not rows:
         raise FileNotFoundError(f"{out_dir}/{ROUNDS_CSV} has no data rows")
     return float(rows[-1]["test_acc"])
 
 
 def _read_mean_attack_auc(out_dir: str) -> float | None:
-    with open(os.path.join(out_dir, ATTACKS_CSV), newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        return None
-    return float(np.mean([float(r["auc"]) for r in rows]))
+    rows = _read_csv(out_dir, ATTACKS_CSV)
+    return float(np.mean([float(r["auc"]) for r in rows])) if rows else None
 
 
 def _check_baseline(cfg: ExperimentConfig, baseline_dir: str) -> None:
@@ -416,12 +395,11 @@ def stage_report(cfg: ExperimentConfig, out_dir: str, baseline_dir: str | None =
     delta = ""
     if baseline_dir:
         delta = _fmt(final_acc - _read_final_test_acc(baseline_dir))
-    with open(os.path.join(out_dir, SUMMARY_CSV), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["defense", "final_test_acc", "acc_delta_vs_undefended", "mean_attack_auc"])
-        writer.writerow(
-            [cfg.defense, _fmt(final_acc), delta, "" if mean_auc is None else _fmt(mean_auc)]
-        )
+    _write_csv(
+        os.path.join(out_dir, SUMMARY_CSV),
+        ["defense", "final_test_acc", "acc_delta_vs_undefended", "mean_attack_auc"],
+        [[cfg.defense, _fmt(final_acc), delta, "" if mean_auc is None else _fmt(mean_auc)]],
+    )
 
 
 def run_experiment(

@@ -313,14 +313,22 @@ class RunBuffers:
     streams; the stacked rows of the evaluation that ends a round (every
     client's training set, then the validation sets of `val_members`, the
     coalition members that have one); the (K, P) upload matrix, which
-    aggregation overwrites with its product; and one workspace for the
-    lock-step training, that evaluation and the test accuracy."""
+    aggregation overwrites with its product; one workspace for the
+    lock-step training, that evaluation and the test accuracy; and what
+    later rounds read of earlier ones."""
 
     streams: dict[str, RoundStreams]
     workspace: models.Workspace
     evaluation: models.StackedBatches
     val_members: list[int]
     uploads: np.ndarray
+    # (params, {client id: per-sample training losses}, {member: mean
+    # validation loss}) under params, the global model of the evaluation that
+    # ended the last round (see `_evaluate`)
+    last_evaluation: tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]] | None = None
+    # (ids, prepared lock-step inputs or None) of the clients with rows to
+    # train in a round without coalition plans, built at the first such round
+    plain_lockstep: tuple[list[int], models.LockstepInputs | None] | None = None
 
 
 @dataclass
@@ -340,14 +348,6 @@ class TrainingState:
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
     defense_cfg: CoalitionDefenseConfig | None = None
-    # (params, {client id: per-sample training losses}, {member: mean
-    # validation loss}) under params, the global model of the evaluation that
-    # ended the last round (see `_evaluate`)
-    evaluation: tuple[np.ndarray, dict[int, np.ndarray], dict[int, float]] | None = None
-    # (ids, prepared lock-step inputs or None) of the clients with rows to
-    # train in a round without coalition plans: built at the first such round,
-    # dropped when run_training ends
-    plain_lockstep: tuple[list[int], models.LockstepInputs | None] | None = None
     # made at the first round, dropped when run_training ends
     buffers: RunBuffers | None = None
 
@@ -452,18 +452,21 @@ def _evaluation(state: TrainingState):
     """`_evaluate`'s result for the round's broadcast: that of the evaluation
     that produced it, else (in round 1) of one evaluation of the initial
     model."""
-    if state.evaluation is None or state.evaluation[0] is not state.global_params:
-        state.evaluation = _evaluate(state)
-    return state.evaluation
+    bufs = _buffers(state)
+    if bufs.last_evaluation is None or bufs.last_evaluation[0] is not state.global_params:
+        bufs.last_evaluation = _evaluate(state)
+    return bufs.last_evaluation
 
 
 def _lockstep_inputs(state: TrainingState, plans: dict):
     """(ids, prepared lock-step inputs, or None when ids is empty) of the
     round's clients with rows to train, in client order. Plans give their
     members rows of the round's own; without plans every client trains on
-    its training set, whose inputs are prepared once and kept on the state."""
-    if not plans and state.plain_lockstep is not None:
-        return state.plain_lockstep
+    its training set, whose inputs are prepared once and kept in the run's
+    buffers."""
+    bufs = _buffers(state)
+    if not plans and bufs.plain_lockstep is not None:
+        return bufs.plain_lockstep
     rows = {k: (c.train_X, c.train_y, None) for k, c in enumerate(state.clients)}
     rows.update({k: planned_rows(state.clients[k], plan) for k, plan in plans.items()})
     ids = [k for k, (_, y, _) in rows.items() if len(y)]
@@ -472,7 +475,7 @@ def _lockstep_inputs(state: TrainingState, plans: dict):
         xs, ys, masks = zip(*(rows[k] for k in ids))
         inputs = models.prepare_lockstep(xs, ys, state.config.batch_size, masks)
     if not plans:
-        state.plain_lockstep = (ids, inputs)
+        bufs.plain_lockstep = (ids, inputs)
     return ids, inputs
 
 
@@ -560,9 +563,9 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
             f"training diverged at round {round_t}: the aggregated global model is not finite"
         )
 
-    state.evaluation = _evaluate(state)
+    evaluation = state.buffers.last_evaluation = _evaluate(state)
     loss_sum = 0.0
-    for client_losses in state.evaluation[1].values():  # not sum(): it compensates on 3.12+
+    for client_losses in evaluation[1].values():  # not sum(): it compensates on 3.12+
         loss_sum += float(client_losses.sum())
     sample_count = sum(len(c.train_y) for c in state.clients)
     if not math.isfinite(loss_sum):
@@ -596,5 +599,5 @@ def run_training(
         run_round(state, t)
     # a finished state keeps no copy of the clients' rows and no buffer, which
     # a caller would otherwise hold through its attack stage
-    state.plain_lockstep = state.buffers = None
+    state.buffers = None
     return state

@@ -5,16 +5,14 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-The public functions never mutate their inputs and are safe to call
-concurrently; `prepare_lockstep`'s inputs are read-only, so concurrent
-`sgd_lockstep` calls may share them (the generators they draw from are
-their own, and so is a `Workspace`). A `Workspace`, and a `StackedBatches`
-that draws on one, serves one call at a time. Four private helpers write
-into arrays they are given: `_forward` writes the logits into `out` and the
-hidden layer into `hidden`, `_backward` the gradients into `out` (and, if
-asked to, its hidden gradient and ReLU mask over the forward cache),
-`_log_softmax` the log-probabilities into `out`, and `_relu_backward`
-overwrites `dhid` with its result.
+The public functions never mutate their inputs, and `prepare_lockstep`'s
+arrays are read-only, so any number of `sgd_lockstep` calls may share them.
+A `Workspace`, and a `StackedBatches` that draws on one, serves one call at
+a time. Some functions write into arrays they are given: `log_softmax` its
+result into `out`, `_forward` the logits into `out` and the hidden layer
+into `hidden`, `_backward` the gradients into `out` (and, if asked to, its
+hidden gradient and ReLU mask over the forward cache), and `_relu_backward`
+its result over `dhid`.
 """
 
 from __future__ import annotations
@@ -208,12 +206,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    return _log_softmax(logits)
-
-
-def _log_softmax(logits: np.ndarray, out=None) -> np.ndarray:
-    """`log_softmax`, written into `out` if given (which may be logits)."""
+def log_softmax(logits: np.ndarray, out=None) -> np.ndarray:
+    """Row-wise log-softmax, written into `out` if given (which may be logits)."""
     z = np.subtract(logits, _row_max(logits), out=out)
     return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z)
 
@@ -315,7 +309,7 @@ def per_sample_losses(
     logits = _stack_logits(spec, params, stacks, workspace)
     step = max(1, STACK_CHUNK_BYTES // (8 * spec.num_classes))
     for r0 in range(0, samples, step):
-        _log_softmax(logits[r0 : r0 + step], out=logits[r0 : r0 + step])
+        log_softmax(logits[r0 : r0 + step], out=logits[r0 : r0 + step])
     losses = logits.ravel()[np.arange(samples) * spec.num_classes + y]
     np.negative(losses, out=losses)
     if many:
@@ -362,16 +356,6 @@ class StackedBatches:
         return [flat[rows] for rows in self.rows]
 
 
-def losses_by_batch(
-    spec: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Cross-entropy of each sample of each batch (xs[i], ys[i]), under one
-    flat `params` (P,) or under model params[i] of a matrix (len(xs), P):
-    `StackedBatches.losses` for a single use. Each batch gets the bits of a
-    call of its own; its losses are a view into one array."""
-    return StackedBatches(spec, xs, ys).losses(params)
-
-
 def grad_from_dlogits(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, dlogits: np.ndarray
 ) -> np.ndarray:
@@ -411,7 +395,7 @@ def loss_and_grad(
 
 class NonFiniteLoss(FloatingPointError):
     """A mini-batch loss was not finite; `clients` are positions in the
-    client list of the `sgd_clients` call."""
+    client list of the `sgd_lockstep` call."""
 
     def __init__(self, clients) -> None:
         self.clients = sorted(int(k) for k in clients)
@@ -607,15 +591,38 @@ def sgd_lockstep(
     dlogits_fn=None,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """`sgd_clients` on prepared inputs: mini-batch SGD from `params` for
-    the K clients of `inputs`, client k shuffled by rngs[k]; dlogits_fn is
-    the extra term's function for the masked clients. Returns the (K, P)
-    trained parameters; neither `params` nor `inputs` is modified.
+    """Mini-batch SGD on cross-entropy from `params` for the K clients of
+    `inputs`; returns their (K, P) trained parameters in client order.
+    Neither `params` nor `inputs` is modified.
+
+    Every epoch client k shuffles its n_k rows by rngs[k], as
+    rngs[k].permutation(n_k) would, and steps through consecutive batches of
+    batch_size samples, the last one possibly shorter; each batch's gradient
+    is its summed loss divided by its own size. All clients step in
+    lock-step. At each step the clients whose batch has the same size and
+    path (below) form a group, stacked as (G, b, ...), that takes one
+    forward and one backward pass: the GEMMs' shapes fix their bits. The
+    row-wise work between them -- log-softmax or softmax, the target
+    gather, the one-hot subtraction and the division by each row's batch
+    size -- runs once over all of a step's rows on a path. Every client
+    thus gets the arithmetic it would get alone: row k is bit-identical to
+    training client k by itself.
+
+    A client prepared with a row mask adds an extra loss on its masked rows:
+    dlogits_fn, a row-wise function (probs, y) -> that loss's gradient
+    w.r.t. the logits, is added to the cross-entropy gradient before the
+    division. Masked clients take softmax(logits) rather than
+    exp(log_softmax(logits)); the two differ in the last bits, so each path
+    keeps the arithmetic it has always had, in groups and passes of its own.
 
     Each pass's gradients are written into one (K, P) buffer, group by group,
     and its clients, contiguous in rank, take one update. The buffers come
     from `workspace`, which a caller that trains every round can keep; the
     result is then one of them, valid until the workspace's next use.
+
+    Raises NonFiniteLoss naming the clients whose batch loss (cross-entropy)
+    or logit gradient (with a mask) is not finite, among those of the first
+    step and path where one is.
     """
     if not lr >= 0:  # written so that NaN fails
         raise ValueError(f"lr must be >= 0, got {lr}")
@@ -643,7 +650,7 @@ def sgd_lockstep(
                 for group, _, _, xb, lb, hidden in stacked:
                     _forward(spec, group, xb, out=lb, hidden=hidden)
                 if not masked:
-                    dlogits = _log_softmax(logits, out=logits)
+                    dlogits = log_softmax(logits, out=logits)
                     checked = dlogits.ravel()[target]  # each row's target log-probability
                     np.exp(dlogits, out=dlogits)
                 else:
@@ -678,54 +685,6 @@ def sgd_lockstep(
     return step
 
 
-def sgd_clients(
-    spec: ModelSpec,
-    params: np.ndarray,
-    xs: list[np.ndarray],
-    ys: list[np.ndarray],
-    lr: float,
-    epochs: int,
-    batch_size: int,
-    rngs: list[np.random.Generator],
-    extra_term=None,
-) -> np.ndarray:
-    """Mini-batch SGD on cross-entropy for K clients from the same start.
-
-    Client k trains on (xs[k], ys[k]). Every epoch it draws one
-    rngs[k].permutation(n_k) and steps through consecutive batches of
-    batch_size samples, the last one possibly shorter; each batch's gradient
-    is its summed loss divided by its own size. All clients step in
-    lock-step. At each step the clients whose batch has the same size and
-    path (below) form a group, stacked as (G, b, ...), that takes one
-    forward and one backward pass: the GEMMs' shapes fix their bits. The
-    row-wise work between them -- log-softmax or softmax, the target
-    gather, the one-hot subtraction and the division by each row's batch
-    size -- runs once over all of a step's rows on a path. Every client
-    thus gets the arithmetic it would get alone: row k is bit-identical to
-    training client k by itself.
-
-    extra_term, if given, is (masks, dlogits_fn): per-client boolean row
-    masks (None for a client that trains on cross-entropy alone) and a
-    row-wise function (probs, y) -> gradient w.r.t. the logits of an extra
-    loss on the masked rows of a batch, added to the cross-entropy gradient
-    before the division. Masked clients take softmax(logits) rather than
-    exp(log_softmax(logits)); the two differ in the last bits, so each path
-    keeps the arithmetic it has always had, in groups and passes of its own.
-
-    Returns the (K, P) trained parameters; `params` is not modified.
-    Raises ValueError, naming the client's position, when its labels or
-    mask do not match its rows, and NonFiniteLoss naming the clients whose
-    batch loss (cross-entropy) or logit gradient (with a mask) is not finite,
-    among those of the first step and path where one is.
-
-    It is `prepare_lockstep` then `sgd_lockstep`; a caller that trains the
-    same rows again can keep the prepared inputs.
-    """
-    masks, dlogits_fn = extra_term if extra_term is not None else (None, None)
-    inputs = prepare_lockstep(xs, ys, batch_size, masks)
-    return sgd_lockstep(spec, params, inputs, lr, epochs, rngs, dlogits_fn)
-
-
 def sgd_epochs(
     spec: ModelSpec,
     params: np.ndarray,
@@ -739,7 +698,8 @@ def sgd_epochs(
     """Mini-batch SGD on cross-entropy for one client; shuffling is driven
     solely by rng. Returns updated parameters; the input vector is not modified.
     """
-    return sgd_clients(spec, params, [x], [y], lr, epochs, batch_size, [rng])[0]
+    inputs = prepare_lockstep([x], [y], batch_size)
+    return sgd_lockstep(spec, params, inputs, lr, epochs, [rng])[0]
 
 
 def accuracy(

@@ -23,8 +23,7 @@ class NoisePlan:
     """Precomputed per-round per-client scalar noises for one coalition.
 
     deltas has shape (rounds, coalition_size); row t-1 holds the projected
-    scalars for round t. Immutable after construction; safe for concurrent
-    reads.
+    scalars for round t.
     """
 
     weights: np.ndarray

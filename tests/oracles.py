@@ -8,7 +8,8 @@ AUC, the scipy rank-sum AUC the library used to compute, a threshold-sweep
 TPR@FPR, the step-by-step loop that built the lock-step layout, the softmax,
 log-softmax and weighted aggregation formulas the library used to run,
 mini-batch SGD that trains one client and one batch at a time, the
-per-client `permutation` epoch order, the OUT measurements taken one
+confidence-regularized loss of one sample, the per-client `permutation`
+epoch order, the OUT measurements taken one
 model at a time, and the gradient cosines with one projection of all query
 rows.
 """
@@ -260,8 +261,10 @@ def sequential_sgd(spec, params, x, y, lr, epochs, batch_size, rng, extra_term=N
 
 
 def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, extra_term=None):
-    """Drop-in for `models.sgd_clients` that trains the clients one after
-    another; a client whose mask is None trains on plain cross-entropy."""
+    """`models.sgd_lockstep` on `models.prepare_lockstep(xs, ys, batch_size,
+    masks)` with `dlogits_fn`, for extra_term = (masks, dlogits_fn), with the
+    clients trained one after another; a client whose mask is None trains on
+    plain cross-entropy."""
     masks, fn = extra_term if extra_term is not None else ([None] * len(xs), None)
     return np.stack(
         [
@@ -272,6 +275,29 @@ def sequential_sgd_clients(spec, params, xs, ys, lr, epochs, batch_size, rngs, e
             for k in range(len(xs))
         ]
     )
+
+
+def cr_loss_and_grad(spec, params, x, y, mu):
+    """The confidence-regularized loss of one sample x (input_dim,) of class
+    y, written out, and its gradient backpropagated from
+    `compensation.cr_term(mu)`'s logit gradient: the loss is
+    KL(f || target) - mu * entropy(f) for the model's probabilities f and
+    the soft label that keeps f_y and spreads 1 - f_y evenly over the other
+    classes, clamped to >= 1e-6 and renormalized."""
+    from fedpriv.compensation import cr_term
+
+    x = np.asarray(x, dtype=np.float64)[None]
+    logits, _ = _forward_2d(spec, params, x)
+    probs = reference_softmax(logits)
+    f = probs[0]
+    target = np.full(len(f), (1.0 - f[y]) / (len(f) - 1))
+    target[y] = f[y]
+    target = np.clip(target, 1e-6, None)
+    target /= target.sum()
+    logf = np.log(np.clip(f, 1e-300, 1.0))
+    loss = float(np.sum(f * (logf - np.log(target))) + mu * np.sum(f * logf))
+    dlogits = cr_term(mu)(probs, np.asarray([y]))
+    return loss, _grad_2d(spec, params, x, dlogits)
 
 
 def recorded_lockstep_inputs(xs, ys, batch_size, masks=None):

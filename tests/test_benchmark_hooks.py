@@ -1,20 +1,28 @@
-"""The benchmark's per-layer trace wraps fedpriv functions by module and name.
+"""The benchmark reaches into fedpriv by module, name and config key.
 
-`perfbench/layertrace.py` lists them in `SPANS` and `FORWARDS`. These tests
-only read that module: they fail when a rename or deletion in the package
-would break `perfbench/run.py --trace 1`.
+`perfbench/layertrace.py` wraps the functions listed in `SPANS` and
+`FORWARDS`, `perfbench/setup_probe.py` calls the set-up functions in a fresh
+interpreter, and `perfbench/workloads.py` holds config texts. These tests
+fail when a rename or deletion in the package would break
+`perfbench/run.py`, with or without `--trace 1`.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import layertrace  # noqa: E402
+import workloads  # noqa: E402
 from fedpriv import models  # noqa: E402
 from fedpriv.federation import SnapshotStore  # noqa: E402
 
@@ -67,3 +75,27 @@ def test_layer_trace_installs_and_restores_every_attribute():
         for attr, value in namespace.items():
             assert after[name][attr] is value, f"{name}.{attr}"
     assert all(a is b for a, b in zip(_class_hooks(), classes))
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_config_parses(name):
+    cfg = workloads.parse(workloads.WORKLOADS[name], 0)
+    assert cfg.seed == 0 and cfg.threads == 1
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_setup_probe_runs_every_workload(name):
+    # on the import path perfbench/run.py gives its probes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), name, "0"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    phases = json.loads(done.stdout.strip().splitlines()[-1])
+    assert set(phases) == {"import", "parse", "prepare", "pools", "init", "total"}
+    assert all(seconds >= 0 for seconds in phases.values())

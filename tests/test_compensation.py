@@ -12,8 +12,8 @@ from fedpriv import models
 from fedpriv.compensation import BanditState, RecycleConfig
 from fedpriv.data import ClientDataset
 from fedpriv.models import ModelSpec
-from oracles import finite_difference_grad, max_rel_error, percentile_normalize_reward
-from oracles import sequential_sgd
+from oracles import cr_loss_and_grad, finite_difference_grad, max_rel_error
+from oracles import percentile_normalize_reward, sequential_sgd
 
 
 # --- intervals -------------------------------------------------------------
@@ -232,9 +232,9 @@ def test_cr_loss_zero_kl_when_output_matches_target():
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
     params = np.zeros(spec.param_count)
     x = np.ones(4)
-    loss_mu0, _ = cmp.confidence_regularized_loss(spec, params, x, 1, mu=0.0)
+    loss_mu0, _ = cr_loss_and_grad(spec, params, x, 1, mu=0.0)
     assert loss_mu0 == pytest.approx(0.0, abs=1e-12)
-    loss_mu, _ = cmp.confidence_regularized_loss(spec, params, x, 1, mu=0.4)
+    loss_mu, _ = cr_loss_and_grad(spec, params, x, 1, mu=0.4)
     assert loss_mu == pytest.approx(-0.4 * math.log(3), abs=1e-12)
 
 
@@ -247,10 +247,8 @@ def test_cr_gradient_matches_finite_differences(hidden):
         x = rng.normal(size=5)
         y = int(rng.integers(0, 3))
         mu = float(rng.uniform(0, 0.5))
-        _, grad = cmp.confidence_regularized_loss(spec, params, x, y, mu)
-        fd = finite_difference_grad(
-            lambda p: cmp.confidence_regularized_loss(spec, p, x, y, mu)[0], params
-        )
+        _, grad = cr_loss_and_grad(spec, params, x, y, mu)
+        fd = finite_difference_grad(lambda p: cr_loss_and_grad(spec, p, x, y, mu)[0], params)
         assert max_rel_error(grad, fd) <= 1e-4
 
 
@@ -261,7 +259,7 @@ def test_cr_loss_bounded_below_by_entropy_term():
         params = models.init_params(spec, rng) * rng.uniform(0.1, 20)
         x = rng.normal(size=3)
         mu = float(rng.uniform(0, 1))
-        loss, _ = cmp.confidence_regularized_loss(spec, params, x, int(rng.integers(0, 4)), mu)
+        loss, _ = cr_loss_and_grad(spec, params, x, int(rng.integers(0, 4)), mu)
         assert loss >= -mu * math.log(4) - 1e-12
 
 
@@ -346,14 +344,11 @@ def test_combined_sgd_matches_sequential_oracle(hidden, n, batch_size):
     mask = rng.random(n) < 0.4
     mu = 0.05
 
-    def cr_dlogits(probs, y_rows):
-        return cmp._cr_loss_and_dlogits(probs, cmp.soft_label(probs, y_rows), mu)[1]
-
     got = cmp.combined_sgd_epochs(
         spec, params, x, y, mask, mu, 0.3, 2, batch_size, np.random.default_rng(3)
     )
     want = sequential_sgd(
-        spec, params, x, y, 0.3, 2, batch_size, np.random.default_rng(3), (mask, cr_dlogits)
+        spec, params, x, y, 0.3, 2, batch_size, np.random.default_rng(3), (mask, cmp.cr_term(mu))
     )
     assert np.array_equal(got, want)
 
@@ -373,7 +368,7 @@ def test_combined_sgd_step_is_ce_plus_checked_cr_gradient(hidden):
             spec, params, x, y, np.array([True]), mu, lr, 1, 1, np.random.default_rng(seed)
         )
         _, ce_grad = models.loss_and_grad(spec, params, x, y)
-        _, cr_grad = cmp.confidence_regularized_loss(spec, params, x[0], int(y[0]), mu)
+        _, cr_grad = cr_loss_and_grad(spec, params, x[0], int(y[0]), mu)
         assert np.max(np.abs(got - (params - lr * (ce_grad + cr_grad)))) <= 1e-12
 
 

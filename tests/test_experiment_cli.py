@@ -169,7 +169,7 @@ def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch)
     monkeypatch.setattr(fed, "_buffers", keeping)
     text = SMALL + "defense.kind = grad_noise\ndefense.coalition = 0,1\n"
     state = ex.stage_train(parse_config_text(text), str(tmp_path / "t"))
-    assert state.buffers is None and state.plain_lockstep is None
+    assert state.buffers is None
     gc.collect()
     assert len(prepared) == 1 and prepared[0]() is None
     assert len(made) == 7 and [ref() for ref in made] == [None] * 7
@@ -358,6 +358,63 @@ def test_seed_outside_int64_fails_before_anything_is_written(
     assert "'fl.seed'" in err
     assert calls == []
     assert not out.exists()
+
+
+def _with(text, key, value):
+    """Config text with `key = value` in place of any line the key has."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "source, key, value, extra",
+    [
+        ("csv", "defense.m_min", 3, "defense.m_max = 2\n"),
+        ("csv", "defense.m_min", 0, ""),
+        ("csv", "defense.m_max", 0, ""),
+        ("csv", "defense.m_max", -1, ""),
+        ("csv", "defense.m_max", 5, ""),
+        ("synthetic", "defense.m_max", 0, ""),
+        ("synthetic", "defense.m_min", 3, "defense.m_max = 2\n"),
+        ("synthetic", "model.hidden_dim", -1, ""),
+        ("synthetic", "data.num_classes", 1, ""),
+        ("synthetic", "data.samples_per_class", 0, ""),
+        ("synthetic", "data.input_dim", 0, ""),
+    ],
+    ids=lambda v: str(v).strip().replace("\n", ""),
+)
+def test_bad_sizes_are_refused_by_key_before_training(
+    tmp_path, capsys, monkeypatch, source, key, value, extra
+):
+    # csv data have 4 classes; the synthetic source fixes its own count
+    text = DEFENDED
+    if source == "csv":
+        from fedpriv.data import generate_synthetic
+        from harness import save_csv
+
+        save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3), str(tmp_path / "data.csv"))
+        text = _with(text, "data.source", f"csv\ndata.csv_path = {tmp_path / 'data.csv'}")
+    calls = []
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_with(text + extra, key, value), encoding="utf-8")
+    err = _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert f"'{key}'" in err
+    assert calls == []
+
+
+def test_an_attack_that_needs_two_rounds_is_refused_after_one(tmp_path, capsys, monkeypatch):
+    # fl.T = 3 with snapshots every 4 rounds records round 1 only
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_with(SMALL, "fl.T", 3), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    calls = []
+    monkeypatch.setattr(ex.atk, "run_attack", lambda *args, **kwargs: calls.append(args))
+    err = _refused(capsys, ["attack", "--out", str(out)])
+    assert "'attack.list'" in err and "fta_l" in err and "recorded 1" in err
+    assert calls == []
+    assert not (out / ex.ATTACKS_CSV).exists()
 
 
 def test_cli_has_no_threads_option(tmp_path):

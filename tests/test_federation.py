@@ -256,13 +256,13 @@ def test_kept_lockstep_inputs_give_the_uploads_of_inputs_rebuilt_every_round(hid
         fl = ex.build_fl_config(cfg)
         state = fed.init_training(fl, prep.spec, prep.clients, prep.test.X, prep.test.y)
         for t in range(1, 5):
-            if rebuild:
-                state.plain_lockstep = None
+            if rebuild and state.buffers is not None:
+                state.buffers.plain_lockstep = None
             fed.run_round(state, t)
         return state
 
     kept, rebuilt = run(False), run(True)
-    assert kept.plain_lockstep is not None
+    assert kept.buffers.plain_lockstep is not None
     for a, b in zip(kept.store.locals, rebuilt.store.locals, strict=True):
         assert np.array_equal(_bits(a), _bits(b))
     assert np.array_equal(_bits(kept.global_params), _bits(rebuilt.global_params))
@@ -693,8 +693,8 @@ def test_rewards_equal_two_validation_passes_over_the_rewarded_members(hidden):
     two_pass = []
     for broadcast, uploads, clients in passes:
         xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
-        before = models.losses_by_batch(spec, broadcast, xs, ys)
-        after = models.losses_by_batch(spec, uploads, xs, ys)
+        batches = models.StackedBatches(spec, xs, ys)
+        before, after = batches.losses(broadcast), batches.losses(uploads)
         two_pass += [(float(b.mean()), float(a.mean())) for b, a in zip(before, after)]
     assert len(pairs) == 4 * 3  # every round, every member with validation rows
     assert np.array_equal(_bits(pairs), _bits(two_pass))

@@ -240,9 +240,10 @@ def test_lockstep_sgd_is_bit_identical_to_sequential_oracle(
     def streams():
         return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
 
-    args = (spec, params, xs, ys, 0.3, epochs, batch_size)
-    got = models.sgd_clients(*args, streams())
+    inputs = models.prepare_lockstep(xs, ys, batch_size)
+    got = models.sgd_lockstep(spec, params, inputs, 0.3, epochs, streams())
     assert got.shape == (len(sizes), spec.param_count)
+    args = (spec, params, xs, ys, 0.3, epochs, batch_size)
     assert np.array_equal(got, sequential_sgd_clients(*args, streams()))
 
 
@@ -283,10 +284,11 @@ def test_lockstep_sgd_with_mixed_masks_is_bit_identical_to_sequential_oracle(
     def streams():
         return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
 
+    inputs = models.prepare_lockstep(xs, ys, batch_size, masks)
+    got = models.sgd_lockstep(spec, params, inputs, 0.3, epochs, streams(), cr_term(0.05))
+    assert got.shape == (len(sizes), spec.param_count)
     args = (spec, params, xs, ys, 0.3, epochs, batch_size)
     extra = (masks, cr_term(0.05))
-    got = models.sgd_clients(*args, streams(), extra)
-    assert got.shape == (len(sizes), spec.param_count)
     assert np.array_equal(got, sequential_sgd_clients(*args, streams(), extra))
 
 
@@ -316,7 +318,8 @@ def test_lockstep_sgd_rejects_a_nan_or_negative_lr(lr):
     x, y = np.zeros((4, 5)), np.zeros(4, dtype=np.int64)
     params = np.zeros(LOGISTIC.param_count)
     with pytest.raises(ValueError, match="lr must be >= 0"):
-        models.sgd_clients(LOGISTIC, params, [x], [y], lr, 1, 4, [np.random.default_rng(0)])
+        inputs = models.prepare_lockstep([x], [y], 4)
+        models.sgd_lockstep(LOGISTIC, params, inputs, lr, 1, [np.random.default_rng(0)])
 
 
 def test_lockstep_sgd_names_the_diverging_clients():
@@ -328,7 +331,7 @@ def test_lockstep_sgd_names_the_diverging_clients():
     xs[3] = xs[3] * 1e300
     rngs = [np.random.default_rng(k) for k in range(4)]
     with pytest.raises(models.NonFiniteLoss, match=r"client\(s\) \[1, 3\]") as err:
-        models.sgd_clients(MLP, params, xs, ys, 0.1, 1, 4, rngs)
+        models.sgd_lockstep(MLP, params, models.prepare_lockstep(xs, ys, 4), 0.1, 1, rngs)
     assert err.value.clients == [1, 3]
 
 
@@ -343,7 +346,8 @@ def test_lockstep_sgd_names_the_diverging_masked_clients():
     masks[3][:] = False  # an all-False mask still takes the masked path
     rngs = [np.random.default_rng(k) for k in range(4)]
     with pytest.raises(models.NonFiniteLoss, match=r"client\(s\) \[1, 3\]") as err:
-        models.sgd_clients(MLP, params, xs, ys, 0.1, 1, 4, rngs, (masks, cr_term(0.05)))
+        inputs = models.prepare_lockstep(xs, ys, 4, masks)
+        models.sgd_lockstep(MLP, params, inputs, 0.1, 1, rngs, cr_term(0.05))
     assert err.value.clients == [1, 3]
 
 
@@ -356,10 +360,11 @@ def test_lockstep_sgd_names_only_clients_whose_target_logit_is_minus_infinity():
     ys = [np.array([0, 1, 0, 1, 0, 1]), np.array([0, 2, 1, 0, 1]), np.array([1, 0] * 3 + [1])]
     rngs = [np.random.default_rng(k) for k in range(3)]
     with pytest.raises(models.NonFiniteLoss) as err:
-        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 8, rngs)
+        models.sgd_lockstep(LOGISTIC, params, models.prepare_lockstep(xs, ys, 8), 0.1, 1, rngs)
     assert err.value.clients == [1]
     rngs = [np.random.default_rng(k) for k in (0, 2)]
-    got = models.sgd_clients(LOGISTIC, params, xs[::2], ys[::2], 0.1, 1, 8, rngs)
+    inputs = models.prepare_lockstep(xs[::2], ys[::2], 8)
+    got = models.sgd_lockstep(LOGISTIC, params, inputs, 0.1, 1, rngs)
     assert np.isfinite(got[:, :-1]).all()
 
 
@@ -372,13 +377,14 @@ def test_lockstep_sgd_names_a_client_whose_batch_loss_overflows_only_as_a_sum():
     ys = [np.array([1, 0, 2, 0]), np.array([1, 1, 0]), np.array([0, 2])]
     rngs = [np.random.default_rng(k) for k in range(3)]
     with pytest.raises(models.NonFiniteLoss) as err:
-        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 4, rngs)
+        models.sgd_lockstep(LOGISTIC, params, models.prepare_lockstep(xs, ys, 4), 0.1, 1, rngs)
     assert err.value.clients == [1]
     with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
         sequential_sgd_clients(LOGISTIC, params, xs[1:2], ys[1:2], 0.1, 1, 4, rngs[1:2])
     rngs = [np.random.default_rng(k) for k in (0, 2)]
+    inputs = models.prepare_lockstep(xs[::2], ys[::2], 4)
+    got = models.sgd_lockstep(LOGISTIC, params, inputs, 0.1, 1, rngs)
     args = (LOGISTIC, params, xs[::2], ys[::2], 0.1, 1, 4)
-    got = models.sgd_clients(*args, rngs)
     rngs = [np.random.default_rng(k) for k in (0, 2)]
     assert np.array_equal(got, sequential_sgd_clients(*args, rngs))
 
@@ -389,16 +395,17 @@ def test_lockstep_sgd_rejects_labels_or_masks_that_do_not_match_the_rows(masked)
     params = models.init_params(LOGISTIC, rng)
     xs = [rng.normal(size=(6, 5)), rng.normal(size=(4, 5))]
     ys = [rng.integers(0, 3, size=6), rng.integers(0, 3, size=4)]
-    extra = None
+    masks = None
     if masked:  # a 9-entry mask for client 1's 4 rows
-        extra = ([np.zeros(6, bool), np.ones(9, bool)], cr_term(0.05))
+        masks = [np.zeros(6, bool), np.ones(9, bool)]
         client = 1
     else:  # eight labels for client 0's six rows
         ys[0] = rng.integers(0, 3, size=8)
         client = 0
     rngs = [np.random.default_rng(k) for k in range(2)]
     with pytest.raises(ValueError, match=f"client {client} has"):
-        models.sgd_clients(LOGISTIC, params, xs, ys, 0.1, 1, 4, rngs, extra)
+        inputs = models.prepare_lockstep(xs, ys, 4, masks)
+        models.sgd_lockstep(LOGISTIC, params, inputs, 0.1, 1, rngs, cr_term(0.05))
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,7 +442,7 @@ def test_lockstep_sgd_peak_allocation_stays_under_three_times_the_features():
     rngs = [np.random.default_rng(k) for k in range(len(xs))]
     tracemalloc.start()
     try:
-        models.sgd_clients(spec, params, xs, ys, 0.2, 2, 32, rngs)
+        models.sgd_lockstep(spec, params, models.prepare_lockstep(xs, ys, 32), 0.2, 2, rngs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -448,7 +455,8 @@ def test_lockstep_sgd_needs_a_generator_per_client():
     x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, size=6)
     shared = np.random.default_rng(0)
     with pytest.raises(ValueError, match="own generator"):
-        models.sgd_clients(LOGISTIC, params, [x, x], [y, y], 0.1, 1, 4, [shared, shared])
+        inputs = models.prepare_lockstep([x, x], [y, y], 4)
+        models.sgd_lockstep(LOGISTIC, params, inputs, 0.1, 1, [shared, shared])
 
 
 def _dirichlet_round(seed, hidden=0):
@@ -479,7 +487,7 @@ def test_prepared_lockstep_inputs_are_read_only_copies():
 @pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
 def test_prepared_inputs_reused_across_calls_train_as_fresh_ones(hidden):
     # one prepared set, three rounds from three starts with fresh streams:
-    # each round equals an sgd_clients call that prepares its own inputs
+    # each round equals an sgd_lockstep call on inputs prepared for it alone
     spec, xs, ys = _dirichlet_round(18, hidden)
     masks = [None] * len(xs)
     masks[5] = np.arange(len(xs[5])) < 40
@@ -494,7 +502,8 @@ def test_prepared_inputs_reused_across_calls_train_as_fresh_ones(hidden):
             return [np.random.default_rng([t, k]) for k in range(len(xs))]
 
         got = models.sgd_lockstep(spec, start, inputs, 0.2, 2, streams(), fn)
-        want = models.sgd_clients(spec, start, xs, ys, 0.2, 2, 32, streams(), (masks, fn))
+        fresh = models.prepare_lockstep(xs, ys, 32, masks)
+        want = models.sgd_lockstep(spec, start, fresh, 0.2, 2, streams(), fn)
         assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(inputs.x), _bits(x_before))
 
@@ -547,8 +556,9 @@ def test_lockstep_sgd_matches_sequential_oracle_bit_for_bit_at_benchmark_shapes(
     def streams():
         return [np.random.default_rng([seed, k]) for k in range(len(sizes))]
 
+    inputs = models.prepare_lockstep(xs, ys, batch_size)
+    got = models.sgd_lockstep(spec, params, inputs, 0.3, epochs, streams())
     args = (spec, params, xs, ys, 0.3, epochs, batch_size)
-    got = models.sgd_clients(*args, streams())
     assert np.array_equal(_bits(got), _bits(sequential_sgd_clients(*args, streams())))
 
 
@@ -606,7 +616,7 @@ def test_losses_by_batch_equal_each_batch_alone(spec, one_model):
     ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
     theta = np.stack([models.init_params(spec, rng) for _ in sizes])
     params = theta[0] if one_model else theta
-    got = models.losses_by_batch(spec, params, xs, ys)
+    got = models.StackedBatches(spec, xs, ys).losses(params)
     for i, (x, y) in enumerate(zip(xs, ys)):
         alone = models.per_sample_losses(spec, theta[0 if one_model else i], x, y)
         assert np.array_equal(_bits(got[i]), _bits(alone))
@@ -620,10 +630,10 @@ def test_losses_in_smaller_chunks_keep_their_bits(spec, monkeypatch):
     xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in sizes]
     ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
     theta = np.stack([models.init_params(spec, rng) for _ in sizes])
-    want = [models.losses_by_batch(spec, p, xs, ys) for p in (theta[0], theta)]
+    want = [models.StackedBatches(spec, xs, ys).losses(p) for p in (theta[0], theta)]
     row_bytes = 8 * (spec.hidden_dim + spec.num_classes)
     for chunk_bytes in (1, 2 * 9 * row_bytes):
         monkeypatch.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
         for params, losses in zip((theta[0], theta), want):
-            got = models.losses_by_batch(spec, params, xs, ys)
+            got = models.StackedBatches(spec, xs, ys).losses(params)
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, losses))
