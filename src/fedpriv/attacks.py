@@ -90,8 +90,9 @@ def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
 
     A stack goes through `models._forward` as many models at a time as keep
     one chunk's hidden activations and logits within STACK_CHUNK_BYTES (at
-    least one model), with one log-softmax or softmax per chunk. Each model's
-    values are bit-identical to a call with that model alone.
+    least one model), with one `models.target_measure` per chunk, which
+    reads only each row's target class. Each model's values are
+    bit-identical to a call with that model alone.
 
     `models.per_sample_losses` also runs a stack of models, but pairs each
     model with a batch of its own; here every model reads the one batch x,
@@ -108,16 +109,12 @@ def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
     stack = np.atleast_2d(theta)
     x = models._as_batch(spec, x)
     y = np.asarray(y, dtype=np.int64)
-    rows = np.arange(len(y))
     row_bytes = 8 * (spec.hidden_dim + spec.num_classes) * max(len(y), 1)
     chunk = max(1, STACK_CHUNK_BYTES // row_bytes)
-    normalise = models.log_softmax if kind == "loss" else models.softmax
     out = np.empty((len(stack), len(y)))
     for g0 in range(0, len(stack), chunk):
         logits, _ = models._forward(spec, models._layers(spec, stack[g0 : g0 + chunk]), x[None])
-        out[g0 : g0 + chunk] = normalise(logits)[:, rows, y]
-    if kind == "loss":
-        np.negative(out, out=out)
+        out[g0 : g0 + chunk] = models.target_measure(logits, y, kind)
     return out[0] if theta.ndim == 1 else out
 
 

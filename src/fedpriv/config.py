@@ -185,9 +185,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad(key, f"must be >= {least}, got {value}")
     if cfg.defense not in DEFENSE_KINDS:
         bad("defense.kind", f"must be one of {DEFENSE_KINDS}")
-    for cid in cfg.coalition:
+    for i, cid in enumerate(cfg.coalition):
         if not 0 <= cid < cfg.num_clients:
             bad("defense.coalition", f"client id {cid} outside [0, {cfg.num_clients})")
+        if cid in cfg.coalition[:i]:
+            bad("defense.coalition", f"client id {cid} is repeated")
     if cfg.defense != "none" and not cfg.coalition:
         bad("defense.coalition", f"must be non-empty for defense {cfg.defense!r}")
     if cfg.defense == "grad_sparse" and not 0.0 < cfg.keep_rate <= 1.0:
@@ -208,7 +210,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("defense.decay", f"must be one of {DECAY_KINDS}, got {cfg.decay!r}")
         if not (math.isfinite(cfg.sigma) and cfg.sigma >= 0):
             bad("defense.sigma", f"must be a finite number >= 0, got {cfg.sigma}")
-        if cfg.sigma > 0 and len(set(cfg.coalition)) < 2:
+        if cfg.sigma > 0 and len(cfg.coalition) < 2:
             bad("defense.sigma", "perturbation needs a coalition of >= 2 (or sigma = 0)")
         if not 0.0 < cfg.r_p <= 1.0:
             bad("defense.r_p", "must be in (0, 1]")
@@ -219,8 +221,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.source == "synthetic":
         if not (math.isfinite(cfg.cluster_spread) and cfg.cluster_spread >= 0):
             bad("data.cluster_spread", f"must be a finite number >= 0, got {cfg.cluster_spread}")
-        if not math.isfinite(cfg.mean_scale):
-            bad("data.mean_scale", f"must be a finite number, got {cfg.mean_scale}")
+        if not (math.isfinite(cfg.mean_scale) and cfg.mean_scale >= 0):
+            bad("data.mean_scale", f"must be a finite number >= 0, got {cfg.mean_scale}")
         resolved_class_bounds(cfg, cfg.num_classes)
     if not 0 <= cfg.target_client < cfg.num_clients:
         bad("attack.target_client", f"client id outside [0, {cfg.num_clients})")
@@ -233,6 +235,24 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("attack.target", "coalition target needs a non-empty defense.coalition")
     if min(cfg.members_n, cfg.ifl_n, cfg.ofl_n) < 0:
         bad("eval.*", "pool sizes must be >= 0")
+    # the attacks score members against non-members
+    if cfg.attack_list and cfg.members_n == 0:
+        bad("eval.members", "must be >= 1 when attack.list is not empty")
+    if cfg.attack_list and cfg.ifl_n + cfg.ofl_n == 0:
+        bad("eval.ifl", "eval.ifl + eval.ofl must be >= 1 when attack.list is not empty")
+    fedmia = [name for name in cfg.attack_list if name in ("fedmia_i", "fedmia_ii")]
+    coalition_target = cfg.attack_target == "coalition"
+    outside = cfg.num_clients - (len(cfg.coalition) if coalition_target else 1)
+    if fedmia and outside < 2:
+        if coalition_target:
+            leaves = "defense.coalition = " + ",".join(str(k) for k in cfg.coalition)
+        else:
+            leaves = f"fl.K = {cfg.num_clients}"
+        bad(
+            "attack.list",
+            f"{fedmia[0]} estimates its OUT statistic from the clients outside its target "
+            f"and needs >= 2 of them; {leaves} leaves {outside}",
+        )
     if not 0.0 <= cfg.val_fraction < 1.0:
         bad("defense.val_fraction", "must be in [0, 1)")
 

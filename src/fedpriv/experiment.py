@@ -92,7 +92,10 @@ class PreparedData:
 
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
-    """Build dataset, test split, client partition, and per-client val carves."""
+    """Build dataset, test split, client partition, and per-client val carves.
+
+    Raises ConfigError naming fl.K when the partition cannot give every
+    client a row."""
     if cfg.source == "synthetic":
         full = generate_synthetic(
             cfg.num_classes,
@@ -105,14 +108,17 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     else:
         full = load_csv(cfg.csv_path)
     train, test = split_train_test(full, cfg.test_fraction, derive_seed(cfg.seed, "testsplit"))
-    if cfg.partition == "iid":
-        plan = partition_iid(
-            train, cfg.num_clients, cfg.ofl_fraction, derive_seed(cfg.seed, "partition")
-        )
-    else:
-        plan = partition_dirichlet(
-            train, cfg.num_clients, cfg.beta, cfg.ofl_fraction, derive_seed(cfg.seed, "partition")
-        )
+    seed = derive_seed(cfg.seed, "partition")
+    try:
+        if cfg.partition == "iid":
+            plan = partition_iid(train, cfg.num_clients, cfg.ofl_fraction, seed)
+        else:
+            plan = partition_dirichlet(train, cfg.num_clients, cfg.beta, cfg.ofl_fraction, seed)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(
+            f"config field 'fl.K': the partition cannot give each of {cfg.num_clients} "
+            f"clients a training row: {exc}"
+        ) from None
     clients = make_client_datasets(train, plan, cfg.val_fraction, cfg.seed)
     spec = ModelSpec(
         input_dim=train.input_dim, hidden_dim=cfg.hidden_dim, num_classes=train.num_classes

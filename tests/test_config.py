@@ -115,6 +115,15 @@ def test_coalition_id_out_of_range_names_field():
     assert "defense.coalition" in str(err.value)
 
 
+def test_repeated_coalition_id_names_field():
+    # a duplicate id used to be dropped, leaving a one-client coalition that
+    # was then refused under defense.sigma
+    with pytest.raises(ConfigError, match=r"'defense.coalition': client id 0 is repeated"):
+        parse_config_text(MINIMAL + "defense.kind = coalition\ndefense.coalition = 0,0\n")
+    with pytest.raises(ConfigError, match=r"'defense.coalition': client id 3 is repeated"):
+        parse_config_text(MINIMAL + "defense.kind = grad_noise\ndefense.coalition = 3,1,3\n")
+
+
 def test_threads_key_accepts_only_one():
     assert parse_config_text(MINIMAL + "fl.threads = 1\n").threads == 1
     with pytest.raises(ConfigError) as err:
@@ -175,6 +184,9 @@ COALITION = "defense.kind = coalition\ndefense.coalition = 0,1\n"
         ("data.beta", "inf", "data.partition = dirichlet\n"),
         ("data.cluster_spread", "inf", ""),
         ("data.mean_scale", "nan", ""),
+        ("data.mean_scale", "-1", ""),
+        ("eval.members", "0", ""),
+        ("eval.ifl", "0", "eval.ofl = 0\n"),
     ],
 )
 def test_out_of_range_value_names_its_key(key, value, extra):
@@ -191,6 +203,35 @@ def test_seed_outside_a_signed_64_bit_integer_is_rejected(seed):
 @pytest.mark.parametrize("seed", [-(2**63), -1, 2**63 - 1])
 def test_seed_at_the_ends_of_a_signed_64_bit_integer_is_accepted(seed):
     assert parse_config_text(MINIMAL + f"fl.seed = {seed}\n").seed == seed
+
+
+def test_empty_pools_are_accepted_without_attacks():
+    cfg = parse_config_text(MINIMAL + "attack.list =\neval.members = 0\neval.ifl = 0\neval.ofl = 0\n")
+    assert cfg.attack_list == () and cfg.members_n == 0
+    assert parse_config_text(MINIMAL + "eval.ifl = 0\n").ifl_n == 0
+
+
+@pytest.mark.parametrize("attack", ["fedmia_i", "fedmia_ii"])
+@pytest.mark.parametrize(
+    "extra, leaves",
+    [
+        ("fl.K = 2\n", "fl.K = 2 leaves 1"),
+        ("fl.K = 2\nattack.target = global\n", "fl.K = 2 leaves 1"),
+        (
+            "fl.K = 5\ndefense.kind = coalition\ndefense.coalition = 0,1,2,3\n"
+            "attack.target = coalition\n",
+            "defense.coalition = 0,1,2,3 leaves 1",
+        ),
+    ],
+    ids=["local", "global", "coalition"],
+)
+def test_fedmia_without_two_clients_outside_its_target_names_the_keys(attack, extra, leaves):
+    text = f"data.source = synthetic\nfl.T = 10\nattack.list = loss_series,{attack}\n" + extra
+    with pytest.raises(ConfigError, match=re.escape(f"'attack.list': {attack} ") + ".*" + leaves):
+        parse_config_text(text)
+    # one more client outside the target is enough
+    more = text.replace("fl.K = 2", "fl.K = 3").replace("fl.K = 5", "fl.K = 6")
+    assert parse_config_text(more).attack_list == ("loss_series", attack)
 
 
 def test_defense_keys_are_checked_only_under_their_defense():
@@ -396,7 +437,7 @@ def _field_strategies(num_clients, num_classes, rounds):
         "samples_per_class": st.integers(1, 500),
         "input_dim": st.integers(1, 40),
         "cluster_spread": _finite(0, 10),
-        "mean_scale": _finite(-10, 10),
+        "mean_scale": _finite(0, 10),
         "test_fraction": _finite(0, 0.9),
         "partition": st.sampled_from(("iid", "dirichlet")),
         "beta": _finite(0.01, 10),

@@ -316,6 +316,21 @@ def test_cli_infeasible_pools_fail_before_training(tmp_path, capsys):
     assert not (out / ex.SNAPSHOTS_NPZ).exists()
 
 
+@pytest.mark.parametrize(
+    "change, detail",
+    [
+        (("fl.K = 5", "fl.K = 150"), "144 samples cannot cover 150 clients"),
+        (("data.samples_per_class = 40", "data.samples_per_class = 1"), "4 samples cannot cover"),
+        (("fl.K = 5", "fl.K = 150\ndata.partition = dirichlet"), "no non-empty Dirichlet split"),
+    ],
+    ids=["more_clients_than_rows", "one_sample_per_class", "dirichlet"],
+)
+def test_a_partition_without_a_row_for_every_client_names_fl_k(change, detail):
+    cfg = parse_config_text(SMALL.replace(*change) + "attack.list =\n")
+    with pytest.raises(ConfigError, match=r"^config field 'fl.K': .*" + detail):
+        ex.prepare_data(cfg)
+
+
 def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))

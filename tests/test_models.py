@@ -142,34 +142,57 @@ def test_softmax_sums_to_one_property():
 # Signed zeros, ones, infinities, subnormals, huge values and a NaN: the
 # values where a max's tie or a subtraction's rounding could show.
 EDGE_LOGITS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308]
+EDGE_ROWS = [[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [np.inf, np.inf, 0.0], [np.nan, -np.inf, 1.0]]
+CROSSOVER = models.CLASS_MAJOR_ROWS
+
+# Leading shapes on both sides of the row-by-row/class-major crossover, as
+# 2-D and as 3-D stacks, and class counts in every branch of the class-major
+# sum: under 8, 8-15, 16-128 and above 128.
+LEADING_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(CROSSOVER - 2, CROSSOVER + 40)),
+    st.tuples(st.integers(1, 4), st.integers(1, 12)),
+    st.tuples(st.integers(2, 4), st.integers(CROSSOVER // 2 - 2, CROSSOVER // 2 + 20)),
+)
+CLASS_COUNTS = st.one_of(
+    st.integers(2, 7), st.integers(8, 15), st.integers(16, 128), st.integers(129, 300)
+)
 
 
-def _edge_rows(values):
-    return st.integers(2, 20).flatmap(
-        lambda c: st.lists(
-            st.lists(st.sampled_from(values), min_size=c, max_size=c), min_size=1, max_size=12
-        )
-    )
+@st.composite
+def _edge_logits(draw, values):
+    """Logits of a drawn shape, each entry one of `values` with a drawn
+    probability and a normal draw times 10 otherwise."""
+    shape = (*draw(LEADING_SHAPES), draw(CLASS_COUNTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = 10.0 * rng.normal(size=shape)
+    edge = rng.random(shape) < draw(st.sampled_from([0.05, 0.3, 1.0]))
+    logits[edge] = rng.choice(values, size=int(edge.sum()))
+    return logits
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=_edge_rows(EDGE_LOGITS))
-@example(rows=[[0.0, -0.0, -1.0], [-0.0, 0.0, -1.0], [np.inf, np.inf, 0.0], [np.nan, -np.inf, 1.0]])
-def test_softmax_and_log_softmax_keep_the_bits_of_the_row_wise_max_formulas(rows):
-    logits = np.asarray(rows)
+@given(logits=_edge_logits(EDGE_LOGITS))
+@example(logits=np.asarray(EDGE_ROWS))
+@example(logits=np.asarray(EDGE_ROWS * (CROSSOVER // 4 + 1)))
+@example(logits=np.asarray(EDGE_ROWS * (CROSSOVER // 8 + 1)).reshape(2, -1, 3))
+def test_softmax_and_log_softmax_keep_the_bits_of_the_row_wise_max_formulas(logits):
     with np.errstate(all="ignore"):
         for got, want in (
             (models.log_softmax(logits), reference_log_softmax(logits)),
             (models.softmax(logits), reference_softmax(logits)),
         ):
+            assert got.shape == logits.shape
             assert np.array_equal(_bits(got), _bits(want))
+        into = logits.copy()
+        assert models.log_softmax(into, out=into) is into
+        assert np.array_equal(_bits(into), _bits(reference_log_softmax(logits)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=_edge_rows(EDGE_LOGITS + [-np.nan]))
-def test_softmax_with_nans_of_both_signs_differs_at_most_in_a_nans_sign(rows):
+@given(logits=_edge_logits(EDGE_LOGITS + [-np.nan]))
+def test_softmax_with_nans_of_both_signs_differs_at_most_in_a_nans_sign(logits):
     # which of two NaNs a max returns depends on its order of comparisons
-    logits = np.asarray(rows)
     with np.errstate(all="ignore"):
         for got, want in (
             (models.log_softmax(logits), reference_log_softmax(logits)),
@@ -178,6 +201,37 @@ def test_softmax_with_nans_of_both_signs_differs_at_most_in_a_nans_sign(rows):
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert np.array_equal(_bits(got[~nan]), _bits(want[~nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=_edge_logits(EDGE_LOGITS), seed=st.integers(0, 2**16))
+@example(logits=np.asarray(EDGE_ROWS * (CROSSOVER // 4 + 1)), seed=0)
+def test_target_measure_keeps_the_bits_of_the_formulas_at_the_target(logits, seed):
+    # a target log-probability of +0.0 is frequent here; its loss is -0.0
+    y = np.random.default_rng(seed).integers(0, logits.shape[-1], size=logits.shape[:-1])
+    at = (*np.indices(y.shape), y)
+    with np.errstate(all="ignore"):
+        for kind, want in (
+            ("loss", -reference_log_softmax(logits)[at]),
+            ("confidence", reference_softmax(logits)[at]),
+        ):
+            got = models.target_measure(logits, y, kind)
+            assert got.shape == y.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("rows", [3, CROSSOVER], ids=["row_by_row", "class_major"])
+def test_a_target_probability_of_one_gives_a_loss_of_minus_zero(rows):
+    # p_y is exactly 1, so log p_y is +0.0 and the loss -(log p_y) is -0.0
+    logits = np.tile([[3.0, -np.inf, -1e308], [-1e308, 3.0, -np.inf]], (2, rows, 1, 1))
+    y = np.tile([0, 1], rows)  # one row of labels for both stacked models
+    loss = models.target_measure(logits.reshape(2, 2 * rows, 3), y, "loss")
+    assert loss.shape == (2, 2 * rows)
+    assert np.all(loss == 0.0) and np.all(np.signbit(loss))
+    conf = models.target_measure(logits.reshape(2, 2 * rows, 3), y, "confidence")
+    assert np.all(conf == 1.0)
+    with pytest.raises(ValueError, match="unknown measurement kind"):
+        models.target_measure(logits, y, "grad_cosine")
 
 
 def test_sgd_zero_lr_is_identity():
