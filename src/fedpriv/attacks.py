@@ -10,6 +10,9 @@ weighted aggregate of the defender coalition's locals (the adaptive
 attacker's target, which the cancellation property makes identical with
 and without perturbation).
 
+A trajectory and FedMIA's OUT statistic (Carlini et al., arXiv:2112.03570)
+both measure a round at a time through `_round_measurements`.
+
 Several attacks read the same trajectory: `run_attack` calls that pass one
 `shared` dict compute each (target, kind) trajectory once between them
 (`experiment.stage_attack` makes one dict per call).
@@ -25,7 +28,6 @@ from . import models
 from .data import EvalPools, LabeledDataset
 from .federation import SnapshotStore, aggregate_weighted
 from .metrics import DEFAULT_FPR_LEVELS, auc_score, tpr_at_fpr
-from .models import STACK_CHUNK_BYTES
 
 MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine")
 ATTACK_NAMES = ("loss_series", "avg_cosine", "fta_l", "fta_c", "fedmia_i", "fedmia_ii")
@@ -81,41 +83,6 @@ COSINE_BLOCK_BYTES = 1024 * 1024
 # bits differ from the blocked kernel's. `_grad_cosines` keeps every block's
 # product above it whenever the whole product is.
 SMALL_GEMM_OUTPUTS = 1200
-
-
-def _static_measurements(spec, params, x, y, kind) -> np.ndarray:
-    """Per-sample cross-entropy ("loss") or true-class probability
-    ("confidence") of a batch x (n, input_dim): (n,) under one model params
-    (P,), or (G, n) under each model of a stack (G, P).
-
-    A stack goes through `models._forward` as many models at a time as keep
-    one chunk's hidden activations and logits within STACK_CHUNK_BYTES (at
-    least one model), with one `models.target_measure` per chunk, which
-    reads only each row's target class. Each model's values are
-    bit-identical to a call with that model alone.
-
-    `models.per_sample_losses` also runs a stack of models, but pairs each
-    model with a batch of its own; here every model reads the one batch x,
-    broadcast rather than copied G times, and "confidence" is served too.
-    """
-    if kind not in ("loss", "confidence"):
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    theta = np.asarray(params, dtype=np.float64)
-    if theta.shape[-1:] != (spec.param_count,) or theta.ndim > 2:
-        raise ValueError(
-            f"parameters have shape {theta.shape}, expected (P,) or (G, P) with "
-            f"P = {spec.param_count}"
-        )
-    stack = np.atleast_2d(theta)
-    x = models._as_batch(spec, x)
-    y = np.asarray(y, dtype=np.int64)
-    row_bytes = 8 * (spec.hidden_dim + spec.num_classes) * max(len(y), 1)
-    chunk = max(1, STACK_CHUNK_BYTES // row_bytes)
-    out = np.empty((len(stack), len(y)))
-    for g0 in range(0, len(stack), chunk):
-        logits, _ = models._forward(spec, models._layers(spec, stack[g0 : g0 + chunk]), x[None])
-        out[g0 : g0 + chunk] = models.target_measure(logits, y, kind)
-    return out[0] if theta.ndim == 1 else out
 
 
 def _grad_matrix(spec, params, x, y) -> np.ndarray:
@@ -206,6 +173,23 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     return np.divide(dots, norms, out=np.zeros((m, n)), where=norms > 0)
 
 
+def _round_measurements(spec, global_t, targets, x, y, kind, workspace=None) -> np.ndarray:
+    """(G, n) measurements of a batch x (n, input_dim), y under each of a
+    round's target models (G, P): loss and confidence through one
+    `models.measure` call, x broadcast to the G models, in `workspace`;
+    gradient cosines with each target's update from the round's global
+    model global_t. Each model's values have the bits of a call of its own.
+    """
+    x = models._as_batch(spec, x)
+    if kind == "grad_cosine":
+        directions = targets - global_t
+        del targets  # frees a stack that only this call holds before the cosine buffers exist
+        return _grad_cosines(spec, global_t, x, y, directions)
+    stack = np.broadcast_to(x, (len(targets), *x.shape))
+    labels = np.tile(np.asarray(y, dtype=np.int64), len(targets))
+    return models.measure(spec, targets, [stack], labels, kind, workspace).reshape(stack.shape[:2])
+
+
 def trajectory_matrix(
     store: SnapshotStore,
     selector,
@@ -215,28 +199,25 @@ def trajectory_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values (n, rounds), recorded rounds) for a batch of query samples.
 
-    grad_cosine is the cosine between each sample's gradient at the round's
-    global model and the selected model's update direction for that round
-    (selected params minus the global broadcast).
+    Each round takes one `_round_measurements` call, in one shared
+    workspace. grad_cosine is the cosine between each sample's gradient at
+    the round's global model and the selected model's update direction for
+    that round (selected params minus the global broadcast).
     """
     if kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
     if not store.rounds:
         raise ValueError("snapshot store is empty")
     rounds = np.asarray(store.rounds, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    workspace = models.Workspace()
     cols = []
     for row, (global_t, locals_t) in enumerate(zip(store.globals, store.locals)):
-        if kind == "grad_cosine":
-            if selector == "global":
-                target = aggregate_weighted(locals_t, store.client_sizes)
-            else:
-                target = _target_params(store, selector, row)
-            cols.append(_grad_cosines(store.spec, global_t, x, y, target - global_t)[0])
+        if kind == "grad_cosine" and selector == "global":
+            target = aggregate_weighted(locals_t, store.client_sizes)
         else:
-            params = _target_params(store, selector, row)
-            cols.append(_static_measurements(store.spec, params, x, y, kind))
+            target = _target_params(store, selector, row)
+        values = _round_measurements(store.spec, global_t, target[None], x, y, kind, workspace)
+        cols.append(values[0])
     return np.column_stack(cols), rounds
 
 
@@ -282,20 +263,17 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
     """Per-round mean/std (n, rounds) of each sample's measurement under the
     local models of every client outside `exclude_clients`.
 
-    Each round takes one `_static_measurements` call on the stack of those
-    models, or one `_grad_cosines` call with their update directions. Uses
-    the population standard deviation, floored at 1e-6.
+    Each round takes one `_round_measurements` call on the stack of those
+    models, in one shared workspace. Uses the population standard deviation,
+    floored at 1e-6.
     """
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
         raise ValueError("need at least 2 non-target clients")
+    workspace = models.Workspace()
     per_round_means, per_round_stds = [], []
     for global_t, locals_t in zip(store.globals, store.locals):
-        if kind == "grad_cosine":
-            stack = _grad_cosines(store.spec, global_t, x, y, locals_t[others] - global_t)
-        else:
-            stack = _static_measurements(store.spec, locals_t[others], x, y, kind)
-        # stack: (others, n)
+        stack = _round_measurements(store.spec, global_t, locals_t[others], x, y, kind, workspace)
         per_round_means.append(stack.mean(axis=0))
         per_round_stds.append(np.maximum(stack.std(axis=0), OUT_STD_FLOOR))
     return np.column_stack(per_round_means), np.column_stack(per_round_stds)

@@ -173,6 +173,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         ("fl.local_epochs", cfg.local_epochs, 1),
         ("fl.batch_size", cfg.batch_size, 1),
         ("fl.snapshot_every", cfg.snapshot_every, 1),
+        ("eval.members", cfg.members_n, 0),
+        ("eval.ifl", cfg.ifl_n, 0),
+        ("eval.ofl", cfg.ofl_n, 0),
     ]
     if cfg.source == "synthetic":
         sizes += [
@@ -233,8 +236,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         bad("attack.target", "must be local, global, or coalition")
     if cfg.attack_target == "coalition" and not cfg.coalition:
         bad("attack.target", "coalition target needs a non-empty defense.coalition")
-    if min(cfg.members_n, cfg.ifl_n, cfg.ofl_n) < 0:
-        bad("eval.*", "pool sizes must be >= 0")
     # the attacks score members against non-members
     if cfg.attack_list and cfg.members_n == 0:
         bad("eval.members", "must be >= 1 when attack.list is not empty")

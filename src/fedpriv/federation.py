@@ -63,7 +63,10 @@ class FlConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.defense not in DEFENSE_KINDS:
             raise ValueError(f"defense must be one of {DEFENSE_KINDS}")
-        coalition = tuple(sorted(set(self.coalition)))
+        coalition = tuple(sorted(self.coalition))
+        for k, nxt in zip(coalition, coalition[1:]):
+            if k == nxt:
+                raise ValueError(f"coalition id {k} is repeated")
         object.__setattr__(self, "coalition", coalition)
         if coalition and not (0 <= coalition[0] and coalition[-1] < self.num_clients):
             raise ValueError("coalition ids must lie in [0, num_clients)")

@@ -5,6 +5,10 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
+`measure` (evaluation and validation losses, the attacks' loss and
+confidence) and `accuracy` run one stacked forward, `_stack_logits`, under
+one model, one model per batch, or many models over one broadcast batch.
+
 The public functions never mutate their inputs, and `prepare_lockstep`'s
 arrays are read-only, so any number of `sgd_lockstep` calls may share them.
 A `Workspace`, and a `StackedBatches` that draws on one, serves one call at
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Most bytes of hidden activations and logits that one stacked forward pass
-# over many batches or models holds (`per_sample_losses`, `accuracy`, and the
-# attacks' OUT statistics). glibc serves a larger request from a fresh
+# Most bytes of hidden activations and logits that one pass of the stacked
+# forward `_stack_logits` holds, and the least bytes of logits that it hands
+# on as one run to be measured. glibc serves a larger request from a fresh
 # mapping (its default mmap threshold is 128 KiB) and unmaps it on free, so
 # every further pass would fault its pages in again.
 STACK_CHUNK_BYTES = 128 * 1024
@@ -331,16 +335,18 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
-def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace) -> np.ndarray:
-    """The logits (rows, num_classes) of every row of 3-D stacks, stack after
-    stack and batch after batch, under one flat `params` (P,) or under
-    model params[i] of a matrix (B, P) for the i-th of their B batches.
+def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace | None):
+    """Yield (first row, logits (rows, num_classes)) for runs of the rows of
+    3-D stacks, stack after stack and batch after batch, under one flat
+    `params` (P,) or under model params[i] of a matrix (B, P) for the i-th of
+    their B batches. A stack may be one batch broadcast to many models.
 
-    A forward pass takes as many batches of a stack as keep their hidden
-    activations and logits within STACK_CHUNK_BYTES (at least one), each
-    batch with the bits of a pass of its own. The logits and the hidden
-    layer are written into the buffers "logits", "pre" and "hid" of
-    `workspace`; the result is its "logits" buffer."""
+    The one chunk rule: a forward pass takes as many batches of a stack as
+    keep their hidden activations and logits within STACK_CHUNK_BYTES (at
+    least one), each batch with the bits of a pass of its own, and passes
+    fill a run until it holds STACK_CHUNK_BYTES of logits or the rows end.
+    Runs are views of `workspace`'s "logits" buffer (one of its own if
+    None), valid until the next; the hidden layer goes into "pre" and "hid"."""
     matrix = np.ndim(params) == 2
     if matrix:
         theta = np.asarray(params, dtype=np.float64)
@@ -352,28 +358,51 @@ def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace) -> np.n
             )
     else:
         layers = _single_layers(spec, params)
+    workspace = Workspace() if workspace is None else workspace
     h, c = spec.hidden_dim, spec.num_classes
-    chunks = []  # (stack, first and end batch, first batch of all, first row)
-    first = row = most = 0
+    chunks = []  # (stack, first and end batch, first batch of all)
+    first = rows = most = 0
     for s, stack in enumerate(stacks):
         g, n = stack.shape[:2]
         per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
         for b0 in range(0, g, per):
             b1 = min(g, b0 + per)
-            chunks.append((s, b0, b1, first + b0, row))
-            row += (b1 - b0) * n
+            chunks.append((s, b0, b1, first + b0))
             most = max(most, (b1 - b0) * n)
         first += g
-    logits = workspace.array("logits", (row, c))
-    hidden = [workspace.array(name, (most, h)) for name in ("pre", "hid")]
-    for s, b0, b1, first, row in chunks:
+        rows += g * n
+    least = max(1, STACK_CHUNK_BYTES // (8 * c))
+    logits = workspace.array("logits", (min(rows, least - 1 + most), c))
+    hidden = [workspace.array(name, (most, h)) for name in ("pre", "hid")] if h else None
+    start = fill = 0
+    for s, b0, b1, first in chunks:
         x = stacks[s][b0:b1]
         if matrix:
             layers = _layers(spec, theta[first : first + b1 - b0])
         g, n = x.shape[:2]
-        out = logits[row : row + g * n].reshape(g, n, c)
-        _forward(spec, layers, x, out=out, hidden=[a[: g * n].reshape(g, n, h) for a in hidden])
-    return logits
+        out = logits[fill : fill + g * n].reshape(g, n, c)
+        cache = [a[: g * n].reshape(g, n, h) for a in hidden] if h else None
+        _forward(spec, layers, x, out=out, hidden=cache)
+        fill += g * n
+        if fill >= least or (fill and start + fill == rows):
+            yield start, logits[:fill]
+            start, fill = start + fill, 0
+
+
+def measure(spec: ModelSpec, params, stacks, y, kind: str, workspace: Workspace | None = None):
+    """`target_measure` (rows,) of every row of `_stack_logits`' stacks and
+    models, for the class ids y of those rows: one call per run, each batch
+    with the bits of a call of its own, so a call allocates little more
+    than its result."""
+    y = np.asarray(y, dtype=np.int64)
+    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
+    if samples != len(y):
+        raise ValueError(f"{len(y)} labels for {samples} samples")
+    values = np.empty(samples)
+    for r0, logits in _stack_logits(spec, params, stacks, workspace):
+        at = slice(r0, r0 + len(logits))
+        values[at] = target_measure(logits, y[at], kind)
+    return values
 
 
 def per_sample_losses(
@@ -385,12 +414,8 @@ def per_sample_losses(
     after batch. Each batch gets the arithmetic it would get on its own.
 
     `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
-    the model of each of their B batches, in the same order.
-
-    The forward passes run in chunks of batches and `target_measure` in
-    chunks of rows, each within STACK_CHUNK_BYTES, in the buffers of
-    `workspace` (one of its own if None), so a call allocates little more
-    than its result."""
+    the model of each of their B batches, in the same order. The losses are
+    `measure`'s, in the buffers of `workspace` (one of its own if None)."""
     many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
     if many:
         stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
@@ -398,20 +423,8 @@ def per_sample_losses(
         x = np.asarray(x, dtype=np.float64)
         stacks, ys = [x if x.ndim == 3 else _as_batch(spec, x)[None]], [y]
     y = np.concatenate([np.asarray(t, dtype=np.int64).ravel() for t in ys])
-    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
-    if samples != len(y):
-        raise ValueError(f"{len(y)} labels for {samples} samples")
-    workspace = Workspace() if workspace is None else workspace
-    logits = _stack_logits(spec, params, stacks, workspace)
-    step = max(1, STACK_CHUNK_BYTES // (8 * spec.num_classes))
-    losses = np.empty(samples)
-    for r0 in range(0, samples, step):
-        at = slice(r0, r0 + step)
-        losses[at] = target_measure(logits[at], y[at], "loss")
-    if many:
-        return losses
-    losses = losses.reshape(stacks[0].shape[:2])
-    return losses if x.ndim == 3 else losses[0]
+    losses = measure(spec, params, stacks, y, "loss", workspace)
+    return losses.reshape(x.shape[:2]) if not many and x.ndim == 3 else losses
 
 
 class StackedBatches:
@@ -802,8 +815,9 @@ def accuracy(
     spec: ModelSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
     workspace: Workspace | None = None,
 ) -> float:
-    """Fraction of samples whose argmax prediction matches the label; the
-    logits and hidden layer go into the buffers of `workspace` if given."""
-    workspace = Workspace() if workspace is None else workspace
-    logits = _stack_logits(spec, params, [_as_batch(spec, x)[None]], workspace)
-    return float((logits.argmax(axis=1) == np.asarray(y)).mean())
+    """Fraction of samples whose argmax prediction matches the label, NaN
+    for no samples; `_stack_logits` computes the logits in `workspace`."""
+    y, hits = np.asarray(y), 0
+    for r0, logits in _stack_logits(spec, params, [_as_batch(spec, x)[None]], workspace):
+        hits += int((logits.argmax(axis=1) == y[r0 : r0 + len(logits)]).sum())
+    return hits / len(y) if len(y) else math.nan

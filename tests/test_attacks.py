@@ -312,7 +312,7 @@ MLP_CHUNKED = ModelSpec(input_dim=5, hidden_dim=16, num_classes=3)  # 2 models a
 
 
 def _chunk(spec, n):
-    return atk.STACK_CHUNK_BYTES // (8 * (spec.hidden_dim + spec.num_classes) * n)
+    return models.STACK_CHUNK_BYTES // (8 * (spec.hidden_dim + spec.num_classes) * n)
 
 
 @pytest.mark.parametrize(
@@ -326,9 +326,11 @@ def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind):
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
     for g in (1, chunk + 1, 2 * chunk):
         stack = store.locals[0][:g]
-        got = atk._static_measurements(spec, stack, x, y, kind)
+        got = atk._round_measurements(spec, store.globals[0], stack, x, y, kind)
         assert got.shape == (g, n)
-        alone = np.stack([atk._static_measurements(spec, p, x, y, kind) for p in stack])
+        alone = np.stack(
+            [atk._round_measurements(spec, store.globals[0], p[None], x, y, kind)[0] for p in stack]
+        )
         assert np.array_equal(_bits(got), _bits(alone)), g
 
 
@@ -353,11 +355,11 @@ def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
         assert np.array_equal(_bits(a), _bits(b))
 
 
-def test_static_measurements_reject_a_parameter_stack_of_the_wrong_width():
+def test_round_measurements_reject_a_parameter_stack_of_the_wrong_width():
     spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
     for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((1, 2, 6))):
         with pytest.raises(ValueError, match="expected"):
-            atk._static_measurements(spec, bad, np.zeros((1, 2)), [0], "loss")
+            atk._round_measurements(spec, np.zeros(6), bad, np.zeros((1, 2)), [0], "loss")
 
 
 ALL_ATTACKS = "loss_series,avg_cosine,fta_l,fta_c,fedmia_i,fedmia_ii"

@@ -299,6 +299,13 @@ def test_fl_config_rejects_a_non_finite_or_negative_lr(lr):
         FlConfig(num_clients=2, rounds=1, lr=lr)
 
 
+def test_fl_config_refuses_a_repeated_coalition_id_and_sorts_the_rest():
+    with pytest.raises(ValueError, match="coalition id 2 is repeated"):
+        FlConfig(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 2, 2))
+    cfg = FlConfig(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 0))
+    assert cfg.coalition == (0, 3)
+
+
 def test_diverging_training_names_round_and_clients():
     cfg = make_config(clients=4, rounds=40, lr=400.0)
     with pytest.raises(FloatingPointError, match=r"round \d+: non-finite loss .* client\(s\) \[\d"):

@@ -691,3 +691,42 @@ def test_losses_in_smaller_chunks_keep_their_bits(spec, monkeypatch):
         for params, losses in zip((theta[0], theta), want):
             got = models.StackedBatches(spec, xs, ys).losses(params)
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, losses))
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+@pytest.mark.parametrize("kind", ["loss", "confidence"])
+def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, kind, monkeypatch):
+    # forward chunks of at most 2 batches of 10 rows (chunk = 2); runs of at
+    # least 25 (logistic) or 75 (mlp) rows, so a run takes several forward
+    # chunks and goes on from one stack into the next
+    n, chunk = 10, 2
+    monkeypatch.setattr(models, "STACK_CHUNK_BYTES", 8 * (spec.hidden_dim + spec.num_classes) * 25)
+    runs = []
+    measured = models.target_measure
+    monkeypatch.setattr(
+        models, "target_measure", lambda z, *a: runs.append(len(z)) or measured(z, *a)
+    )
+    rng = np.random.default_rng(31)
+    pools = [2.0 * rng.normal(size=(n, spec.input_dim)) for _ in range(2)]
+    stacks = [
+        np.broadcast_to(pools[0], (1, n, spec.input_dim)),  # one model
+        np.broadcast_to(pools[1], (chunk + 1, n, spec.input_dim)),  # chunk + 1 models
+        2.0 * rng.normal(size=(3, n, spec.input_dim)),  # one model per batch
+        2.0 * rng.normal(size=(2, 7, spec.input_dim)),
+    ]
+    batches = [b for s in stacks for b in s]
+    theta = np.stack([models.init_params(spec, rng) for _ in batches])
+    ys = [rng.integers(0, spec.num_classes, size=len(b)) for b in batches]
+    got = models.measure(spec, theta, stacks, np.concatenate(ys), kind)
+    assert runs == ([30, 30, 24] if spec.hidden_dim == 0 else [84])
+    want = []
+    for p, x, y in zip(theta, batches, ys):
+        logits, _, _ = models._logits_and_hidden(spec, p, x)
+        rows = np.arange(len(y))
+        if kind == "loss":
+            want.append(-models.log_softmax(logits)[rows, y])
+        else:
+            want.append(models.softmax(logits)[rows, y])
+    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
+    with pytest.raises(ValueError, match="83 labels for 84 samples"):
+        models.measure(spec, theta, stacks, np.concatenate(ys)[1:], kind)
