@@ -10,8 +10,9 @@ weighted aggregate of the defender coalition's locals (the adaptive
 attacker's target, which the cancellation property makes identical with
 and without perturbation).
 
-A trajectory and FedMIA's OUT statistic (Carlini et al., arXiv:2112.03570)
-both measure a round at a time through `_round_measurements`.
+A loss or confidence trajectory takes one `_round_measurements` call over
+the target's whole series (`_target_series`); gradient cosines and FedMIA's
+OUT statistic (Carlini et al., arXiv:2112.03570) take one call a round.
 
 Several attacks read the same trajectory: `run_attack` calls that pass one
 `shared` dict compute each (target, kind) trajectory once between them
@@ -52,24 +53,43 @@ class AttackResult:
 # ---------------------------------------------------------------------------
 
 
-def _target_params(store: SnapshotStore, selector, row: int) -> np.ndarray:
-    """Resolve a selector to model parameters at one recorded round, given as
-    its row (position in `store.rounds`).
+def attack_selector(target: str, target_client: int, coalition):
+    """The selector of an `attack.target`: "global", ("local", k) or ("coalition", ids)."""
+    if target == "local":
+        return ("local", target_client)
+    return "global" if target == "global" else ("coalition", tuple(coalition))
 
-    selector: "global", ("local", k), or ("coalition", ids).
-    """
+
+def fedmia_excluded(selector, target_client=None) -> set[int]:
+    """The clients that FedMIA's OUT statistic leaves out: a coalition
+    target's members, else the target client (by default a local target's)."""
+    tag = selector if selector == "global" else selector[0]
+    if tag == "coalition":
+        return set(selector[1])
+    if target_client is None and tag != "local":
+        raise ValueError("exclude_clients is required for non-local targets")
+    return {selector[1] if target_client is None else target_client}
+
+
+def _target_series(store: SnapshotStore, selector, kind: str) -> np.ndarray:
+    """The attacked model at every recorded round, (R, P), for selector
+    "global", ("local", k) or ("coalition", ids): the globals (for gradient
+    cosines the aggregate of all clients), a view of client k's locals, or
+    each round's weighted aggregate of the coalition's locals."""
     if selector == "global":
-        return store.globals[row]
-    tag = selector[0]
-    if tag not in ("local", "coalition"):
+        if kind != "grad_cosine":
+            return store.globals
+        ids = slice(None)
+    elif selector[0] in ("local", "coalition"):
+        ids = [selector[1]] if selector[0] == "local" else list(selector[1])
+        if not all(0 <= k < store.num_clients for k in ids):
+            raise ValueError(f"selector {selector!r}: a client outside [0, {store.num_clients})")
+        if selector[0] == "local":
+            return store.locals[:, ids[0]]
+    else:
         raise ValueError(f"unknown selector {selector!r}")
-    ids = [selector[1]] if tag == "local" else list(selector[1])
-    if not all(0 <= k < store.num_clients for k in ids):
-        raise ValueError(f"selector {selector!r} names a client outside [0, {store.num_clients})")
-    locals_t = store.locals[row]
-    if tag == "local":
-        return locals_t[ids[0]]
-    return aggregate_weighted(locals_t[ids], store.client_sizes[ids])
+    sizes = store.client_sizes[ids]
+    return np.stack([aggregate_weighted(locals_t[ids], sizes) for locals_t in store.locals])
 
 
 # Most bytes of the (rows, directions, units) projection block that
@@ -174,11 +194,11 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
 
 
 def _round_measurements(spec, global_t, targets, x, y, kind, workspace=None) -> np.ndarray:
-    """(G, n) measurements of a batch x (n, input_dim), y under each of a
-    round's target models (G, P): loss and confidence through one
-    `models.measure` call, x broadcast to the G models, in `workspace`;
-    gradient cosines with each target's update from the round's global
-    model global_t. Each model's values have the bits of a call of its own.
+    """(G, n) measurements of a batch x (n, input_dim), y under each of G
+    target models (G, P): loss and confidence through one `models.measure`
+    call, x broadcast to the G models, in `workspace`; gradient cosines with
+    each target's update from global_t, the global model of their round.
+    Each model's values have the bits of a call of its own.
     """
     x = models._as_batch(spec, x)
     if kind == "grad_cosine":
@@ -199,26 +219,21 @@ def trajectory_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values (n, rounds), recorded rounds) for a batch of query samples.
 
-    Each round takes one `_round_measurements` call, in one shared
-    workspace. grad_cosine is the cosine between each sample's gradient at
-    the round's global model and the selected model's update direction for
-    that round (selected params minus the global broadcast).
+    Loss and confidence take one `_round_measurements` call over the
+    target's whole series, the batch broadcast to every round's model.
+    grad_cosine is the cosine between each sample's gradient at the round's
+    global model and the selected model's update direction for that round
+    (selected params minus the global broadcast), one call a round.
     """
     if kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
     if not store.rounds:
         raise ValueError("snapshot store is empty")
-    rounds = np.asarray(store.rounds, dtype=np.int64)
-    workspace = models.Workspace()
-    cols = []
-    for row, (global_t, locals_t) in enumerate(zip(store.globals, store.locals)):
-        if kind == "grad_cosine" and selector == "global":
-            target = aggregate_weighted(locals_t, store.client_sizes)
-        else:
-            target = _target_params(store, selector, row)
-        values = _round_measurements(store.spec, global_t, target[None], x, y, kind, workspace)
-        cols.append(values[0])
-    return np.column_stack(cols), rounds
+    series = _target_series(store, selector, kind)
+    # a round's gradient cosines need that round's global model
+    passes = zip(store.globals, series[:, None]) if kind == "grad_cosine" else [(None, series)]
+    values = np.concatenate([_round_measurements(store.spec, g, t, x, y, kind) for g, t in passes])
+    return np.ascontiguousarray(values.T), np.asarray(store.rounds, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +294,14 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
     return np.column_stack(per_round_means), np.column_stack(per_round_stds)
 
 
-def _once(shared, key, compute):
-    """compute(), kept in the dict `shared` under key for later calls that
-    pass the same dict; with shared None, computed afresh."""
+def _trajectory(shared, store, selector, x, y, kind):
+    """`trajectory_matrix`, kept in the dict `shared` under (selector, kind)
+    for later calls that pass the same dict; with shared None, computed afresh."""
     if shared is None:
-        return compute()
-    if key not in shared:
-        shared[key] = compute()
-    return shared[key]
+        return trajectory_matrix(store, selector, x, y, kind)
+    if (selector, kind) not in shared:
+        shared[selector, kind] = trajectory_matrix(store, selector, x, y, kind)
+    return shared[selector, kind]
 
 
 def attack_fedmia(
@@ -305,8 +320,8 @@ def attack_fedmia(
     theta_global, which points against the accumulated gradient), member
     measurements fall below the OUT mean for both kinds, so both z-sums are
     negated to keep higher score = more likely member. The OUT distribution
-    is estimated from clients outside `exclude_clients` (default: just the
-    target client).
+    is estimated from clients outside `exclude_clients` (default:
+    `fedmia_excluded` of the target).
 
     `shared` is `run_attack`'s dict of trajectories; its entries must belong
     to this store, dataset and sample_ids. The OUT statistic is computed
@@ -315,21 +330,14 @@ def attack_fedmia(
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
     kind = "loss" if variant == "i" else "grad_cosine"
-    sign = -1.0
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
     x, y = dataset.X[sample_ids], dataset.y[sample_ids]
     if exclude_clients is None:
-        if not (isinstance(target_selector, tuple) and target_selector[0] == "local"):
-            raise ValueError("exclude_clients is required for non-local targets")
-        exclude_clients = {target_selector[1]}
-    values, _ = _once(
-        shared,
-        ("trajectory", target_selector, kind),
-        lambda: trajectory_matrix(store, target_selector, x, y, kind),
-    )
+        exclude_clients = fedmia_excluded(target_selector)
+    values, _ = _trajectory(shared, store, target_selector, x, y, kind)
     out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
     z = (values - out_mean) / out_std
-    return sign * z.sum(axis=1)
+    return -z.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +394,8 @@ def run_attack(
     """Score the member/non-member pools with one named attack.
 
     The default selector is the target client's local model series; pass
-    "global" or ("coalition", ids) to retarget. FedMIA always estimates its
-    OUT distribution from clients other than the target (and, for a
-    coalition target, other than every coalition member).
+    "global" or ("coalition", ids) to retarget. FedMIA's OUT distribution
+    leaves out `fedmia_excluded(selector, target_client)`.
 
     `shared` is an optional dict that calls on one store, dataset and pools
     pass in common; a dict must not outlive them. The first call that needs
@@ -402,13 +409,9 @@ def run_attack(
     ids, labels = _pool_ids_and_labels(pools)
 
     if name in ("fedmia_i", "fedmia_ii"):
-        if isinstance(selector, tuple) and selector[0] == "coalition":
-            exclude = set(selector[1])
-        else:
-            exclude = {target_client}
-        scores = attack_fedmia(
-            store, dataset, ids, selector, "i" if name == "fedmia_i" else "ii", exclude, shared
-        )
+        variant = "i" if name == "fedmia_i" else "ii"
+        exclude = fedmia_excluded(selector, target_client)
+        scores = attack_fedmia(store, dataset, ids, selector, variant, exclude, shared)
     else:
         kind = {
             "loss_series": "loss",
@@ -416,11 +419,7 @@ def run_attack(
             "fta_c": "confidence",
             "avg_cosine": "grad_cosine",
         }[name]
-        values, rounds = _once(
-            shared,
-            ("trajectory", selector, kind),
-            lambda: trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kind),
-        )
+        values, rounds = _trajectory(shared, store, selector, dataset.X[ids], dataset.y[ids], kind)
         if name == "loss_series":
             scores = attack_loss_series(values)
         elif name == "avg_cosine":

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .assignment import DECAY_KINDS
-from .attacks import ATTACK_NAMES
+from .attacks import ATTACK_NAMES, attack_selector, fedmia_excluded
 from .federation import DEFENSE_KINDS
 
 
@@ -242,10 +242,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.attack_list and cfg.ifl_n + cfg.ofl_n == 0:
         bad("eval.ifl", "eval.ifl + eval.ofl must be >= 1 when attack.list is not empty")
     fedmia = [name for name in cfg.attack_list if name in ("fedmia_i", "fedmia_ii")]
-    coalition_target = cfg.attack_target == "coalition"
-    outside = cfg.num_clients - (len(cfg.coalition) if coalition_target else 1)
+    selector = attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
+    outside = cfg.num_clients - len(fedmia_excluded(selector, cfg.target_client))
     if fedmia and outside < 2:
-        if coalition_target:
+        if cfg.attack_target == "coalition":
             leaves = "defense.coalition = " + ",".join(str(k) for k in cfg.coalition)
         else:
             leaves = f"fl.K = {cfg.num_clients}"

@@ -94,20 +94,31 @@ class PreparedData:
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """Build dataset, test split, client partition, and per-client val carves.
 
-    Raises ConfigError naming fl.K when the partition cannot give every
-    client a row."""
+    Raises ConfigError naming data.cluster_spread for features that are not
+    finite, data.test_fraction for no test row and fl.K for a client's."""
     if cfg.source == "synthetic":
-        full = generate_synthetic(
-            cfg.num_classes,
-            cfg.samples_per_class,
-            cfg.input_dim,
-            cfg.cluster_spread,
-            derive_seed(cfg.seed, "data"),
-            mean_scale=cfg.mean_scale,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            full = generate_synthetic(
+                cfg.num_classes,
+                cfg.samples_per_class,
+                cfg.input_dim,
+                cfg.cluster_spread,
+                derive_seed(cfg.seed, "data"),
+                mean_scale=cfg.mean_scale,
+            )
+        if not np.isfinite(full.X).all():
+            raise ConfigError(
+                f"config field 'data.cluster_spread': {cfg.cluster_spread} with data.mean_scale "
+                f"= {cfg.mean_scale} gives synthetic features that are not finite"
+            )
     else:
         full = load_csv(cfg.csv_path)
     train, test = split_train_test(full, cfg.test_fraction, derive_seed(cfg.seed, "testsplit"))
+    if len(test) == 0:
+        raise ConfigError(
+            f"config field 'data.test_fraction': {cfg.test_fraction} of {len(full)} rows "
+            "leaves no test row"
+        )
     seed = derive_seed(cfg.seed, "partition")
     try:
         if cfg.partition == "iid":
@@ -307,14 +318,6 @@ def build_pools(cfg: ExperimentConfig, prep: PreparedData) -> EvalPools:
         ) from None
 
 
-def _attack_selector(cfg: ExperimentConfig):
-    if cfg.attack_target == "global":
-        return "global"
-    if cfg.attack_target == "coalition":
-        return ("coalition", tuple(cfg.coalition))
-    return ("local", cfg.target_client)
-
-
 def stage_attack(
     cfg: ExperimentConfig,
     out_dir: str,
@@ -342,7 +345,7 @@ def stage_attack(
             )
     prep = prepare_data(cfg) if prep is None else prep
     pools = build_pools(cfg, prep)
-    selector = _attack_selector(cfg)
+    selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     shared: dict = {}
     results = [
         atk.run_attack(

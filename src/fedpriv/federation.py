@@ -391,12 +391,13 @@ def init_training(
             rounds=config.rounds,
         )
         state.schedule = build_schedule(coalition_spec, config.seed)
-        state.noise_plan = build_noise_plan(
-            weights=sizes[list(config.coalition)],
-            sigma=defense_cfg.sigma,
-            rounds=config.rounds,
-            seed=config.seed,
-        )
+        weights, sigma = sizes[list(config.coalition)], defense_cfg.sigma
+        try:
+            state.noise_plan = build_noise_plan(weights, sigma, config.rounds, config.seed)
+        except FloatingPointError as err:  # refused before any round runs
+            raise FloatingPointError(
+                f"training diverged at {err}; coalition client(s) {list(config.coalition)}"
+            ) from None
         state.bandits = {
             k: BanditState.fresh(defense_cfg.recycle.num_intervals, defense_cfg.recycle.eta)
             for k in config.coalition
@@ -560,7 +561,8 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
         state.store.record(round_t, state.global_params, uploads)
 
     # the product overwrites the uploads, which the round no longer needs
-    state.global_params = aggregate_weighted(uploads, state.store.client_sizes, uploads)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        state.global_params = aggregate_weighted(uploads, state.store.client_sizes, uploads)
     if not np.all(np.isfinite(state.global_params)):
         raise FloatingPointError(
             f"training diverged at round {round_t}: the aggregated global model is not finite"

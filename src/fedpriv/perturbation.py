@@ -94,7 +94,8 @@ def build_noise_plan(weights, sigma: float, rounds: int, seed: int) -> NoisePlan
     """Precompute projected scalar noises for every round (coordinator-side).
 
     Round t's base noises come from the stream (seed, "perturb", t), so all
-    members' scalars are mutually consistent without runtime exchange.
+    members' scalars are mutually consistent without runtime exchange; a
+    round whose noise overflows or fails to cancel raises FloatingPointError.
     """
     weights = np.asarray(weights, dtype=np.float64)
     d = len(weights)
@@ -105,10 +106,11 @@ def build_noise_plan(weights, sigma: float, rounds: int, seed: int) -> NoisePlan
     deltas = np.zeros((rounds, d))
     for t in range(1, rounds + 1):
         base = sample_base_noise(d, sigma, stream(seed, "perturb", t))
-        delta = project_neutral(base, weights)
-        resid = abs(float(weights @ delta))
-        scale = float(np.max(np.abs(weights * delta))) if np.any(delta) else 0.0
-        if scale > 0 and resid > 1e-10 * scale:
-            raise FloatingPointError("noise projection failed to cancel")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            delta = project_neutral(base, weights)
+            resid = abs(float(weights @ delta))
+            scale = float(np.max(np.abs(weights * delta)))
+        if not (np.isfinite(scale) and resid <= 1e-10 * scale):
+            raise FloatingPointError(f"round {t}: the noise of sigma {sigma:g} fails to cancel")
         deltas[t - 1] = delta
     return NoisePlan(weights=weights, deltas=deltas)

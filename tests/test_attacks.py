@@ -9,7 +9,7 @@ from fedpriv import attacks as atk
 from fedpriv import experiment as ex
 from fedpriv import models
 from fedpriv.data import LabeledDataset
-from fedpriv.federation import SnapshotStore
+from fedpriv.federation import SnapshotStore, aggregate_weighted
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
 from oracles import per_model_out_stats
@@ -257,7 +257,7 @@ def test_coalition_selector_is_weighted_mean():
     store = SnapshotStore(spec, np.array([3, 3]))  # equal weights
     a, b = np.arange(4.0), np.arange(4.0) * 3
     store.record(1, np.zeros(4), np.stack([a, b]))
-    got = atk._target_params(store, ("coalition", (0, 1)), 0)
+    got = atk._target_series(store, ("coalition", (0, 1)), "loss")[0]
     assert np.allclose(got, (a + b) / 2)
 
 
@@ -355,6 +355,44 @@ def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
         assert np.array_equal(_bits(a), _bits(b))
 
 
+def _per_round_target(store, selector, kind, row):
+    """The attacked model of one recorded round, resolved as the attacks did
+    one round at a time."""
+    locals_t = store.locals[row]
+    if selector == "global":
+        if kind == "grad_cosine":
+            return aggregate_weighted(locals_t, store.client_sizes)
+        return store.globals[row]
+    if selector[0] == "local":
+        return locals_t[selector[1]]
+    ids = list(selector[1])
+    return aggregate_weighted(locals_t[ids], store.client_sizes[ids])
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300)], ids=["logistic", "mlp"]
+)
+@pytest.mark.parametrize("selector", ["global", ("local", 2), ("coalition", (0, 2))])
+@pytest.mark.parametrize("kind", ["loss", "confidence", "grad_cosine"])
+def test_trajectory_equals_the_per_round_loop_bit_for_bit(spec, n, selector, kind):
+    # 5 rounds are more models than one forward pass takes at these shapes
+    store, rng = _random_store(spec, 3, 5, seed=6)
+    x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
+    values, rounds = atk.trajectory_matrix(store, selector, x, y, kind)
+    want = np.column_stack(
+        [
+            atk._round_measurements(
+                spec, store.globals[row], _per_round_target(store, selector, kind, row)[None],
+                x, y, kind,
+            )[0]
+            for row in range(len(store.rounds))
+        ]
+    )
+    assert values.shape == (n, 5) and values.flags.c_contiguous
+    assert np.array_equal(_bits(values), _bits(want))
+    assert np.array_equal(rounds, store.rounds)
+
+
 def test_round_measurements_reject_a_parameter_stack_of_the_wrong_width():
     spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
     for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((1, 2, 6))):
@@ -383,7 +421,7 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
 
     prep = ex.prepare_data(cfg)
     pools = ex.build_pools(cfg, prep)
-    selector = ex._attack_selector(cfg)
+    selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     alone = [
         atk.run_attack(state.store, prep.train, pools, cfg.target_client, name, selector=selector)
         for name in cfg.attack_list

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedpriv.assignment import DECAY_KINDS
-from fedpriv.attacks import ATTACK_NAMES
+from fedpriv.attacks import ATTACK_NAMES, attack_selector, fedmia_excluded
 from fedpriv.compensation import RecycleConfig
 from fedpriv.config import (
     SCHEMA,
@@ -232,6 +232,29 @@ def test_fedmia_without_two_clients_outside_its_target_names_the_keys(attack, ex
     # one more client outside the target is enough
     more = text.replace("fl.K = 2", "fl.K = 3").replace("fl.K = 5", "fl.K = 6")
     assert parse_config_text(more).attack_list == ("loss_series", attack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(2, 8), data=st.data())
+def test_fedmia_is_accepted_exactly_when_two_clients_stay_outside_its_target(k, data):
+    target = data.draw(st.sampled_from(("local", "global", "coalition")), label="target")
+    coalition = data.draw(
+        st.lists(st.integers(0, k - 1), unique=True, min_size=1, max_size=k).map(tuple),
+        label="coalition",
+    )
+    target_client = data.draw(st.integers(0, k - 1), label="target_client")
+    cfg = replace(
+        parse_config_text(MINIMAL),
+        num_clients=k,
+        defense="grad_noise",
+        coalition=coalition,
+        target_client=target_client,
+        attack_target=target,
+        attack_list=(data.draw(st.sampled_from(("fedmia_i", "fedmia_ii")), label="attack"),),
+    )
+    selector = attack_selector(target, target_client, coalition)
+    outside = k - len(fedmia_excluded(selector, target_client))
+    assert _is_valid(cfg) == (outside >= 2)
 
 
 def test_defense_keys_are_checked_only_under_their_defense():

@@ -717,3 +717,41 @@ def test_report_refuses_a_baseline_whose_config_is_not_the_one_that_trained_it(
     )
     err = _refused(capsys, ["report", "--out", str(out), "--baseline", str(base)])
     assert "differ from the ones that trained" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            SMALL + "defense.kind = grad_noise\ndefense.coalition = 0\n"
+            "defense.noise_sigma = 1e308\n",
+            "training diverged at round 1: the aggregated global model is not finite",
+        ),
+        (
+            DEFENDED + "defense.sigma = 1e308\n",
+            "training diverged at round 1: the noise of sigma 1e+308 fails to cancel; "
+            "coalition client(s) [0, 1]",
+        ),
+        (SMALL + "data.cluster_spread = 1e308\n", "config field 'data.cluster_spread': 1e+308"),
+    ],
+    ids=["noise_sigma", "sigma", "cluster_spread"],
+)
+def test_huge_finite_values_fail_in_one_line_without_numpy_warnings(
+    tmp_path, capsys, text, message
+):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / "run"
+    assert message in _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(out)])
+    assert not (out / ex.SNAPSHOTS_NPZ).exists()
+
+
+@pytest.mark.parametrize("fraction", ["0", "0.001"])
+def test_a_split_without_a_test_row_names_test_fraction(tmp_path, capsys, fraction):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL + f"data.test_fraction = {fraction}\n", encoding="utf-8")
+    out = tmp_path / "run"
+    err = _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(out)])
+    assert f"'data.test_fraction': {float(fraction)} of 200 rows leaves no test row" in err
+    assert not (out / ex.SNAPSHOTS_NPZ).exists()

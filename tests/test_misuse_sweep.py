@@ -42,9 +42,12 @@ BASE = {
     "eval.ifl": "10",
     "eval.ofl": "5",
 }
-# numbers, then duplicate and out-of-range client ids (K = 5) and a
-# repeated attack; any key may get any of them
-EDGES = ("0", "-1", "1", "nan", "inf", "-inf", "", "0,0", "1,5", "-1,0", "fta_l,fta_l")
+# numbers (huge finite ones too), then duplicate and out-of-range client ids
+# (K = 5) and a repeated attack; any key may get any of them
+EDGES = (
+    "0", "-1", "1", "1e308", "-1e308", "nan", "inf", "-inf", "", "0,0", "1,5", "-1,0",
+    "fta_l,fta_l",
+)
 KEY = re.compile("|".join(re.escape(key) for key in SCHEMA))
 DIVERGED = re.compile(r"diverged at round \d+: .*client\(s\) \[\d")
 

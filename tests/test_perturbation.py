@@ -117,3 +117,9 @@ def test_noise_plan_rejects_single_client_with_noise():
         pert.build_noise_plan([2.0], sigma=0.1, rounds=3, seed=0)
     plan = pert.build_noise_plan([2.0], sigma=0.0, rounds=3, seed=0)
     assert np.array_equal(plan.deltas, np.zeros((3, 1)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_noise_plan_that_is_not_finite_is_refused_by_round():
+    with pytest.raises(FloatingPointError, match=r"^round 1: the noise of sigma 1e\+308 fails"):
+        pert.build_noise_plan([40.0, 40.0], sigma=1e308, rounds=3, seed=0)
