@@ -13,6 +13,15 @@ and without perturbation).
 A loss or confidence trajectory takes one `_round_measurements` call over
 the target's whole series (`_target_series`); gradient cosines and FedMIA's
 OUT statistic (Carlini et al., arXiv:2112.03570) take one call a round.
+Both kinds run on kernels for one query batch and G models:
+`models.measure_models` with the model on the left of every product, and
+`_grad_cosines`, which contracts each layer on its wider side. Loss and
+confidence differ from a row-major forward (`models.measure`) by at most
+1e-13 relative, and cosines from a projection on each layer's units by at
+most 1e-15 (tests/test_attacks.py, tests/test_grad_cosines.py). Directions and each
+sample's OUT values are scaled by exact powers of two, so huge but finite
+models neither overflow nor change a bit; a measurement that is still not
+finite is refused, naming the attack and the round.
 
 Several attacks read the same trajectory: `run_attack` calls that pass one
 `shared` dict compute each (target, kind) trajectory once between them
@@ -92,9 +101,10 @@ def _target_series(store: SnapshotStore, selector, kind: str) -> np.ndarray:
     return np.stack([aggregate_weighted(locals_t[ids], sizes) for locals_t in store.locals])
 
 
-# Most bytes of the (rows, directions, units) projection block that
-# `_grad_cosines` holds at once. 1 MiB ran fastest on the benchmark's OUT
-# shape; a one-shot projection there is 11 MB and grows with every factor.
+# Most bytes of the (rows, directions, width) projection block that
+# `_grad_cosines` holds at once. 1 MiB ran fastest of 256 KiB to 4 MiB on the
+# benchmark's OUT shape, where a one-shot projection is 2 MB; it grows with
+# every factor.
 COSINE_BLOCK_BYTES = 1024 * 1024
 
 # OpenBLAS's SkylakeX kernels run a product of a transposed and a plain
@@ -116,6 +126,13 @@ def _grad_matrix(spec, params, x, y) -> np.ndarray:
     )
 
 
+def _frexp_shift(a: np.ndarray, axis: int) -> np.ndarray:
+    """The power of two, as an exponent for np.ldexp, that brings the largest
+    |entry| along `axis` of a into [0.5, 1); 0 where it is 0 or not finite."""
+    peak = np.maximum(np.maximum.reduce(a, axis=axis), -np.minimum.reduce(a, axis=axis))
+    return -np.frexp(peak)[1]
+
+
 def _cosine_block_rows(row_bytes: int, least: int) -> int:
     """Query rows per block of `_grad_cosines`: as many as keep a block of
     `row_bytes` a row within COSINE_BLOCK_BYTES, in whole multiples of 12,
@@ -124,24 +141,25 @@ def _cosine_block_rows(row_bytes: int, least: int) -> int:
     return 12 * groups
 
 
-def _cosine_blocks(n: int, m: int, units) -> list[tuple[int, int]]:
+def _cosine_blocks(n: int, m: int, widths) -> list[tuple[int, int]]:
     """(start, stop) of each block of query rows that `_grad_cosines` projects
-    at once, for n samples, m directions and layers of `units` outputs.
+    at once, for n samples, m directions and projections of `widths` columns
+    per direction, one per layer.
 
     Every block starts at a multiple of 12. Each has enough rows that its
     product keeps more than SMALL_GEMM_OUTPUTS outputs in every layer, and at
     least 2 (numpy computes a one-row product as a vector product); a last
     block with fewer joins the one before it.
     """
-    least = max(2, SMALL_GEMM_OUTPUTS // max(m * min(units), 1) + 1)
-    step = _cosine_block_rows(8 * m * max(units), least)
+    least = max(2, SMALL_GEMM_OUTPUTS // max(m * min(widths), 1) + 1)
+    step = _cosine_block_rows(8 * m * max(widths), least)
     starts = list(range(0, max(n, 1), step))
     if len(starts) > 1 and n - starts[-1] < least:
         starts.pop()
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
+def _grad_cosines(spec, params, x, y, directions, workspace=None) -> np.ndarray:
     """Cosine of every sample's cross-entropy gradient at `params` with every
     direction row: (m, n) for m directions (rows of length P) and n samples.
 
@@ -149,65 +167,86 @@ def _grad_cosines(spec, params, x, y, directions) -> np.ndarray:
     per-sample gradient is the outer product of its backpropagated signal
     delta and its input a, plus delta for the bias (Goodfellow,
     arXiv:1510.01799), so against a direction block (V, c) its dot product is
-    sum(delta * (a V^T + c)) and its squared norm is |delta|^2 (|a|^2 + 1).
-    A zero gradient or a zero direction gives cosine 0.
+    sum(a * (delta V)) + delta . c, or sum(delta * (a V^T)) + delta . c, and
+    its squared norm is |delta|^2 (|a|^2 + 1). A zero gradient or a zero
+    direction gives cosine 0, a direction that is not finite NaN.
 
-    The projection a V^T + c runs over `_cosine_blocks` of query rows in
-    one buffer that both layers reuse, so a call holds a (rows, m, units)
-    block of about COSINE_BLOCK_BYTES instead of all n rows. With one BLAS
-    thread the cosines keep the bits of a one-shot projection: OpenBLAS
-    computes each row of a block that starts at a multiple of 12 rows with
-    the bits of the whole product, no block is small enough to switch
-    kernels, and each (direction, sample) dot product sums the same units in
-    the same order. Splitting the directions instead can change bits.
+    Each direction is first scaled by the power of two that brings its
+    largest |entry| into [0.5, 1): a cosine does not depend on scale, and
+    the scaling is exact where no entry becomes subnormal, so huge
+    directions neither overflow nor change a bit. Each layer contracts its
+    wider side in a GEMM: the units first (delta V, leaving (rows, m,
+    inputs)) when it has fewer inputs than units, the inputs first (a V^T)
+    otherwise. The bias terms of every layer take one GEMM, c @ delta.T.
+    The projections run over `_cosine_blocks` of query rows in one buffer
+    of `workspace` (one of its own if None) that both layers reuse, so a
+    call holds a block of about COSINE_BLOCK_BYTES instead of all n rows.
+    With one BLAS thread the cosines keep the bits of one-shot products:
+    OpenBLAS computes each row of a block that starts at a multiple of 12
+    rows with the bits of the whole product, no block is small enough to
+    switch kernels, and each (direction, sample) dot product sums the same
+    terms in the same order. Splitting the directions instead can change
+    bits.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
     logits, cache, x = models._logits_and_hidden(spec, params, x)
-    n, m = len(y), len(directions)
-    dlogits = np.exp(models.log_softmax(logits))
+    (n, m), h = (len(y), len(directions)), spec.hidden_dim
+    workspace = models.Workspace() if workspace is None else workspace
+    # every layer's delta side by side, in the order of the biases in `bias`
+    deltas = np.empty((n, h + spec.num_classes))
+    dlogits = np.exp(models.log_softmax(logits), out=deltas[:, h:])
     dlogits[np.arange(n), y] -= 1.0
-    if spec.hidden_dim == 0:
+    if h == 0:
         layers = [(x, dlogits)]
     else:
         pre, hid = cache
-        _, _, w2, _ = models.unpack(spec, params)
-        layers = [(x, models._relu_backward(pre, dlogits @ w2)), (hid, dlogits)]
+        dhid = np.matmul(dlogits, models.unpack(spec, params)[2], out=deltas[:, :h])
+        layers = [(x, models._relu_backward(pre, dhid)), (hid, dlogits)]
+    shift = _frexp_shift(directions, axis=1)
     blocks = models._layers(spec, directions)
-    units = [w.shape[1] for w in blocks[0::2]]
-    bounds = _cosine_blocks(n, m, units)
-    buffer = np.empty(max(e - s for s, e in bounds) * m * max(units))
-    dots = np.zeros((m, n))
+    bias = np.ldexp(np.concatenate(blocks[1::2], axis=1), shift[:, None])
+    dots = bias @ deltas.T
+    sq_dirs = np.einsum("ij,ij->i", bias, bias)
     sq_norms = np.zeros(n)
-    for (a, delta), w, c in zip(layers, blocks[0::2], blocks[1::2]):
-        rows, cols = w.shape[1:]
-        w_t = w.reshape(m * rows, cols).T
+    shapes = [w.shape[1:] for w in blocks[0::2]]  # (units, inputs) of each layer
+    widths = [min(shape) for shape in shapes]
+    bounds = _cosine_blocks(n, m, widths)
+    buffer = workspace.array("projection", (max(e - s for s, e in bounds) * m * max(widths),))
+    for (a, delta), w, (units, inputs) in zip(layers, blocks[0::2], shapes):
+        if inputs < units:  # units first: delta @ V, with V^T (m, inputs, units) in "weights"
+            v = workspace.array("weights", (m, inputs, units))
+            np.ldexp(w.transpose(0, 2, 1), shift[:, None, None], out=v)
+            left, right, width = delta, a, inputs
+        else:  # inputs first: a @ V^T, with V (m, units, inputs) in "weights"
+            v = np.ldexp(w, shift[:, None, None], out=workspace.array("weights", w.shape))
+            left, right, width = a, delta, units
+        sq_dirs += np.einsum("mwk,mwk->m", v, v)
+        v = v.reshape(m * width, -1)
         for s, e in bounds:
-            proj = buffer[: (e - s) * m * rows].reshape(e - s, m * rows)
-            np.matmul(a[s:e], w_t, out=proj)
-            proj = proj.reshape(e - s, m, rows)
-            proj += c
-            dots[:, s:e] += np.einsum("nmr,nr->mn", proj, delta[s:e])
+            proj = buffer[: (e - s) * m * width].reshape(e - s, m * width)
+            np.matmul(left[s:e], v.T, out=proj)
+            per_row = np.matmul(proj.reshape(e - s, m, width), right[s:e, :, None])
+            dots[:, s:e] += per_row[:, :, 0].T
         sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
-    norms = np.linalg.norm(directions, axis=1)[:, None] * np.sqrt(sq_norms)
-    return np.divide(dots, norms, out=np.zeros((m, n)), where=norms > 0)
+    norms = np.sqrt(sq_dirs)[:, None] * np.sqrt(sq_norms)
+    return np.divide(dots, norms, out=np.zeros((m, n)), where=norms != 0)
 
 
 def _round_measurements(spec, global_t, targets, x, y, kind, workspace=None) -> np.ndarray:
     """(G, n) measurements of a batch x (n, input_dim), y under each of G
-    target models (G, P): loss and confidence through one `models.measure`
-    call, x broadcast to the G models, in `workspace`; gradient cosines with
-    each target's update from global_t, the global model of their round.
-    Each model's values have the bits of a call of its own.
+    target models (G, P), on kernels for one query batch and G models, in
+    the buffers of `workspace`: loss and confidence through
+    `models.measure_models`, each model's values with the bits of a call
+    of its own; gradient cosines through `_grad_cosines`, with each
+    target's update from global_t, the global model of their round.
     """
     x = models._as_batch(spec, x)
     if kind == "grad_cosine":
         directions = targets - global_t
         del targets  # frees a stack that only this call holds before the cosine buffers exist
-        return _grad_cosines(spec, global_t, x, y, directions)
-    stack = np.broadcast_to(x, (len(targets), *x.shape))
-    labels = np.tile(np.asarray(y, dtype=np.int64), len(targets))
-    return models.measure(spec, targets, [stack], labels, kind, workspace).reshape(stack.shape[:2])
+        return _grad_cosines(spec, global_t, x, y, directions, workspace)
+    return models.measure_models(spec, targets, x, y, kind, workspace)
 
 
 def trajectory_matrix(
@@ -220,7 +259,7 @@ def trajectory_matrix(
     """(values (n, rounds), recorded rounds) for a batch of query samples.
 
     Loss and confidence take one `_round_measurements` call over the
-    target's whole series, the batch broadcast to every round's model.
+    target's whole series, the batch under every round's model.
     grad_cosine is the cosine between each sample's gradient at the round's
     global model and the selected model's update direction for that round
     (selected params minus the global broadcast), one call a round.
@@ -280,7 +319,11 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
 
     Each round takes one `_round_measurements` call on the stack of those
     models, in one shared workspace. Uses the population standard deviation,
-    floored at 1e-6.
+    floored at 1e-6. Each sample's values are scaled by the power of two
+    that brings the largest |value| into [0.5, 1) before their mean and
+    deviation, and these are scaled back: exact where no value is
+    subnormal, so huge losses do not overflow in the squares and no bit
+    changes.
     """
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
@@ -289,9 +332,20 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind):
     per_round_means, per_round_stds = [], []
     for global_t, locals_t in zip(store.globals, store.locals):
         stack = _round_measurements(store.spec, global_t, locals_t[others], x, y, kind, workspace)
-        per_round_means.append(stack.mean(axis=0))
-        per_round_stds.append(np.maximum(stack.std(axis=0), OUT_STD_FLOOR))
+        shift = _frexp_shift(stack, axis=0)
+        np.ldexp(stack, shift, out=stack)
+        per_round_means.append(np.ldexp(stack.mean(axis=0), -shift))
+        per_round_stds.append(np.maximum(np.ldexp(stack.std(axis=0), -shift), OUT_STD_FLOOR))
     return np.column_stack(per_round_means), np.column_stack(per_round_stds)
+
+
+def _refuse_non_finite(values, rounds, attack: str, what: str) -> None:
+    """Raise a ValueError naming the attack and the first recorded round
+    where a column of values (n, rounds) holds one that is not finite."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        round_ = rounds[np.argmin(finite)]
+        raise ValueError(f"attack {attack}: round {round_}: {what} is not finite")
 
 
 def _trajectory(shared, store, selector, x, y, kind):
@@ -334,9 +388,11 @@ def attack_fedmia(
     x, y = dataset.X[sample_ids], dataset.y[sample_ids]
     if exclude_clients is None:
         exclude_clients = fedmia_excluded(target_selector)
-    values, _ = _trajectory(shared, store, target_selector, x, y, kind)
-    out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
-    z = (values - out_mean) / out_std
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values, rounds = _trajectory(shared, store, target_selector, x, y, kind)
+        out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
+        z = (values - out_mean) / out_std
+    _refuse_non_finite(z, rounds, f"fedmia_{variant}", f"a {kind} measurement or its z-score")
     return -z.sum(axis=1)
 
 
@@ -419,7 +475,10 @@ def run_attack(
             "fta_c": "confidence",
             "avg_cosine": "grad_cosine",
         }[name]
-        values, rounds = _trajectory(shared, store, selector, dataset.X[ids], dataset.y[ids], kind)
+        x, y = dataset.X[ids], dataset.y[ids]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            values, rounds = _trajectory(shared, store, selector, x, y, kind)
+        _refuse_non_finite(values, rounds, name, f"a {kind} measurement")
         if name == "loss_series":
             scores = attack_loss_series(values)
         elif name == "avg_cosine":

@@ -5,9 +5,13 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-`measure` (evaluation and validation losses, the attacks' loss and
-confidence) and `accuracy` run one stacked forward, `_stack_logits`, under
-one model, one model per batch, or many models over one broadcast batch.
+`measure` (evaluation and validation losses) and `accuracy` run one
+stacked forward, `_stack_logits`, under one model, one model per batch, or
+many models over one broadcast batch. `measure_models` (the attacks' loss
+and confidence) runs one query batch under many models with the model on
+the left of every product, writing class-major logits for the softmax
+core's class-major branch, `_class_major`; its values may differ from a
+row-major forward's in the last bits (the attacks' stated drift).
 
 The public functions never mutate their inputs, and `prepare_lockstep`'s
 arrays are read-only, so any number of `sgd_lockstep` calls may share them.
@@ -230,6 +234,37 @@ def _class_sums(e: np.ndarray) -> np.ndarray:
     return s
 
 
+def _target_values(z: np.ndarray, at: np.ndarray, log: bool, sums) -> np.ndarray:
+    """Each row's loss -log p_y (log) or confidence p_y from logits z less
+    their row max, overwritten with their exponentials: z.ravel()[at] holds
+    each row's target, and sums(e) gives each row's sum of exponentials e."""
+    z_y = z.ravel()[at] if log else None
+    e = np.exp(z, out=z)
+    e_y = None if log else e.ravel()[at]
+    s = sums(e)
+    if log:  # -(z_y - log s), which is -0.0 where log p_y is +0.0
+        values = np.subtract(z_y, np.log(s, out=s), out=z_y)
+        return np.negative(values, out=values)
+    return np.divide(e_y, s, out=e_y)
+
+
+def _class_major(z: np.ndarray, log: bool, at=None, scratch=None) -> np.ndarray:
+    """The class-major branch of `_softmax_core` on logits z (C, rows), one
+    row per class, which it overwrites: with flat target indices `at` into
+    z, each column's loss (log) or confidence, in a new array; else z's
+    log-softmax or softmax along its columns, in z, with `scratch` (C, rows)
+    for the exponentials while they are summed."""
+    z -= np.maximum.reduce(z, axis=0)
+    if at is not None:
+        return _target_values(z, at, log, _class_sums)
+    if log:
+        return np.subtract(z, np.log(_class_sums(np.exp(z, out=scratch))), out=z)
+    np.exp(z, out=z)
+    np.copyto(scratch, z)
+    z /= _class_sums(scratch)
+    return z
+
+
 def _softmax_core(logits: np.ndarray, log: bool, y=None, out=None) -> np.ndarray:
     """Log-softmax (log) or softmax of logits (..., C) with each row's max
     subtracted: every value, written into `out` if given (which may be
@@ -239,56 +274,38 @@ def _softmax_core(logits: np.ndarray, log: bool, y=None, out=None) -> np.ndarray
     Each row's max is the max of a class-major copy's columns: numpy reduces
     a short last axis row by row, about 66 ns a row at 10 classes. Below
     CLASS_MAJOR_ROWS rows the rest runs row by row as numpy's own formula
-    does. From there it runs on the class-major copy, each class one
-    contiguous vector, with `_class_sums` for each row's sum, and writes the
-    values back into (rows, C) order; the loss or confidence reads only the
-    target class and needs no write-back. Every value keeps the bits of
-    numpy's row-wise formula, logits - logits.max(axis=-1, keepdims=True)
-    and so on, but for a NaN's sign. Where a row's max is a tie of +0.0 and
-    -0.0 the other zero may come back, which changes no value, since the
-    row's exponential sum is at least 2; where it is a tie of NaNs of both
-    signs, the other NaN may come back.
+    does. From there it runs on the class-major copy (`_class_major`), each
+    class one contiguous vector, with `_class_sums` for each row's sum, and
+    writes the values back into (rows, C) order; the loss or confidence
+    reads only the target class and needs no write-back. Every value keeps
+    the bits of numpy's row-wise formula, logits - logits.max(axis=-1,
+    keepdims=True) and so on, but for a NaN's sign. Where a row's max is a
+    tie of +0.0 and -0.0 the other zero may come back, which changes no
+    value, since the row's exponential sum is at least 2; where it is a tie
+    of NaNs of both signs, the other NaN may come back.
     """
     shape, c = logits.shape[:-1], logits.shape[-1]
     z = logits.reshape(-1, c).T.copy()
-    peak = np.maximum.reduce(z, axis=0)
-    rows = len(peak)
-    major = rows >= CLASS_MAJOR_ROWS
-    if major:
-        z -= peak
-    else:
-        z = np.subtract(logits, peak.reshape(*shape, 1), out=out)
-    if y is None and not major:
-        if log:
-            return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z)
-        e = np.exp(z, out=z)
-        return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
-    if y is None:
+    rows = z.shape[1]
+    # each row's target in the flat z; y broadcasts against the row shape
+    row = None if y is None else np.arange(rows).reshape(shape)
+    y = None if y is None else np.asarray(y, dtype=np.int64)
+    if rows >= CLASS_MAJOR_ROWS:
+        if y is not None:
+            return _class_major(z, log, (y * rows + row).ravel()).reshape(shape)
         # the result's buffer holds the exponentials while they are summed
         result = np.empty(logits.shape) if out is None else out
         scratch = result.reshape(c, rows) if result.flags.c_contiguous else np.empty((c, rows))
-        if log:
-            np.subtract(z, np.log(_class_sums(np.exp(z, out=scratch))), out=z)
-        else:
-            np.exp(z, out=z)
-            np.copyto(scratch, z)
-            z /= _class_sums(scratch)
-        np.copyto(result, z.T.reshape(logits.shape))
+        np.copyto(result, _class_major(z, log, scratch=scratch).T.reshape(logits.shape))
         return result
-    # each row's target in the flat z; y broadcasts against the row shape
-    row = np.arange(rows).reshape(shape)
-    y = np.asarray(y, dtype=np.int64)
-    at = (y * rows + row if major else row * c + y).ravel()
-    z_y = z.ravel()[at] if log else None
+    z = np.subtract(logits, np.maximum.reduce(z, axis=0).reshape(*shape, 1), out=out)
+    if y is not None:
+        values = _target_values(z, (row * c + y).ravel(), log, lambda e: e.sum(axis=-1).ravel())
+        return values.reshape(shape)
+    if log:
+        return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z)
     e = np.exp(z, out=z)
-    e_y = None if log else e.ravel()[at]
-    s = _class_sums(e) if major else e.sum(axis=-1).ravel()
-    if log:  # -(z_y - log s), which is -0.0 where log p_y is +0.0
-        values = np.subtract(z_y, np.log(s, out=s), out=z_y)
-        np.negative(values, out=values)
-    else:
-        values = np.divide(e_y, s, out=e_y)
-    return values.reshape(shape)
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -402,6 +419,59 @@ def measure(spec: ModelSpec, params, stacks, y, kind: str, workspace: Workspace 
     for r0, logits in _stack_logits(spec, params, stacks, workspace):
         at = slice(r0, r0 + len(logits))
         values[at] = target_measure(logits, y[at], kind)
+    return values
+
+
+def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace | None = None):
+    """`target_measure` (G, n) of one batch x (n, input_dim), y (n,) under
+    each of G models theta (G, P), with the model on the left of every
+    product.
+
+    A run of g models, the fewest whose logits hold at least
+    STACK_CHUNK_BYTES, runs per-model stacked GEMMs, W1 @ x.T, the bias and
+    ReLU, then W2 @ hid (W @ x.T for logistic regression), and writes the
+    logits straight into a class-major (C, g * n) array, which goes to
+    `_class_major` without a copy. An MLP's forward pass takes as many of a
+    run's models as keep their hidden activations within STACK_CHUNK_BYTES
+    (at least one). A GEMM's shape fixes its bits and the softmax runs
+    column by column, so each model's values have the bits of a call of its
+    own. The logits and hidden layer go into `workspace`'s "logits" and
+    "hid" buffers (one of its own if None).
+    """
+    if kind not in ("loss", "confidence"):
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[1] != spec.param_count:
+        raise ValueError(
+            f"parameter matrix has shape {theta.shape}, expected (G, {spec.param_count})"
+        )
+    x, y = _as_batch(spec, x), np.asarray(y, dtype=np.int64)
+    if len(y) != len(x):
+        raise ValueError(f"{len(y)} labels for {len(x)} samples")
+    workspace = Workspace() if workspace is None else workspace
+    (n, _), h, c = x.shape, spec.hidden_dim, spec.num_classes
+    run = max(1, -(-STACK_CHUNK_BYTES // (8 * c * max(n, 1))))
+    per = max(1, STACK_CHUNK_BYTES // (8 * h * max(n, 1))) if h else run
+    values = np.empty((len(theta), n))
+    at = None  # each row's target in the flat logits of a run
+    for g0 in range(0, len(theta), run):
+        layers = _layers(spec, theta[g0 : g0 + run])
+        g = len(layers[0])
+        if at is None or len(at) != g * n:
+            at = (np.arange(g)[:, None] * n + (y * (g * n) + np.arange(n))).ravel()
+        logits = workspace.array("logits", (c, g, n))
+        for f0 in range(0, g, per):
+            out = logits[:, f0 : f0 + per].transpose(1, 0, 2)
+            if h:
+                w1, b1, w2 = (v[f0 : f0 + per] for v in layers[:3])
+                hid = np.matmul(w1, x.T, out=workspace.array("hid", (len(w1), h, n)))
+                hid += b1[:, :, None]
+                np.matmul(w2, np.maximum(hid, 0.0, out=hid), out=out)
+            else:
+                np.matmul(layers[0][f0 : f0 + per], x.T, out=out)
+        logits += layers[-1].T[:, :, None]
+        measured = _class_major(logits.reshape(c, g * n), kind == "loss", at)
+        values[g0 : g0 + g] = measured.reshape(g, n)
     return values
 
 

@@ -10,8 +10,9 @@ log-softmax and weighted aggregation formulas the library used to run,
 mini-batch SGD that trains one client and one batch at a time, the
 confidence-regularized loss of one sample, the per-client `permutation`
 epoch order, the OUT measurements taken one
-model at a time, and the gradient cosines with one projection of all query
-rows.
+model at a time (row-major as they ran, and with the model on the left), and
+the gradient cosines with one projection of all query rows (on the units, as
+they ran, and on each layer's narrower side).
 """
 
 import itertools
@@ -373,9 +374,80 @@ def per_model_out_stats(store, x, y, exclude_clients, kind):
     return np.column_stack(means), np.column_stack(stds)
 
 
+def models_left_out_stats(store, x, y, exclude_clients, kind):
+    """`per_model_out_stats` with the model on the left of every product:
+    one model at a time, its logits W2 @ relu(W1 @ x.T + b1) + b2 (W @ x.T
+    + b for logistic regression), transposed, then the reference formulas."""
+    from fedpriv import attacks, models
+
+    others = [k for k in range(store.num_clients) if k not in exclude_clients]
+    rows = np.arange(len(y))
+    means, stds = [], []
+    for locals_t in store.locals:
+        per_model = []
+        for k in others:
+            layers = models.unpack(store.spec, locals_t[k])
+            if store.spec.hidden_dim:
+                w1, b1, w2, b2 = layers
+                logits = (w2 @ np.maximum(w1 @ x.T + b1[:, None], 0.0) + b2[:, None]).T
+            else:
+                w, b = layers
+                logits = (w @ x.T + b[:, None]).T
+            if kind == "loss":
+                per_model.append(-reference_log_softmax(logits)[rows, y])
+            else:
+                per_model.append(reference_softmax(logits)[rows, y])
+        stack = np.stack(per_model)
+        means.append(stack.mean(axis=0))
+        stds.append(np.maximum(stack.std(axis=0), attacks.OUT_STD_FLOOR))
+    return np.column_stack(means), np.column_stack(stds)
+
+
+def narrow_side_grad_cosines(spec, params, x, y, directions):
+    """`attacks._grad_cosines` with every product over all n query rows at
+    once and no scaling of the directions: the biases' share of each dot
+    product in one GEMM, then each layer contracted on its wider side (the
+    units when it has fewer inputs than units, else the inputs)."""
+    from fedpriv import models
+
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    y = np.asarray(y, dtype=np.int64)
+    logits, cache, x = models._logits_and_hidden(spec, params, x)
+    n, m = len(y), len(directions)
+    dlogits = np.exp(models.log_softmax(logits))
+    dlogits[np.arange(n), y] -= 1.0
+    if spec.hidden_dim == 0:
+        layers = [(x, dlogits)]
+    else:
+        pre, hid = cache
+        _, _, w2, _ = models.unpack(spec, params)
+        layers = [(x, np.where(pre > 0.0, dlogits @ w2, 0.0)), (hid, dlogits)]
+    blocks = models._layers(spec, directions)
+    bias = np.concatenate(blocks[1::2], axis=1)
+    dots = bias @ np.concatenate([delta for _, delta in layers], axis=1).T
+    sq_dirs = np.einsum("ij,ij->i", bias, bias)
+    sq_norms = np.zeros(n)
+    for (a, delta), w in zip(layers, blocks[0::2]):
+        units, inputs = w.shape[1:]
+        if inputs < units:
+            v, left, right = np.ascontiguousarray(w.transpose(0, 2, 1)), delta, a
+        else:
+            v, left, right = np.ascontiguousarray(w), a, delta
+        sq_dirs += np.einsum("mwk,mwk->m", v, v)
+        proj = left @ v.reshape(m * v.shape[1], -1).T
+        dots += np.matmul(proj.reshape(n, m, -1), right[:, :, None])[:, :, 0].T
+        sq_norms += (delta * delta).sum(axis=1) * ((a * a).sum(axis=1) + 1.0)
+    norms = np.sqrt(sq_dirs)[:, None] * np.sqrt(sq_norms)
+    out = np.zeros((m, n))
+    ok = norms > 0
+    out[ok] = dots[ok] / norms[ok]
+    return out
+
+
 def one_shot_grad_cosines(spec, params, x, y, directions):
-    """`attacks._grad_cosines` as it ran: each layer projects all n query
-    rows at once into an (n, m, rows) array."""
+    """`attacks._grad_cosines` as it ran before it contracted each layer on
+    its narrower side: each layer projects all n query rows at once into an
+    (n, m, units) array a V^T + c."""
     from fedpriv import models
 
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))

@@ -8,11 +8,11 @@ import pytest
 from fedpriv import attacks as atk
 from fedpriv import experiment as ex
 from fedpriv import models
-from fedpriv.data import LabeledDataset
+from fedpriv.data import EvalPools, LabeledDataset
 from fedpriv.federation import SnapshotStore, aggregate_weighted
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
-from oracles import per_model_out_stats
+from oracles import models_left_out_stats, per_model_out_stats
 
 
 # --- fabricated stores with exactly known measurements ----------------------
@@ -163,6 +163,23 @@ def test_out_distribution_hand_statistics():
     assert mean.shape == std.shape == (1, len(store.rounds))
 
 
+@pytest.mark.filterwarnings("error")
+def test_out_distribution_of_huge_losses_is_its_scaled_copy_bit_for_bit():
+    # logits (a, 0) for x = [1] and class 0: the loss is -a exactly for a <= -40
+    spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
+    stats = []
+    for scale in (1.0, 2.0**1000):
+        store = SnapshotStore(spec, np.ones(4, dtype=np.int64))
+        uploads = np.zeros((4, spec.param_count))
+        uploads[:, 0] = -scale * np.array([40.0, 50.0, 70.0, 41.0])
+        store.record(1, np.zeros(spec.param_count), uploads)
+        stats.append(atk._out_stats_matrix(store, np.array([[1.0]]), np.array([0]), {0}, "loss"))
+    (mean, std), (huge_mean, huge_std) = stats
+    assert mean[0, 0] == (50.0 + 70.0 + 41.0) / 3 and std[0, 0] > 1.0
+    assert np.array_equal(_bits(huge_mean), _bits(mean * 2.0**1000))
+    assert np.array_equal(_bits(huge_std), _bits(std * 2.0**1000))
+
+
 def test_out_distribution_degenerate_spread_floors():
     store, ds = _loss_store([0.5, 1.0, 1.0])
     _, std = atk._out_stats_matrix(store, ds.X, ds.y, {0}, "loss")
@@ -237,6 +254,29 @@ def test_fedmia_overfit_toy_auc_above_point_nine():
     assert result.auc > 0.9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["loss_series", "fta_c", "fedmia_i"])
+def test_a_measurement_that_is_not_finite_is_refused_naming_the_attack_and_round(name):
+    # client 0's model at round 2 overflows its class-0 logit for x = [1]
+    store, ds = _loss_store([0.5, 1.0, 3.0], rounds=(1, 2, 3))
+    store.locals[1, 0, [0, 2]] = 1e308
+    ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
+    pools = EvalPools(np.array([0]), np.array([1]), np.array([], dtype=np.int64))
+    what = {"fta_c": "confidence measurement", "fedmia_i": "loss measurement or its z-score"}
+    with pytest.raises(ValueError, match=rf"^attack {name}: round 2: a {what.get(name, 'loss')}"):
+        atk.run_attack(store, ds, pools, 0, name)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_update_direction_that_overflows_is_refused_naming_the_attack_and_round():
+    store, _ = _loss_store([0.5, 1.0, 3.0], rounds=(1, 2, 3))
+    store.locals[1, 0, 0], store.globals[1, 0] = 1e308, -1e308  # their difference is inf
+    ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
+    pools = EvalPools(np.array([0]), np.array([1]), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^attack avg_cosine: round 2: a grad_cosine"):
+        atk.run_attack(store, ds, pools, 0, "avg_cosine")
+
+
 # --- adaptive coalition target ----------------------------------------------
 
 
@@ -307,31 +347,41 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-LOGREG_CHUNKED = ModelSpec(input_dim=5, hidden_dim=0, num_classes=4)  # 4 models a chunk at n = 1000
-MLP_CHUNKED = ModelSpec(input_dim=5, hidden_dim=16, num_classes=3)  # 2 models a chunk at n = 300
+LOGREG_CHUNKED = ModelSpec(input_dim=5, hidden_dim=0, num_classes=4)  # 5 models a chunk at n = 1000
+MLP_CHUNKED = ModelSpec(input_dim=5, hidden_dim=16, num_classes=3)  # 3 models a chunk at n = 300
 
 
 def _chunk(spec, n):
-    return models.STACK_CHUNK_BYTES // (8 * (spec.hidden_dim + spec.num_classes) * n)
+    """Models per forward pass of `models.measure_models`: an MLP's pass
+    keeps their hidden layers within STACK_CHUNK_BYTES, and a logistic
+    regression's is its run, the fewest whose logits hold STACK_CHUNK_BYTES."""
+    if spec.hidden_dim:
+        return max(1, models.STACK_CHUNK_BYTES // (8 * spec.hidden_dim * n))
+    return max(1, -(-models.STACK_CHUNK_BYTES // (8 * spec.num_classes * n)))
 
 
 @pytest.mark.parametrize(
     "spec, n", [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300)], ids=["logistic", "mlp"]
 )
 @pytest.mark.parametrize("kind", ["loss", "confidence"])
-def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind):
-    chunk = _chunk(spec, n)
-    assert chunk >= 2
-    store, rng = _random_store(spec, 2 * chunk + 1, 1, seed=4)
+def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monkeypatch):
+    # runs and forward passes of one model, of two or five, of the default
+    # sizes, and of all 12 models
+    store, rng = _random_store(spec, 12, 1, seed=4)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
-    for g in (1, chunk + 1, 2 * chunk):
-        stack = store.locals[0][:g]
-        got = atk._round_measurements(spec, store.globals[0], stack, x, y, kind)
-        assert got.shape == (g, n)
-        alone = np.stack(
-            [atk._round_measurements(spec, store.globals[0], p[None], x, y, kind)[0] for p in stack]
-        )
-        assert np.array_equal(_bits(got), _bits(alone)), g
+    alone = np.stack(
+        [
+            atk._round_measurements(spec, store.globals[0], p[None], x, y, kind)[0]
+            for p in store.locals[0]
+        ]
+    )
+    h, c = spec.hidden_dim, spec.num_classes
+    for chunk_bytes in (1, 2 * 8 * c * n, 5 * 8 * (h or c) * n, models.STACK_CHUNK_BYTES, 10**9):
+        monkeypatch.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
+        for g in (1, 5, 12):
+            got = atk._round_measurements(spec, store.globals[0], store.locals[0][:g], x, y, kind)
+            assert got.shape == (g, n)
+            assert np.array_equal(_bits(got), _bits(alone[:g])), (chunk_bytes, g)
 
 
 @pytest.mark.parametrize(
@@ -349,10 +399,26 @@ def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
     store, rng = _random_store(spec, g + 1, 3, seed=5)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
     got = atk._out_stats_matrix(store, x, y, {0}, kind)
-    want = per_model_out_stats(store, x, y, {0}, kind)
+    # the row-major loop for logistic regression, whose bits did not move
+    oracle = models_left_out_stats if spec.hidden_dim else per_model_out_stats
+    want = oracle(store, x, y, {0}, kind)
     for a, b in zip(got, want):
         assert a.shape == (n, 3)
         assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(12, 64, 10), ModelSpec(20, 0, 10)], ids=["scale_k40", "logistic"]
+)
+@pytest.mark.parametrize("kind", ["loss", "confidence"])
+def test_out_stats_drift_from_the_row_major_path_by_at_most_1e_13(spec, kind):
+    """scale_k40's OUT shape (39 models, 550 rows) and a logistic regression;
+    the bound is relative above 1."""
+    store, rng = _random_store(spec, 40, 2, seed=8)
+    x, y = rng.normal(size=(550, spec.input_dim)), rng.integers(0, spec.num_classes, 550)
+    got = atk._out_stats_matrix(store, x, y, {0}, kind)
+    for a, b in zip(got, per_model_out_stats(store, x, y, {0}, kind)):
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
 
 
 def _per_round_target(store, selector, kind, row):

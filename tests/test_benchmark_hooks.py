@@ -4,7 +4,9 @@
 `FORWARDS`, `perfbench/setup_probe.py` calls the set-up functions in a fresh
 interpreter, and `perfbench/workloads.py` holds config texts. These tests
 fail when a rename or deletion in the package would break
-`perfbench/run.py`, with or without `--trace 1`.
+`perfbench/run.py`, with or without `--trace 1`, and when a change of
+arithmetic moves a workload's outputs off `perfbench/reference.json` or
+makes its reruns differ.
 """
 
 import importlib
@@ -99,3 +101,16 @@ def test_setup_probe_runs_every_workload(name):
     phases = json.loads(done.stdout.strip().splitlines()[-1])
     assert set(phases) == {"import", "parse", "prepare", "pools", "init", "total"}
     assert all(seconds >= 0 for seconds in phases.values())
+
+
+def test_every_workload_pipeline_passes_the_reference_check(tmp_path):
+    """Two train -> attack -> report pipelines per workload at seed 0, as
+    `perfbench/run.py` runs them: each passes the checks against
+    `perfbench/reference.json`, and both write the same artefact bytes."""
+    reference = workloads.load_reference()
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        cfg = workloads.parse(workload, 0)
+        runs = [workloads.run_pipeline(workload, cfg, str(tmp_path / f"{name}{i}")) for i in (0, 1)]
+        for it in runs:
+            assert workloads.check_outputs(cfg, it.outputs, reference[name]["0"]) == [], name
+        assert runs[0].digest == runs[1].digest, name

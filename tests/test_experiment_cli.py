@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment stages and the CLI."""
 
+import csv
 import gc
 import os
 import shutil
@@ -11,6 +12,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from fedpriv import attacks as atk
 from fedpriv import cli, experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
@@ -745,6 +747,45 @@ def test_huge_finite_values_fail_in_one_line_without_numpy_warnings(
     out = tmp_path / "run"
     assert message in _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(out)])
     assert not (out / ex.SNAPSHOTS_NPZ).exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_huge_finite_sigma_that_cancels_is_attacked_in_silence(tmp_path, capsys):
+    """Noise of 1e306 on the misuse sweep's base config trains; its huge
+    local models give huge losses and update directions, which the attacks
+    measure without overflowing."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(
+        f"""
+data.source = synthetic
+data.num_classes = 5
+data.samples_per_class = 40
+data.input_dim = 4
+model.hidden_dim = 8
+fl.K = 5
+fl.T = 4
+fl.snapshot_every = 2
+fl.batch_size = 16
+defense.kind = coalition
+defense.coalition = 0,1
+defense.t0 = 1
+defense.intervals = 4
+defense.sigma = 1e306
+attack.list = {",".join(atk.ATTACK_NAMES)}
+eval.members = 10
+eval.ifl = 10
+eval.ofl = 5
+""",
+        encoding="utf-8",
+    )
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["attack", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = {row["attack"]: row for row in csv.DictReader(_lines(out / ex.ATTACKS_CSV))}
+    assert sorted(rows) == sorted(atk.ATTACK_NAMES)
+    # a cosine does not depend on scale: the update directions still rank the pool
+    assert float(rows["avg_cosine"]["auc"]) != 0.5
 
 
 @pytest.mark.parametrize("fraction", ["0", "0.001"])

@@ -1,5 +1,6 @@
-"""Closed-form gradient cosines against explicit per-sample gradients, and
-the row-blocked projection against the one-shot one."""
+"""Closed-form gradient cosines against explicit per-sample gradients, the
+row-blocked projection against the one-shot one, and the stated drift from
+the projection on the units that the cosines ran before."""
 
 import tracemalloc
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from fedpriv import attacks as atk
 from fedpriv import models
 from fedpriv.models import ModelSpec
-from oracles import one_shot_grad_cosines
+from oracles import narrow_side_grad_cosines, one_shot_grad_cosines
 
 TOL = 1e-12
 
@@ -127,14 +128,20 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _widths(d, h, c):
+    """Each layer's projection width per direction: its narrower side."""
+    return [min(h, d), min(c, h)] if h else [min(c, d)]
+
+
 @pytest.mark.parametrize("n, m, h", [(550, 39, 64), (1850, 99, 128)])
 def test_blocked_cosines_keep_the_bits_of_one_shot_projections(n, m, h):
     """scale_k40's OUT shape, and one with more samples, directions and units."""
     spec = ModelSpec(input_dim=12, hidden_dim=h, num_classes=10)
     params, x, y, directions = _problem(spec, n, m, seed=7)
-    assert len(atk._cosine_blocks(n, m, [h, 10])) > 1
+    assert len(atk._cosine_blocks(n, m, _widths(12, h, 10))) > 1
     got = atk._grad_cosines(spec, params, x, y, directions)
-    assert np.array_equal(_bits(got), _bits(one_shot_grad_cosines(spec, params, x, y, directions)))
+    want = narrow_side_grad_cosines(spec, params, x, y, directions)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,14 +164,15 @@ def test_any_block_budget_keeps_the_bits_of_one_shot_projections(
 ):
     spec = ModelSpec(input_dim=d, hidden_dim=h, num_classes=c)
     params, x, y, directions = _problem(spec, n, m, seed)
-    units = [h, c] if h else [c]
-    with mock.patch.object(atk, "COSINE_BLOCK_BYTES", block_rows * 8 * m * max(units)):
-        bounds = atk._cosine_blocks(n, m, units)
+    widths = _widths(d, h, c)
+    with mock.patch.object(atk, "COSINE_BLOCK_BYTES", block_rows * 8 * m * max(widths)):
+        bounds = atk._cosine_blocks(n, m, widths)
         got = atk._grad_cosines(spec, params, x, y, directions)
     starts = [s for s, _ in bounds]
     assert all(s % 12 == 0 for s in starts)
     assert starts[0] == 0 and [e for _, e in bounds] == starts[1:] + [n]
-    assert np.array_equal(_bits(got), _bits(one_shot_grad_cosines(spec, params, x, y, directions)))
+    want = narrow_side_grad_cosines(spec, params, x, y, directions)
+    assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_one_call_at_a_large_shape_stays_within_20_mb():
@@ -196,3 +204,40 @@ def test_a_short_last_block_joins_the_one_before():
         assert atk._cosine_blocks(25, 50, [64, 10]) == [(0, 12), (12, 25)]
         assert atk._cosine_blocks(12, 50, [64, 10]) == [(0, 12)]
         assert atk._cosine_blocks(0, 50, [64, 10]) == [(0, 0)]
+
+
+# --- scale: huge directions, and the drift from the projection on the units --
+
+
+@pytest.mark.parametrize("h", [0, 64], ids=["logistic", "mlp"])
+def test_a_direction_scaled_by_a_power_of_two_keeps_every_bit(h):
+    spec = ModelSpec(input_dim=12, hidden_dim=h, num_classes=10)
+    params, x, y, directions = _problem(spec, n=300, m=9, seed=10)
+    directions[3] = 0.0
+    want = atk._grad_cosines(spec, params, x, y, directions)
+    for factor in (2.0**1000, 2.0 ** np.arange(-20, 25, 5)[:, None]):
+        got = atk._grad_cosines(spec, params, x, y, directions * factor)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_directions_near_the_float_limit_give_finite_cosines_without_warnings():
+    spec = ModelSpec(input_dim=5, hidden_dim=12, num_classes=3)
+    params, x, y, directions = _problem(spec, n=30, m=6, seed=11)
+    want = atk._grad_cosines(spec, params, x, y, directions)
+    huge = directions / np.abs(directions).max() * 1.5e308
+    with np.errstate(all="raise"):
+        got = atk._grad_cosines(spec, params, x, y, huge)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "d, h, n, m", [(12, 64, 550, 39), (12, 0, 410, 20), (5, 0, 200, 7), (40, 8, 130, 3)]
+)
+def test_cosines_drift_from_the_projection_on_the_units_by_at_most_1e_15(d, h, n, m):
+    """scale_k40's OUT shape, logistic regression with more and with fewer
+    inputs than classes, and an MLP with more inputs than units."""
+    spec = ModelSpec(input_dim=d, hidden_dim=h, num_classes=10)
+    params, x, y, directions = _problem(spec, n, m, seed=12)
+    got = atk._grad_cosines(spec, params, x, y, directions)
+    assert np.abs(got - one_shot_grad_cosines(spec, params, x, y, directions)).max() <= 1e-15
