@@ -12,20 +12,24 @@ and without perturbation).
 
 A loss or confidence trajectory takes one `_round_measurements` call over
 the target's whole series (`_target_series`); gradient cosines and FedMIA's
-OUT statistic (Carlini et al., arXiv:2112.03570) take one call a round.
+OUT statistic (Carlini et al., arXiv:2112.03570) take one call a round, and
+FedMIA-II's call measures the target's cosines with its OUT clients'.
 Both kinds run on kernels for one query batch and G models:
-`models.measure_models` with the model on the left of every product, and
-`_grad_cosines`, which contracts each layer on its wider side. Loss and
-confidence differ from a row-major forward (`models.measure`) by at most
-1e-13 relative, and cosines from a projection on each layer's units by at
-most 1e-15 (tests/test_attacks.py, tests/test_grad_cosines.py). Directions and each
-sample's OUT values are scaled by exact powers of two, so huge but finite
-models neither overflow nor change a bit; a measurement that is still not
-finite is refused, naming the attack and the round.
+`models.measure_models` with the model on the left of every product and
+each bias folded into its GEMM, and `_grad_cosines`, which contracts each
+layer on its wider side. Loss and confidence differ from a row-major
+forward (`models.measure`), and from one that adds each bias after its
+GEMM, by at most 1e-13 relative; cosines differ from a projection on each
+layer's units, and the target's in FedMIA-II's call from a call of their
+own, by at most 1e-15 (tests/test_attacks.py, tests/test_grad_cosines.py).
+Directions and each sample's OUT values are scaled by exact powers of two,
+so huge but finite models neither overflow nor change a bit; a measurement
+that is still not finite is refused, naming the attack and the round.
 
 Several attacks read the same trajectory: `run_attack` calls that pass one
 `shared` dict compute each (target, kind) trajectory once between them
-(`experiment.stage_attack` makes one dict per call).
+(`experiment.stage_attack` makes one dict per call, and scores FedMIA-II
+first so that Avg-Cosine reads the target's cosines from its calls).
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ def _target_series(store: SnapshotStore, selector, kind: str) -> np.ndarray:
     "global", ("local", k) or ("coalition", ids): the globals (for gradient
     cosines the aggregate of all clients), a view of client k's locals, or
     each round's weighted aggregate of the coalition's locals."""
+    if not store.rounds:
+        raise ValueError("snapshot store is empty")
     if selector == "global":
         if kind != "grad_cosine":
             return store.globals
@@ -266,8 +272,6 @@ def trajectory_matrix(
     """
     if kind not in MEASUREMENT_KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    if not store.rounds:
-        raise ValueError("snapshot store is empty")
     series = _target_series(store, selector, kind)
     # a round's gradient cosines need that round's global model
     passes = zip(store.globals, series[:, None]) if kind == "grad_cosine" else [(None, series)]
@@ -313,30 +317,46 @@ def attack_fta(values: np.ndarray, rounds: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"fta kind must be loss or confidence, got {kind!r}")
 
 
-def _out_stats_matrix(store, x, y, exclude_clients, kind):
+def _out_stats_matrix(store, x, y, exclude_clients, kind, target=None):
     """Per-round mean/std (n, rounds) of each sample's measurement under the
     local models of every client outside `exclude_clients`.
 
     Each round takes one `_round_measurements` call on the stack of those
-    models, in one shared workspace. Uses the population standard deviation,
-    floored at 1e-6. Each sample's values are scaled by the power of two
-    that brings the largest |value| into [0.5, 1) before their mean and
-    deviation, and these are scaled back: exact where no value is
-    subnormal, so huge losses do not overflow in the squares and no bit
-    changes.
+    models, in one shared workspace. With `target`, the attacked model's
+    series (R, P), each round's stack has that round's target first, and a
+    third matrix (n, rounds) holds the target's own measurements: FedMIA-II
+    thus measures the target's cosines and the OUT clients' in one call a
+    round. Uses the population standard deviation, floored at 1e-6. Each
+    sample's values are scaled by the power of two that brings the largest
+    |value| into [0.5, 1) before their mean and deviation, and these are
+    scaled back: exact where no value is subnormal, so huge losses do not
+    overflow in the squares and no bit changes.
     """
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
         raise ValueError("need at least 2 non-target clients")
     workspace = models.Workspace()
     per_round_means, per_round_stds = [], []
-    for global_t, locals_t in zip(store.globals, store.locals):
-        stack = _round_measurements(store.spec, global_t, locals_t[others], x, y, kind, workspace)
+    target_values = None if target is None else np.empty((len(y), len(store.rounds)))
+    for t, (global_t, locals_t) in enumerate(zip(store.globals, store.locals)):
+        # the models go unnamed into the call, which frees them before its cosines
+        stack = _round_measurements(
+            store.spec,
+            global_t,
+            locals_t[others] if target is None else np.vstack((target[t], locals_t[others])),
+            x,
+            y,
+            kind,
+            workspace,
+        )
+        if target is not None:
+            target_values[:, t], stack = stack[0], stack[1:]
         shift = _frexp_shift(stack, axis=0)
         np.ldexp(stack, shift, out=stack)
         per_round_means.append(np.ldexp(stack.mean(axis=0), -shift))
         per_round_stds.append(np.maximum(np.ldexp(stack.std(axis=0), -shift), OUT_STD_FLOOR))
-    return np.column_stack(per_round_means), np.column_stack(per_round_stds)
+    stats = np.column_stack(per_round_means), np.column_stack(per_round_stds)
+    return stats if target is None else (*stats, target_values)
 
 
 def _refuse_non_finite(values, rounds, attack: str, what: str) -> None:
@@ -379,7 +399,10 @@ def attack_fedmia(
 
     `shared` is `run_attack`'s dict of trajectories; its entries must belong
     to this store, dataset and sample_ids. The OUT statistic is computed
-    afresh: no two attacks read the same one.
+    afresh: no two attacks read the same one. Variant "ii" measures the
+    target's cosines in its OUT statistic's call a round (the first
+    direction), scores with them, and leaves them in `shared` for Avg-Cosine
+    unless a trajectory is there already.
     """
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
@@ -388,9 +411,19 @@ def attack_fedmia(
     x, y = dataset.X[sample_ids], dataset.y[sample_ids]
     if exclude_clients is None:
         exclude_clients = fedmia_excluded(target_selector)
+    exclude_clients = set(exclude_clients)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        values, rounds = _trajectory(shared, store, target_selector, x, y, kind)
-        out_mean, out_std = _out_stats_matrix(store, x, y, set(exclude_clients), kind)
+        if variant == "i":
+            values, rounds = _trajectory(shared, store, target_selector, x, y, kind)
+            out_mean, out_std = _out_stats_matrix(store, x, y, exclude_clients, kind)
+        else:
+            series = _target_series(store, target_selector, kind)
+            out_mean, out_std, values = _out_stats_matrix(
+                store, x, y, exclude_clients, kind, series
+            )
+            rounds = np.asarray(store.rounds, dtype=np.int64)
+            if shared is not None:
+                shared.setdefault((target_selector, kind), (values, rounds))
         z = (values - out_mean) / out_std
     _refuse_non_finite(z, rounds, f"fedmia_{variant}", f"a {kind} measurement or its z-score")
     return -z.sum(axis=1)
@@ -456,7 +489,10 @@ def run_attack(
     `shared` is an optional dict that calls on one store, dataset and pools
     pass in common; a dict must not outlive them. The first call that needs
     a (selector, kind) trajectory computes it and keeps it there for the
-    others; the scores are those of a call without it.
+    others. The scores are those of a call without it, but for Avg-Cosine
+    after FedMIA-II: it then reads the cosines that FedMIA-II measured with
+    its OUT clients', which differ from a call of their own by at most
+    1e-15 (a stated drift).
     """
     if name not in ATTACK_NAMES:
         raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")

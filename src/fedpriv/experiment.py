@@ -234,13 +234,14 @@ def stage_train(
     """Run training and write rounds/assignments/compensation CSVs + snapshots.
     The data are prepared here unless `prep`, `prepare_data(cfg)`, is given.
 
-    The evaluation pools are drawn first, and every coalition member's
-    training set is checked to fill defense.intervals, so a config that does
-    not fit its partition fails before any training; the pools have their
-    own random stream, so drawing them here changes no artefact. Once
-    training has succeeded, the attack and report outputs of an earlier run
-    in `out_dir` are removed before anything is written, so none of them can
-    be read as this run's.
+    The evaluation pools are drawn first, every coalition member's training
+    set is checked to fill defense.intervals, and a perturbing coalition's
+    tail (defense.r_p of the parameters) to hold at least one, so a config
+    that does not fit its partition or model fails before any training; the
+    pools have their own random stream, so drawing them here changes no
+    artefact. Once training has succeeded, the attack and report outputs of
+    an earlier run in `out_dir` are removed before anything is written, so
+    none of them can be read as this run's.
     """
     prep = prepare_data(cfg) if prep is None else prep
     build_pools(cfg, prep)
@@ -253,6 +254,12 @@ def stage_train(
                     f"config field 'defense.intervals': {cfg.intervals} intervals exceed "
                     f"the {n} training samples of coalition client {k}"
                 )
+        p = prep.spec.param_count
+        if cfg.sigma > 0 and int(np.floor(cfg.r_p * p)) == 0:
+            raise ConfigError(
+                f"config field 'defense.r_p': {cfg.r_p:g} of the model's {p} parameters "
+                "is an empty perturbation tail"
+            )
     os.makedirs(out_dir, exist_ok=True)
     state = run_training(
         build_fl_config(cfg),
@@ -332,7 +339,9 @@ def stage_attack(
 
     The attacks share one dict of trajectories, so each trajectory that
     several of them read is computed once; it is dropped when this call
-    returns.
+    returns. FedMIA-II is scored first: its OUT statistic's call a round
+    measures the target's cosines too, which Avg-Cosine then reads.
+    `attacks.csv` lists the attacks in `attack.list` order.
     """
     if store is None:
         _check_snapshot_stamp(cfg, out_dir)
@@ -347,12 +356,12 @@ def stage_attack(
     pools = build_pools(cfg, prep)
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     shared: dict = {}
-    results = [
-        atk.run_attack(
-            store, prep.train, pools, cfg.target_client, name, selector=selector, shared=shared
+    names = cfg.attack_list
+    results = [None] * len(names)
+    for i in sorted(range(len(names)), key=lambda i: names[i] != "fedmia_ii"):
+        results[i] = atk.run_attack(
+            store, prep.train, pools, cfg.target_client, names[i], selector=selector, shared=shared
         )
-        for name in cfg.attack_list
-    ]
     write_attacks_csv(os.path.join(out_dir, ATTACKS_CSV), results)
     return results
 

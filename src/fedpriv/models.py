@@ -9,9 +9,11 @@ weighted aggregation can treat models as plain vectors.
 stacked forward, `_stack_logits`, under one model, one model per batch, or
 many models over one broadcast batch. `measure_models` (the attacks' loss
 and confidence) runs one query batch under many models with the model on
-the left of every product, writing class-major logits for the softmax
-core's class-major branch, `_class_major`; its values may differ from a
-row-major forward's in the last bits (the attacks' stated drift).
+the left of every product and each bias folded into its GEMM, writing
+class-major logits for the softmax core's class-major branch,
+`_class_major`; its values may differ from a row-major forward's, or from
+one that adds each bias after its GEMM, in the last bits (the attacks'
+stated drift).
 
 The public functions never mutate their inputs, and `prepare_lockstep`'s
 arrays are read-only, so any number of `sgd_lockstep` calls may share them.
@@ -422,21 +424,39 @@ def measure(spec: ModelSpec, params, stacks, y, kind: str, workspace: Workspace 
     return values
 
 
+def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> list[np.ndarray]:
+    """Each layer of models theta (g, P) as one contiguous [W | b] block
+    (g, units, inputs + 1), the bias as its last column, in `workspace`'s
+    "layer0" and "layer1" buffers, in `_layers` order."""
+    layers = _layers(spec, theta)
+    folded = []
+    for i, (w, b) in enumerate(zip(layers[0::2], layers[1::2])):
+        g, units, inputs = w.shape
+        block = workspace.array(f"layer{i}", (g, units, inputs + 1))
+        block[:, :, :inputs] = w
+        block[:, :, inputs] = b
+        folded.append(block)
+    return folded
+
+
 def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace | None = None):
     """`target_measure` (G, n) of one batch x (n, input_dim), y (n,) under
     each of G models theta (G, P), with the model on the left of every
-    product.
+    product and each bias folded into its GEMM.
 
-    A run of g models, the fewest whose logits hold at least
-    STACK_CHUNK_BYTES, runs per-model stacked GEMMs, W1 @ x.T, the bias and
-    ReLU, then W2 @ hid (W @ x.T for logistic regression), and writes the
-    logits straight into a class-major (C, g * n) array, which goes to
-    `_class_major` without a copy. An MLP's forward pass takes as many of a
-    run's models as keep their hidden activations within STACK_CHUNK_BYTES
-    (at least one). A GEMM's shape fixes its bits and the softmax runs
-    column by column, so each model's values have the bits of a call of its
-    own. The logits and hidden layer go into `workspace`'s "logits" and
-    "hid" buffers (one of its own if None).
+    The batch is written once as a contiguous (input_dim + 1, n) array, x.T
+    over a row of ones. A run of g models, the fewest whose logits hold at
+    least STACK_CHUNK_BYTES, copies each layer into [W | b] blocks
+    (`_folded_layers`) and runs per-model stacked GEMMs: [W1 | b1] @ [x.T; 1]
+    into a hidden buffer with a ones row, ReLU, then [W2 | b2] @ [hid; 1]
+    ([W | b] @ [x.T; 1] for logistic regression). The logits go straight
+    into a class-major (C, g * n) array, which goes to `_class_major`
+    without a copy. An MLP's forward pass takes as many of a run's models as
+    keep their hidden activations within STACK_CHUNK_BYTES (at least one).
+    Models are never stacked into one tall GEMM: a GEMM's shape fixes its
+    bits and the softmax runs column by column, so each model's values have
+    the bits of a call of its own. The buffers are `workspace`'s "inputs",
+    "layer0", "layer1", "hid" and "logits" (one of its own if None).
     """
     if kind not in ("loss", "confidence"):
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -449,27 +469,29 @@ def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace
     if len(y) != len(x):
         raise ValueError(f"{len(y)} labels for {len(x)} samples")
     workspace = Workspace() if workspace is None else workspace
-    (n, _), h, c = x.shape, spec.hidden_dim, spec.num_classes
+    (n, d), h, c = x.shape, spec.hidden_dim, spec.num_classes
+    inputs = workspace.array("inputs", (d + 1, n))
+    inputs[:d] = x.T
+    inputs[d] = 1.0
     run = max(1, -(-STACK_CHUNK_BYTES // (8 * c * max(n, 1))))
     per = max(1, STACK_CHUNK_BYTES // (8 * h * max(n, 1))) if h else run
     values = np.empty((len(theta), n))
     at = None  # each row's target in the flat logits of a run
     for g0 in range(0, len(theta), run):
-        layers = _layers(spec, theta[g0 : g0 + run])
+        layers = _folded_layers(spec, theta[g0 : g0 + run], workspace)
         g = len(layers[0])
         if at is None or len(at) != g * n:
             at = (np.arange(g)[:, None] * n + (y * (g * n) + np.arange(n))).ravel()
         logits = workspace.array("logits", (c, g, n))
         for f0 in range(0, g, per):
-            out = logits[:, f0 : f0 + per].transpose(1, 0, 2)
+            out, a = logits[:, f0 : f0 + per].transpose(1, 0, 2), inputs
             if h:
-                w1, b1, w2 = (v[f0 : f0 + per] for v in layers[:3])
-                hid = np.matmul(w1, x.T, out=workspace.array("hid", (len(w1), h, n)))
-                hid += b1[:, :, None]
-                np.matmul(w2, np.maximum(hid, 0.0, out=hid), out=out)
-            else:
-                np.matmul(layers[0][f0 : f0 + per], x.T, out=out)
-        logits += layers[-1].T[:, :, None]
+                w1 = layers[0][f0 : f0 + per]
+                a = workspace.array("hid", (len(w1), h + 1, n))
+                np.matmul(w1, inputs, out=a[:, :h])
+                a[:, h] = 1.0
+                np.maximum(a, 0.0, out=a)
+            np.matmul(layers[-1][f0 : f0 + per], a, out=out)
         measured = _class_major(logits.reshape(c, g * n), kind == "loss", at)
         values[g0 : g0 + g] = measured.reshape(g, n)
     return values

@@ -8,14 +8,11 @@ injected noise is zero and the aggregated global model is unchanged.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import stream
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -65,15 +62,15 @@ def apply_perturbation(params: np.ndarray, delta: float, tail_ratio: float) -> n
     """Shift the last floor(tail_ratio * P) parameters by the scalar delta.
 
     The leading parameters are untouched. A tail of zero length (tail_ratio
-    too small for the model) is a logged no-op.
+    too small for the model) is refused: it would leave the model
+    unperturbed.
     """
     if not 0.0 < tail_ratio <= 1.0:
         raise ValueError("tail_ratio must be in (0, 1]")
     p = len(params)
     tail = int(np.floor(tail_ratio * p))
     if tail == 0:
-        log.warning("perturbation tail is empty (tail_ratio=%g, P=%d); no-op", tail_ratio, p)
-        return params.copy()
+        raise ValueError(f"perturbation tail is empty (tail_ratio={tail_ratio:g}, P={p})")
     out = params.copy()
     out[p - tail :] += delta
     return out

@@ -10,7 +10,8 @@ log-softmax and weighted aggregation formulas the library used to run,
 mini-batch SGD that trains one client and one batch at a time, the
 confidence-regularized loss of one sample, the per-client `permutation`
 epoch order, the OUT measurements taken one
-model at a time (row-major as they ran, and with the model on the left), and
+model at a time (row-major as they ran, with the model on the left, and
+with each bias folded into its product), and
 the gradient cosines with one projection of all query rows (on the units, as
 they ran, and on each layer's narrower side).
 """
@@ -393,6 +394,36 @@ def models_left_out_stats(store, x, y, exclude_clients, kind):
             else:
                 w, b = layers
                 logits = (w @ x.T + b[:, None]).T
+            if kind == "loss":
+                per_model.append(-reference_log_softmax(logits)[rows, y])
+            else:
+                per_model.append(reference_softmax(logits)[rows, y])
+        stack = np.stack(per_model)
+        means.append(stack.mean(axis=0))
+        stds.append(np.maximum(stack.std(axis=0), attacks.OUT_STD_FLOOR))
+    return np.column_stack(means), np.column_stack(stds)
+
+
+def folded_bias_out_stats(store, x, y, exclude_clients, kind):
+    """`models_left_out_stats` with each bias folded into its product: one
+    model at a time, its logits [W2 | b2] @ [relu([W1 | b1] @ [x.T; 1]); 1]
+    ([W | b] @ [x.T; 1] for logistic regression), transposed, then the
+    reference formulas."""
+    from fedpriv import attacks, models
+
+    others = [k for k in range(store.num_clients) if k not in exclude_clients]
+    rows, ones = np.arange(len(y)), np.ones((1, len(y)))
+    a0 = np.ascontiguousarray(np.vstack([x.T, ones]))  # vstack keeps x.T's column order
+    means, stds = [], []
+    for locals_t in store.locals:
+        per_model = []
+        for k in others:
+            layers = models.unpack(store.spec, locals_t[k])
+            folded = [np.column_stack([w, b]) for w, b in zip(layers[0::2], layers[1::2])]
+            a = a0
+            for w in folded[:-1]:
+                a = np.vstack([np.maximum(w @ a, 0.0), ones])
+            logits = np.ascontiguousarray((folded[-1] @ a).T)  # rows summed as numpy sums a row
             if kind == "loss":
                 per_model.append(-reference_log_softmax(logits)[rows, y])
             else:

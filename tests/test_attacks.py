@@ -12,7 +12,7 @@ from fedpriv.data import EvalPools, LabeledDataset
 from fedpriv.federation import SnapshotStore, aggregate_weighted
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
-from oracles import models_left_out_stats, per_model_out_stats
+from oracles import folded_bias_out_stats, models_left_out_stats, per_model_out_stats
 
 
 # --- fabricated stores with exactly known measurements ----------------------
@@ -361,7 +361,11 @@ def _chunk(spec, n):
 
 
 @pytest.mark.parametrize(
-    "spec, n", [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300)], ids=["logistic", "mlp"]
+    "spec, n",
+    [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300), (ModelSpec(12, 64, 10), 110)],
+    # under 120 rows at 10 classes, the output layer's GEMM has at most
+    # SMALL_GEMM_OUTPUTS outputs
+    ids=["logistic", "mlp", "mlp-small-gemm"],
 )
 @pytest.mark.parametrize("kind", ["loss", "confidence"])
 def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monkeypatch):
@@ -399,9 +403,7 @@ def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
     store, rng = _random_store(spec, g + 1, 3, seed=5)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
     got = atk._out_stats_matrix(store, x, y, {0}, kind)
-    # the row-major loop for logistic regression, whose bits did not move
-    oracle = models_left_out_stats if spec.hidden_dim else per_model_out_stats
-    want = oracle(store, x, y, {0}, kind)
+    want = folded_bias_out_stats(store, x, y, {0}, kind)
     for a, b in zip(got, want):
         assert a.shape == (n, 3)
         assert np.array_equal(_bits(a), _bits(b))
@@ -418,6 +420,20 @@ def test_out_stats_drift_from_the_row_major_path_by_at_most_1e_13(spec, kind):
     x, y = rng.normal(size=(550, spec.input_dim)), rng.integers(0, spec.num_classes, 550)
     got = atk._out_stats_matrix(store, x, y, {0}, kind)
     for a, b in zip(got, per_model_out_stats(store, x, y, {0}, kind)):
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(12, 64, 10), ModelSpec(20, 0, 10)], ids=["scale_k40", "logistic"]
+)
+@pytest.mark.parametrize("kind", ["loss", "confidence"])
+def test_out_stats_drift_from_the_unfolded_models_left_path_by_at_most_1e_13(spec, kind):
+    """The same shapes against the models-left loop that adds each bias
+    after its product; the bound is relative above 1."""
+    store, rng = _random_store(spec, 40, 2, seed=8)
+    x, y = rng.normal(size=(550, spec.input_dim)), rng.integers(0, spec.num_classes, 550)
+    got = atk._out_stats_matrix(store, x, y, {0}, kind)
+    for a, b in zip(got, models_left_out_stats(store, x, y, {0}, kind)):
         assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b)))
 
 
@@ -482,7 +498,7 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
     cosines = atk._grad_cosines
     monkeypatch.setattr(atk, "_grad_cosines", lambda *a: calls.append(1) or cosines(*a))
     ex.stage_attack(cfg, str(tmp_path), store=state.store)
-    assert len(calls) == 2 * rounds  # avg_cosine and fedmia_ii share the target trajectory
+    assert len(calls) == rounds  # fedmia_ii measures the target with its OUT clients
     shared_csv = (tmp_path / ex.ATTACKS_CSV).read_bytes()
 
     prep = ex.prepare_data(cfg)
@@ -494,5 +510,43 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
     ]
     ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
     assert (tmp_path / "alone.csv").read_bytes() == shared_csv
-    assert len(calls) == 2 * rounds + 3 * rounds  # unshared, fedmia_ii repeats the trajectory
+    assert len(calls) == rounds + 2 * rounds  # unshared, avg_cosine measures the target again
+
+
+def test_avg_cosine_alone_makes_one_direction_calls(tmp_path, monkeypatch):
+    cfg = make_config(
+        clients=5, rounds=10, snapshot_every=5, samples_per_class=40, members=10,
+        extra="attack.list = avg_cosine\n",
+    )
+    state = ex.stage_train(cfg, str(tmp_path))
+    directions = []
+    cosines = atk._grad_cosines
+
+    def record(*a):
+        directions.append(len(a[4]))
+        return cosines(*a)
+
+    monkeypatch.setattr(atk, "_grad_cosines", record)
+    ex.stage_attack(cfg, str(tmp_path), store=state.store)
+    assert directions == [1] * len(state.store.rounds)
+
+
+@pytest.mark.parametrize(
+    "spec", [ModelSpec(12, 64, 10), ModelSpec(20, 0, 10)], ids=["scale_k40", "logistic"]
+)
+@pytest.mark.parametrize("selector", [("local", 0), ("coalition", (0, 2))])
+def test_a_target_measured_with_its_out_clients_drifts_by_at_most_1e_15(spec, selector):
+    """FedMIA-II's call a round (the target's direction, then its OUT
+    clients') against the target's call of its own, at scale_k40's shape."""
+    store, rng = _random_store(spec, 40, 3, seed=9)
+    x, y = rng.normal(size=(550, spec.input_dim)), rng.integers(0, spec.num_classes, 550)
+    exclude = atk.fedmia_excluded(selector)
+    series = atk._target_series(store, selector, "grad_cosine")
+    merged = atk._out_stats_matrix(store, x, y, exclude, "grad_cosine", series)
+    alone, _ = atk.trajectory_matrix(store, selector, x, y, "grad_cosine")
+    assert merged[2].shape == alone.shape == (550, 3) and merged[2].flags.c_contiguous
+    assert np.abs(merged[2] - alone).max() <= 1e-15
+    # the OUT statistic is the one of a call without the target
+    for a, b in zip(merged[:2], atk._out_stats_matrix(store, x, y, exclude, "grad_cosine")):
+        assert np.abs(a - b).max() <= 1e-15
 

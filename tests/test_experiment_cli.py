@@ -342,6 +342,18 @@ def test_intervals_beyond_a_members_samples_fail_before_training(tmp_path, monke
     assert calls == []
 
 
+def test_an_empty_perturbation_tail_fails_by_key_before_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
+    cfg = parse_config_text(DEFENDED + "defense.r_p = 0.005\n")  # floor(0.005 * 101) = 0
+    with pytest.raises(ConfigError, match=r"'defense.r_p': 0.005 of the model's 101 parameters"):
+        ex.stage_train(cfg, str(tmp_path / "t"))
+    assert calls == []
+    monkeypatch.undo()  # without perturbation the tail is never used
+    cfg = parse_config_text(DEFENDED + "defense.r_p = 0.005\ndefense.sigma = 0\n")
+    ex.stage_train(cfg, str(tmp_path / "u"))
+
+
 def test_out_override_that_config_text_cannot_keep_is_refused(tmp_path, capsys, monkeypatch):
     # `--out` replaces output.dir after the config file was validated
     calls = []

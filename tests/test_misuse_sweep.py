@@ -4,11 +4,13 @@
 Each stage either succeeds in silence, or exits 1 with one stderr line that
 names a `section.key`, or with a divergence error that names its round and
 client(s). A failed `train` leaves no snapshots, and a failed `attack` no
-attack results. Numpy warnings count as stderr lines.
+attack results. Numpy warnings and records of the `logging` root logger
+count as stderr lines.
 """
 
 import contextlib
 import io
+import logging
 import os
 import re
 import tempfile
@@ -42,10 +44,11 @@ BASE = {
     "eval.ifl": "10",
     "eval.ofl": "5",
 }
-# numbers (huge finite ones too), then duplicate and out-of-range client ids
-# (K = 5) and a repeated attack; any key may get any of them
+# numbers (a small fraction and huge finite ones too), then duplicate and
+# out-of-range client ids (K = 5) and a repeated attack; any key may get any
+# of them
 EDGES = (
-    "0", "-1", "1", "1e308", "-1e308", "nan", "inf", "-inf", "", "0,0", "1,5", "-1,0",
+    "0", "-1", "0.01", "1", "1e308", "-1e308", "nan", "inf", "-inf", "", "0,0", "1,5", "-1,0",
     "fta_l,fta_l",
 )
 KEY = re.compile("|".join(re.escape(key) for key in SCHEMA))
@@ -53,15 +56,21 @@ DIVERGED = re.compile(r"diverged at round \d+: .*client\(s\) \[\d")
 
 
 def _stage(argv):
-    """Exit status and stderr lines of one CLI call, warnings included."""
+    """Exit status and stderr lines of one CLI call, warnings and log
+    records included (pytest's logging plugin would otherwise take them)."""
     err = io.StringIO()
-    with (
-        warnings.catch_warnings(record=True) as caught,
-        contextlib.redirect_stderr(err),
-        contextlib.redirect_stdout(io.StringIO()),
-    ):
-        warnings.simplefilter("always")
-        code = cli.main(argv)
+    records = logging.StreamHandler(err)
+    logging.getLogger().addHandler(records)
+    try:
+        with (
+            warnings.catch_warnings(record=True) as caught,
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    finally:
+        logging.getLogger().removeHandler(records)
     return code, err.getvalue().splitlines() + [str(w.message) for w in caught]
 
 

@@ -81,12 +81,11 @@ def test_apply_perturbation_hits_exact_tail():
     assert np.array_equal(out, np.array([0] * 8 + [1, 1], dtype=np.float64))
 
 
-def test_apply_perturbation_empty_tail_warns_and_noops(caplog):
+def test_apply_perturbation_refuses_an_empty_tail():
     params = np.arange(3, dtype=np.float64)
-    with caplog.at_level("WARNING"):
-        out = pert.apply_perturbation(params, 2.0, 0.1)  # floor(0.3) = 0
-    assert np.array_equal(out, params)
-    assert any("no-op" in rec.message for rec in caplog.records)
+    with pytest.raises(ValueError, match=r"tail is empty \(tail_ratio=0.1, P=3\)"):
+        pert.apply_perturbation(params, 2.0, 0.1)  # floor(0.3) = 0
+    assert np.array_equal(params, np.arange(3))
 
 
 def test_verify_cancellation_projected_vs_unprojected():
