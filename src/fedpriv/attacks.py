@@ -27,9 +27,11 @@ so huge but finite models neither overflow nor change a bit; a measurement
 that is still not finite is refused, naming the attack and the round.
 
 Several attacks read the same trajectory: `run_attack` calls that pass one
-`shared` dict compute each (target, kind) trajectory once between them
-(`experiment.stage_attack` makes one dict per call, and scores FedMIA-II
-first so that Avg-Cosine reads the target's cosines from its calls).
+`shared` dict compute each (target, kind) trajectory once between them.
+`run_attacks` (the attack stage's loop) makes one dict per call, measures
+the target's loss and confidence in one softmax pass when both are read,
+and scores FedMIA-II first so that Avg-Cosine reads the target's cosines
+from its calls.
 """
 
 from __future__ import annotations
@@ -43,10 +45,18 @@ from .data import EvalPools, LabeledDataset
 from .federation import SnapshotStore, aggregate_weighted
 from .metrics import DEFAULT_FPR_LEVELS, auc_score, tpr_at_fpr
 
-MEASUREMENT_KINDS = ("loss", "confidence", "grad_cosine")
 ATTACK_NAMES = ("loss_series", "avg_cosine", "fta_l", "fta_c", "fedmia_i", "fedmia_ii")
 # the attacks that score a trajectory's differences or slope
 MULTI_ROUND_ATTACKS = ("avg_cosine", "fta_l", "fta_c")
+# the kind of the attacked model's measurements that each attack reads
+ATTACK_KINDS = {
+    "loss_series": "loss",
+    "avg_cosine": "grad_cosine",
+    "fta_l": "loss",
+    "fta_c": "confidence",
+    "fedmia_i": "loss",
+    "fedmia_ii": "grad_cosine",
+}
 
 OUT_STD_FLOOR = 1e-6
 
@@ -239,20 +249,20 @@ def _grad_cosines(spec, params, x, y, directions, workspace=None) -> np.ndarray:
     return np.divide(dots, norms, out=np.zeros((m, n)), where=norms != 0)
 
 
-def _round_measurements(spec, global_t, targets, x, y, kind, workspace=None) -> np.ndarray:
-    """(G, n) measurements of a batch x (n, input_dim), y under each of G
-    target models (G, P), on kernels for one query batch and G models, in
-    the buffers of `workspace`: loss and confidence through
-    `models.measure_models`, each model's values with the bits of a call
-    of its own; gradient cosines through `_grad_cosines`, with each
-    target's update from global_t, the global model of their round.
+def _round_measurements(spec, global_t, stack, x, y, kind, workspace=None):
+    """(G, n) measurements of a batch x (n, input_dim), y for a stack (G, P)
+    of one round, on kernels for one query batch and G models, in the
+    buffers of `workspace`: loss and confidence (or a tuple of both, from
+    one softmax pass) of G target models through `models.measure_models`,
+    each model's values with the bits of a call of its own; gradient
+    cosines through `_grad_cosines` at global_t, the global model of the
+    round, with G update directions, the targets less global_t, which the
+    caller builds.
     """
     x = models._as_batch(spec, x)
     if kind == "grad_cosine":
-        directions = targets - global_t
-        del targets  # frees a stack that only this call holds before the cosine buffers exist
-        return _grad_cosines(spec, global_t, x, y, directions, workspace)
-    return models.measure_models(spec, targets, x, y, kind, workspace)
+        return _grad_cosines(spec, global_t, x, y, stack, workspace)
+    return models.measure_models(spec, stack, x, y, kind, workspace)
 
 
 def trajectory_matrix(
@@ -265,18 +275,29 @@ def trajectory_matrix(
     """(values (n, rounds), recorded rounds) for a batch of query samples.
 
     Loss and confidence take one `_round_measurements` call over the
-    target's whole series, the batch under every round's model.
-    grad_cosine is the cosine between each sample's gradient at the round's
-    global model and the selected model's update direction for that round
-    (selected params minus the global broadcast), one call a round.
+    target's whole series, the batch under every round's model; `kind`
+    ("loss", "confidence") gives a tuple of both values matrices from one
+    softmax pass. grad_cosine is the cosine between each sample's gradient
+    at the round's global model and the selected model's update direction
+    for that round (selected params minus the global broadcast), one call a
+    round.
     """
-    if kind not in MEASUREMENT_KINDS:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    softmax_kinds = all(k in ("loss", "confidence") for k in kinds)
+    if kind != "grad_cosine" and not (kinds and softmax_kinds):
         raise ValueError(f"unknown measurement kind {kind!r}")
-    series = _target_series(store, selector, kind)
-    # a round's gradient cosines need that round's global model
-    passes = zip(store.globals, series[:, None]) if kind == "grad_cosine" else [(None, series)]
-    values = np.concatenate([_round_measurements(store.spec, g, t, x, y, kind) for g, t in passes])
-    return np.ascontiguousarray(values.T), np.asarray(store.rounds, dtype=np.int64)
+    series = _target_series(store, selector, kinds[0])
+    rounds = np.asarray(store.rounds, dtype=np.int64)
+    if kind == "grad_cosine":  # a round's gradient cosines need that round's global model
+        values = [
+            _round_measurements(store.spec, g, t[None] - g, x, y, kind)
+            for g, t in zip(store.globals, series)
+        ]
+        return np.ascontiguousarray(np.concatenate(values).T), rounds
+    values = _round_measurements(store.spec, None, series, x, y, kind)
+    if isinstance(kind, tuple):
+        return tuple(np.ascontiguousarray(v.T) for v in values), rounds
+    return np.ascontiguousarray(values.T), rounds
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +360,10 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind, target=None):
     per_round_means, per_round_stds = [], []
     target_values = None if target is None else np.empty((len(y), len(store.rounds)))
     for t, (global_t, locals_t) in enumerate(zip(store.globals, store.locals)):
-        # the models go unnamed into the call, which frees them before its cosines
-        stack = _round_measurements(
-            store.spec,
-            global_t,
-            locals_t[others] if target is None else np.vstack((target[t], locals_t[others])),
-            x,
-            y,
-            kind,
-            workspace,
-        )
+        models_t = locals_t[others] if target is None else np.vstack((target[t], locals_t[others]))
+        if kind == "grad_cosine":  # the models' update directions, in their own stack
+            models_t -= global_t
+        stack = _round_measurements(store.spec, global_t, models_t, x, y, kind, workspace)
         if target is not None:
             target_values[:, t], stack = stack[0], stack[1:]
         shift = _frexp_shift(stack, axis=0)
@@ -505,12 +520,7 @@ def run_attack(
         exclude = fedmia_excluded(selector, target_client)
         scores = attack_fedmia(store, dataset, ids, selector, variant, exclude, shared)
     else:
-        kind = {
-            "loss_series": "loss",
-            "fta_l": "loss",
-            "fta_c": "confidence",
-            "avg_cosine": "grad_cosine",
-        }[name]
+        kind = ATTACK_KINDS[name]
         x, y = dataset.X[ids], dataset.y[ids]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             values, rounds = _trajectory(shared, store, selector, x, y, kind)
@@ -530,3 +540,35 @@ def run_attack(
         else "coalition(" + ",".join(str(k) for k in selector[1]) + ")"
     )
     return evaluate_attack(scores, labels, attack=name, target=target_desc)
+
+
+def run_attacks(
+    store: SnapshotStore,
+    dataset: LabeledDataset,
+    pools: EvalPools,
+    target_client: int,
+    names,
+    selector=None,
+) -> list[AttackResult]:
+    """`run_attack` of each of `names`, in that order, with one `shared`
+    dict between them, dropped when this call returns: each trajectory that
+    several attacks read is computed once. When they read both the target's
+    loss and its confidence, one softmax pass gives both. FedMIA-II is
+    scored first: its OUT statistic's call a round measures the target's
+    cosines too, which Avg-Cosine then reads.
+    """
+    if selector is None:
+        selector = ("local", target_client)
+    shared: dict = {}
+    kinds = ("loss", "confidence")
+    if set(kinds) <= {ATTACK_KINDS.get(name) for name in names}:
+        ids = _pool_ids_and_labels(pools)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # each attack checks its own
+            both, rounds = trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kinds)
+        shared.update({(selector, kind): (v, rounds) for kind, v in zip(kinds, both)})
+    results = [None] * len(names)
+    for i in sorted(range(len(names)), key=lambda i: names[i] != "fedmia_ii"):
+        results[i] = run_attack(
+            store, dataset, pools, target_client, names[i], selector=selector, shared=shared
+        )
+    return results

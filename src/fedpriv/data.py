@@ -95,7 +95,8 @@ def generate_synthetic(
     """Gaussian class clusters with seeded, reproducible draws.
 
     Class means are placed deterministically from the seed (i.i.d. normal
-    with std mean_scale); samples are mean + cluster_spread * N(0, I).
+    with std mean_scale); samples are mean + cluster_spread * N(0, I), class
+    after class, all from one draw of the noise.
     """
     if num_classes < 1 or samples_per_class < 1 or input_dim < 1:
         raise ValueError("counts must be positive")
@@ -103,13 +104,11 @@ def generate_synthetic(
         raise ValueError("cluster_spread must be >= 0")
     rng = np.random.default_rng(seed)
     means = rng.normal(0.0, mean_scale, size=(num_classes, input_dim))
-    xs = []
-    ys = []
-    for c in range(num_classes):
-        noise = rng.normal(0.0, 1.0, size=(samples_per_class, input_dim))
-        xs.append(means[c] + cluster_spread * noise)
-        ys.append(np.full(samples_per_class, c, dtype=np.int64))
-    return LabeledDataset(np.vstack(xs), np.concatenate(ys), num_classes)
+    x = rng.normal(0.0, 1.0, size=(num_classes, samples_per_class, input_dim))
+    x *= cluster_spread
+    x += means[:, None]
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    return LabeledDataset(x.reshape(-1, input_dim), y, num_classes)
 
 
 def load_csv(path: str) -> LabeledDataset:
@@ -201,7 +200,7 @@ def partition_dirichlet(
     for attempt in range(max_redraws + 1):
         rng = np.random.default_rng(seed + attempt)
         ofl, rest = _carve_ofl(len(dataset), ofl_fraction, rng)
-        buckets: list[list[int]] = [[] for _ in range(num_clients)]
+        parts: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         labels = dataset.y[rest]
         for c in range(dataset.num_classes):
             idx_c = rest[labels == c]
@@ -211,9 +210,9 @@ def partition_dirichlet(
             props = rng.dirichlet([beta] * num_clients)
             cuts = (np.cumsum(props)[:-1] * len(idx_c)).astype(np.int64)
             for k, part in enumerate(np.split(idx_c, cuts)):
-                buckets[k].extend(part.tolist())
-        if all(len(b) > 0 for b in buckets):
-            shares = [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+                parts[k].append(part)
+        shares = [np.sort(np.concatenate(p)) if p else np.empty(0, np.int64) for p in parts]
+        if all(len(share) > 0 for share in shares):
             return PartitionPlan(shares, np.sort(ofl))
     raise RuntimeError(f"no non-empty Dirichlet split after {max_redraws} redraws")
 
@@ -271,6 +270,24 @@ def build_eval_pools(
     return EvalPools(members, ifl, ofl)
 
 
+def validation_carve(
+    indices: np.ndarray, val_fraction: float, seed: int, client_id: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (training, validation) indices of client `client_id`'s
+    `indices`: validation takes the first ceil(val_fraction * |D_k|)
+    positions of the client's seeded shuffle, leaving at least one
+    training sample."""
+    if not 0.0 <= val_fraction < 1.0:
+        raise ValueError("val_fraction must be in [0, 1)")
+    from .rng import stream
+
+    order = stream(seed, "valsplit", client_id).permutation(len(indices))
+    n_val = int(np.ceil(val_fraction * len(indices)))
+    if n_val >= len(indices):
+        n_val = max(0, len(indices) - 1)  # keep at least one training sample
+    return np.sort(indices[order[n_val:]]), np.sort(indices[order[:n_val]])
+
+
 def make_client_datasets(
     dataset: LabeledDataset,
     plan: PartitionPlan,
@@ -280,21 +297,13 @@ def make_client_datasets(
     """Build per-client datasets with a seeded validation carve.
 
     The carve takes the first ceil(val_fraction * |D_k|) positions of a
-    seeded shuffle and is applied uniformly to every client so that defended
-    and undefended runs train on identical sample sets.
+    seeded shuffle (`validation_carve`) and is applied uniformly to every
+    client so that defended and undefended runs train on identical sample
+    sets.
     """
-    if not 0.0 <= val_fraction < 1.0:
-        raise ValueError("val_fraction must be in [0, 1)")
-    from .rng import stream
-
     clients = []
     for k, idx in enumerate(plan.client_indices):
-        order = stream(seed, "valsplit", k).permutation(len(idx))
-        n_val = int(np.ceil(val_fraction * len(idx)))
-        if n_val >= len(idx):
-            n_val = max(0, len(idx) - 1)  # keep at least one training sample
-        val_idx = np.sort(idx[order[:n_val]])
-        train_idx = np.sort(idx[order[n_val:]])
+        train_idx, val_idx = validation_carve(idx, val_fraction, seed, k)
         clients.append(
             ClientDataset(
                 client_id=k,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .data import (
     partition_dirichlet,
     partition_iid,
     split_train_test,
+    validation_carve,
 )
 from .federation import (
     CoalitionDefenseConfig,
@@ -81,18 +83,25 @@ def _fmt(x: float) -> str:
 
 
 @dataclass
-class PreparedData:
-    """Deterministically derived datasets and partition for one config."""
+class PartitionedData:
+    """The rows, test split and client partition of one config: all that
+    the evaluation pools and the attacks read."""
 
     train: LabeledDataset
     test: LabeledDataset
     plan: PartitionPlan
+
+
+@dataclass
+class PreparedData(PartitionedData):
+    """Deterministically derived datasets and partition for one config."""
+
     clients: list[ClientDataset]
     spec: ModelSpec
 
 
-def prepare_data(cfg: ExperimentConfig) -> PreparedData:
-    """Build dataset, test split, client partition, and per-client val carves.
+def partition_data(cfg: ExperimentConfig) -> PartitionedData:
+    """Build dataset, test split and client partition.
 
     Raises ConfigError naming data.cluster_spread for features that are not
     finite, data.test_fraction for no test row and fl.K for a client's."""
@@ -130,11 +139,21 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
             f"config field 'fl.K': the partition cannot give each of {cfg.num_clients} "
             f"clients a training row: {exc}"
         ) from None
-    clients = make_client_datasets(train, plan, cfg.val_fraction, cfg.seed)
+    return PartitionedData(train=train, test=test, plan=plan)
+
+
+def prepare_data(cfg: ExperimentConfig) -> PreparedData:
+    """`partition_data` plus each client's dataset with its validation carve.
+
+    Raises ConfigError as `partition_data` does."""
+    part = partition_data(cfg)
+    clients = make_client_datasets(part.train, part.plan, cfg.val_fraction, cfg.seed)
     spec = ModelSpec(
-        input_dim=train.input_dim, hidden_dim=cfg.hidden_dim, num_classes=train.num_classes
+        input_dim=part.train.input_dim,
+        hidden_dim=cfg.hidden_dim,
+        num_classes=part.train.num_classes,
     )
-    return PreparedData(train=train, test=test, plan=plan, clients=clients, spec=spec)
+    return PreparedData(part.train, part.test, part.plan, clients=clients, spec=spec)
 
 
 def build_fl_config(cfg: ExperimentConfig) -> FlConfig:
@@ -284,11 +303,15 @@ def stage_train(
 def _check_snapshot_stamp(cfg: ExperimentConfig, out_dir: str) -> None:
     """Refuse a run whose snapshots another training config or seed wrote.
 
-    Reads only the stamp of the run's snapshot file. attack.*, eval.* and
-    output.dir may differ from the training run; nothing else may.
-    """
+    Reads only the stamp of the run's snapshot file."""
     path = os.path.join(out_dir, SNAPSHOTS_NPZ)
-    config_sha256, seed = read_snapshot_stamp(path)
+    _check_stamp(cfg, path, *read_snapshot_stamp(path))
+
+
+def _check_stamp(cfg: ExperimentConfig, path: str, config_sha256: str, seed: int) -> None:
+    """Refuse the stamp (config_sha256, seed) of snapshot file `path` unless
+    cfg trained it: attack.*, eval.* and output.dir may differ from the
+    training run; nothing else may."""
     if seed != cfg.seed:
         raise ConfigError(
             f"config field 'fl.seed': {cfg.seed} differs from seed {seed} that trained {path}"
@@ -300,14 +323,16 @@ def _check_snapshot_stamp(cfg: ExperimentConfig, out_dir: str) -> None:
         )
 
 
-def build_pools(cfg: ExperimentConfig, prep: PreparedData) -> EvalPools:
+def build_pools(cfg: ExperimentConfig, prep: PartitionedData) -> EvalPools:
     """Member/IFL/OFL pools for the configured target client.
 
-    The target's validation indices are excluded from the member pool: those
-    samples are never trained, so they are not members. Raises ConfigError
-    naming the eval.* sizes when the data cannot fill the pools.
+    The target's validation indices (`data.validation_carve`, as its client
+    dataset carves them) are excluded from the member pool: those samples
+    are never trained, so they are not members. Raises ConfigError naming
+    the eval.* sizes when the data cannot fill the pools.
     """
-    exclude = prep.clients[cfg.target_client].val_indices
+    k = cfg.target_client
+    exclude = validation_carve(prep.plan.client_indices[k], cfg.val_fraction, cfg.seed, k)[1]
     try:
         return build_eval_pools(
             prep.plan,
@@ -331,37 +356,32 @@ def stage_attack(
     store: SnapshotStore | None = None,
     prep: PreparedData | None = None,
 ) -> list[atk.AttackResult]:
-    """Score the configured attacks against the recorded snapshots; the
-    snapshots are loaded from `out_dir` after their stamp is checked unless
-    `store` is given, and the data are prepared unless `prep`,
-    `prepare_data(cfg)`, is given. An attack that needs two recorded rounds
-    is refused, before any attack runs, when the snapshots hold fewer.
+    """Score the configured attacks against the recorded snapshots and
+    write `attacks.csv`, listing the attacks in `attack.list` order.
 
-    The attacks share one dict of trajectories, so each trajectory that
-    several of them read is computed once; it is dropped when this call
-    returns. FedMIA-II is scored first: its OUT statistic's call a round
-    measures the target's cosines too, which Avg-Cosine then reads.
-    `attacks.csv` lists the attacks in `attack.list` order.
+    Unless `store` is given, `snapshots.npz` is opened once: its stamp is
+    checked before any model field is read. An attack that needs two
+    recorded rounds is refused, before any attack runs, when the snapshots
+    hold fewer. Unless `prep` (`prepare_data(cfg)`) is given, only the data
+    that the pools and the attacks read are built (`partition_data`), with
+    the same refusals; no client dataset is built. The attacks then share
+    their measurements (`attacks.run_attacks`).
     """
     if store is None:
-        _check_snapshot_stamp(cfg, out_dir)
-        store = SnapshotStore.load(os.path.join(out_dir, SNAPSHOTS_NPZ))
+        path = os.path.join(out_dir, SNAPSHOTS_NPZ)
+        store = SnapshotStore.load(path, check_stamp=partial(_check_stamp, cfg, path))
     for name in cfg.attack_list:
         if name in atk.MULTI_ROUND_ATTACKS and len(store.rounds) < 2:
             raise ConfigError(
                 f"config field 'attack.list': {name} needs at least 2 recorded rounds, "
                 f"the run recorded {len(store.rounds)} (see fl.T and fl.snapshot_every)"
             )
-    prep = prepare_data(cfg) if prep is None else prep
-    pools = build_pools(cfg, prep)
+    part = partition_data(cfg) if prep is None else prep
+    pools = build_pools(cfg, part)
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
-    shared: dict = {}
-    names = cfg.attack_list
-    results = [None] * len(names)
-    for i in sorted(range(len(names)), key=lambda i: names[i] != "fedmia_ii"):
-        results[i] = atk.run_attack(
-            store, prep.train, pools, cfg.target_client, names[i], selector=selector, shared=shared
-        )
+    results = atk.run_attacks(
+        store, part.train, pools, cfg.target_client, cfg.attack_list, selector=selector
+    )
     write_attacks_csv(os.path.join(out_dir, ATTACKS_CSV), results)
     return results
 

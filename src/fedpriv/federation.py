@@ -161,15 +161,19 @@ class SnapshotStore:
         )
 
     @classmethod
-    def load(cls, path: str) -> "SnapshotStore":
+    def load(cls, path: str, check_stamp=None) -> "SnapshotStore":
         """Read a file written by `save`, checking its stamp, every field's
-        shape and that every weight is finite.
+        shape and that every weight is finite. `check_stamp(config_sha256,
+        seed)`, if given, is called on the stamp before any model field is
+        read, and refuses the file by raising.
 
-        Each stored array is read exactly once; the loaded stacks are the
-        store's.
+        The file is opened once and each stored array read exactly once; the
+        loaded stacks are the store's.
         """
         with np.load(path) as blob:
-            _read_stamp(blob, path)
+            stamp = _read_stamp(blob, path)
+            if check_stamp is not None:
+                check_stamp(*stamp)
             fields = {name: blob[name] for name in MODEL_FIELDS}
         store = cls(_check_snapshot_fields(fields), fields["client_sizes"], capacity=0)
         store.rounds = [int(t) for t in fields["rounds"]]

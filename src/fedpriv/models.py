@@ -39,6 +39,16 @@ import numpy as np
 # every further pass would fault its pages in again.
 STACK_CHUNK_BYTES = 128 * 1024
 
+# Least bytes of logits in one run of models that `measure_models` measures
+# at once; its workspace keeps the buffers, so no run maps fresh pages.
+# Each run pays a fixed softmax and layer-copy cost: FedMIA-I's OUT losses
+# on the benchmark's `dirichlet_logreg` pool took 10.5 / 9.7 / 8.8 / 7.9 /
+# 8.0 ms with runs of 128 KiB / 256 KiB / 512 KiB / 1 MiB / 2 MiB, on
+# `scale_k40` 23.9 -> 22.4 ms from 128 KiB to 1 MiB, and on
+# `overfit_coalition` 3.15 -> 2.73 ms (fastest of 7, one BLAS thread, a
+# shared 2-vCPU host).
+MEASURE_RUN_BYTES = 1024 * 1024
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -236,26 +246,30 @@ def _class_sums(e: np.ndarray) -> np.ndarray:
     return s
 
 
-def _target_values(z: np.ndarray, at: np.ndarray, log: bool, sums) -> np.ndarray:
-    """Each row's loss -log p_y (log) or confidence p_y from logits z less
-    their row max, overwritten with their exponentials: z.ravel()[at] holds
-    each row's target, and sums(e) gives each row's sum of exponentials e."""
-    z_y = z.ravel()[at] if log else None
+def _target_values(z: np.ndarray, at: np.ndarray, logs: tuple, sums) -> tuple:
+    """For each flag of `logs`, each row's loss -log p_y (True) or
+    confidence p_y (False), all from this one pass over logits z less their
+    row max, which it overwrites with their exponentials, and each with the
+    bits of a pass of its own: z.ravel()[at] holds each row's target, and
+    sums(e) gives each row's sum of exponentials e."""
+    z_y = z.ravel()[at] if any(logs) else None
     e = np.exp(z, out=z)
-    e_y = None if log else e.ravel()[at]
+    e_y = None if all(logs) else e.ravel()[at]
     s = sums(e)
-    if log:  # -(z_y - log s), which is -0.0 where log p_y is +0.0
-        values = np.subtract(z_y, np.log(s, out=s), out=z_y)
-        return np.negative(values, out=values)
-    return np.divide(e_y, s, out=e_y)
+    confidence = None if e_y is None else np.divide(e_y, s, out=e_y)
+    if z_y is not None:  # -(z_y - log s), which is -0.0 where log p_y is +0.0
+        loss = np.subtract(z_y, np.log(s, out=s), out=z_y)
+        np.negative(loss, out=loss)
+    return tuple(loss if flag else confidence for flag in logs)
 
 
-def _class_major(z: np.ndarray, log: bool, at=None, scratch=None) -> np.ndarray:
+def _class_major(z: np.ndarray, log, at=None, scratch=None) -> np.ndarray:
     """The class-major branch of `_softmax_core` on logits z (C, rows), one
     row per class, which it overwrites: with flat target indices `at` into
-    z, each column's loss (log) or confidence, in a new array; else z's
-    log-softmax or softmax along its columns, in z, with `scratch` (C, rows)
-    for the exponentials while they are summed."""
+    z and a tuple of flags `log`, `_target_values`' tuple of each column's
+    losses or confidences; else z's log-softmax (log) or softmax along its
+    columns, in z, with `scratch` (C, rows) for the exponentials while they
+    are summed."""
     z -= np.maximum.reduce(z, axis=0)
     if at is not None:
         return _target_values(z, at, log, _class_sums)
@@ -294,7 +308,7 @@ def _softmax_core(logits: np.ndarray, log: bool, y=None, out=None) -> np.ndarray
     y = None if y is None else np.asarray(y, dtype=np.int64)
     if rows >= CLASS_MAJOR_ROWS:
         if y is not None:
-            return _class_major(z, log, (y * rows + row).ravel()).reshape(shape)
+            return _class_major(z, (log,), (y * rows + row).ravel())[0].reshape(shape)
         # the result's buffer holds the exponentials while they are summed
         result = np.empty(logits.shape) if out is None else out
         scratch = result.reshape(c, rows) if result.flags.c_contiguous else np.empty((c, rows))
@@ -302,8 +316,8 @@ def _softmax_core(logits: np.ndarray, log: bool, y=None, out=None) -> np.ndarray
         return result
     z = np.subtract(logits, np.maximum.reduce(z, axis=0).reshape(*shape, 1), out=out)
     if y is not None:
-        values = _target_values(z, (row * c + y).ravel(), log, lambda e: e.sum(axis=-1).ravel())
-        return values.reshape(shape)
+        at = (row * c + y).ravel()
+        return _target_values(z, at, (log,), lambda e: e.sum(axis=-1).ravel())[0].reshape(shape)
     if log:
         return np.subtract(z, np.log(np.exp(z).sum(axis=-1, keepdims=True)), out=z)
     e = np.exp(z, out=z)
@@ -439,14 +453,16 @@ def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> 
     return folded
 
 
-def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace | None = None):
+def measure_models(spec: ModelSpec, theta, x, y, kind, workspace: Workspace | None = None):
     """`target_measure` (G, n) of one batch x (n, input_dim), y (n,) under
     each of G models theta (G, P), with the model on the left of every
-    product and each bias folded into its GEMM.
+    product and each bias folded into its GEMM. `kind` is "loss",
+    "confidence", or a tuple of them, which gives a tuple of (G, n) arrays
+    from one softmax pass, each with the bits of a call of its own.
 
     The batch is written once as a contiguous (input_dim + 1, n) array, x.T
     over a row of ones. A run of g models, the fewest whose logits hold at
-    least STACK_CHUNK_BYTES, copies each layer into [W | b] blocks
+    least MEASURE_RUN_BYTES, copies each layer into [W | b] blocks
     (`_folded_layers`) and runs per-model stacked GEMMs: [W1 | b1] @ [x.T; 1]
     into a hidden buffer with a ones row, ReLU, then [W2 | b2] @ [hid; 1]
     ([W | b] @ [x.T; 1] for logistic regression). The logits go straight
@@ -455,11 +471,14 @@ def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace
     keep their hidden activations within STACK_CHUNK_BYTES (at least one).
     Models are never stacked into one tall GEMM: a GEMM's shape fixes its
     bits and the softmax runs column by column, so each model's values have
-    the bits of a call of its own. The buffers are `workspace`'s "inputs",
-    "layer0", "layer1", "hid" and "logits" (one of its own if None).
+    the bits of a call of its own, whatever its run. The buffers are
+    `workspace`'s "inputs", "layer0", "layer1", "hid" and "logits" (one of
+    its own if None).
     """
-    if kind not in ("loss", "confidence"):
-        raise ValueError(f"unknown measurement kind {kind!r}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if k not in ("loss", "confidence"):
+            raise ValueError(f"unknown measurement kind {k!r}")
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 2 or theta.shape[1] != spec.param_count:
         raise ValueError(
@@ -473,9 +492,10 @@ def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace
     inputs = workspace.array("inputs", (d + 1, n))
     inputs[:d] = x.T
     inputs[d] = 1.0
-    run = max(1, -(-STACK_CHUNK_BYTES // (8 * c * max(n, 1))))
+    run = max(1, -(-MEASURE_RUN_BYTES // (8 * c * max(n, 1))))
     per = max(1, STACK_CHUNK_BYTES // (8 * h * max(n, 1))) if h else run
-    values = np.empty((len(theta), n))
+    values = [np.empty((len(theta), n)) for _ in kinds]
+    logs = tuple(k == "loss" for k in kinds)
     at = None  # each row's target in the flat logits of a run
     for g0 in range(0, len(theta), run):
         layers = _folded_layers(spec, theta[g0 : g0 + run], workspace)
@@ -492,9 +512,10 @@ def measure_models(spec: ModelSpec, theta, x, y, kind: str, workspace: Workspace
                 a[:, h] = 1.0
                 np.maximum(a, 0.0, out=a)
             np.matmul(layers[-1][f0 : f0 + per], a, out=out)
-        measured = _class_major(logits.reshape(c, g * n), kind == "loss", at)
-        values[g0 : g0 + g] = measured.reshape(g, n)
-    return values
+        measured = _class_major(logits.reshape(c, g * n), logs, at)
+        for v, m in zip(values, measured):
+            v[g0 : g0 + g] = m.reshape(g, n)
+    return tuple(values) if isinstance(kind, tuple) else values[0]
 
 
 def per_sample_losses(

@@ -13,7 +13,8 @@ epoch order, the OUT measurements taken one
 model at a time (row-major as they ran, with the model on the left, and
 with each bias folded into its product), and
 the gradient cosines with one projection of all query rows (on the units, as
-they ran, and on each layer's narrower side).
+they ran, and on each layer's narrower side), and the synthetic data and
+Dirichlet partition built class by class as they were.
 """
 
 import itertools
@@ -186,6 +187,43 @@ def reference_log_softmax(logits):
     """`models.log_softmax` as it ran on numpy's row-wise max."""
     z = logits - logits.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def loop_generate_synthetic(num_classes, samples_per_class, input_dim, spread, seed, scale):
+    """`data.generate_synthetic`'s (X, y) as it ran: one noise draw a class."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, scale, size=(num_classes, input_dim))
+    xs, ys = [], []
+    for c in range(num_classes):
+        noise = rng.normal(0.0, 1.0, size=(samples_per_class, input_dim))
+        xs.append(means[c] + spread * noise)
+        ys.append(np.full(samples_per_class, c, dtype=np.int64))
+    return np.vstack(xs), np.concatenate(ys)
+
+
+def loop_partition_dirichlet(y, num_classes, num_clients, beta, ofl_fraction, seed, redraws=100):
+    """`data.partition_dirichlet`'s (client index lists, OFL indices, attempt)
+    as it ran: every client's indices gathered into a Python list."""
+    for attempt in range(redraws + 1):
+        rng = np.random.default_rng(seed + attempt)
+        order = rng.permutation(len(y))
+        n_ofl = int(round(ofl_fraction * len(y)))
+        ofl, rest = order[:n_ofl], order[n_ofl:]
+        buckets = [[] for _ in range(num_clients)]
+        labels = y[rest]
+        for c in range(num_classes):
+            idx_c = rest[labels == c]
+            if len(idx_c) == 0:
+                continue
+            idx_c = rng.permutation(idx_c)
+            props = rng.dirichlet([beta] * num_clients)
+            cuts = (np.cumsum(props)[:-1] * len(idx_c)).astype(np.int64)
+            for k, part in enumerate(np.split(idx_c, cuts)):
+                buckets[k].extend(part.tolist())
+        if all(len(b) > 0 for b in buckets):
+            shares = [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+            return shares, np.sort(ofl), attempt
+    raise RuntimeError(f"no non-empty Dirichlet split after {redraws} redraws")
 
 
 def loop_aggregate(params_list, weights):

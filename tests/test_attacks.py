@@ -347,17 +347,19 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-LOGREG_CHUNKED = ModelSpec(input_dim=5, hidden_dim=0, num_classes=4)  # 5 models a chunk at n = 1000
+LOGREG_CHUNKED = ModelSpec(input_dim=5, hidden_dim=0, num_classes=4)  # 33 models a run at n = 1000
 MLP_CHUNKED = ModelSpec(input_dim=5, hidden_dim=16, num_classes=3)  # 3 models a chunk at n = 300
+SCALE_K40 = ModelSpec(12, 64, 10)  # 24 models a run and 1 a forward pass at n = 550
+DIRICHLET_LOGREG = ModelSpec(20, 0, 10)  # 32 models a run at n = 410
 
 
 def _chunk(spec, n):
     """Models per forward pass of `models.measure_models`: an MLP's pass
     keeps their hidden layers within STACK_CHUNK_BYTES, and a logistic
-    regression's is its run, the fewest whose logits hold STACK_CHUNK_BYTES."""
+    regression's is its run, the fewest whose logits hold MEASURE_RUN_BYTES."""
     if spec.hidden_dim:
         return max(1, models.STACK_CHUNK_BYTES // (8 * spec.hidden_dim * n))
-    return max(1, -(-models.STACK_CHUNK_BYTES // (8 * spec.num_classes * n)))
+    return max(1, -(-models.MEASURE_RUN_BYTES // (8 * spec.num_classes * n)))
 
 
 @pytest.mark.parametrize(
@@ -380,12 +382,37 @@ def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monk
         ]
     )
     h, c = spec.hidden_dim, spec.num_classes
-    for chunk_bytes in (1, 2 * 8 * c * n, 5 * 8 * (h or c) * n, models.STACK_CHUNK_BYTES, 10**9):
+    defaults = [(models.STACK_CHUNK_BYTES, models.MEASURE_RUN_BYTES)]
+    sizes = [(b, b) for b in (1, 2 * 8 * c * n, 5 * 8 * (h or c) * n, 10**9)] + defaults
+    for chunk_bytes, run_bytes in sizes:
         monkeypatch.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(models, "MEASURE_RUN_BYTES", run_bytes)
         for g in (1, 5, 12):
             got = atk._round_measurements(spec, store.globals[0], store.locals[0][:g], x, y, kind)
             assert got.shape == (g, n)
             assert np.array_equal(_bits(got), _bits(alone[:g])), (chunk_bytes, g)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(LOGREG_CHUNKED, 1000), (MLP_CHUNKED, 300), (SCALE_K40, 550), (DIRICHLET_LOGREG, 410)],
+    ids=["logistic", "mlp", "scale_k40", "logistic-10"],
+)
+def test_loss_and_confidence_from_one_pass_equal_separate_calls_bit_for_bit(spec, n):
+    # 40 models: more than one run at every shape
+    store, rng = _random_store(spec, 40, 2, seed=11)
+    x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
+    for kinds in (("loss", "confidence"), ("confidence", "loss")):
+        both = models.measure_models(spec, store.locals[0], x, y, kinds)
+        assert len(both) == 2
+        for kind, got in zip(kinds, both):
+            alone = models.measure_models(spec, store.locals[0], x, y, kind)
+            assert got.shape == (40, n) and np.array_equal(_bits(got), _bits(alone)), kind
+    both, rounds = atk.trajectory_matrix(store, ("local", 1), x, y, ("loss", "confidence"))
+    for kind, got in zip(("loss", "confidence"), both):
+        alone, alone_rounds = atk.trajectory_matrix(store, ("local", 1), x, y, kind)
+        assert got.flags.c_contiguous and np.array_equal(_bits(got), _bits(alone)), kind
+        assert np.array_equal(rounds, alone_rounds)
 
 
 @pytest.mark.parametrize(
@@ -394,12 +421,17 @@ def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monk
         (LOGREG_CHUNKED, 1000, lambda c: c + 1),
         (LOGREG_CHUNKED, 1000, lambda c: 2 * c),
         (MLP_CHUNKED, 300, lambda c: c + 1),
+        # the workloads' 10 classes over more than one run of models
+        (SCALE_K40, 550, lambda c: 39),
+        (DIRICHLET_LOGREG, 410, lambda c: c + 7),
     ],
-    ids=["logistic-chunk+1", "logistic-2chunks", "mlp"],
+    ids=["logistic-chunk+1", "logistic-2chunks", "mlp", "scale_k40-2runs", "logistic-10-2runs"],
 )
 @pytest.mark.parametrize("kind", ["loss", "confidence"])
 def test_out_stats_equal_the_per_model_loop_bit_for_bit(spec, n, others, kind):
     g = others(_chunk(spec, n))
+    if spec.num_classes == 10:  # the workload-shaped cases take two runs a round
+        assert g > -(-models.MEASURE_RUN_BYTES // (8 * spec.num_classes * n))
     store, rng = _random_store(spec, g + 1, 3, seed=5)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
     got = atk._out_stats_matrix(store, x, y, {0}, kind)
@@ -456,20 +488,20 @@ def _per_round_target(store, selector, kind, row):
 )
 @pytest.mark.parametrize("selector", ["global", ("local", 2), ("coalition", (0, 2))])
 @pytest.mark.parametrize("kind", ["loss", "confidence", "grad_cosine"])
-def test_trajectory_equals_the_per_round_loop_bit_for_bit(spec, n, selector, kind):
-    # 5 rounds are more models than one forward pass takes at these shapes
+def test_trajectory_equals_the_per_round_loop_bit_for_bit(spec, n, selector, kind, monkeypatch):
+    # 5 rounds are more models than one forward pass takes at these shapes,
+    # with runs of 2 logistic models
+    monkeypatch.setattr(models, "MEASURE_RUN_BYTES", 2 * 8 * spec.num_classes * n)
     store, rng = _random_store(spec, 3, 5, seed=6)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
     values, rounds = atk.trajectory_matrix(store, selector, x, y, kind)
-    want = np.column_stack(
-        [
-            atk._round_measurements(
-                spec, store.globals[row], _per_round_target(store, selector, kind, row)[None],
-                x, y, kind,
-            )[0]
-            for row in range(len(store.rounds))
-        ]
-    )
+    want = []
+    for row in range(len(store.rounds)):
+        stack = _per_round_target(store, selector, kind, row)[None]
+        if kind == "grad_cosine":  # the caller builds the update direction
+            stack = stack - store.globals[row]
+        want.append(atk._round_measurements(spec, store.globals[row], stack, x, y, kind)[0])
+    want = np.column_stack(want)
     assert values.shape == (n, 5) and values.flags.c_contiguous
     assert np.array_equal(_bits(values), _bits(want))
     assert np.array_equal(rounds, store.rounds)
@@ -511,6 +543,34 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
     ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
     assert (tmp_path / "alone.csv").read_bytes() == shared_csv
     assert len(calls) == rounds + 2 * rounds  # unshared, avg_cosine measures the target again
+
+
+@pytest.mark.parametrize(
+    "names", ["fta_l,fta_c", "loss_series,fta_c,fedmia_i", "fta_l,loss_series"]
+)
+def test_a_stage_that_reads_loss_and_confidence_measures_the_target_once(
+    tmp_path, monkeypatch, names
+):
+    cfg = make_config(
+        clients=5, rounds=10, snapshot_every=5, samples_per_class=40, members=10,
+        extra=f"attack.list = {names}\n",
+    )
+    state = ex.stage_train(cfg, str(tmp_path))
+    calls = []
+    measure = models.measure_models
+    monkeypatch.setattr(models, "measure_models", lambda *a: calls.append(a[4]) or measure(*a))
+    ex.stage_attack(cfg, str(tmp_path), store=state.store)
+    staged = (tmp_path / ex.ATTACKS_CSV).read_bytes()
+    # one call over the target's series, and fedmia_i's OUT statistic one a round
+    out_calls = len(state.store.rounds) if "fedmia_i" in names else 0
+    assert len(calls) == 1 + out_calls
+    assert (("loss", "confidence") in calls) == ("fta_c" in names)
+
+    prep = ex.prepare_data(cfg)
+    pools = ex.build_pools(cfg, prep)
+    alone = [atk.run_attack(state.store, prep.train, pools, 0, name) for name in cfg.attack_list]
+    ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
+    assert (tmp_path / "alone.csv").read_bytes() == staged
 
 
 def test_avg_cosine_alone_makes_one_direction_calls(tmp_path, monkeypatch):

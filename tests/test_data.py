@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fedpriv import data, models
 from fedpriv.models import ModelSpec
 from harness import save_csv
+from oracles import loop_generate_synthetic, loop_partition_dirichlet
 
 
 def test_generate_synthetic_deterministic():
@@ -33,6 +34,48 @@ def test_two_separated_classes_are_learnable():
     params = models.init_params(spec, np.random.default_rng(0))
     params = models.sgd_epochs(spec, params, ds.X, ds.y, 0.2, 50, 16, np.random.default_rng(1))
     assert models.accuracy(spec, params, ds.X, ds.y) >= 0.99
+
+
+# (classes, samples a class, features, clients, beta, OFL fraction): the
+# benchmark's dirichlet_logreg partition; classes of 2 rows with half of
+# all rows carved out as OFL, so in some seeds a class keeps none; and 6
+# clients over 30 rows at beta 0.3, which empties a client in some draws
+SYNTHETIC_PLANS = {
+    "workload": (10, 500, 20, 20, 0.5, 0.1),
+    "empty_class": (8, 2, 3, 3, 0.5, 0.5),
+    "redraw": (3, 10, 2, 6, 0.3, 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", SYNTHETIC_PLANS)
+def test_synthetic_rows_and_dirichlet_plans_keep_the_bits_of_the_class_loops(shape):
+    classes, per_class, dim, clients, beta, ofl = SYNTHETIC_PLANS[shape]
+    empty_classes = redraws = 0
+    for seed in range(50):
+        spread, scale = 0.5 + seed % 7, 1.0 + seed % 3
+        ds = data.generate_synthetic(classes, per_class, dim, spread, seed, mean_scale=scale)
+        x, y = loop_generate_synthetic(classes, per_class, dim, spread, seed, scale)
+        assert ds.X.tobytes() == x.tobytes() and np.array_equal(ds.y, y), seed
+        try:
+            loop = loop_partition_dirichlet(y, classes, clients, beta, ofl, seed)
+            shares, ofl_ids, attempt = loop
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                data.partition_dirichlet(ds, clients, beta, ofl, seed)
+            continue
+        plan = data.partition_dirichlet(ds, clients, beta, ofl, seed)
+        assert len(plan.client_indices) == clients
+        for got, want in zip(plan.client_indices, shares):
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+        assert np.array_equal(plan.ofl_indices, ofl_ids), seed
+        kept = np.ones(len(y), dtype=bool)
+        kept[ofl_ids] = False
+        empty_classes += len(np.unique(y[kept])) < classes
+        redraws += attempt > 0
+    if shape == "empty_class":
+        assert empty_classes > 0
+    if shape == "redraw":
+        assert redraws > 0
 
 
 def test_partition_iid_even_split():
