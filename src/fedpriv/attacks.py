@@ -26,12 +26,11 @@ Directions and each sample's OUT values are scaled by exact powers of two,
 so huge but finite models neither overflow nor change a bit; a measurement
 that is still not finite is refused, naming the attack and the round.
 
-Several attacks read the same trajectory: `run_attack` calls that pass one
-`shared` dict compute each (target, kind) trajectory once between them.
-`run_attacks` (the attack stage's loop) makes one dict per call, measures
-the target's loss and confidence in one softmax pass when both are read,
-and scores FedMIA-II first so that Avg-Cosine reads the target's cosines
-from its calls.
+The attack stage (`run_attacks`) plans, then scores: `_measure` takes
+each measurement that the listed attacks read once (the target's loss
+and confidence in one softmax pass, FedMIA's OUT statistics, and the
+target's cosines, from FedMIA-II's calls when it is listed), and each
+attack's scores are a pure function of those matrices (`_score`).
 """
 
 from __future__ import annotations
@@ -343,7 +342,7 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind, target=None):
     local models of every client outside `exclude_clients`.
 
     Each round takes one `_round_measurements` call on the stack of those
-    models, in one shared workspace. With `target`, the attacked model's
+    models, in one workspace. With `target`, the attacked model's
     series (R, P), each round's stack has that round's target first, and a
     third matrix (n, rounds) holds the target's own measurements: FedMIA-II
     thus measures the target's cosines and the OUT clients' in one call a
@@ -383,14 +382,49 @@ def _refuse_non_finite(values, rounds, attack: str, what: str) -> None:
         raise ValueError(f"attack {attack}: round {round_}: {what} is not finite")
 
 
-def _trajectory(shared, store, selector, x, y, kind):
-    """`trajectory_matrix`, kept in the dict `shared` under (selector, kind)
-    for later calls that pass the same dict; with shared None, computed afresh."""
-    if shared is None:
-        return trajectory_matrix(store, selector, x, y, kind)
-    if (selector, kind) not in shared:
-        shared[selector, kind] = trajectory_matrix(store, selector, x, y, kind)
-    return shared[selector, kind]
+def _measure(store, selector, x, y, names, exclude):
+    """Each measurement that the attacks `names` read, taken once, as
+    (values, out, rounds). values maps each kind (`ATTACK_KINDS`) to the
+    target's (n, rounds) matrix: loss and confidence from one
+    `trajectory_matrix` call, cosines from FedMIA-II's OUT statistic's call
+    a round when it is listed, else from `trajectory_matrix`. out maps each
+    listed FedMIA variant's kind to its OUT (mean, std) over the clients
+    outside `exclude`. `_score` refuses values that are not finite.
+    """
+    kinds = {ATTACK_KINDS[name] for name in names}
+    softmax_kinds = tuple(k for k in ("loss", "confidence") if k in kinds)
+    values, out = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):  # `_score` checks them
+        if softmax_kinds:
+            matrices, _ = trajectory_matrix(store, selector, x, y, softmax_kinds)
+            values.update(zip(softmax_kinds, matrices))
+        if "fedmia_i" in names:
+            out["loss"] = _out_stats_matrix(store, x, y, exclude, "loss")
+        if "fedmia_ii" in names:
+            series = _target_series(store, selector, "grad_cosine")
+            *stats, cosines = _out_stats_matrix(store, x, y, exclude, "grad_cosine", series)
+            out["grad_cosine"], values["grad_cosine"] = stats, cosines
+        elif "grad_cosine" in kinds:
+            values["grad_cosine"], _ = trajectory_matrix(store, selector, x, y, "grad_cosine")
+    return values, out, np.asarray(store.rounds, dtype=np.int64)
+
+
+def _score(name, values, out, rounds) -> np.ndarray:
+    """The scores of attack `name` from `_measure`'s matrices; a measurement
+    (or for FedMIA its z-score) that is not finite is refused."""
+    kind = ATTACK_KINDS[name]
+    if name in ("fedmia_i", "fedmia_ii"):
+        out_mean, out_std = out[kind]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            z = (values[kind] - out_mean) / out_std
+        _refuse_non_finite(z, rounds, name, f"a {kind} measurement or its z-score")
+        return -z.sum(axis=1)
+    _refuse_non_finite(values[kind], rounds, name, f"a {kind} measurement")
+    if name == "loss_series":
+        return attack_loss_series(values[kind])
+    if name == "avg_cosine":
+        return attack_avg_cosine(values[kind])
+    return attack_fta(values[kind], rounds, kind)
 
 
 def attack_fedmia(
@@ -400,7 +434,6 @@ def attack_fedmia(
     target_selector,
     variant: str,
     exclude_clients=None,
-    shared=None,
 ) -> np.ndarray:
     """Likelihood-ratio-style attack: sum of signed per-round z-scores.
 
@@ -410,38 +443,18 @@ def attack_fedmia(
     measurements fall below the OUT mean for both kinds, so both z-sums are
     negated to keep higher score = more likely member. The OUT distribution
     is estimated from clients outside `exclude_clients` (default:
-    `fedmia_excluded` of the target).
-
-    `shared` is `run_attack`'s dict of trajectories; its entries must belong
-    to this store, dataset and sample_ids. The OUT statistic is computed
-    afresh: no two attacks read the same one. Variant "ii" measures the
-    target's cosines in its OUT statistic's call a round (the first
-    direction), scores with them, and leaves them in `shared` for Avg-Cosine
-    unless a trajectory is there already.
+    `fedmia_excluded` of the target). Variant "ii" measures the target's
+    cosines in its OUT statistic's call a round (the first direction).
     """
     if variant not in ("i", "ii"):
         raise ValueError("variant must be 'i' or 'ii'")
-    kind = "loss" if variant == "i" else "grad_cosine"
     sample_ids = np.asarray(sample_ids, dtype=np.int64)
-    x, y = dataset.X[sample_ids], dataset.y[sample_ids]
     if exclude_clients is None:
         exclude_clients = fedmia_excluded(target_selector)
-    exclude_clients = set(exclude_clients)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        if variant == "i":
-            values, rounds = _trajectory(shared, store, target_selector, x, y, kind)
-            out_mean, out_std = _out_stats_matrix(store, x, y, exclude_clients, kind)
-        else:
-            series = _target_series(store, target_selector, kind)
-            out_mean, out_std, values = _out_stats_matrix(
-                store, x, y, exclude_clients, kind, series
-            )
-            rounds = np.asarray(store.rounds, dtype=np.int64)
-            if shared is not None:
-                shared.setdefault((target_selector, kind), (values, rounds))
-        z = (values - out_mean) / out_std
-    _refuse_non_finite(z, rounds, f"fedmia_{variant}", f"a {kind} measurement or its z-score")
-    return -z.sum(axis=1)
+    name = f"fedmia_{variant}"
+    x, y = dataset.X[sample_ids], dataset.y[sample_ids]
+    plan = _measure(store, target_selector, x, y, [name], set(exclude_clients))
+    return _score(name, *plan)
 
 
 # ---------------------------------------------------------------------------
@@ -493,53 +506,9 @@ def run_attack(
     target_client: int,
     name: str,
     selector=None,
-    shared=None,
 ) -> AttackResult:
-    """Score the member/non-member pools with one named attack.
-
-    The default selector is the target client's local model series; pass
-    "global" or ("coalition", ids) to retarget. FedMIA's OUT distribution
-    leaves out `fedmia_excluded(selector, target_client)`.
-
-    `shared` is an optional dict that calls on one store, dataset and pools
-    pass in common; a dict must not outlive them. The first call that needs
-    a (selector, kind) trajectory computes it and keeps it there for the
-    others. The scores are those of a call without it, but for Avg-Cosine
-    after FedMIA-II: it then reads the cosines that FedMIA-II measured with
-    its OUT clients', which differ from a call of their own by at most
-    1e-15 (a stated drift).
-    """
-    if name not in ATTACK_NAMES:
-        raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
-    if selector is None:
-        selector = ("local", target_client)
-    ids, labels = _pool_ids_and_labels(pools)
-
-    if name in ("fedmia_i", "fedmia_ii"):
-        variant = "i" if name == "fedmia_i" else "ii"
-        exclude = fedmia_excluded(selector, target_client)
-        scores = attack_fedmia(store, dataset, ids, selector, variant, exclude, shared)
-    else:
-        kind = ATTACK_KINDS[name]
-        x, y = dataset.X[ids], dataset.y[ids]
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            values, rounds = _trajectory(shared, store, selector, x, y, kind)
-        _refuse_non_finite(values, rounds, name, f"a {kind} measurement")
-        if name == "loss_series":
-            scores = attack_loss_series(values)
-        elif name == "avg_cosine":
-            scores = attack_avg_cosine(values)
-        else:
-            scores = attack_fta(values, rounds, kind)
-
-    target_desc = (
-        "global"
-        if selector == "global"
-        else f"local({selector[1]})"
-        if selector[0] == "local"
-        else "coalition(" + ",".join(str(k) for k in selector[1]) + ")"
-    )
-    return evaluate_attack(scores, labels, attack=name, target=target_desc)
+    """`run_attacks` of one named attack."""
+    return run_attacks(store, dataset, pools, target_client, [name], selector)[0]
 
 
 def run_attacks(
@@ -550,25 +519,31 @@ def run_attacks(
     names,
     selector=None,
 ) -> list[AttackResult]:
-    """`run_attack` of each of `names`, in that order, with one `shared`
-    dict between them, dropped when this call returns: each trajectory that
-    several attacks read is computed once. When they read both the target's
-    loss and its confidence, one softmax pass gives both. FedMIA-II is
-    scored first: its OUT statistic's call a round measures the target's
-    cosines too, which Avg-Cosine then reads.
+    """Score the member/non-member pools with each of `names`, in that order.
+
+    The default selector is the target client's local model series; pass
+    "global" or ("coalition", ids) to retarget. FedMIA's OUT distribution
+    leaves out `fedmia_excluded(selector, target_client)`.
+
+    `_measure` takes each measurement that the attacks read once, and each
+    attack's scores are a pure function of those matrices (`_score`), so no
+    result depends on the order of `names`. With FedMIA-II listed,
+    Avg-Cosine reads the target's cosines from FedMIA-II's calls, which
+    differ from a call of their own by at most 1e-15 (a stated drift).
     """
+    for name in names:
+        if name not in ATTACK_NAMES:
+            raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
     if selector is None:
         selector = ("local", target_client)
-    shared: dict = {}
-    kinds = ("loss", "confidence")
-    if set(kinds) <= {ATTACK_KINDS.get(name) for name in names}:
-        ids = _pool_ids_and_labels(pools)[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # each attack checks its own
-            both, rounds = trajectory_matrix(store, selector, dataset.X[ids], dataset.y[ids], kinds)
-        shared.update({(selector, kind): (v, rounds) for kind, v in zip(kinds, both)})
-    results = [None] * len(names)
-    for i in sorted(range(len(names)), key=lambda i: names[i] != "fedmia_ii"):
-        results[i] = run_attack(
-            store, dataset, pools, target_client, names[i], selector=selector, shared=shared
-        )
-    return results
+    ids, labels = _pool_ids_and_labels(pools)
+    exclude = fedmia_excluded(selector, target_client)
+    plan = _measure(store, selector, dataset.X[ids], dataset.y[ids], names, exclude)
+    target = (
+        "global"
+        if selector == "global"
+        else f"local({selector[1]})"
+        if selector[0] == "local"
+        else "coalition(" + ",".join(str(k) for k in selector[1]) + ")"
+    )
+    return [evaluate_attack(_score(name, *plan), labels, name, target) for name in names]

@@ -44,7 +44,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _pin_one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, where reruns are
+    byte-identical (a product's bits move with its thread split); where
+    that library or its setter is missing, say so on stderr."""
+    import ctypes
+    import glob
+    import os
+
+    import numpy
+
+    libs = glob.glob(os.path.dirname(numpy.__file__) + ".libs/libscipy_openblas64_*.so")
+    try:
+        ctypes.CDLL(libs[0]).scipy_openblas_set_num_threads64_(1)
+    except (IndexError, OSError, AttributeError):
+        note = "numpy's bundled OpenBLAS not found; BLAS threads not pinned"
+        print(f"fedpriv: note: {note}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    _pin_one_blas_thread()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "overhead":

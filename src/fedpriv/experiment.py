@@ -364,8 +364,8 @@ def stage_attack(
     recorded rounds is refused, before any attack runs, when the snapshots
     hold fewer. Unless `prep` (`prepare_data(cfg)`) is given, only the data
     that the pools and the attacks read are built (`partition_data`), with
-    the same refusals; no client dataset is built. The attacks then share
-    their measurements (`attacks.run_attacks`).
+    the same refusals; no client dataset is built. `attacks.run_attacks`
+    then measures what the attacks read once and scores each from it.
     """
     if store is None:
         path = os.path.join(out_dir, SNAPSHOTS_NPZ)

@@ -591,6 +591,38 @@ def test_avg_cosine_alone_makes_one_direction_calls(tmp_path, monkeypatch):
     assert directions == [1] * len(state.store.rounds)
 
 
+@pytest.mark.parametrize("selector", [("local", 0), ("coalition", (0, 1))])
+def test_no_result_depends_on_the_order_of_the_attacks(tmp_path, monkeypatch, selector):
+    cfg = make_config(
+        clients=5, rounds=10, snapshot_every=5, samples_per_class=40, members=10,
+        extra="defense.kind = grad_noise\ndefense.coalition = 0,1\n",
+    )
+    state = ex.stage_train(cfg, str(tmp_path))
+    prep = ex.prepare_data(cfg)
+    pools = ex.build_pools(cfg, prep)
+    calls = []
+    cosines, measure = atk._grad_cosines, models.measure_models
+    monkeypatch.setattr(atk, "_grad_cosines", lambda *a: calls.append("cos") or cosines(*a))
+    monkeypatch.setattr(models, "measure_models", lambda *a: calls.append(a[4]) or measure(*a))
+    # as listed (FedMIA-II last), reversed (FedMIA-II first), and FedMIA-II
+    # first with Avg-Cosine last
+    listed = list(atk.ATTACK_NAMES)
+    shuffled = ["fedmia_ii", "fta_c", "fedmia_i", "loss_series", "fta_l", "avg_cosine"]
+    orders = [listed, listed[::-1], shuffled]
+    assert listed[-1] == "fedmia_ii" and sorted(shuffled) == sorted(listed)
+    scores, counts = [], []
+    for names in orders:
+        calls.clear()
+        results = atk.run_attacks(state.store, prep.train, pools, 0, names, selector=selector)
+        assert [r.attack for r in results] == names
+        scores.append({r.attack: r.scores for r in results})
+        counts.append(sorted(map(str, calls)))
+    for got, count in zip(scores[1:], counts[1:]):
+        assert count == counts[0]
+        for name in listed:
+            assert np.array_equal(_bits(got[name]), _bits(scores[0][name])), name
+
+
 @pytest.mark.parametrize(
     "spec", [ModelSpec(12, 64, 10), ModelSpec(20, 0, 10)], ids=["scale_k40", "logistic"]
 )

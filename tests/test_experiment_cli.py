@@ -438,8 +438,9 @@ def test_an_attack_that_needs_two_rounds_is_refused_after_one(tmp_path, capsys, 
     cfg_path.write_text(_with(SMALL, "fl.T", 3), encoding="utf-8")
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
-    calls = []
-    monkeypatch.setattr(ex.atk, "run_attack", lambda *args, **kwargs: calls.append(args))
+    calls = []  # the two measurement kernels: no attack measures anything
+    monkeypatch.setattr(models, "measure_models", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(atk, "_grad_cosines", lambda *args, **kwargs: calls.append(args))
     err = _refused(capsys, ["attack", "--out", str(out)])
     assert "'attack.list'" in err and "fta_l" in err and "recorded 1" in err
     assert calls == []
@@ -466,6 +467,63 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# `_grad_cosines` at scale_k40's OUT shape (550 rows, 39 directions, 64
+# hidden units), whose bits move with the BLAS thread count
+COSINE_DIGEST = """
+import hashlib
+import numpy as np
+from fedpriv import attacks, models
+spec = models.ModelSpec(12, 64, 10)
+rng = np.random.default_rng(0)
+params, directions = rng.normal(size=spec.param_count), rng.normal(size=(39, spec.param_count))
+x, y = rng.normal(size=(550, 12)), rng.integers(0, 10, 550)
+digest = hashlib.sha256(attacks._grad_cosines(spec, params, x, y, directions)).hexdigest()
+"""
+
+
+def test_the_cli_pins_one_blas_thread(tmp_path):
+    # a fresh process without the tests' thread settings: OpenBLAS starts
+    # with a thread a core, and `fedpriv` leaves one
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import ctypes, glob, os, sys, numpy\n"
+        "from fedpriv import cli\n"
+        "assert cli.main(['overhead', '--config', sys.argv[1]]) == 0\n"
+        + COSINE_DIGEST
+        + "lib = glob.glob(os.path.dirname(numpy.__file__) + '.libs/libscipy_openblas64_*.so')\n"
+        "print(ctypes.CDLL(lib[0]).scipy_openblas_get_num_threads64_(), digest)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(cfg_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stderr == ""
+    scope = {}
+    exec(COSINE_DIGEST, scope)  # this process runs one thread (tests/conftest.py)
+    assert out.stdout.split()[-2:] == ["1", scope["digest"]]
+
+
+def test_a_missing_openblas_is_a_note_on_stderr(tmp_path, capsys, monkeypatch):
+    import ctypes
+
+    def missing(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    assert cli.main(["overhead", "--config", str(cfg_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.strip() == str(ex.comm_overhead_estimate(5, 8))
+    assert captured.err.startswith("fedpriv: note: numpy's bundled OpenBLAS not found")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_runs_of_other_shapes_in_one_process_train_as_in_a_fresh_process(tmp_path):
