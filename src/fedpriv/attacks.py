@@ -10,18 +10,19 @@ weighted aggregate of the defender coalition's locals (the adaptive
 attacker's target, which the cancellation property makes identical with
 and without perturbation).
 
-A loss or confidence trajectory takes one `_round_measurements` call over
-the target's whole series (`_target_series`); gradient cosines and FedMIA's
-OUT statistic (Carlini et al., arXiv:2112.03570) take one call a round, and
-FedMIA-II's call measures the target's cosines with its OUT clients'.
-Both kinds run on kernels for one query batch and G models:
-`models.measure_models` with the model on the left of every product and
-each bias folded into its GEMM, and `_grad_cosines`, which contracts each
-layer on its wider side. Loss and confidence differ from a row-major
-forward (`models.measure`), and from one that adds each bias after its
-GEMM, by at most 1e-13 relative; cosines differ from a projection on each
-layer's units, and the target's in FedMIA-II's call from a call of their
-own, by at most 1e-15 (tests/test_attacks.py, tests/test_grad_cosines.py).
+Measurements run on two kernels for one query batch and G models:
+`models.measure_models` (loss and confidence), with the model on the left of
+every product and each bias folded into its GEMM, and `_grad_cosines`, which
+contracts each layer on its wider side. A loss or confidence trajectory
+takes one `measure_models` call over the target's whole series
+(`_target_series`); gradient cosines and FedMIA's OUT statistic (Carlini et
+al., arXiv:2112.03570) take one call a round, and FedMIA-II's call measures
+the target's cosines with its OUT clients'. Loss and confidence differ from
+a row-major forward (`models._stack_logits`), and from one that adds each
+bias after its GEMM, by at most 1e-13 relative; cosines differ from a
+projection on each layer's units, and the target's in FedMIA-II's call from
+a call of their own, by at most 1e-15 (tests/test_attacks.py,
+tests/test_grad_cosines.py).
 Directions and each sample's OUT values are scaled by exact powers of two,
 so huge but finite models neither overflow nor change a bit; a measurement
 that is still not finite is refused, naming the attack and the round.
@@ -248,22 +249,6 @@ def _grad_cosines(spec, params, x, y, directions, workspace=None) -> np.ndarray:
     return np.divide(dots, norms, out=np.zeros((m, n)), where=norms != 0)
 
 
-def _round_measurements(spec, global_t, stack, x, y, kind, workspace=None):
-    """(G, n) measurements of a batch x (n, input_dim), y for a stack (G, P)
-    of one round, on kernels for one query batch and G models, in the
-    buffers of `workspace`: loss and confidence (or a tuple of both, from
-    one softmax pass) of G target models through `models.measure_models`,
-    each model's values with the bits of a call of its own; gradient
-    cosines through `_grad_cosines` at global_t, the global model of the
-    round, with G update directions, the targets less global_t, which the
-    caller builds.
-    """
-    x = models._as_batch(spec, x)
-    if kind == "grad_cosine":
-        return _grad_cosines(spec, global_t, x, y, stack, workspace)
-    return models.measure_models(spec, stack, x, y, kind, workspace)
-
-
 def trajectory_matrix(
     store: SnapshotStore,
     selector,
@@ -273,13 +258,13 @@ def trajectory_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(values (n, rounds), recorded rounds) for a batch of query samples.
 
-    Loss and confidence take one `_round_measurements` call over the
+    Loss and confidence take one `models.measure_models` call over the
     target's whole series, the batch under every round's model; `kind`
     ("loss", "confidence") gives a tuple of both values matrices from one
     softmax pass. grad_cosine is the cosine between each sample's gradient
     at the round's global model and the selected model's update direction
-    for that round (selected params minus the global broadcast), one call a
-    round.
+    for that round (selected params minus the global broadcast), one
+    `_grad_cosines` call a round.
     """
     kinds = kind if isinstance(kind, tuple) else (kind,)
     softmax_kinds = all(k in ("loss", "confidence") for k in kinds)
@@ -288,12 +273,10 @@ def trajectory_matrix(
     series = _target_series(store, selector, kinds[0])
     rounds = np.asarray(store.rounds, dtype=np.int64)
     if kind == "grad_cosine":  # a round's gradient cosines need that round's global model
-        values = [
-            _round_measurements(store.spec, g, t[None] - g, x, y, kind)
-            for g, t in zip(store.globals, series)
-        ]
+        pairs = zip(store.globals, series)
+        values = [_grad_cosines(store.spec, g, x, y, t[None] - g) for g, t in pairs]
         return np.ascontiguousarray(np.concatenate(values).T), rounds
-    values = _round_measurements(store.spec, None, series, x, y, kind)
+    values = models.measure_models(store.spec, series, x, y, kind)
     if isinstance(kind, tuple):
         return tuple(np.ascontiguousarray(v.T) for v in values), rounds
     return np.ascontiguousarray(values.T), rounds
@@ -341,16 +324,18 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind, target=None):
     """Per-round mean/std (n, rounds) of each sample's measurement under the
     local models of every client outside `exclude_clients`.
 
-    Each round takes one `_round_measurements` call on the stack of those
-    models, in one workspace. With `target`, the attacked model's
-    series (R, P), each round's stack has that round's target first, and a
-    third matrix (n, rounds) holds the target's own measurements: FedMIA-II
-    thus measures the target's cosines and the OUT clients' in one call a
-    round. Uses the population standard deviation, floored at 1e-6. Each
-    sample's values are scaled by the power of two that brings the largest
+    Each round takes one call on the stack of those models, in one
+    workspace: `models.measure_models` for loss or confidence, and
+    `_grad_cosines` at the round's global model for their update
+    directions. With `target`, the attacked model's series (R, P), each
+    round's stack has that round's target first, and a third matrix (n,
+    rounds) holds the target's own measurements: FedMIA-II thus measures
+    the target's cosines and the OUT clients' in one call a round. Uses
+    the population standard deviation, floored at 1e-6. Each sample's
+    values are scaled by the power of two that brings the largest
     |value| into [0.5, 1) before their mean and deviation, and these are
-    scaled back: exact where no value is subnormal, so huge losses do not
-    overflow in the squares and no bit changes.
+    scaled back: exact where no value is subnormal, so huge losses do
+    not overflow in the squares and no bit changes.
     """
     others = [k for k in range(store.num_clients) if k not in exclude_clients]
     if len(others) < 2:
@@ -362,7 +347,9 @@ def _out_stats_matrix(store, x, y, exclude_clients, kind, target=None):
         models_t = locals_t[others] if target is None else np.vstack((target[t], locals_t[others]))
         if kind == "grad_cosine":  # the models' update directions, in their own stack
             models_t -= global_t
-        stack = _round_measurements(store.spec, global_t, models_t, x, y, kind, workspace)
+            stack = _grad_cosines(store.spec, global_t, x, y, models_t, workspace)
+        else:
+            stack = models.measure_models(store.spec, models_t, x, y, kind, workspace)
         if target is not None:
             target_values[:, t], stack = stack[0], stack[1:]
         shift = _frexp_shift(stack, axis=0)

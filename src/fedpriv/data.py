@@ -128,11 +128,13 @@ def load_csv(path: str) -> LabeledDataset:
                 continue
             if len(row) != d + 1:
                 raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-            feats = [float(v) for v in row[:d]]
+            try:
+                feats, label = [float(v) for v in row[:d]], int(row[d])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not all(math.isfinite(v) for v in feats):
                 raise ValueError(f"{path}:{lineno}: non-finite feature value")
             xs.append(feats)
-            label = int(row[d])
             if label < 0:
                 raise ValueError(f"{path}:{lineno}: negative label")
             ys.append(label)

@@ -104,7 +104,8 @@ def partition_data(cfg: ExperimentConfig) -> PartitionedData:
     """Build dataset, test split and client partition.
 
     Raises ConfigError naming data.cluster_spread for features that are not
-    finite, data.test_fraction for no test row and fl.K for a client's."""
+    finite, data.csv_path for fewer than 2 classes, data.test_fraction for
+    no test row and fl.K for a client's."""
     if cfg.source == "synthetic":
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             full = generate_synthetic(
@@ -122,6 +123,11 @@ def partition_data(cfg: ExperimentConfig) -> PartitionedData:
             )
     else:
         full = load_csv(cfg.csv_path)
+        if full.num_classes < 2:
+            raise ConfigError(
+                f"config field 'data.csv_path': {cfg.csv_path} has labels of "
+                f"{full.num_classes} class; a classifier needs at least 2"
+            )
     train, test = split_train_test(full, cfg.test_fraction, derive_seed(cfg.seed, "testsplit"))
     if len(test) == 0:
         raise ConfigError(

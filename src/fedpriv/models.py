@@ -5,11 +5,11 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-`measure` (evaluation and validation losses) and `accuracy` run one
-stacked forward, `_stack_logits`, under one model, one model per batch, or
-many models over one broadcast batch. `measure_models` (the attacks' loss
-and confidence) runs one query batch under many models with the model on
-the left of every product and each bias folded into its GEMM, writing
+`per_sample_losses` (evaluation and validation losses) and `accuracy` run
+one stacked forward, `_stack_logits`, under one model, one model per batch,
+or many models over one broadcast batch. `measure_models` (the attacks' loss
+and confidence) runs one query batch under many models with the model on the
+left of every product and each bias folded into its GEMM, writing
 class-major logits for the softmax core's class-major branch,
 `_class_major`; its values may differ from a row-major forward's, or from
 one that adds each bias after its GEMM, in the last bits (the attacks'
@@ -210,8 +210,9 @@ def _logits_and_hidden(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
 # once. At 10 classes (row by row -> class-major, fastest of 40 interleaved
 # runs of 50 calls, numpy 2.4.6, one core of a shared 2-vCPU host) an
 # in-place log-softmax took 13.8 -> 18.6 us at 96 rows, 22.9 -> 24.1 at 256,
-# 27.7 -> 26.5 at 320 and 89 -> 67 at 1,280; `target_measure`'s loss 15.9 ->
-# 19.3 at 96, 23.9 -> 22.4 at 220, 25.8 -> 23.5 at 256 and 88 -> 56 at 1,280.
+# 27.7 -> 26.5 at 320 and 89 -> 67 at 1,280; the loss at each row's target
+# class 15.9 -> 19.3 at 96, 23.9 -> 22.4 at 220, 25.8 -> 23.5 at 256 and
+# 88 -> 56 at 1,280.
 # One crossover sits between the two break-even points.
 CLASS_MAJOR_ROWS = 256
 
@@ -334,17 +335,6 @@ def log_softmax(logits: np.ndarray, out=None) -> np.ndarray:
     return _softmax_core(logits, log=True, out=out)
 
 
-def target_measure(logits: np.ndarray, y, kind: str) -> np.ndarray:
-    """Each row's cross-entropy ("loss", -log_softmax(logits)[..., y]) or
-    true-class probability ("confidence", softmax(logits)[..., y]) for
-    logits (..., C) and class ids y of logits.shape[:-1] (or broadcast to
-    it), with the bits of those formulas: only the target class is read
-    out, so no (..., C) result is written."""
-    if kind not in ("loss", "confidence"):
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    return _softmax_core(logits, log=kind == "loss", y=y)
-
-
 def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Softmax probabilities for a batch (n, input_dim) -> (n, num_classes)."""
     logits, _, _ = _logits_and_hidden(spec, params, x)
@@ -422,22 +412,6 @@ def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace | None):
             start, fill = start + fill, 0
 
 
-def measure(spec: ModelSpec, params, stacks, y, kind: str, workspace: Workspace | None = None):
-    """`target_measure` (rows,) of every row of `_stack_logits`' stacks and
-    models, for the class ids y of those rows: one call per run, each batch
-    with the bits of a call of its own, so a call allocates little more
-    than its result."""
-    y = np.asarray(y, dtype=np.int64)
-    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
-    if samples != len(y):
-        raise ValueError(f"{len(y)} labels for {samples} samples")
-    values = np.empty(samples)
-    for r0, logits in _stack_logits(spec, params, stacks, workspace):
-        at = slice(r0, r0 + len(logits))
-        values[at] = target_measure(logits, y[at], kind)
-    return values
-
-
 def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> list[np.ndarray]:
     """Each layer of models theta (g, P) as one contiguous [W | b] block
     (g, units, inputs + 1), the bias as its last column, in `workspace`'s
@@ -454,11 +428,12 @@ def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> 
 
 
 def measure_models(spec: ModelSpec, theta, x, y, kind, workspace: Workspace | None = None):
-    """`target_measure` (G, n) of one batch x (n, input_dim), y (n,) under
-    each of G models theta (G, P), with the model on the left of every
-    product and each bias folded into its GEMM. `kind` is "loss",
-    "confidence", or a tuple of them, which gives a tuple of (G, n) arrays
-    from one softmax pass, each with the bits of a call of its own.
+    """Loss -log p_y ("loss") or confidence p_y ("confidence"), (G, n), of
+    each row of one batch x (n, input_dim), y (n,) under each of G models
+    theta (G, P), with the model on the left of every product and each
+    bias folded into its GEMM. `kind` is "loss", "confidence", or a
+    tuple of them, which gives a tuple of (G, n) arrays from one softmax
+    pass, each with the bits of a call of its own.
 
     The batch is written once as a contiguous (input_dim + 1, n) array, x.T
     over a row of ones. A run of g models, the fewest whose logits hold at
@@ -527,8 +502,10 @@ def per_sample_losses(
     after batch. Each batch gets the arithmetic it would get on its own.
 
     `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
-    the model of each of their B batches, in the same order. The losses are
-    `measure`'s, in the buffers of `workspace` (one of its own if None)."""
+    the model of each of their B batches, in the same order. Each run of
+    `_stack_logits` takes one softmax-core call that reads only each row's
+    target class, in the buffers of `workspace` (one of its own if None), so
+    a call allocates little more than its result."""
     many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
     if many:
         stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
@@ -536,7 +513,13 @@ def per_sample_losses(
         x = np.asarray(x, dtype=np.float64)
         stacks, ys = [x if x.ndim == 3 else _as_batch(spec, x)[None]], [y]
     y = np.concatenate([np.asarray(t, dtype=np.int64).ravel() for t in ys])
-    losses = measure(spec, params, stacks, y, "loss", workspace)
+    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
+    if samples != len(y):
+        raise ValueError(f"{len(y)} labels for {samples} samples")
+    losses = np.empty(samples)
+    for r0, logits in _stack_logits(spec, params, stacks, workspace):
+        at = slice(r0, r0 + len(logits))
+        losses[at] = _softmax_core(logits, log=True, y=y[at])
     return losses.reshape(x.shape[:2]) if not many and x.ndim == 3 else losses
 
 

@@ -416,7 +416,13 @@ def per_model_out_stats(store, x, y, exclude_clients, kind):
 def models_left_out_stats(store, x, y, exclude_clients, kind):
     """`per_model_out_stats` with the model on the left of every product:
     one model at a time, its logits W2 @ relu(W1 @ x.T + b1) + b2 (W @ x.T
-    + b for logistic regression), transposed, then the reference formulas."""
+    + b for logistic regression), transposed, then the reference formulas.
+
+    The oracle of the 1e-13 drift test only. It is not bit-exact at 8 or
+    more classes: the transposed logits are F-ordered, so each row's sum of
+    exponentials runs along a strided axis, one class after another, not in
+    numpy's pairwise order, which the class-major kernel follows. No
+    bit-for-bit test may use it; those use `folded_bias_out_stats`."""
     from fedpriv import attacks, models
 
     others = [k for k in range(store.num_clients) if k not in exclude_clients]

@@ -375,12 +375,7 @@ def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monk
     # sizes, and of all 12 models
     store, rng = _random_store(spec, 12, 1, seed=4)
     x, y = rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, n)
-    alone = np.stack(
-        [
-            atk._round_measurements(spec, store.globals[0], p[None], x, y, kind)[0]
-            for p in store.locals[0]
-        ]
-    )
+    alone = np.stack([models.measure_models(spec, p[None], x, y, kind)[0] for p in store.locals[0]])
     h, c = spec.hidden_dim, spec.num_classes
     defaults = [(models.STACK_CHUNK_BYTES, models.MEASURE_RUN_BYTES)]
     sizes = [(b, b) for b in (1, 2 * 8 * c * n, 5 * 8 * (h or c) * n, 10**9)] + defaults
@@ -388,7 +383,7 @@ def test_a_stack_of_models_gives_each_model_its_values_alone(spec, n, kind, monk
         monkeypatch.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
         monkeypatch.setattr(models, "MEASURE_RUN_BYTES", run_bytes)
         for g in (1, 5, 12):
-            got = atk._round_measurements(spec, store.globals[0], store.locals[0][:g], x, y, kind)
+            got = models.measure_models(spec, store.locals[0][:g], x, y, kind)
             assert got.shape == (g, n)
             assert np.array_equal(_bits(got), _bits(alone[:g])), (chunk_bytes, g)
 
@@ -500,18 +495,20 @@ def test_trajectory_equals_the_per_round_loop_bit_for_bit(spec, n, selector, kin
         stack = _per_round_target(store, selector, kind, row)[None]
         if kind == "grad_cosine":  # the caller builds the update direction
             stack = stack - store.globals[row]
-        want.append(atk._round_measurements(spec, store.globals[row], stack, x, y, kind)[0])
+            want.append(atk._grad_cosines(spec, store.globals[row], x, y, stack)[0])
+        else:
+            want.append(models.measure_models(spec, stack, x, y, kind)[0])
     want = np.column_stack(want)
     assert values.shape == (n, 5) and values.flags.c_contiguous
     assert np.array_equal(_bits(values), _bits(want))
     assert np.array_equal(rounds, store.rounds)
 
 
-def test_round_measurements_reject_a_parameter_stack_of_the_wrong_width():
+def test_measure_models_rejects_a_parameter_stack_of_the_wrong_width():
     spec = ModelSpec(input_dim=2, hidden_dim=0, num_classes=2)
     for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((1, 2, 6))):
         with pytest.raises(ValueError, match="expected"):
-            atk._round_measurements(spec, np.zeros(6), bad, np.zeros((1, 2)), [0], "loss")
+            models.measure_models(spec, bad, np.zeros((1, 2)), [0], "loss")
 
 
 ALL_ATTACKS = "loss_series,avg_cosine,fta_l,fta_c,fedmia_i,fedmia_ii"

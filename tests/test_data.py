@@ -235,17 +235,21 @@ def test_csv_rejects_bad_header(tmp_path):
 
 
 def test_csv_rejects_negative_label(tmp_path):
+    # a label that is not an integer is refused at its line too
     path = tmp_path / "neg.csv"
-    path.write_text("f0,f1,label\n1.0,2.0,-1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        data.load_csv(str(path))
+    for label, error in (("-1", "negative label"), ("1.0", "invalid literal for int")):
+        path.write_text(f"f0,f1,label\n1.0,2.0,{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"neg\.csv:2: " + error):
+            data.load_csv(str(path))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 def test_csv_rejects_non_finite_features(tmp_path, value):
+    # "abc" does not parse as a number; its line is named all the same
     path = tmp_path / "nan.csv"
     path.write_text(f"f0,f1,label\n1.0,2.0,0\n{value},2.0,1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=r"nan\.csv:3: non-finite"):
+    error = "could not convert" if value == "abc" else "non-finite"
+    with pytest.raises(ValueError, match=r"nan\.csv:3: " + error):
         data.load_csv(str(path))
 
 

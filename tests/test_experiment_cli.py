@@ -618,6 +618,18 @@ def test_csv_dataset_source_runs(tmp_path):
     assert os.path.exists(out / ex.SUMMARY_CSV)
 
 
+def test_csv_data_of_one_class_are_refused_by_key_before_training(tmp_path, capsys, monkeypatch):
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("f0,f1,label\n" + "1.0,2.0,0\n" * 5, encoding="utf-8")
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(f"data.source = csv\ndata.csv_path = {csv_path}\nfl.K = 3\nfl.T = 2\n")
+    calls = []
+    monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
+    err = _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert "'data.csv_path'" in err and str(csv_path) in err and "1 class" in err
+    assert calls == []
+
+
 def test_attack_from_disk_equals_attack_from_memory(tmp_path):
     cfg = parse_config_text(
         SMALL + "attack.list = loss_series,avg_cosine,fta_l,fta_c,fedmia_i,fedmia_ii\n"

@@ -206,7 +206,7 @@ def test_softmax_with_nans_of_both_signs_differs_at_most_in_a_nans_sign(logits):
 @settings(max_examples=200, deadline=None)
 @given(logits=_edge_logits(EDGE_LOGITS), seed=st.integers(0, 2**16))
 @example(logits=np.asarray(EDGE_ROWS * (CROSSOVER // 4 + 1)), seed=0)
-def test_target_measure_keeps_the_bits_of_the_formulas_at_the_target(logits, seed):
+def test_softmax_core_keeps_the_bits_of_the_formulas_at_the_target(logits, seed):
     # a target log-probability of +0.0 is frequent here; its loss is -0.0
     y = np.random.default_rng(seed).integers(0, logits.shape[-1], size=logits.shape[:-1])
     at = (*np.indices(y.shape), y)
@@ -215,7 +215,7 @@ def test_target_measure_keeps_the_bits_of_the_formulas_at_the_target(logits, see
             ("loss", -reference_log_softmax(logits)[at]),
             ("confidence", reference_softmax(logits)[at]),
         ):
-            got = models.target_measure(logits, y, kind)
+            got = models._softmax_core(logits, kind == "loss", y)
             assert got.shape == y.shape
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -225,13 +225,11 @@ def test_a_target_probability_of_one_gives_a_loss_of_minus_zero(rows):
     # p_y is exactly 1, so log p_y is +0.0 and the loss -(log p_y) is -0.0
     logits = np.tile([[3.0, -np.inf, -1e308], [-1e308, 3.0, -np.inf]], (2, rows, 1, 1))
     y = np.tile([0, 1], rows)  # one row of labels for both stacked models
-    loss = models.target_measure(logits.reshape(2, 2 * rows, 3), y, "loss")
+    loss = models._softmax_core(logits.reshape(2, 2 * rows, 3), True, y)
     assert loss.shape == (2, 2 * rows)
     assert np.all(loss == 0.0) and np.all(np.signbit(loss))
-    conf = models.target_measure(logits.reshape(2, 2 * rows, 3), y, "confidence")
+    conf = models._softmax_core(logits.reshape(2, 2 * rows, 3), False, y)
     assert np.all(conf == 1.0)
-    with pytest.raises(ValueError, match="unknown measurement kind"):
-        models.target_measure(logits, y, "grad_cosine")
 
 
 def test_sgd_zero_lr_is_identity():
@@ -693,19 +691,12 @@ def test_losses_in_smaller_chunks_keep_their_bits(spec, monkeypatch):
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, losses))
 
 
-@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
-@pytest.mark.parametrize("kind", ["loss", "confidence"])
-def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, kind, monkeypatch):
-    # forward chunks of at most 2 batches of 10 rows (chunk = 2); runs of at
-    # least 25 (logistic) or 75 (mlp) rows, so a run takes several forward
-    # chunks and goes on from one stack into the next
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["loss-logistic", "loss-mlp"])
+def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, monkeypatch):
+    # `per_sample_losses` over forward chunks of at most 2 batches of 10 rows
+    # (chunk = 2); runs of at least 25 (logistic) or 75 (mlp) rows, so a run
+    # takes several forward chunks and goes on from one stack into the next
     n, chunk = 10, 2
-    monkeypatch.setattr(models, "STACK_CHUNK_BYTES", 8 * (spec.hidden_dim + spec.num_classes) * 25)
-    runs = []
-    measured = models.target_measure
-    monkeypatch.setattr(
-        models, "target_measure", lambda z, *a: runs.append(len(z)) or measured(z, *a)
-    )
     rng = np.random.default_rng(31)
     pools = [2.0 * rng.normal(size=(n, spec.input_dim)) for _ in range(2)]
     stacks = [
@@ -717,16 +708,17 @@ def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, kind, mo
     batches = [b for s in stacks for b in s]
     theta = np.stack([models.init_params(spec, rng) for _ in batches])
     ys = [rng.integers(0, spec.num_classes, size=len(b)) for b in batches]
-    got = models.measure(spec, theta, stacks, np.concatenate(ys), kind)
-    assert runs == ([30, 30, 24] if spec.hidden_dim == 0 else [84])
     want = []
     for p, x, y in zip(theta, batches, ys):
         logits, _, _ = models._logits_and_hidden(spec, p, x)
-        rows = np.arange(len(y))
-        if kind == "loss":
-            want.append(-models.log_softmax(logits)[rows, y])
-        else:
-            want.append(models.softmax(logits)[rows, y])
+        want.append(-models.log_softmax(logits)[np.arange(len(y)), y])
+    monkeypatch.setattr(models, "STACK_CHUNK_BYTES", 8 * (spec.hidden_dim + spec.num_classes) * 25)
+    runs, core = [], models._softmax_core
+    monkeypatch.setattr(
+        models, "_softmax_core", lambda z, *a, **k: runs.append(len(z)) or core(z, *a, **k)
+    )
+    got = models.per_sample_losses(spec, theta, stacks, ys)
+    assert runs == ([30, 30, 24] if spec.hidden_dim == 0 else [84])
     assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
     with pytest.raises(ValueError, match="83 labels for 84 samples"):
-        models.measure(spec, theta, stacks, np.concatenate(ys)[1:], kind)
+        models.per_sample_losses(spec, theta, stacks, [np.concatenate(ys)[1:]])
