@@ -21,7 +21,6 @@ from .attacks import (
 )
 from .compensation import (
     BanditState,
-    RecycleConfig,
     SampleIntervals,
     compute_reward,
     exp3_select,

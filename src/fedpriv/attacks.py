@@ -120,7 +120,8 @@ def _target_series(store: SnapshotStore, selector, kind: str) -> np.ndarray:
 # Most bytes of the (rows, directions, width) projection block that
 # `_grad_cosines` holds at once. 1 MiB ran fastest of 256 KiB to 4 MiB on the
 # benchmark's OUT shape, where a one-shot projection is 2 MB; it grows with
-# every factor.
+# every factor. That blocks of it keep the bits of a one-shot projection was
+# checked only on OpenBLAS 0.3.31's SkylakeX kernels at one thread.
 COSINE_BLOCK_BYTES = 1024 * 1024
 
 # OpenBLAS's SkylakeX kernels run a product of a transposed and a plain
@@ -165,7 +166,9 @@ def _cosine_blocks(n: int, m: int, widths) -> list[tuple[int, int]]:
     Every block starts at a multiple of 12. Each has enough rows that its
     product keeps more than SMALL_GEMM_OUTPUTS outputs in every layer, and at
     least 2 (numpy computes a one-row product as a vector product); a last
-    block with fewer joins the one before it.
+    block with fewer joins the one before it. That such blocks keep the bits
+    of the whole product and switch no kernel was checked only on OpenBLAS
+    0.3.31's SkylakeX kernels at one thread.
     """
     least = max(2, SMALL_GEMM_OUTPUTS // max(m * min(widths), 1) + 1)
     step = _cosine_block_rows(8 * m * max(widths), least)
@@ -197,12 +200,12 @@ def _grad_cosines(spec, params, x, y, directions, workspace=None) -> np.ndarray:
     The projections run over `_cosine_blocks` of query rows in one buffer
     of `workspace` (one of its own if None) that both layers reuse, so a
     call holds a block of about COSINE_BLOCK_BYTES instead of all n rows.
-    With one BLAS thread the cosines keep the bits of one-shot products:
-    OpenBLAS computes each row of a block that starts at a multiple of 12
-    rows with the bits of the whole product, no block is small enough to
-    switch kernels, and each (direction, sample) dot product sums the same
-    terms in the same order. Splitting the directions instead can change
-    bits.
+    With one BLAS thread the cosines keep the bits of one-shot products on
+    OpenBLAS 0.3.31's SkylakeX kernels, the only ones checked: there each
+    row of a block that starts at a multiple of 12 rows has the bits of the
+    whole product, no block is small enough to switch kernels, and each
+    (direction, sample) dot product sums the same terms in the same order.
+    Splitting the directions instead can change bits.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)

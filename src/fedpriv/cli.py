@@ -86,7 +86,7 @@ def main(argv=None) -> int:
         elif args.command == "report":
             experiment.stage_report(cfg, args.out, baseline_dir=args.baseline)
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError, FloatingPointError) as exc:
+    except (ConfigError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"fedpriv {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,11 +10,12 @@ from a soft label that keeps the true-class probability and spreads the
 rest evenly, minus an entropy bonus weighted by mu.
 
 A defended update is planned (`plan_local_update`) from the per-sample
-training losses of the received model, trained as one client of a round's
-`models.sgd_lockstep` call (`planned_rows`, `cr_term`) and rewarded
-(`reward_local_update`) by the `validation_losses` of all members' uploads
-at once and their validation losses under the received model;
-`compensated_local_update` runs all three alone.
+training losses of the received model and the recycling fields of a
+`federation.CoalitionDefenseConfig` (t0, intervals, r_l), trained as one
+client of a round's `models.sgd_lockstep` call (`planned_rows`, `cr_term`)
+and rewarded (`reward_local_update`) by its mean validation losses under
+the received model and under its upload; `compensated_local_update` runs
+all three alone.
 """
 
 from __future__ import annotations
@@ -28,29 +29,6 @@ import numpy as np
 from . import models
 from .data import ClientDataset
 from .models import ModelSpec
-
-
-@dataclass(frozen=True)
-class RecycleConfig:
-    """Compensation knobs: start round, interval count, cap, entropy weight."""
-
-    start_round: int = 10  # t0: recycling is active from this round on
-    num_intervals: int = 10  # M
-    max_ratio: float = 0.1  # r_l: per-round cap as a fraction of |D_k|
-    mu: float = 0.005  # entropy-regularizer weight
-    eta: float = 0.1  # bandit exploration rate
-
-    def __post_init__(self) -> None:
-        if self.start_round < 1:
-            raise ValueError("start_round must be >= 1")
-        if self.num_intervals < 1:
-            raise ValueError("num_intervals must be >= 1")
-        if not 0.0 <= self.max_ratio <= 1.0:
-            raise ValueError("max_ratio must be in [0, 1]")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
 
 
 @dataclass
@@ -271,26 +249,25 @@ def plan_local_update(
     losses: np.ndarray | None,
     assigned_pos: np.ndarray,
     round_t: int,
-    recycle: RecycleConfig,
+    defense,
     bandit: BanditState,
     bandit_rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, int, int]:
     """Plan one defended local update: (rows, arm, number of recycled rows).
 
-    The rows are training positions, assigned then recycled. Before the start
-    round the arm is -1 and nothing is recycled (`losses` and `bandit_rng`
-    may be None); from it on, intervals of `losses`, the received global
-    model's per-sample training losses, are built, one is drawn, and its
-    not-assigned samples (capped) are recycled.
+    The rows are training positions, assigned then recycled. Before round
+    `defense.t0` (`defense` is a `federation.CoalitionDefenseConfig`) the arm
+    is -1 and nothing is recycled (`losses` and `bandit_rng` may be None);
+    from it on, `defense.intervals` intervals of `losses`, the received
+    global model's per-sample training losses, are built, one is drawn, and
+    its not-assigned samples (capped at `defense.r_l`) are recycled.
     """
     assigned_pos = np.asarray(assigned_pos, dtype=np.int64)
-    if round_t < recycle.start_round:
+    if round_t < defense.t0:
         return assigned_pos, -1, 0
-    intervals = init_intervals(losses, recycle.num_intervals)
+    intervals = init_intervals(losses, defense.intervals)
     arm = exp3_select(bandit, bandit_rng)
-    recycled = select_recycled(
-        intervals, arm, assigned_pos, recycle.max_ratio, len(losses), bandit_rng
-    )
+    recycled = select_recycled(intervals, arm, assigned_pos, defense.r_l, len(losses), bandit_rng)
     return np.concatenate([assigned_pos, recycled]), arm, len(recycled)
 
 
@@ -306,23 +283,6 @@ def is_rewarded(plan) -> bool:
     """Whether a plan's update is rewarded: it recycles and has rows to train."""
     rows, arm, _ = plan
     return arm >= 0 and len(rows) > 0
-
-
-def validation_losses(
-    spec: ModelSpec, params: np.ndarray, clients: list[ClientDataset]
-) -> list[float]:
-    """Each client's mean validation loss under `params`, one flat vector
-    (P,) for all or a matrix (len(clients), P) holding clients[i]'s model in
-    row i; every client must have validation rows.
-
-    One forward pass covers all clients, a stack per group of equal
-    validation sizes; every mean has the bits of a call of its own.
-    Non-finite means are returned, not warned about.
-    """
-    batches = models.StackedBatches(spec, [c.val_X for c in clients], [c.val_y for c in clients])
-    with np.errstate(over="ignore", invalid="ignore"):
-        losses = batches.losses(params)
-    return [float(v.mean()) for v in losses]
 
 
 def reward_local_update(
@@ -350,7 +310,7 @@ def compensated_local_update(
     client: ClientDataset,
     assigned_pos: np.ndarray,
     round_t: int,
-    recycle: RecycleConfig,
+    defense,
     bandit: BanditState,
     lr: float,
     epochs: int,
@@ -358,20 +318,22 @@ def compensated_local_update(
     train_rng: np.random.Generator,
     bandit_rng: np.random.Generator,
 ) -> tuple[np.ndarray, Telemetry]:
-    """One client's defended local update: plan, train, reward. If nothing is
+    """One client's defended local update under `defense`, a
+    `federation.CoalitionDefenseConfig`: plan, train, reward. If nothing is
     trainable the global parameters are returned and the bandit is not updated.
     """
     losses = None
-    if round_t >= recycle.start_round:
+    if round_t >= defense.t0:
         losses = models.per_sample_losses(spec, global_params, client.train_X, client.train_y)
-    plan = plan_local_update(losses, assigned_pos, round_t, recycle, bandit, bandit_rng)
+    plan = plan_local_update(losses, assigned_pos, round_t, defense, bandit, bandit_rng)
     x, y, mask = planned_rows(client, plan)
-    args = (x, y, mask, recycle.mu, lr, epochs, batch_size, train_rng)
+    args = (x, y, mask, defense.mu, lr, epochs, batch_size, train_rng)
     params = combined_sgd_epochs(spec, global_params, *args) if len(y) else global_params.copy()
     val = None
     if is_rewarded(plan) and len(client.val_y):
-        val = (
-            validation_losses(spec, global_params, [client])[0],
-            validation_losses(spec, params[None], [client])[0],
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # compute_reward refuses them
+            val = tuple(
+                float(models.per_sample_losses(spec, p, client.val_X, client.val_y).mean())
+                for p in (global_params, params)
+            )
     return params, reward_local_update(client.client_id, plan, val, round_t, bandit)

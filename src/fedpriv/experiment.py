@@ -41,7 +41,6 @@ from .config import (
     training_fingerprint,
     validate_config,
 )
-from .compensation import RecycleConfig
 from .data import (
     ClientDataset,
     EvalPools,
@@ -163,28 +162,19 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
 
 def build_fl_config(cfg: ExperimentConfig) -> FlConfig:
-    """FlConfig from the ExperimentConfig fields of the same names."""
+    """FlConfig from a validated ExperimentConfig's fields of the same names."""
     return FlConfig(**{f.name: getattr(cfg, f.name) for f in fields(FlConfig)})
 
 
 def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> CoalitionDefenseConfig | None:
+    """CoalitionDefenseConfig, under the coalition defense, from a validated
+    ExperimentConfig's fields of the same names, with the class bounds
+    resolved for `num_classes` (`config.resolved_class_bounds`)."""
     if cfg.defense != "coalition":
         return None
     m_max, m_min = resolved_class_bounds(cfg, num_classes)
-    return CoalitionDefenseConfig(
-        m_max=m_max,
-        m_min=m_min,
-        decay=cfg.decay,
-        recycle=RecycleConfig(
-            start_round=cfg.t0,
-            num_intervals=cfg.intervals,
-            max_ratio=cfg.r_l,
-            mu=cfg.mu,
-            eta=cfg.eta,
-        ),
-        sigma=cfg.sigma,
-        tail_ratio=cfg.r_p,
-    )
+    copied = {f.name: getattr(cfg, f.name) for f in fields(CoalitionDefenseConfig)}
+    return CoalitionDefenseConfig(**copied | {"m_max": m_max, "m_min": m_min})
 
 
 def comm_overhead_estimate(num_classes: int, rounds: int) -> int:

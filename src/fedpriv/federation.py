@@ -11,6 +11,11 @@ with weights proportional to each client's original local dataset size,
 and records model snapshots — the global broadcast and every uploaded
 local — at round 1 and every snapshot_every rounds thereafter.
 
+A run is configured by `FlConfig` and, under the coalition defense, by
+`CoalitionDefenseConfig`, whose fields carry the names of the
+`ExperimentConfig` attributes they copy (`experiment.build_fl_config`,
+`build_defense_config`); neither declares a default of its own.
+
 A run makes its generators and its large arrays once (`RunBuffers`) and
 reuses them every round; `run_training` drops them when it returns.
 """
@@ -30,8 +35,8 @@ from .assignment import (
     build_schedule,
     select_assigned_subset,
 )
-from .compensation import BanditState, RecycleConfig, Telemetry, cr_term, is_rewarded
-from .compensation import plan_local_update, planned_rows, reward_local_update, validation_losses
+from .compensation import BanditState, Telemetry, cr_term, is_rewarded
+from .compensation import plan_local_update, planned_rows, reward_local_update
 from .data import ClientDataset
 from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
@@ -46,15 +51,15 @@ class FlConfig:
 
     num_clients: int
     rounds: int
-    lr: float = 0.2
-    local_epochs: int = 1
-    batch_size: int = 32
-    snapshot_every: int = 10
-    defense: str = "none"
-    coalition: tuple[int, ...] = ()
-    seed: int = 0
-    keep_rate: float = 0.1  # grad_sparse
-    noise_sigma: float = 0.01  # grad_noise
+    lr: float
+    local_epochs: int
+    batch_size: int
+    snapshot_every: int
+    defense: str
+    coalition: tuple[int, ...]
+    seed: int
+    keep_rate: float  # grad_sparse
+    noise_sigma: float  # grad_noise
 
     def __post_init__(self) -> None:
         if self.num_clients < 1 or self.rounds < 1 or self.snapshot_every < 1:
@@ -76,14 +81,34 @@ class FlConfig:
 
 @dataclass(frozen=True)
 class CoalitionDefenseConfig:
-    """Knobs for the collaborative defense run by the coalition."""
+    """Knobs for the collaborative defense run by the coalition: class
+    assignment (m_max, m_min, decay), compensation (recycling from round t0
+    on, over `intervals` loss intervals, at most a fraction r_l of a client's
+    samples per round, entropy weight mu, bandit exploration rate eta) and
+    perturbation (sigma, on a tail of a fraction r_p of the parameters)."""
 
     m_max: int
     m_min: int
-    decay: str = "linear"
-    recycle: RecycleConfig = field(default_factory=RecycleConfig)
-    sigma: float = 0.1
-    tail_ratio: float = 0.2
+    decay: str
+    t0: int
+    intervals: int
+    r_l: float
+    mu: float
+    eta: float
+    sigma: float
+    r_p: float
+
+    def __post_init__(self) -> None:
+        if self.t0 < 1:
+            raise ValueError("t0 must be >= 1")
+        if self.intervals < 1:
+            raise ValueError("intervals must be >= 1")
+        if not 0.0 <= self.r_l <= 1.0:
+            raise ValueError("r_l must be in [0, 1]")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"mu must be a finite number >= 0, got {self.mu}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ValueError("eta must be in [0, 1]")
 
 
 @dataclass
@@ -318,15 +343,16 @@ class RunBuffers:
     """What every round of a run reuses instead of making it anew: a
     per-client generator for each of its "train", "bandit" and "gradnoise"
     streams; the stacked rows of the evaluation that ends a round (every
-    client's training set, then the validation sets of `val_members`, the
-    coalition members that have one); the (K, P) upload matrix, which
-    aggregation overwrites with its product; one workspace for the
-    lock-step training, that evaluation and the test accuracy; and what
-    later rounds read of earlier ones."""
+    client's training set) and of the coalition members' validation rows
+    (the sets of `val_members`, the members that have one); the (K, P)
+    upload matrix, which aggregation overwrites with its product; one
+    workspace for the lock-step training, those passes and the test
+    accuracy; and what later rounds read of earlier ones."""
 
     streams: dict[str, RoundStreams]
     workspace: models.Workspace
     evaluation: models.StackedBatches
+    validation: models.StackedBatches
     val_members: list[int]
     uploads: np.ndarray
     # (params, {client id: per-sample training losses}, {member: mean
@@ -403,7 +429,7 @@ def init_training(
                 f"training diverged at {err}; coalition client(s) {list(config.coalition)}"
             ) from None
         state.bandits = {
-            k: BanditState.fresh(defense_cfg.recycle.num_intervals, defense_cfg.recycle.eta)
+            k: BanditState.fresh(defense_cfg.intervals, defense_cfg.eta)
             for k in config.coalition
         }
     return state
@@ -424,18 +450,19 @@ def _buffers(state: TrainingState) -> RunBuffers:
         streams = {"train": RoundStreams(cfg.seed, "train", range(cfg.num_clients), rounds)}
         val_members = []
         if cfg.defense == "coalition":
-            t0 = state.defense_cfg.recycle.start_round  # a plan draws only from then on
+            t0 = state.defense_cfg.t0  # a plan draws only from then on
             streams["bandit"] = RoundStreams(cfg.seed, "bandit", cfg.coalition, rounds[t0 - 1 :])
             val_members = [k for k in cfg.coalition if len(clients[k].val_y)]
         if cfg.defense == "grad_noise":
             streams["gradnoise"] = RoundStreams(cfg.seed, "gradnoise", cfg.coalition, rounds)
-        xs = [c.train_X for c in clients] + [clients[k].val_X for k in val_members]
-        ys = [c.train_y for c in clients] + [clients[k].val_y for k in val_members]
         workspace = models.Workspace()
+        train = [c.train_X for c in clients], [c.train_y for c in clients]
+        val = [clients[k].val_X for k in val_members], [clients[k].val_y for k in val_members]
         state.buffers = RunBuffers(
             streams=streams,
             workspace=workspace,
-            evaluation=models.StackedBatches(state.spec, xs, ys, workspace),
+            evaluation=models.StackedBatches(state.spec, *train, workspace),
+            validation=models.StackedBatches(state.spec, *val, workspace),
             val_members=val_members,
             uploads=np.empty((cfg.num_clients, state.spec.param_count)),
         )
@@ -445,15 +472,15 @@ def _buffers(state: TrainingState) -> RunBuffers:
 def _evaluate(state: TrainingState):
     """(params, {client id: per-sample training losses}, {member: mean
     validation loss}) under params, the global model: one pass over every
-    client's training rows and the validation rows of the coalition members
-    that have some, each with the bits of a pass of its own. Non-finite
-    losses are returned, not warned about."""
-    bufs = _buffers(state)
+    client's training rows and one over the validation rows of the coalition
+    members that have some, each batch with the bits of a pass of its own.
+    Non-finite losses are returned, not warned about."""
+    bufs, params = _buffers(state), state.global_params
     with np.errstate(over="ignore", invalid="ignore"):
-        losses = bufs.evaluation.losses(state.global_params)
-    k = state.config.num_clients
-    val = {m: float(v.mean()) for m, v in zip(bufs.val_members, losses[k:])}
-    return state.global_params, dict(enumerate(losses[:k])), val
+        losses = bufs.evaluation.losses(params)
+        val = bufs.validation.losses(params) if bufs.val_members else []
+    val = {m: float(v.mean()) for m, v in zip(bufs.val_members, val)}
+    return params, dict(enumerate(losses)), val
 
 
 def _evaluation(state: TrainingState):
@@ -498,7 +525,7 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     plans, losses, val_before = {}, {}, {}
     if cfg.defense == "coalition":
         subsets = state.schedule.round_subsets(round_t)
-        recycling = round_t >= dcfg.recycle.start_round  # a plan draws only then
+        recycling = round_t >= dcfg.t0  # a plan draws only then
         if recycling:
             _, losses, val_before = _evaluation(state)
         for member, k in enumerate(cfg.coalition):
@@ -506,14 +533,14 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
             assigned = select_assigned_subset(client, subsets[member])
             rng = bufs.streams["bandit"](k, round_t) if recycling else None
             plans[k] = plan_local_update(
-                losses.get(k), assigned, round_t, dcfg.recycle, state.bandits[k], rng
+                losses.get(k), assigned, round_t, dcfg, state.bandits[k], rng
             )
     ids, inputs = _lockstep_inputs(state, plans)
     uploads = bufs.uploads
     uploads[:] = start
     if ids:
         rngs = [bufs.streams["train"](k, round_t) for k in ids]
-        dlogits_fn = cr_term(dcfg.recycle.mu) if plans else None
+        dlogits_fn = cr_term(dcfg.mu) if plans else None
         try:
             uploads[ids] = models.sgd_lockstep(
                 state.spec, start, inputs, cfg.lr, cfg.local_epochs, rngs, dlogits_fn,
@@ -524,9 +551,9 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     rewarded = [k for k, plan in plans.items() if is_rewarded(plan) and len(state.clients[k].val_y)]
     val = {}
     if rewarded:
-        members = [state.clients[k] for k in rewarded]
-        after = validation_losses(state.spec, uploads[rewarded], members)
-        val = {k: (val_before[k], a) for k, a in zip(rewarded, after)}
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            after = dict(zip(bufs.val_members, bufs.validation.losses(uploads[bufs.val_members])))
+        val = {k: (val_before[k], float(after[k].mean())) for k in rewarded}
         diverged = [k for k in rewarded if not all(map(math.isfinite, val[k]))]
         if diverged:  # the first member in coalition order, as a member-by-member reward finds
             raise _diverged(round_t, diverged[:1])
@@ -536,7 +563,7 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
         state.telemetry.append(tele)
         if dcfg.sigma > 0:
             delta = float(state.noise_plan.round_deltas(round_t)[member])
-            uploads[k] = apply_perturbation(uploads[k], delta, dcfg.tail_ratio)
+            uploads[k] = apply_perturbation(uploads[k], delta, dcfg.r_p)
     if cfg.defense in ("grad_sparse", "grad_noise"):
         for k in cfg.coalition:
             update = uploads[k] - start

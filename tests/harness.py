@@ -1,10 +1,11 @@
 """Shared builders for integration-style tests: tiny federated runs."""
 
 import csv
+from dataclasses import replace
 
 from fedpriv import experiment as ex
 from fedpriv import run_training
-from fedpriv.config import parse_config_text
+from fedpriv.config import parse_config_text, validate_config
 
 BASE_TEMPLATE = """
 data.source = synthetic
@@ -63,6 +64,19 @@ def make_config(
             extra=extra,
         )
     )
+
+
+# the least config that validates, without attacks, for `library_configs`
+LIBRARY_BASE = "data.source = synthetic\nfl.K = 2\nfl.T = 1\nattack.list =\n"
+
+
+def library_configs(**fields):
+    """(FlConfig, CoalitionDefenseConfig or None) that the builders make of
+    LIBRARY_BASE with `fields` replaced, after validate_config passes it; the
+    class bounds are resolved for its data.num_classes."""
+    cfg = replace(parse_config_text(LIBRARY_BASE), **fields)
+    validate_config(cfg)
+    return ex.build_fl_config(cfg), ex.build_defense_config(cfg, cfg.num_classes)
 
 
 def run_from_config(cfg):

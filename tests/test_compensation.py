@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from fedpriv import compensation as cmp
 from fedpriv import models
-from fedpriv.compensation import BanditState, RecycleConfig
+from fedpriv.compensation import BanditState
 from fedpriv.data import ClientDataset
 from fedpriv.models import ModelSpec
+from harness import library_configs
 from oracles import cr_loss_and_grad, finite_difference_grad, max_rel_error
 from oracles import percentile_normalize_reward, sequential_sgd
 
@@ -283,6 +284,12 @@ def _client(seed=0, n=40, num_classes=3, dim=4):
     )
 
 
+def _defense(**fields):
+    """The CoalitionDefenseConfig of a validated 3-class coalition config."""
+    fields = dict(num_classes=3, rounds=12, defense="coalition", coalition=(0, 1), **fields)
+    return library_configs(**fields)[1]
+
+
 def test_compensated_update_before_start_round_has_no_recycling():
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
     client = _client()
@@ -293,7 +300,7 @@ def test_compensated_update_before_start_round_has_no_recycling():
         client,
         np.arange(len(client.train_y)),
         round_t=3,
-        recycle=RecycleConfig(start_round=10),
+        defense=_defense(t0=10),
         bandit=bandit,
         lr=0.1,
         epochs=1,
@@ -319,7 +326,7 @@ def test_compensated_update_degenerate_is_plain_sgd():
         client,
         np.arange(len(client.train_y)),
         round_t=12,
-        recycle=RecycleConfig(start_round=10, max_ratio=0.0, mu=0.0),
+        defense=_defense(t0=10, r_l=0.0, mu=0.0),
         bandit=bandit,
         lr=0.1,
         epochs=2,
@@ -383,7 +390,7 @@ def test_compensated_update_empty_client_returns_global():
         client,
         np.empty(0, dtype=np.int64),
         round_t=12,
-        recycle=RecycleConfig(start_round=10, max_ratio=0.0),
+        defense=_defense(t0=10, r_l=0.0),
         bandit=bandit,
         lr=0.1,
         epochs=1,
@@ -400,7 +407,7 @@ def test_compensated_update_respects_recycle_cap():
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
     client = _client(n=50)
     bandit = BanditState.fresh(5, 0.1)
-    recycle = RecycleConfig(start_round=2, num_intervals=5, max_ratio=0.1)
+    defense = _defense(t0=2, intervals=5, r_l=0.1)
     global_params = models.init_params(spec, np.random.default_rng(11))
     assigned = np.flatnonzero(client.train_y == 0)
     for t in range(2, 12):
@@ -410,7 +417,7 @@ def test_compensated_update_respects_recycle_cap():
             client,
             assigned,
             round_t=t,
-            recycle=recycle,
+            defense=defense,
             bandit=bandit,
             lr=0.05,
             epochs=1,

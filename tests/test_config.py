@@ -1,5 +1,6 @@
 """Tests for config parsing, validation, and serialization."""
 
+import math
 import re
 from dataclasses import fields, replace
 
@@ -9,19 +10,19 @@ from hypothesis import strategies as st
 
 from fedpriv.assignment import DECAY_KINDS
 from fedpriv.attacks import ATTACK_NAMES, attack_selector, fedmia_excluded
-from fedpriv.compensation import RecycleConfig
 from fedpriv.config import (
     SCHEMA,
     ConfigError,
     ExperimentConfig,
     parse_config,
     parse_config_text,
+    resolved_class_bounds,
     serialize_config,
     training_fingerprint,
     validate_config,
 )
 from fedpriv.experiment import build_defense_config, build_fl_config
-from fedpriv.federation import DEFENSE_KINDS, CoalitionDefenseConfig, FlConfig
+from fedpriv.federation import DEFENSE_KINDS
 
 MINIMAL = """
 # minimal experiment
@@ -423,18 +424,15 @@ def test_serialized_bytes_of_every_key_are_pinned():
     assert parse_config_text(EVERY_KEY_TEXT) == EVERY_KEY
 
 
-def test_library_and_config_defaults_agree():
-    cfg = parse_config_text(MINIMAL)
-    assert build_fl_config(cfg) == FlConfig(num_clients=10, rounds=60)
-    defended = parse_config_text(MINIMAL + COALITION)
-    defense = build_defense_config(defended, defended.num_classes)
-    assert defense.recycle == RecycleConfig()
-    reference = CoalitionDefenseConfig(m_max=defense.m_max, m_min=defense.m_min)
-    assert (defense.decay, defense.sigma, defense.tail_ratio) == (
-        reference.decay,
-        reference.sigma,
-        reference.tail_ratio,
-    )
+@pytest.mark.parametrize(
+    "name, value",
+    [("t0", 0), ("intervals", 0), ("r_l", 1.5), ("mu", -1), ("mu", math.nan), ("eta", 2)],
+)
+def test_defense_config_refuses_a_recycling_value_out_of_range(name, value):
+    cfg = parse_config_text(MINIMAL + COALITION)
+    defense = build_defense_config(cfg, cfg.num_classes)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        replace(defense, **{name: value})
 
 
 # --- property tests of the canonical form -----------------------------------
@@ -542,3 +540,26 @@ def test_fingerprint_changes_exactly_with_training_keys(cfg, data):
     differs = training_fingerprint(changed) != training_fingerprint(cfg)
     trains = key.split(".", 1)[0] in ("data", "model", "fl", "defense")
     assert differs == trains, key
+
+
+def _library_fields(library) -> dict:
+    return {f.name: getattr(library, f.name) for f in fields(library)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=valid_configs())
+def test_library_configs_copy_the_config_attributes_of_their_field_names(cfg):
+    # a library field without an ExperimentConfig attribute of its name fails
+    fl = _library_fields(build_fl_config(cfg))
+    assert fl == {name: getattr(cfg, name) for name in fl} | {
+        "coalition": tuple(sorted(cfg.coalition))  # FlConfig keeps the ids sorted
+    }
+    # synthetic data, whose class count validate_config checks m_max and m_min against
+    defended = replace(cfg, source="synthetic", defense="coalition")
+    assume(_is_valid(defended))
+    defense = _library_fields(build_defense_config(defended, defended.num_classes))
+    m_max, m_min = resolved_class_bounds(defended, defended.num_classes)
+    assert defense == {name: getattr(defended, name) for name in defense} | {
+        "m_max": m_max,
+        "m_min": m_min,
+    }

@@ -469,6 +469,31 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# The modules that `import fedpriv.cli` adds to numpy's, besides fedpriv's own.
+# Every run pays for their import (most of the benchmark's setup_s), so a
+# change that needs another one adds it here and states its import cost.
+CLI_IMPORTS = [
+    "__future__", "_blake2", "_csv", "_hashlib", "argparse", "copy", "csv", "dataclasses",
+    "gettext", "hashlib",
+]
+
+
+def test_cli_import_adds_only_the_listed_modules_to_numpys():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, numpy; numpys = set(sys.modules); import fedpriv.cli; "
+        "print(' '.join(sorted(set(sys.modules) - numpys)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = out.stdout.split()
+    assert "fedpriv.cli" in added
+    assert [m for m in added if m.split(".")[0] != "fedpriv"] == CLI_IMPORTS
+
+
 # `_grad_cosines` at scale_k40's OUT shape (550 rows, 39 directions, 64
 # hidden units), whose bits move with the BLAS thread count
 COSINE_DIGEST = """
@@ -570,6 +595,30 @@ def test_building_pools_imports_no_numpy_ma():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (["train", "--config", "{cfg}", "--out", "{file}"], "File exists"),
+        (["train", "--config", "{dir}", "--out", "{run}"], "Is a directory"),
+        (["report", "--out", "{run}", "--baseline", "{file}"], "Not a directory"),
+    ],
+    ids=["train-out-is-a-file", "train-config-is-a-directory", "report-baseline-is-a-file"],
+)
+def test_a_path_of_the_wrong_kind_is_one_error_line(tmp_path, capsys, argv, why):
+    paths = {"cfg": tmp_path / "exp.cfg", "file": tmp_path / "a_file", "dir": tmp_path}
+    paths["run"] = tmp_path / "run"
+    paths["cfg"].write_text(SMALL, encoding="utf-8")
+    paths["file"].write_text("", encoding="utf-8")
+    if argv[0] == "report":  # a finished run, whose baseline is a file
+        assert cli.main(["train", "--config", str(paths["cfg"]), "--out", str(paths["run"])]) == 0
+        assert cli.main(["attack", "--out", str(paths["run"])]) == 0
+        capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedpriv {argv[0]}: error: ") and why in err
+    assert err.count("\n") == 1
 
 
 def test_cli_attack_without_train_errors(tmp_path, capsys):

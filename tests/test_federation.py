@@ -13,11 +13,10 @@ from fedpriv import experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
 from fedpriv import rng as fedrng
-from fedpriv.compensation import RecycleConfig
 from fedpriv.data import ClientDataset
-from fedpriv.federation import CoalitionDefenseConfig, FlConfig
+from fedpriv.federation import FlConfig
 from fedpriv.models import ModelSpec
-from harness import make_config, run_from_config
+from harness import library_configs, make_config, run_from_config
 from oracles import loop_aggregate, recorded_lockstep_inputs, sequential_sgd_lockstep
 
 
@@ -143,9 +142,19 @@ def _single_client_setup():
     return spec, client, x, y
 
 
+def _every_fl_field(**fields):
+    """An FlConfig with every field named, for values that validate_config
+    refuses (a single client, a bad lr, a repeated coalition id)."""
+    named = dict(
+        num_clients=2, rounds=1, lr=0.2, local_epochs=1, batch_size=32, snapshot_every=10,
+        defense="none", coalition=(), seed=0, keep_rate=0.1, noise_sigma=0.01,
+    )
+    return FlConfig(**{**named, **fields})
+
+
 def test_run_round_single_client_global_equals_local():
     spec, client, x, y = _single_client_setup()
-    cfg = FlConfig(num_clients=1, rounds=1, lr=0.1, local_epochs=1, batch_size=4, seed=3)
+    cfg = _every_fl_field(num_clients=1, rounds=1, lr=0.1, local_epochs=1, batch_size=4, seed=3)
     state = fed.init_training(cfg, spec, [client], x, y)
     start = state.global_params.copy()
     fed.run_round(state, 1)
@@ -272,12 +281,11 @@ def test_member_with_nothing_to_train_uploads_the_broadcast():
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
     rng = np.random.default_rng(5)
     clients = _random_clients(rng, [20, 24, 30], spec.input_dim, spec.num_classes)
-    cfg = FlConfig(
-        num_clients=3, rounds=2, lr=0.1, batch_size=8, defense="coalition", coalition=(0, 1)
-    )
     # recycling from round 1 on, but capped at zero rows; no perturbation
-    recycle = RecycleConfig(start_round=1, num_intervals=2, max_ratio=0.0)
-    defense = CoalitionDefenseConfig(m_max=3, m_min=1, recycle=recycle, sigma=0.0)
+    cfg, defense = library_configs(
+        num_clients=3, rounds=2, lr=0.1, batch_size=8, defense="coalition", coalition=(0, 1),
+        num_classes=3, m_max=3, m_min=1, t0=1, intervals=2, r_l=0.0, sigma=0.0,
+    )
     test_X, test_y = rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
     state = fed.init_training(cfg, spec, clients, test_X, test_y, defense)
     state.schedule.subsets[0][0] = frozenset()  # member 0 is assigned no class in round 1
@@ -296,13 +304,13 @@ def test_member_with_nothing_to_train_uploads_the_broadcast():
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
 def test_fl_config_rejects_a_non_finite_or_negative_lr(lr):
     with pytest.raises(ValueError, match="lr must be finite and >= 0"):
-        FlConfig(num_clients=2, rounds=1, lr=lr)
+        _every_fl_field(num_clients=2, rounds=1, lr=lr)
 
 
 def test_fl_config_refuses_a_repeated_coalition_id_and_sorts_the_rest():
     with pytest.raises(ValueError, match="coalition id 2 is repeated"):
-        FlConfig(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 2, 2))
-    cfg = FlConfig(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 0))
+        _every_fl_field(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 2, 2))
+    cfg, _ = library_configs(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 0))
     assert cfg.coalition == (0, 3)
 
 
@@ -374,22 +382,22 @@ def test_perturbation_cancels_for_random_coalitions_sizes_and_sigma(
     rng = np.random.default_rng(seed)
     clients = _random_clients(rng, sizes, spec.input_dim, num_classes)
     test_X, test_y = rng.normal(size=(10, spec.input_dim)), rng.integers(0, num_classes, 10)
-    cfg = FlConfig(
-        num_clients=k,
-        rounds=3,
-        lr=0.1,
-        batch_size=8,
-        snapshot_every=1,
-        defense="coalition",
-        coalition=tuple(coalition),
-        seed=seed,
-    )
 
     def run(noise_sigma):
-        defense = CoalitionDefenseConfig(
+        cfg, defense = library_configs(
+            num_clients=k,
+            rounds=3,
+            lr=0.1,
+            batch_size=8,
+            snapshot_every=1,
+            defense="coalition",
+            coalition=tuple(coalition),
+            seed=seed,
+            num_classes=num_classes,
             m_max=num_classes,
             m_min=1,
-            recycle=RecycleConfig(start_round=2, num_intervals=2),
+            t0=2,
+            intervals=2,
             sigma=noise_sigma,
         )
         return fed.run_training(cfg, spec, clients, test_X, test_y, defense_cfg=defense)
@@ -414,7 +422,7 @@ def test_round_report_equals_per_client_evaluation(hidden):
     rng = np.random.default_rng(21)
     clients = _random_clients(rng, EVAL_SIZES, spec.input_dim, spec.num_classes)
     test_X, test_y = rng.normal(size=(25, spec.input_dim)), rng.integers(0, 3, 25)
-    cfg = FlConfig(num_clients=len(clients), rounds=3, lr=0.3, batch_size=4, seed=5)
+    cfg, _ = library_configs(num_clients=len(clients), rounds=3, lr=0.3, batch_size=4, seed=5)
     state = fed.init_training(cfg, spec, clients, test_X, test_y)
     for t in range(1, 4):
         fed.run_round(state, t)
@@ -439,7 +447,7 @@ def test_non_finite_global_training_loss_names_the_round(client, monkeypatch):
         "sgd_lockstep",
         lambda spec, params, inputs, *rest: np.tile(params, (len(inputs.sizes), 1)),
     )
-    cfg = FlConfig(num_clients=len(clients), rounds=2, seed=5)
+    cfg, _ = library_configs(num_clients=len(clients), rounds=2, seed=5)
     state = fed.init_training(cfg, spec, clients, rng.normal(size=(5, 4)), np.zeros(5, int))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the non-finite loss is raised, not warned about
@@ -604,12 +612,11 @@ def _coalition_state(
         clients.append(
             ClientDataset(k, x[v:], y[v:], x[:v], y[:v], np.arange(v, n + v), np.arange(v))
         )
-    cfg = FlConfig(
+    cfg, defense = library_configs(
         num_clients=len(sizes), rounds=4, lr=0.3, batch_size=8, snapshot_every=snapshot_every,
-        defense="coalition", coalition=coalition, seed=3,
+        defense="coalition", coalition=tuple(coalition), seed=3,
+        num_classes=spec.num_classes, m_max=3, m_min=1, t0=t0, intervals=3, sigma=sigma,
     )
-    recycle = RecycleConfig(start_round=t0, num_intervals=3)
-    defense = CoalitionDefenseConfig(m_max=3, m_min=1, recycle=recycle, sigma=sigma)
     test_X, test_y = rng.normal(size=(6, spec.input_dim)), np.zeros(6, dtype=np.int64)
     return fed.init_training(cfg, spec, clients, test_X, test_y, defense)
 
@@ -633,11 +640,11 @@ def test_plans_take_the_training_losses_of_the_broadcast_bit_for_bit(data, sizes
     seen = []
     plan = fed.plan_local_update
 
-    def recording(losses, assigned, round_t, recycle, bandit, bandit_rng):
+    def recording(losses, assigned, round_t, defense, bandit, bandit_rng):
         if losses is not None:
             (k,) = [k for k, b in state.bandits.items() if b is bandit]
             seen.append((round_t, k, losses.copy(), state.global_params.copy()))
-        return plan(losses, assigned, round_t, recycle, bandit, bandit_rng)
+        return plan(losses, assigned, round_t, defense, bandit, bandit_rng)
 
     with mock.patch.object(fed, "plan_local_update", recording):
         for t in range(1, 5):
@@ -673,34 +680,39 @@ def test_rewards_take_each_members_validation_losses_alone_bit_for_bit(hidden):
 def test_rewards_equal_two_validation_passes_over_the_rewarded_members(hidden):
     # the broadcast's validation losses come from the evaluation that ended
     # the previous round (in round 1, of the initial model), the uploads'
-    # from one pass: each pair equals that of a pass of the broadcast and a
-    # pass of the uploads over the rewarded members' validation sets
+    # from one pass of the run's validation stack: each pair equals that of a
+    # pass of the broadcast and a pass of the uploads over the rewarded
+    # members' validation sets
     spec = ModelSpec(input_dim=4, hidden_dim=hidden, num_classes=3)
     rng = np.random.default_rng(47)
     state = _coalition_state(
         spec, rng, [20, 24, 26, 33, 20], [3, 5, 0, 3, 4], 1, sigma=0.1,
         coalition=(0, 1, 2, 3),
     )
+    bufs = fed._buffers(state)
+    assert bufs.val_members == [0, 1, 3]  # the members with validation rows
     passes, pairs = [], []
-    validation, reward = fed.validation_losses, fed.reward_local_update
+    validation, reward = bufs.validation.losses, fed.reward_local_update
 
-    def passing(spec, params, clients):
-        passes.append((state.global_params.copy(), params.copy(), clients))
-        return validation(spec, params, clients)
+    def passing(params):
+        if np.ndim(params) == 2:  # the uploads' pass, under the round's broadcast
+            passes.append((state.global_params.copy(), params.copy()))
+        return validation(params)
 
     def rewarding(client_id, plan, val, round_t, bandit):
         if val is not None:
             pairs.append(val)
         return reward(client_id, plan, val, round_t, bandit)
 
-    with mock.patch.object(fed, "validation_losses", passing):
+    with mock.patch.object(bufs.validation, "losses", passing):
         with mock.patch.object(fed, "reward_local_update", rewarding):
             for t in range(1, 5):
                 fed.run_round(state, t)
+    members = [state.clients[k] for k in bufs.val_members]
+    xs, ys = [c.val_X for c in members], [c.val_y for c in members]
+    batches = models.StackedBatches(spec, xs, ys)
     two_pass = []
-    for broadcast, uploads, clients in passes:
-        xs, ys = [c.val_X for c in clients], [c.val_y for c in clients]
-        batches = models.StackedBatches(spec, xs, ys)
+    for broadcast, uploads in passes:
         before, after = batches.losses(broadcast), batches.losses(uploads)
         two_pass += [(float(b.mean()), float(a.mean())) for b, a in zip(before, after)]
     assert len(pairs) == 4 * 3  # every round, every member with validation rows
@@ -723,11 +735,11 @@ def test_bandit_generators_are_made_only_from_t0_on(tmp_path):
             made.append(labels)
             return derive(seed, *labels)
 
-        def recording(losses, assigned, round_t, recycle, bandit, bandit_rng):
+        def recording(losses, assigned, round_t, defense, bandit, bandit_rng):
             if every_round and bandit_rng is None:  # the generator such a round made
                 (k,) = [k for k, b in state.bandits.items() if b is bandit]
                 bandit_rng = fedrng.stream(state.config.seed, "bandit", k, round_t)
-            plans.append(plan(losses, assigned, round_t, recycle, bandit, bandit_rng))
+            plans.append(plan(losses, assigned, round_t, defense, bandit, bandit_rng))
             return plans[-1]
 
         with mock.patch.object(fedrng, "derive_seed", counting):
