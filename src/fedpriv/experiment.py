@@ -6,17 +6,19 @@ Stages communicate through files in an output directory:
   rounds.csv        round,test_acc,mean_train_loss
   assignments.csv   round,client,classes,lambda   (semicolon-separated classes)
   compensation.csv  round,client,arm,raw_reward,norm_reward,n_assigned,n_recycled
-  snapshots.npz     recorded model snapshots (format 2, uncompressed), stamped
-                    with the SHA-256 of the config's data./model./fl./defense.
-                    lines and the seed; attack and report refuse the run when
-                    their config or seed does not match the stamp
+  snapshots.npz     recorded model snapshots and the training rows with their
+                    owners (format 3, uncompressed), stamped with the SHA-256
+                    of the config's data./model./fl./defense. lines and the
+                    seed; attack and report refuse the run when their config
+                    or seed does not match the stamp, and attack reads its
+                    rows from here, never from the data file
   attacks.csv       attack,target,auc,tpr_at_fpr_0.001,tpr_at_fpr_0.01,
                     tpr_at_fpr_0.1,n_members,n_nonmembers
   summary.csv       defense,final_test_acc,acc_delta_vs_undefended,mean_attack_auc
 
 train removes the attacks.csv and summary.csv of an earlier run in the same
 directory, and report refuses a baseline run trained on other data, model
-or federation settings.
+or federation settings, or on other rows.
 
 All outputs are deterministic functions of (config, seed) — reruns produce
 byte-identical files.
@@ -56,6 +58,7 @@ from .data import (
     validation_carve,
 )
 from .federation import (
+    ROW_FIELDS,
     CoalitionDefenseConfig,
     FlConfig,
     SnapshotStore,
@@ -82,25 +85,19 @@ def _fmt(x: float) -> str:
 
 
 @dataclass
-class PartitionedData:
-    """The rows, test split and client partition of one config: all that
-    the evaluation pools and the attacks read."""
+class PreparedData:
+    """Deterministically derived datasets and partition for one config."""
 
     train: LabeledDataset
     test: LabeledDataset
     plan: PartitionPlan
-
-
-@dataclass
-class PreparedData(PartitionedData):
-    """Deterministically derived datasets and partition for one config."""
-
     clients: list[ClientDataset]
     spec: ModelSpec
 
 
-def partition_data(cfg: ExperimentConfig) -> PartitionedData:
-    """Build dataset, test split and client partition.
+def prepare_data(cfg: ExperimentConfig) -> PreparedData:
+    """Build dataset, test split, client partition and each client's dataset
+    with its validation carve.
 
     Raises ConfigError naming data.cluster_spread for features that are not
     finite, data.csv_path for fewer than 2 classes, data.test_fraction for
@@ -144,21 +141,11 @@ def partition_data(cfg: ExperimentConfig) -> PartitionedData:
             f"config field 'fl.K': the partition cannot give each of {cfg.num_clients} "
             f"clients a training row: {exc}"
         ) from None
-    return PartitionedData(train=train, test=test, plan=plan)
-
-
-def prepare_data(cfg: ExperimentConfig) -> PreparedData:
-    """`partition_data` plus each client's dataset with its validation carve.
-
-    Raises ConfigError as `partition_data` does."""
-    part = partition_data(cfg)
-    clients = make_client_datasets(part.train, part.plan, cfg.val_fraction, cfg.seed)
+    clients = make_client_datasets(train, plan, cfg.val_fraction, cfg.seed)
     spec = ModelSpec(
-        input_dim=part.train.input_dim,
-        hidden_dim=cfg.hidden_dim,
-        num_classes=part.train.num_classes,
+        input_dim=train.input_dim, hidden_dim=cfg.hidden_dim, num_classes=train.num_classes
     )
-    return PreparedData(part.train, part.test, part.plan, clients=clients, spec=spec)
+    return PreparedData(train, test, plan, clients=clients, spec=spec)
 
 
 def build_fl_config(cfg: ExperimentConfig) -> FlConfig:
@@ -243,11 +230,10 @@ def write_attacks_csv(path: str, results) -> None:
 # ---------------------------------------------------------------------------
 
 
-def stage_train(
-    cfg: ExperimentConfig, out_dir: str, prep: PreparedData | None = None
-) -> TrainingState:
+def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     """Run training and write rounds/assignments/compensation CSVs + snapshots.
-    The data are prepared here unless `prep`, `prepare_data(cfg)`, is given.
+    The returned state's store carries the training rows and their plan,
+    which `snapshots.npz` stores too, so no later stage reads the data.
 
     The evaluation pools are drawn first, every coalition member's training
     set is checked to fill defense.intervals, and a perturbing coalition's
@@ -258,7 +244,7 @@ def stage_train(
     an earlier run in `out_dir` are removed before anything is written, so
     none of them can be read as this run's.
     """
-    prep = prepare_data(cfg) if prep is None else prep
+    prep = prepare_data(cfg)
     build_pools(cfg, prep)
     defense_cfg = build_defense_config(cfg, prep.spec.num_classes)
     if cfg.defense == "coalition":
@@ -284,6 +270,7 @@ def stage_train(
         prep.test.y,
         defense_cfg=defense_cfg,
     )
+    state.store.train, state.store.plan = prep.train, prep.plan
     for name in DOWNSTREAM_CSVS:
         if os.path.exists(os.path.join(out_dir, name)):
             os.remove(os.path.join(out_dir, name))
@@ -319,8 +306,10 @@ def _check_stamp(cfg: ExperimentConfig, path: str, config_sha256: str, seed: int
         )
 
 
-def build_pools(cfg: ExperimentConfig, prep: PartitionedData) -> EvalPools:
-    """Member/IFL/OFL pools for the configured target client.
+def build_pools(cfg: ExperimentConfig, prep: PreparedData | SnapshotStore) -> EvalPools:
+    """Member/IFL/OFL pools for the configured target client, drawn from
+    `prep.plan`: the prepared data's, or that of the store that carries the
+    run's rows.
 
     The target's validation indices (`data.validation_carve`, as its client
     dataset carves them) are excluded from the member pool: those samples
@@ -347,21 +336,18 @@ def build_pools(cfg: ExperimentConfig, prep: PartitionedData) -> EvalPools:
 
 
 def stage_attack(
-    cfg: ExperimentConfig,
-    out_dir: str,
-    store: SnapshotStore | None = None,
-    prep: PreparedData | None = None,
+    cfg: ExperimentConfig, out_dir: str, store: SnapshotStore | None = None
 ) -> list[atk.AttackResult]:
     """Score the configured attacks against the recorded snapshots and
     write `attacks.csv`, listing the attacks in `attack.list` order.
 
     Unless `store` is given, `snapshots.npz` is opened once: its stamp is
-    checked before any model field is read. An attack that needs two
+    checked before any model or row field is read. An attack that needs two
     recorded rounds is refused, before any attack runs, when the snapshots
-    hold fewer. Unless `prep` (`prepare_data(cfg)`) is given, only the data
-    that the pools and the attacks read are built (`partition_data`), with
-    the same refusals; no client dataset is built. `attacks.run_attacks`
-    then measures what the attacks read once and scores each from it.
+    hold fewer. The rows and the partition come from the store alone (set
+    by `stage_train`, or loaded), so no data file is read and no data are
+    built; a store without them is refused. `attacks.run_attacks` then
+    measures what the attacks read once and scores each from it.
     """
     if store is None:
         path = os.path.join(out_dir, SNAPSHOTS_NPZ)
@@ -372,11 +358,11 @@ def stage_attack(
                 f"config field 'attack.list': {name} needs at least 2 recorded rounds, "
                 f"the run recorded {len(store.rounds)} (see fl.T and fl.snapshot_every)"
             )
-    part = partition_data(cfg) if prep is None else prep
-    pools = build_pools(cfg, part)
+    train, _ = store.rows()
+    pools = build_pools(cfg, store)
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     results = atk.run_attacks(
-        store, part.train, pools, cfg.target_client, cfg.attack_list, selector=selector
+        store, train, pools, cfg.target_client, cfg.attack_list, selector=selector
     )
     write_attacks_csv(os.path.join(out_dir, ATTACKS_CSV), results)
     return results
@@ -394,13 +380,16 @@ def _read_mean_attack_auc(out_dir: str) -> float | None:
     return float(np.mean([float(r["auc"]) for r in rows])) if rows else None
 
 
-def _check_baseline(cfg: ExperimentConfig, baseline_dir: str) -> None:
+def _check_baseline(cfg: ExperimentConfig, out_dir: str, baseline_dir: str) -> None:
     """Refuse a baseline run that differs from `cfg` in more than its defense.
 
     Reads the baseline's config.txt and the stamp of its snapshots, which
     must agree. Its seed and its data./model./fl. settings must equal
     cfg's; only defense.*, attack.*, eval.* and output.dir may differ. The
-    error names the first key that differs.
+    error names the first key that differs. Then the row fields of both
+    runs' snapshots, and nothing else of them, must be equal: a data file
+    edited between the two trainings is refused, naming the first field
+    that differs.
     """
     base = parse_config(os.path.join(baseline_dir, CONFIG_TXT))
     _check_snapshot_stamp(base, baseline_dir)
@@ -413,6 +402,18 @@ def _check_baseline(cfg: ExperimentConfig, baseline_dir: str) -> None:
                 f"config field {key!r}: {mine!r} differs from {theirs!r} in baseline "
                 f"{baseline_dir}; only defense.*, attack.*, eval.* and output.dir may differ"
             )
+    # both stamps are checked, so both files hold every field of this format
+    mine_path, base_path = (os.path.join(d, SNAPSHOTS_NPZ) for d in (out_dir, baseline_dir))
+    with np.load(mine_path) as mine, np.load(base_path) as theirs:
+        differ = [name for name in ROW_FIELDS if not np.array_equal(mine[name], theirs[name])]
+    if differ:
+        key, data = "data.source", cfg.source
+        if cfg.source == "csv":
+            key, data = "data.csv_path", cfg.csv_path
+        raise ConfigError(
+            f"config field {key!r}: {data} gave other training rows than those of baseline "
+            f"{baseline_dir} (snapshot field {differ[0]!r} differs); train both on the same data"
+        )
 
 
 def stage_report(cfg: ExperimentConfig, out_dir: str, baseline_dir: str | None = None) -> None:
@@ -423,7 +424,7 @@ def stage_report(cfg: ExperimentConfig, out_dir: str, baseline_dir: str | None =
     """
     _check_snapshot_stamp(cfg, out_dir)
     if baseline_dir:
-        _check_baseline(cfg, baseline_dir)
+        _check_baseline(cfg, out_dir, baseline_dir)
     final_acc = _read_final_test_acc(out_dir)
     mean_auc = _read_mean_attack_auc(out_dir)
     delta = ""
@@ -441,11 +442,11 @@ def run_experiment(
     out_dir: str,
     baseline_dir: str | None = None,
 ) -> int:
-    """Train, attack, and report in one pass, on data prepared once.
-    Returns a process exit status."""
-    prep = prepare_data(cfg)
-    state = stage_train(cfg, out_dir, prep)
-    stage_attack(cfg, out_dir, store=state.store, prep=prep)
+    """Train, attack, and report in one pass, on data prepared once: the
+    attack reads the rows that training's store carries. Returns a process
+    exit status."""
+    state = stage_train(cfg, out_dir)
+    stage_attack(cfg, out_dir, store=state.store)
     stage_report(cfg, out_dir, baseline_dir=baseline_dir)
     return 0
 

@@ -9,7 +9,9 @@ after it, from their validation losses under that evaluation's model and
 one forward pass of their uploads. The server aggregates local parameters
 with weights proportional to each client's original local dataset size,
 and records model snapshots — the global broadcast and every uploaded
-local — at round 1 and every snapshot_every rounds thereafter.
+local — at round 1 and every snapshot_every rounds thereafter. The
+`SnapshotStore` also carries the run's training rows and their partition,
+which `snapshots.npz` stores, so the attack stage reads no data file.
 
 A run is configured by `FlConfig` and, under the coalition defense, by
 `CoalitionDefenseConfig`, whose fields carry the names of the
@@ -30,6 +32,7 @@ import numpy as np
 
 from . import models
 from .assignment import (
+    DECAY_KINDS,
     ClassAssignmentSchedule,
     CoalitionSpec,
     build_schedule,
@@ -37,7 +40,7 @@ from .assignment import (
 )
 from .compensation import BanditState, Telemetry, cr_term, is_rewarded
 from .compensation import plan_local_update, planned_rows, reward_local_update
-from .data import ClientDataset
+from .data import ClientDataset, LabeledDataset, PartitionPlan
 from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
 from .rng import RoundStreams, stream
@@ -99,6 +102,8 @@ class CoalitionDefenseConfig:
     r_p: float
 
     def __post_init__(self) -> None:
+        if self.decay not in DECAY_KINDS:
+            raise ValueError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
         if self.t0 < 1:
             raise ValueError("t0 must be >= 1")
         if self.intervals < 1:
@@ -109,6 +114,10 @@ class CoalitionDefenseConfig:
             raise ValueError(f"mu must be a finite number >= 0, got {self.mu}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must be in [0, 1]")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma}")
+        if not 0.0 < self.r_p <= 1.0:
+            raise ValueError(f"r_p must be in (0, 1], got {self.r_p}")
 
 
 @dataclass
@@ -118,21 +127,26 @@ class RoundReport:
     mean_train_loss: float
 
 
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
 MODEL_FIELDS = ("rounds", "client_sizes", "spec", "globals", "locals")
+# The run's training rows (n, d), their labels (n,) and their owners (n,):
+# a client id, or -1 for a row of the OFL pool.
+ROW_FIELDS = ("rows", "labels", "owners")
 # The stamp in front names the run that trained the models: the file format,
 # the SHA-256 of the training part of its config (`config.training_fingerprint`)
 # and its seed.
-SNAPSHOT_FIELDS = ("format", "config_sha256", "seed") + MODEL_FIELDS
+SNAPSHOT_FIELDS = ("format", "config_sha256", "seed") + MODEL_FIELDS + ROW_FIELDS
 
 
 class SnapshotStore:
     """Recorded model snapshots, one entry per recorded round: the global
     broadcasts in `globals` (R, P) and the uploaded locals in `locals`
-    (R, K, P), row k of an entry holding client k's upload.
+    (R, K, P), row k of an entry holding client k's upload; and the run's
+    training rows (`train`) with their partition (`plan`), which
+    `experiment.stage_train` sets and the attack stage reads.
 
-    They are recorded into two stacks made for `capacity` snapshots and
-    doubled when full, so `save` writes them as they are."""
+    The snapshots are recorded into two stacks made for `capacity` snapshots
+    and doubled when full, so `save` writes them as they are."""
 
     def __init__(self, spec: ModelSpec, client_sizes: np.ndarray, capacity: int = 1):
         self.spec = spec
@@ -141,6 +155,8 @@ class SnapshotStore:
         p = spec.param_count
         self._globals = np.empty((capacity, p))
         self._locals = np.empty((capacity, self.num_clients, p))
+        self.train: LabeledDataset | None = None
+        self.plan: PartitionPlan | None = None
 
     @property
     def num_clients(self) -> int:
@@ -153,6 +169,12 @@ class SnapshotStore:
     @property
     def locals(self) -> np.ndarray:
         return self._locals[: len(self.rounds)]
+
+    def rows(self) -> tuple[LabeledDataset, PartitionPlan]:
+        """(train, plan), refused when unset: `experiment.stage_train` sets them."""
+        if self.train is None or self.plan is None:
+            raise ValueError(f"the snapshot store holds no training rows {ROW_FIELDS}")
+        return self.train, self.plan
 
     def record(self, round_t: int, global_params: np.ndarray, uploads: np.ndarray):
         """Copy one round's global broadcast and its (K, P) upload matrix."""
@@ -168,11 +190,15 @@ class SnapshotStore:
         self.rounds.append(round_t)
 
     def save(self, path: str, config_sha256: str, seed: int) -> None:
-        """Write format 2: the stamp of the run that trained these models,
-        then the stacked snapshots. Members are stored uncompressed, since
-        float64 weights barely compress; numpy gives every zip member the
-        same fixed timestamp, so the bytes are a function of the contents."""
-        spec = self.spec
+        """Write format 3: the stamp of the run that trained these models,
+        the stacked snapshots, then the training rows with their owners.
+        Members are stored uncompressed, since float64 values barely
+        compress; numpy gives every zip member the same fixed timestamp, so
+        the bytes are a function of the contents."""
+        spec, (train, plan) = self.spec, self.rows()
+        owners = np.full(len(train), -1, dtype=np.int64)
+        for k, indices in enumerate(plan.client_indices):
+            owners[indices] = k
         np.savez(
             path,
             format=np.int64(SNAPSHOT_FORMAT),
@@ -183,26 +209,38 @@ class SnapshotStore:
             spec=np.asarray([spec.input_dim, spec.hidden_dim, spec.num_classes], dtype=np.int64),
             globals=self.globals,
             locals=self.locals,
+            rows=train.X,
+            labels=train.y,
+            owners=owners,
         )
 
     @classmethod
     def load(cls, path: str, check_stamp=None) -> "SnapshotStore":
-        """Read a file written by `save`, checking its stamp, every field's
-        shape and that every weight is finite. `check_stamp(config_sha256,
-        seed)`, if given, is called on the stamp before any model field is
-        read, and refuses the file by raising.
+        """Read a file written by `save`, checking its stamp and every field
+        against the others (`_check_snapshot_fields`). `check_stamp(
+        config_sha256, seed)`, if given, is called on the stamp before any
+        model or row field is read, and refuses the file by raising.
 
         The file is opened once and each stored array read exactly once; the
-        loaded stacks are the store's.
+        loaded stacks and rows are the store's. Each part of the plan is the
+        sorted row ids of one owner, as both partitioners sort theirs.
         """
         with np.load(path) as blob:
             stamp = _read_stamp(blob, path)
             if check_stamp is not None:
                 check_stamp(*stamp)
-            fields = {name: blob[name] for name in MODEL_FIELDS}
-        store = cls(_check_snapshot_fields(fields), fields["client_sizes"], capacity=0)
+            fields = {name: blob[name] for name in MODEL_FIELDS + ROW_FIELDS}
+        spec = _check_snapshot_fields(fields)
+        store = cls(spec, fields["client_sizes"], capacity=0)
         store.rounds = [int(t) for t in fields["rounds"]]
         store._globals, store._locals = fields["globals"], fields["locals"]
+        owners = fields["owners"]
+        store.train = LabeledDataset(fields["rows"], fields["labels"], spec.num_classes)
+        # a stable sort lists each owner's rows in increasing order, OFL first
+        order = np.argsort(owners, kind="stable")
+        ends = np.cumsum(np.bincount(owners + 1, minlength=store.num_clients + 1)).tolist()
+        ofl, *parts = (order[a:b] for a, b in zip([0] + ends, ends))
+        store.plan = PartitionPlan(parts, ofl)
         return store
 
 
@@ -246,13 +284,15 @@ def _read_stamp(blob, path: str) -> tuple[str, int]:
 
 
 def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
-    """Validate the model fields of a loaded snapshot file and return its
-    ModelSpec.
+    """Validate the model and row fields of a loaded snapshot file and
+    return its ModelSpec.
 
     Raises ValueError naming the first field that does not fit the others:
     spec (d, h, C), globals (R, P) with P = spec.param_count, locals (R, K, P),
     both finite (the first non-finite row, and client, is named),
-    client_sizes (K,) and rounds (R,) strictly increasing.
+    client_sizes (K,), rounds (R,) strictly increasing, rows (n, d) finite,
+    labels (n,) in [0, C) and owners (n,) in [-1, K) with client_sizes[k]
+    rows of each client k.
     """
     raw_spec = fields["spec"]
     if raw_spec.shape != (3,) or not _is_int(raw_spec):
@@ -290,6 +330,24 @@ def _check_snapshot_fields(fields: dict[str, np.ndarray]) -> ModelSpec:
         or np.any(np.diff(rounds.astype(np.int64)) <= 0)
     ):
         raise _bad_field("rounds", f"must be {r} strictly increasing ints, got {rounds!r}")
+    rows, d = fields["rows"], spec.input_dim
+    if rows.ndim != 2 or rows.shape[1] != d or rows.dtype.kind != "f":
+        raise _bad_field("rows", f"must be floats of shape (n, {d}), got {rows.dtype} {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise _bad_field("rows", "holds a non-finite value")
+    n = len(rows)
+    for name, low, high in (("labels", 0, spec.num_classes), ("owners", -1, k)):
+        ids = fields[name]
+        if ids.shape != (n,) or ids.dtype.kind != "i":
+            raise _bad_field(name, f"must be {n} ints, got {ids.dtype} of shape {ids.shape}")
+        if n and not low <= ids.min() <= ids.max() < high:
+            raise _bad_field(name, f"must lie in [{low}, {high}), got {ids.min()} to {ids.max()}")
+    counts = np.bincount(fields["owners"] + 1, minlength=k + 1)[1:]
+    if not np.array_equal(counts, sizes):
+        c = int(np.flatnonzero(counts != sizes)[0])
+        raise _bad_field(
+            "owners", f"gives client {c} {counts[c]} rows, not client_sizes[{c}] = {sizes[c]}"
+        )
     return spec
 
 
@@ -411,6 +469,8 @@ def init_training(
     if config.defense == "coalition":
         if defense_cfg is None:
             raise ValueError("coalition defense requires a CoalitionDefenseConfig")
+        if defense_cfg.t0 > config.rounds:
+            raise ValueError(f"t0={defense_cfg.t0} exceeds rounds={config.rounds}")
         state.defense_cfg = defense_cfg
         coalition_spec = CoalitionSpec(
             coalition_size=len(config.coalition),

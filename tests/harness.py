@@ -80,7 +80,8 @@ def library_configs(**fields):
 
 
 def run_from_config(cfg):
-    """prepare_data + run_training for a parsed config."""
+    """prepare_data + run_training for a parsed config; the store carries the
+    training rows and their plan, as `experiment.stage_train`'s does."""
     prep = ex.prepare_data(cfg)
     state = run_training(
         ex.build_fl_config(cfg),
@@ -90,6 +91,7 @@ def run_from_config(cfg):
         prep.test.y,
         defense_cfg=ex.build_defense_config(cfg, prep.spec.num_classes),
     )
+    state.store.train, state.store.plan = prep.train, prep.plan
     return prep, state
 
 

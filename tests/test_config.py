@@ -426,7 +426,8 @@ def test_serialized_bytes_of_every_key_are_pinned():
 
 @pytest.mark.parametrize(
     "name, value",
-    [("t0", 0), ("intervals", 0), ("r_l", 1.5), ("mu", -1), ("mu", math.nan), ("eta", 2)],
+    [("t0", 0), ("intervals", 0), ("r_l", 1.5), ("mu", -1), ("mu", math.nan), ("eta", 2)]
+    + [("r_p", 0.0), ("r_p", 1.5), ("sigma", -1.0), ("sigma", math.inf), ("decay", "bogus")],
 )
 def test_defense_config_refuses_a_recycling_value_out_of_range(name, value):
     cfg = parse_config_text(MINIMAL + COALITION)

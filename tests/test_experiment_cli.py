@@ -852,6 +852,45 @@ def test_report_refuses_a_baseline_whose_config_is_not_the_one_that_trained_it(
     assert "differ from the ones that trained" in err
 
 
+def test_report_refuses_a_baseline_trained_on_other_rows_of_the_data_file(
+    tmp_path, capsys, monkeypatch
+):
+    from fedpriv.data import generate_synthetic
+    from harness import save_csv
+
+    csv_path = tmp_path / "data.csv"
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3), str(csv_path))
+    text = (
+        f"data.source = csv\ndata.csv_path = {csv_path}\nfl.K = 4\nfl.T = 4\n"
+        "fl.snapshot_every = 2\neval.members = 8\neval.ifl = 9\neval.ofl = 6\n"
+    )
+    base = _train_baseline(tmp_path, "base", text)
+    defended = text + "defense.kind = grad_noise\ndefense.coalition = 0\n"
+    run = _train_baseline(tmp_path, "run", defended)
+    assert cli.main(["attack", "--out", str(run)]) == 0
+    read = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+    monkeypatch.setattr(
+        np.lib.npyio.NpzFile, "__getitem__", lambda npz, key: read.append(key) or getitem(npz, key)
+    )
+    assert cli.main(["report", "--out", str(run), "--baseline", str(base)]) == 0
+    assert read and not set(read) & set(MODEL_FIELDS)  # only stamps and rows
+    acc_run, acc_base = (ex._read_final_test_acc(str(d)) for d in (run, base))
+    auc = ex._read_mean_attack_auc(str(run))
+    assert _lines(run / ex.SUMMARY_CSV)[1] == (
+        f"grad_noise,{ex._fmt(acc_run)},{ex._fmt(acc_run - acc_base)},{ex._fmt(auc)}"
+    )
+
+    # the same shape and header, other values: the run retrains on other rows
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=4), str(csv_path))
+    assert cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(run)]) == 0
+    assert cli.main(["attack", "--out", str(run)]) == 0
+    err = _refused(capsys, ["report", "--out", str(run), "--baseline", str(base)])
+    assert "'data.csv_path'" in err and str(csv_path) in err and str(base) in err
+    assert "snapshot field 'rows' differs" in err
+    assert not (run / ex.SUMMARY_CSV).exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "text, message",

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -301,6 +302,26 @@ def test_member_with_nothing_to_train_uploads_the_broadcast():
     assert np.array_equal(state.bandits[0].weights, np.ones(2))
 
 
+def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(monkeypatch):
+    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
+    rng = np.random.default_rng(5)
+    clients = _random_clients(rng, [20, 24, 30], spec.input_dim, spec.num_classes)
+    cfg, defense = library_configs(
+        num_clients=3, rounds=3, defense="coalition", coalition=(0, 1), num_classes=3, t0=2,
+        intervals=2,
+    )
+    test_X, test_y = rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
+    trained = mock.Mock(side_effect=AssertionError("a client trained"))
+    monkeypatch.setattr(models, "sgd_lockstep", trained)
+    with pytest.raises(ValueError, match=r"^r_p must be in \(0, 1\], got 0.0$"):
+        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, r_p=0.0))
+    with pytest.raises(ValueError, match=r"^t0=99 exceeds rounds=3$"):
+        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, t0=99))
+    assert not trained.called
+    with pytest.raises(AssertionError, match="a client trained"):  # t0 = T passes
+        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, t0=3))
+
+
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
 def test_fl_config_rejects_a_non_finite_or_negative_lr(lr):
     with pytest.raises(ValueError, match="lr must be finite and >= 0"):
@@ -484,7 +505,7 @@ STAMP = "0123456789abcdef" * 4  # a well-formed config SHA-256
 
 def test_store_save_load_round_trip(tmp_path):
     cfg = make_config(clients=3, rounds=5, snapshot_every=2, samples_per_class=30)
-    _, state = run_from_config(cfg)
+    prep, state = run_from_config(cfg)
     path = tmp_path / "snaps.npz"
     state.store.save(str(path), STAMP, 0)
     assert fed.read_snapshot_stamp(str(path)) == (STAMP, 0)
@@ -496,6 +517,21 @@ def test_store_save_load_round_trip(tmp_path):
         assert np.array_equal(back.globals[row], state.store.globals[row])
         for k in range(3):
             assert np.array_equal(back.locals[row][k], state.store.locals[row][k])
+    assert back.train.X.tobytes() == prep.train.X.tobytes()
+    assert np.array_equal(back.train.y, prep.train.y)
+    assert back.train.num_classes == prep.train.num_classes
+    parts = list(zip(back.plan.client_indices, prep.plan.client_indices))
+    for loaded, prepared in parts + [(back.plan.ofl_indices, prep.plan.ofl_indices)]:
+        assert loaded.dtype == prepared.dtype and np.array_equal(loaded, prepared)
+
+
+def test_a_store_without_rows_is_not_saved(tmp_path):
+    spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
+    store = fed.SnapshotStore(spec, np.array([2, 2]))
+    store.record(1, np.zeros(spec.param_count), np.zeros((2, spec.param_count)))
+    with pytest.raises(ValueError, match="no training rows .'rows', 'labels', 'owners'."):
+        store.save(str(tmp_path / "snaps.npz"), STAMP, 0)
+    assert not (tmp_path / "snaps.npz").exists()
 
 
 def test_record_rejects_an_upload_matrix_of_the_wrong_shape():
@@ -508,12 +544,17 @@ def test_record_rejects_an_upload_matrix_of_the_wrong_shape():
     assert store.rounds == [1] and len(store.locals) == 1
 
 
+# the owners of 25 training rows: 3 OFL rows (-1) and 4, 5, 6, 7 of clients 0-3
+OWNERS = np.random.default_rng(0).permutation(np.repeat(np.arange(-1, 4), [3, 4, 5, 6, 7]))
+
+
 def _snapshot_fields():
-    """A consistent set of snapshot-file arrays: logreg 3 -> 2, R=3, K=4."""
+    """A consistent set of snapshot-file arrays: logreg 3 -> 2, R=3, K=4,
+    25 training rows."""
     spec = ModelSpec(input_dim=3, hidden_dim=0, num_classes=2)
     p = spec.param_count
     return {
-        "format": np.int64(2),
+        "format": np.int64(3),
         "config_sha256": np.str_(STAMP),
         "seed": np.int64(7),
         "rounds": np.array([1, 5, 10], dtype=np.int64),
@@ -521,6 +562,9 @@ def _snapshot_fields():
         "spec": np.array([3, 0, 2], dtype=np.int64),
         "globals": np.zeros((3, p)),
         "locals": np.ones((3, 4, p)),
+        "rows": np.arange(75.0).reshape(25, 3),
+        "labels": np.arange(25, dtype=np.int64) % 2,
+        "owners": OWNERS,
     }
 
 
@@ -530,6 +574,10 @@ def test_store_load_accepts_the_unforged_fields(tmp_path):
     store = fed.SnapshotStore.load(str(path))
     assert store.rounds == [1, 5, 10] and store.num_clients == 4
     assert np.array_equal(store.locals[1][3], np.ones(8))
+    assert np.array_equal(store.train.X[24], [72.0, 73.0, 74.0]) and store.train.y[24] == 0
+    for k, indices in enumerate(store.plan.client_indices):
+        assert np.array_equal(indices, np.flatnonzero(OWNERS == k))
+    assert np.array_equal(store.plan.ofl_indices, np.flatnonzero(OWNERS == -1))
 
 
 @pytest.mark.parametrize(
@@ -550,7 +598,7 @@ def test_store_load_accepts_the_unforged_fields(tmp_path):
         ("rounds", np.array([1, 5, 5], dtype=np.int64)),
         ("rounds", np.array([1.0, 5.0, 10.0])),
         ("format", np.int64(1)),
-        ("format", np.int64(3)),
+        ("format", np.int64(2)),
         ("format", np.float64(2.0)),
         ("format", np.array([2], dtype=np.int64)),
         ("config_sha256", np.str_(STAMP[:-1])),
@@ -559,6 +607,18 @@ def test_store_load_accepts_the_unforged_fields(tmp_path):
         ("config_sha256", np.array([STAMP])),
         ("seed", np.float64(7.0)),
         ("seed", np.array([7], dtype=np.int64)),
+        ("rows", np.zeros((25, 4))),
+        ("rows", np.zeros(75)),
+        ("rows", np.zeros((25, 3), dtype=np.int64)),
+        ("rows", np.where(np.arange(75).reshape(25, 3) == 40, np.inf, 0.0)),
+        ("labels", np.arange(25, dtype=np.int64) % 3),
+        ("labels", np.zeros(24, dtype=np.int64)),
+        ("labels", np.zeros(25)),
+        ("owners", np.where(OWNERS == 3, 4, OWNERS)),
+        ("owners", np.where(OWNERS == 3, 2, OWNERS)),
+        ("owners", np.where(OWNERS == 3, -2, OWNERS)),
+        ("owners", OWNERS[:24]),
+        ("owners", OWNERS.astype(np.float64)),
     ],
 )
 def test_store_load_names_the_bad_field(tmp_path, field, forged):
