@@ -61,7 +61,7 @@ ATTACK_KINDS = {
 OUT_STD_FLOOR = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class AttackResult:
     attack: str
     target: str

@@ -31,7 +31,7 @@ from .data import ClientDataset
 from .models import ModelSpec
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleIntervals:
     """Equal-size loss buckets over a client's samples at one round."""
 
@@ -51,7 +51,7 @@ class SampleIntervals:
         return np.sort(self.order[lo:hi])
 
 
-@dataclass
+@dataclass(eq=False)
 class BanditState:
     """EXP3 state: positive arm weights, exploration rate, reward history
     (the raw rewards so far, kept in ascending order)."""

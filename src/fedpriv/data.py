@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
     """Feature matrix (n, d) plus integer class ids (n,)."""
 
@@ -40,7 +40,7 @@ class LabeledDataset:
         return self.X.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionPlan:
     """Disjoint per-client index lists plus a held-out OFL index pool."""
 
@@ -52,7 +52,7 @@ class PartitionPlan:
         return len(self.client_indices)
 
 
-@dataclass
+@dataclass(eq=False)
 class EvalPools:
     """Pairwise-disjoint sample id pools for membership evaluation."""
 
@@ -61,7 +61,7 @@ class EvalPools:
     ofl_ids: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class ClientDataset:
     """A client's local data with its validation slice carved out.
 

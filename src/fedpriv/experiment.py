@@ -84,7 +84,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-@dataclass
+@dataclass(eq=False)
 class PreparedData:
     """Deterministically derived datasets and partition for one config."""
 

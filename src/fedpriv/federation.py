@@ -422,7 +422,7 @@ class RunBuffers:
     plain_lockstep: tuple[list[int], models.LockstepInputs | None] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainingState:
     """Mutable state threaded through run_round."""
 

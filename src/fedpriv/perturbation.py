@@ -15,7 +15,7 @@ import numpy as np
 from .rng import stream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisePlan:
     """Precomputed per-round per-client scalar noises for one coalition.
 

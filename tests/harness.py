@@ -4,8 +4,8 @@ import csv
 from dataclasses import replace
 
 from fedpriv import experiment as ex
-from fedpriv import run_training
 from fedpriv.config import parse_config_text, validate_config
+from fedpriv.federation import run_training
 
 BASE_TEMPLATE = """
 data.source = synthetic

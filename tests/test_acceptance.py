@@ -10,13 +10,14 @@ bypass of the perturbation module.
 
 import numpy as np
 
-import fedpriv as fp
 from fedpriv import attacks as atk
 from fedpriv import compensation as cmp
 from fedpriv import experiment as ex
 from fedpriv import models
 from fedpriv.assignment import CoalitionSpec, assign_classes, theoretical_overlap_bound
+from fedpriv.metrics import auc_score, tpr_at_fpr
 from fedpriv.models import ModelSpec
+from fedpriv.perturbation import project_neutral
 from harness import make_config, run_from_config
 from oracles import (
     brute_min_max_overlap,
@@ -42,7 +43,7 @@ def test_criterion_1_noise_cancellation():
         d = int(rng.integers(2, 9))
         weights = rng.uniform(0.1, 10.0, size=d)
         base = rng.normal(0.0, 0.1, size=d)
-        delta = fp.project_neutral(base, weights)
+        delta = project_neutral(base, weights)
         resid = abs(float(weights @ delta))
         scale = float(np.max(np.abs(weights * delta)))
         worst_rel = max(worst_rel, resid / max(scale, 1e-300))
@@ -149,9 +150,9 @@ def test_criterion_5_metric_oracles():
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         worst_gap = max(
-            worst_gap, abs(fp.auc_score(scores, labels) - pair_counting_auc(scores, labels))
+            worst_gap, abs(auc_score(scores, labels) - pair_counting_auc(scores, labels))
         )
-        table = fp.tpr_at_fpr(scores, labels, levels=(0.001, 0.01, 0.1))
+        table = tpr_at_fpr(scores, labels, levels=(0.001, 0.01, 0.1))
         for level, got in table.items():
             tpr_ok &= got == sweep_tpr_at_fpr(scores, labels, level)
     _criterion(
