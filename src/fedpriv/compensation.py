@@ -11,7 +11,7 @@ rest evenly, minus an entropy bonus weighted by mu.
 
 A defended update is planned (`plan_local_update`) from the per-sample
 training losses of the received model and the recycling fields of a
-`federation.CoalitionDefenseConfig` (t0, intervals, r_l), trained as one
+`config.ExperimentConfig` (t0, intervals, r_l), trained as one
 client of a round's `models.sgd_lockstep` call (`planned_rows`, `cr_term`)
 and rewarded (`reward_local_update`) by its mean validation losses under
 the received model and under its upload; `compensated_local_update` runs
@@ -256,7 +256,7 @@ def plan_local_update(
     """Plan one defended local update: (rows, arm, number of recycled rows).
 
     The rows are training positions, assigned then recycled. Before round
-    `defense.t0` (`defense` is a `federation.CoalitionDefenseConfig`) the arm
+    `defense.t0` (`defense` is a `config.ExperimentConfig`) the arm
     is -1 and nothing is recycled (`losses` and `bandit_rng` may be None);
     from it on, `defense.intervals` intervals of `losses`, the received
     global model's per-sample training losses, are built, one is drawn, and
@@ -319,7 +319,7 @@ def compensated_local_update(
     bandit_rng: np.random.Generator,
 ) -> tuple[np.ndarray, Telemetry]:
     """One client's defended local update under `defense`, a
-    `federation.CoalitionDefenseConfig`: plan, train, reward. If nothing is
+    `config.ExperimentConfig`: plan, train, reward. If nothing is
     trainable the global parameters are returned and the bandit is not updated.
     """
     losses = None

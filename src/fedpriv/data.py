@@ -90,7 +90,7 @@ def generate_synthetic(
     input_dim: int,
     cluster_spread: float,
     seed: int,
-    mean_scale: float = 4.0,
+    mean_scale: float,
 ) -> LabeledDataset:
     """Gaussian class clusters with seeded, reproducible draws.
 

@@ -59,13 +59,12 @@ from .data import (
 )
 from .federation import (
     ROW_FIELDS,
-    CoalitionDefenseConfig,
-    FlConfig,
     SnapshotStore,
     TrainingState,
     read_snapshot_stamp,
     run_training,
 )
+from .metrics import DEFAULT_FPR_LEVELS
 from .models import ModelSpec
 from .rng import derive_seed
 
@@ -148,20 +147,23 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     return PreparedData(train, test, plan, clients=clients, spec=spec)
 
 
-def build_fl_config(cfg: ExperimentConfig) -> FlConfig:
-    """FlConfig from a validated ExperimentConfig's fields of the same names."""
-    return FlConfig(**{f.name: getattr(cfg, f.name) for f in fields(FlConfig)})
+def build_fl_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The config that the round loop reads: cfg, refused with a ConfigError
+    naming the key unless `validate_config` passes it, with its coalition
+    ids sorted."""
+    validate_config(cfg)
+    return replace(cfg, coalition=tuple(sorted(cfg.coalition)))
 
 
-def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> CoalitionDefenseConfig | None:
-    """CoalitionDefenseConfig, under the coalition defense, from a validated
-    ExperimentConfig's fields of the same names, with the class bounds
-    resolved for `num_classes` (`config.resolved_class_bounds`)."""
+def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> ExperimentConfig | None:
+    """Under the coalition defense, `build_fl_config(cfg)` with m_max and
+    m_min resolved for `num_classes` (`config.resolved_class_bounds`);
+    None under any other defense. Refuses what `build_fl_config` refuses."""
+    run = build_fl_config(cfg)
     if cfg.defense != "coalition":
         return None
     m_max, m_min = resolved_class_bounds(cfg, num_classes)
-    copied = {f.name: getattr(cfg, f.name) for f in fields(CoalitionDefenseConfig)}
-    return CoalitionDefenseConfig(**copied | {"m_max": m_max, "m_min": m_min})
+    return replace(run, m_max=m_max, m_min=m_min)
 
 
 def comm_overhead_estimate(num_classes: int, rounds: int) -> int:
@@ -215,10 +217,10 @@ def write_compensation_csv(path: str, telemetry) -> None:
 
 
 def write_attacks_csv(path: str, results) -> None:
-    header = ["attack", "target", "auc"] + [f"tpr_at_fpr_{q}" for q in (0.001, 0.01, 0.1)]
+    header = ["attack", "target", "auc"] + [f"tpr_at_fpr_{q}" for q in DEFAULT_FPR_LEVELS]
     rows = (
         [res.attack, res.target, _fmt(res.auc)]
-        + [_fmt(res.tpr_at_fpr[q]) for q in (0.001, 0.01, 0.1)]
+        + [_fmt(res.tpr_at_fpr[q]) for q in DEFAULT_FPR_LEVELS]
         + [int(res.labels.sum()), len(res.labels) - int(res.labels.sum())]
         for res in results
     )
@@ -384,12 +386,13 @@ def _check_baseline(cfg: ExperimentConfig, out_dir: str, baseline_dir: str) -> N
     """Refuse a baseline run that differs from `cfg` in more than its defense.
 
     Reads the baseline's config.txt and the stamp of its snapshots, which
-    must agree. Its seed and its data./model./fl. settings must equal
-    cfg's; only defense.*, attack.*, eval.* and output.dir may differ. The
-    error names the first key that differs. Then the row fields of both
-    runs' snapshots, and nothing else of them, must be equal: a data file
-    edited between the two trainings is refused, naming the first field
-    that differs.
+    must agree. Its seed, its data./model./fl. settings and its
+    defense.val_fraction, which every client carves off its training rows,
+    defended or not, must equal cfg's; only the other defense.* keys,
+    attack.*, eval.* and output.dir may differ. The error names the first
+    key that differs. Then the row fields of both runs' snapshots, and
+    nothing else of them, must be equal: a data file edited between the two
+    trainings is refused, naming the first field that differs.
     """
     base = parse_config(os.path.join(baseline_dir, CONFIG_TXT))
     _check_snapshot_stamp(base, baseline_dir)
@@ -397,10 +400,11 @@ def _check_baseline(cfg: ExperimentConfig, out_dir: str, baseline_dir: str) -> N
     for f in fields(ExperimentConfig):
         key = f.metadata["key"]
         mine, theirs = getattr(cfg, f.name), getattr(base, f.name)
-        if key.startswith(sections) and mine != theirs:
+        if (key.startswith(sections) or key == "defense.val_fraction") and mine != theirs:
             raise ConfigError(
                 f"config field {key!r}: {mine!r} differs from {theirs!r} in baseline "
-                f"{baseline_dir}; only defense.*, attack.*, eval.* and output.dir may differ"
+                f"{baseline_dir}; only attack.*, eval.*, output.dir and the defense.* keys "
+                "other than defense.val_fraction may differ"
             )
     # both stamps are checked, so both files hold every field of this format
     mine_path, base_path = (os.path.join(d, SNAPSHOTS_NPZ) for d in (out_dir, baseline_dir))

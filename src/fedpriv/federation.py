@@ -13,10 +13,10 @@ local — at round 1 and every snapshot_every rounds thereafter. The
 `SnapshotStore` also carries the run's training rows and their partition,
 which `snapshots.npz` stores, so the attack stage reads no data file.
 
-A run is configured by `FlConfig` and, under the coalition defense, by
-`CoalitionDefenseConfig`, whose fields carry the names of the
-`ExperimentConfig` attributes they copy (`experiment.build_fl_config`,
-`build_defense_config`); neither declares a default of its own.
+A run is configured by a validated `config.ExperimentConfig` with its
+coalition ids sorted (`experiment.build_fl_config`) and, under the coalition
+defense, by that config with its class bounds resolved
+(`build_defense_config`); the round loop checks none of its values again.
 
 A run makes its generators and its large arrays once (`RunBuffers`) and
 reuses them every round; `run_training` drops them when it returns.
@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import models
 from .assignment import (
-    DECAY_KINDS,
     ClassAssignmentSchedule,
     CoalitionSpec,
     build_schedule,
@@ -45,79 +45,10 @@ from .models import ModelSpec
 from .perturbation import NoisePlan, apply_perturbation, build_noise_plan
 from .rng import RoundStreams, stream
 
+if TYPE_CHECKING:  # config imports DEFENSE_KINDS from here
+    from .config import ExperimentConfig
+
 DEFENSE_KINDS = ("none", "coalition", "grad_sparse", "grad_noise")
-
-
-@dataclass(frozen=True)
-class FlConfig:
-    """Federation-level knobs; `coalition` is the set of defended clients."""
-
-    num_clients: int
-    rounds: int
-    lr: float
-    local_epochs: int
-    batch_size: int
-    snapshot_every: int
-    defense: str
-    coalition: tuple[int, ...]
-    seed: int
-    keep_rate: float  # grad_sparse
-    noise_sigma: float  # grad_noise
-
-    def __post_init__(self) -> None:
-        if self.num_clients < 1 or self.rounds < 1 or self.snapshot_every < 1:
-            raise ValueError("num_clients, rounds, snapshot_every must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.defense not in DEFENSE_KINDS:
-            raise ValueError(f"defense must be one of {DEFENSE_KINDS}")
-        coalition = tuple(sorted(self.coalition))
-        for k, nxt in zip(coalition, coalition[1:]):
-            if k == nxt:
-                raise ValueError(f"coalition id {k} is repeated")
-        object.__setattr__(self, "coalition", coalition)
-        if coalition and not (0 <= coalition[0] and coalition[-1] < self.num_clients):
-            raise ValueError("coalition ids must lie in [0, num_clients)")
-        if self.defense != "none" and not coalition:
-            raise ValueError(f"defense {self.defense!r} needs a non-empty coalition")
-
-
-@dataclass(frozen=True)
-class CoalitionDefenseConfig:
-    """Knobs for the collaborative defense run by the coalition: class
-    assignment (m_max, m_min, decay), compensation (recycling from round t0
-    on, over `intervals` loss intervals, at most a fraction r_l of a client's
-    samples per round, entropy weight mu, bandit exploration rate eta) and
-    perturbation (sigma, on a tail of a fraction r_p of the parameters)."""
-
-    m_max: int
-    m_min: int
-    decay: str
-    t0: int
-    intervals: int
-    r_l: float
-    mu: float
-    eta: float
-    sigma: float
-    r_p: float
-
-    def __post_init__(self) -> None:
-        if self.decay not in DECAY_KINDS:
-            raise ValueError(f"decay must be one of {DECAY_KINDS}, got {self.decay!r}")
-        if self.t0 < 1:
-            raise ValueError("t0 must be >= 1")
-        if self.intervals < 1:
-            raise ValueError("intervals must be >= 1")
-        if not 0.0 <= self.r_l <= 1.0:
-            raise ValueError("r_l must be in [0, 1]")
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise ValueError(f"mu must be a finite number >= 0, got {self.mu}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must be in [0, 1]")
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be a finite number >= 0, got {self.sigma}")
-        if not 0.0 < self.r_p <= 1.0:
-            raise ValueError(f"r_p must be in (0, 1], got {self.r_p}")
 
 
 @dataclass
@@ -426,9 +357,9 @@ class RunBuffers:
 class TrainingState:
     """Mutable state threaded through run_round."""
 
-    config: FlConfig
+    config: ExperimentConfig
     spec: ModelSpec
-    clients: list[ClientDataset]
+    clients: list[ClientDataset]  # emptied when run_training ends
     test_X: np.ndarray
     test_y: np.ndarray
     global_params: np.ndarray
@@ -438,18 +369,18 @@ class TrainingState:
     schedule: ClassAssignmentSchedule | None = None
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
-    defense_cfg: CoalitionDefenseConfig | None = None
+    defense_cfg: ExperimentConfig | None = None
     # made at the first round, dropped when run_training ends
     buffers: RunBuffers | None = None
 
 
 def init_training(
-    config: FlConfig,
+    config: ExperimentConfig,
     spec: ModelSpec,
     clients: list[ClientDataset],
     test_X: np.ndarray,
     test_y: np.ndarray,
-    defense_cfg: CoalitionDefenseConfig | None = None,
+    defense_cfg: ExperimentConfig | None = None,
 ) -> TrainingState:
     """Coordinator preparation: model init plus, for the coalition defense,
     the full class-assignment schedule and the precomputed noise plan."""
@@ -468,7 +399,7 @@ def init_training(
     )
     if config.defense == "coalition":
         if defense_cfg is None:
-            raise ValueError("coalition defense requires a CoalitionDefenseConfig")
+            raise ValueError("coalition defense requires a defense config")
         if defense_cfg.t0 > config.rounds:
             raise ValueError(f"t0={defense_cfg.t0} exceeds rounds={config.rounds}")
         state.defense_cfg = defense_cfg
@@ -681,19 +612,20 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
 
 
 def run_training(
-    config: FlConfig,
+    config: ExperimentConfig,
     spec: ModelSpec,
     clients: list[ClientDataset],
     test_X: np.ndarray,
     test_y: np.ndarray,
-    defense_cfg: CoalitionDefenseConfig | None = None,
+    defense_cfg: ExperimentConfig | None = None,
 ) -> TrainingState:
     """Full deterministic training run; returns the final state with
-    snapshots, round reports, compensation telemetry, and the schedule."""
+    snapshots, round reports, compensation telemetry, and the schedule, but
+    without the clients or the run's buffers."""
     state = init_training(config, spec, clients, test_X, test_y, defense_cfg)
     for t in range(1, config.rounds + 1):
         run_round(state, t)
     # a finished state keeps no copy of the clients' rows and no buffer, which
     # a caller would otherwise hold through its attack stage
-    state.buffers = None
+    state.clients, state.buffers = [], None
     return state

@@ -4,7 +4,7 @@ import csv
 from dataclasses import replace
 
 from fedpriv import experiment as ex
-from fedpriv.config import parse_config_text, validate_config
+from fedpriv.config import parse_config_text
 from fedpriv.federation import run_training
 
 BASE_TEMPLATE = """
@@ -71,11 +71,10 @@ LIBRARY_BASE = "data.source = synthetic\nfl.K = 2\nfl.T = 1\nattack.list =\n"
 
 
 def library_configs(**fields):
-    """(FlConfig, CoalitionDefenseConfig or None) that the builders make of
-    LIBRARY_BASE with `fields` replaced, after validate_config passes it; the
-    class bounds are resolved for its data.num_classes."""
+    """(config, defense config or None) that the builders, which validate
+    it, make of LIBRARY_BASE with `fields` replaced; the class bounds are
+    resolved for its data.num_classes."""
     cfg = replace(parse_config_text(LIBRARY_BASE), **fields)
-    validate_config(cfg)
     return ex.build_fl_config(cfg), ex.build_defense_config(cfg, cfg.num_classes)
 
 

@@ -205,7 +205,7 @@ def test_the_attack_reads_no_data_file_after_training(tmp_path):
     """A CSV edited after train, keeping its shape and header, or deleted,
     leaves attacks.csv as it was."""
     csv_path = tmp_path / "data.csv"
-    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3), str(csv_path))
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3, mean_scale=4.0), str(csv_path))
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(
         f"data.source = csv\ndata.csv_path = {csv_path}\nfl.K = 4\nfl.T = 4\n"
@@ -216,7 +216,7 @@ def test_the_attack_reads_no_data_file_after_training(tmp_path):
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert cli.main(["attack", "--out", str(out)]) == 0
     want = (out / ex.ATTACKS_CSV).read_bytes()
-    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=4), str(csv_path))
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=4, mean_scale=4.0), str(csv_path))
     assert cli.main(["attack", "--out", str(out)]) == 0
     assert (out / ex.ATTACKS_CSV).read_bytes() == want
     csv_path.unlink()

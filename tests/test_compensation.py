@@ -285,7 +285,7 @@ def _client(seed=0, n=40, num_classes=3, dim=4):
 
 
 def _defense(**fields):
-    """The CoalitionDefenseConfig of a validated 3-class coalition config."""
+    """The defense config of a validated 3-class coalition config."""
     fields = dict(num_classes=3, rounds=12, defense="coalition", coalition=(0, 1), **fields)
     return library_configs(**fields)[1]
 

@@ -430,10 +430,12 @@ def test_serialized_bytes_of_every_key_are_pinned():
     + [("r_p", 0.0), ("r_p", 1.5), ("sigma", -1.0), ("sigma", math.inf), ("decay", "bogus")],
 )
 def test_defense_config_refuses_a_recycling_value_out_of_range(name, value):
-    cfg = parse_config_text(MINIMAL + COALITION)
-    defense = build_defense_config(cfg, cfg.num_classes)
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        replace(defense, **{name: value})
+    cfg = replace(parse_config_text(MINIMAL + COALITION), **{name: value})
+    refused = f"^config field 'defense.{name}': must be"
+    with pytest.raises(ConfigError, match=refused):
+        build_fl_config(cfg)
+    with pytest.raises(ConfigError, match=refused):
+        build_defense_config(cfg, cfg.num_classes)
 
 
 # --- property tests of the canonical form -----------------------------------
@@ -543,24 +545,18 @@ def test_fingerprint_changes_exactly_with_training_keys(cfg, data):
     assert differs == trains, key
 
 
-def _library_fields(library) -> dict:
-    return {f.name: getattr(library, f.name) for f in fields(library)}
-
-
 @settings(max_examples=150, deadline=None)
 @given(cfg=valid_configs())
 def test_library_configs_copy_the_config_attributes_of_their_field_names(cfg):
-    # a library field without an ExperimentConfig attribute of its name fails
-    fl = _library_fields(build_fl_config(cfg))
-    assert fl == {name: getattr(cfg, name) for name in fl} | {
-        "coalition": tuple(sorted(cfg.coalition))  # FlConfig keeps the ids sorted
-    }
+    # the builders sort the coalition ids and resolve the class bounds, and
+    # change nothing else
+    assert build_fl_config(cfg) == replace(cfg, coalition=tuple(sorted(cfg.coalition)))
+    if cfg.defense != "coalition":
+        assert build_defense_config(cfg, cfg.num_classes) is None
     # synthetic data, whose class count validate_config checks m_max and m_min against
     defended = replace(cfg, source="synthetic", defense="coalition")
     assume(_is_valid(defended))
-    defense = _library_fields(build_defense_config(defended, defended.num_classes))
     m_max, m_min = resolved_class_bounds(defended, defended.num_classes)
-    assert defense == {name: getattr(defended, name) for name in defense} | {
-        "m_max": m_max,
-        "m_min": m_min,
-    }
+    assert build_defense_config(defended, defended.num_classes) == replace(
+        defended, coalition=tuple(sorted(defended.coalition)), m_max=m_max, m_min=m_min
+    )

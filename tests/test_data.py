@@ -12,14 +12,14 @@ from oracles import loop_generate_synthetic, loop_partition_dirichlet
 
 
 def test_generate_synthetic_deterministic():
-    a = data.generate_synthetic(3, 10, 4, 0.5, seed=11)
-    b = data.generate_synthetic(3, 10, 4, 0.5, seed=11)
+    a = data.generate_synthetic(3, 10, 4, 0.5, seed=11, mean_scale=4.0)
+    b = data.generate_synthetic(3, 10, 4, 0.5, seed=11, mean_scale=4.0)
     assert np.array_equal(a.X, b.X)
     assert np.array_equal(a.y, b.y)
 
 
 def test_generate_synthetic_zero_spread_collapses_to_means():
-    ds = data.generate_synthetic(3, 5, 4, 0.0, seed=2)
+    ds = data.generate_synthetic(3, 5, 4, 0.0, seed=2, mean_scale=4.0)
     for c in range(3):
         block = ds.X[ds.y == c]
         assert np.all(block == block[0])
@@ -79,14 +79,14 @@ def test_synthetic_rows_and_dirichlet_plans_keep_the_bits_of_the_class_loops(sha
 
 
 def test_partition_iid_even_split():
-    ds = data.generate_synthetic(2, 50, 3, 1.0, seed=0)  # 100 samples
+    ds = data.generate_synthetic(2, 50, 3, 1.0, seed=0, mean_scale=4.0)  # 100 samples
     plan = data.partition_iid(ds, 10, 0.0, seed=1)
     assert [len(c) for c in plan.client_indices] == [10] * 10
     assert len(plan.ofl_indices) == 0
 
 
 def test_partition_iid_ofl_carve():
-    ds = data.generate_synthetic(4, 250, 3, 1.0, seed=0)  # 1000 samples
+    ds = data.generate_synthetic(4, 250, 3, 1.0, seed=0, mean_scale=4.0)  # 1000 samples
     plan = data.partition_iid(ds, 9, 0.1, seed=1)
     assert len(plan.ofl_indices) == 100
     sizes = [len(c) for c in plan.client_indices]
@@ -95,7 +95,7 @@ def test_partition_iid_ofl_carve():
 
 
 def test_partition_iid_exact_partition():
-    ds = data.generate_synthetic(3, 41, 3, 1.0, seed=3)
+    ds = data.generate_synthetic(3, 41, 3, 1.0, seed=3, mean_scale=4.0)
     plan = data.partition_iid(ds, 7, 0.13, seed=4)
     pieces = [plan.ofl_indices] + plan.client_indices
     merged = np.concatenate(pieces)
@@ -104,13 +104,13 @@ def test_partition_iid_exact_partition():
 
 
 def test_partition_iid_too_few_samples():
-    ds = data.generate_synthetic(2, 2, 3, 1.0, seed=0)  # 4 samples
+    ds = data.generate_synthetic(2, 2, 3, 1.0, seed=0, mean_scale=4.0)  # 4 samples
     with pytest.raises(ValueError):
         data.partition_iid(ds, 5, 0.0, seed=0)
 
 
 def test_partition_dirichlet_reproducible_and_exact():
-    ds = data.generate_synthetic(5, 60, 3, 1.0, seed=9)
+    ds = data.generate_synthetic(5, 60, 3, 1.0, seed=9, mean_scale=4.0)
     a = data.partition_dirichlet(ds, 6, 0.5, 0.1, seed=10)
     b = data.partition_dirichlet(ds, 6, 0.5, 0.1, seed=10)
     for ca, cb in zip(a.client_indices, b.client_indices):
@@ -123,7 +123,7 @@ def test_partition_dirichlet_large_beta_is_near_uniform():
     # statistical oracle: with beta -> inf, each client's class histogram
     # matches the global one within 20% relative error
     for seed in (0, 1, 2):
-        ds = data.generate_synthetic(4, 250, 3, 1.0, seed=seed)
+        ds = data.generate_synthetic(4, 250, 3, 1.0, seed=seed, mean_scale=4.0)
         plan = data.partition_dirichlet(ds, 5, 1e6, 0.0, seed=seed)
         for idx in plan.client_indices:
             hist = np.bincount(ds.y[idx], minlength=4)
@@ -136,7 +136,7 @@ def test_partition_dirichlet_small_beta_is_skewed():
     # holds > 40% of its data in at least 8 of 10 seeds
     hits = 0
     for seed in range(10):
-        ds = data.generate_synthetic(10, 100, 3, 1.0, seed=seed)
+        ds = data.generate_synthetic(10, 100, 3, 1.0, seed=seed, mean_scale=4.0)
         plan = data.partition_dirichlet(ds, 10, 0.5, 0.0, seed=seed)
         for idx in plan.client_indices:
             hist = np.bincount(ds.y[idx], minlength=10)
@@ -154,7 +154,7 @@ def test_partition_dirichlet_redraw_exhaustion():
 
 
 def test_build_eval_pools_equal_ifl_contribution():
-    ds = data.generate_synthetic(2, 100, 3, 1.0, seed=0)
+    ds = data.generate_synthetic(2, 100, 3, 1.0, seed=0, mean_scale=4.0)
     plan = data.partition_iid(ds, 10, 0.1, seed=0)
     pools = data.build_eval_pools(plan, 0, 5, 9, 5, seed=1)
     owners = []
@@ -164,7 +164,7 @@ def test_build_eval_pools_equal_ifl_contribution():
 
 
 def test_build_eval_pools_empty_members_ok():
-    ds = data.generate_synthetic(2, 100, 3, 1.0, seed=0)
+    ds = data.generate_synthetic(2, 100, 3, 1.0, seed=0, mean_scale=4.0)
     plan = data.partition_iid(ds, 4, 0.2, seed=0)
     pools = data.build_eval_pools(plan, 1, 0, 6, 4, seed=2)
     assert len(pools.member_ids) == 0
@@ -173,7 +173,7 @@ def test_build_eval_pools_empty_members_ok():
 
 
 def test_build_eval_pools_disjoint_any_seed():
-    ds = data.generate_synthetic(3, 90, 3, 1.0, seed=0)
+    ds = data.generate_synthetic(3, 90, 3, 1.0, seed=0, mean_scale=4.0)
     plan = data.partition_iid(ds, 5, 0.2, seed=0)
     for seed in range(5):
         pools = data.build_eval_pools(plan, 2, 10, 12, 10, seed=seed)
@@ -182,7 +182,7 @@ def test_build_eval_pools_disjoint_any_seed():
 
 
 def test_build_eval_pools_insufficient_raises():
-    ds = data.generate_synthetic(2, 20, 3, 1.0, seed=0)
+    ds = data.generate_synthetic(2, 20, 3, 1.0, seed=0, mean_scale=4.0)
     plan = data.partition_iid(ds, 4, 0.0, seed=0)
     with pytest.raises(ValueError):
         data.build_eval_pools(plan, 0, 50, 0, 0, seed=0)
@@ -191,7 +191,7 @@ def test_build_eval_pools_insufficient_raises():
 
 
 def test_build_eval_pools_exclude_keeps_members_out():
-    ds = data.generate_synthetic(2, 50, 3, 1.0, seed=0)
+    ds = data.generate_synthetic(2, 50, 3, 1.0, seed=0, mean_scale=4.0)
     plan = data.partition_iid(ds, 4, 0.0, seed=0)
     exclude = plan.client_indices[0][:10]
     pools = data.build_eval_pools(plan, 0, 10, 0, 0, seed=3, exclude=exclude)
@@ -218,7 +218,7 @@ def test_build_eval_pools_exclude_matches_setdiff1d(source, exclude, take, seed)
 
 
 def test_csv_round_trip(tmp_path):
-    ds = data.generate_synthetic(3, 7, 4, 1.3, seed=6)
+    ds = data.generate_synthetic(3, 7, 4, 1.3, seed=6, mean_scale=4.0)
     path = tmp_path / "toy.csv"
     save_csv(ds, str(path))
     back = data.load_csv(str(path))
@@ -254,7 +254,7 @@ def test_csv_rejects_non_finite_features(tmp_path, value):
 
 
 def test_make_client_datasets_val_carve():
-    ds = data.generate_synthetic(3, 40, 3, 1.0, seed=1)
+    ds = data.generate_synthetic(3, 40, 3, 1.0, seed=1, mean_scale=4.0)
     plan = data.partition_iid(ds, 4, 0.0, seed=1)
     clients = data.make_client_datasets(ds, plan, 0.1, seed=1)
     for client, idx in zip(clients, plan.client_indices):

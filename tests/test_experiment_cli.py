@@ -146,8 +146,17 @@ def test_lockstep_outputs_match_sequential_oracle(tmp_path, monkeypatch):
 
 def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch):
     # nothing keeps a finished run's rows alive: the prepared lock-step inputs,
-    # the generators, the workspace and the evaluation's stacked rows are gone
-    # with the run, the clients' arrays with the state
+    # the generators, the workspace, the evaluation's stacked rows and the
+    # clients' arrays are gone with the run, while its state is still held
+    rows = []
+    prepare_data = ex.prepare_data
+
+    def preparing(cfg):
+        prep = prepare_data(cfg)
+        arrays = [(c.train_X, c.train_y, c.val_X, c.val_y) for c in prep.clients]
+        rows.extend(weakref.ref(a) for client in arrays for a in client)
+        return prep
+
     prepared = []
     prepare = models.prepare_lockstep
 
@@ -167,18 +176,16 @@ def test_a_dropped_training_state_frees_its_client_arrays(tmp_path, monkeypatch)
             made.extend(weakref.ref(part) for part in parts)
         return buffers
 
+    monkeypatch.setattr(ex, "prepare_data", preparing)
     monkeypatch.setattr(models, "prepare_lockstep", recording)
     monkeypatch.setattr(fed, "_buffers", keeping)
     text = SMALL + "defense.kind = grad_noise\ndefense.coalition = 0,1\n"
     state = ex.stage_train(parse_config_text(text), str(tmp_path / "t"))
-    assert state.buffers is None
+    assert state.buffers is None and state.clients == []
     gc.collect()
     assert len(prepared) == 1 and prepared[0]() is None
     assert len(made) == 7 and [ref() for ref in made] == [None] * 7
-    refs = [weakref.ref(c.train_X) for c in state.clients]
-    del state
-    gc.collect()
-    assert [ref() for ref in refs] == [None] * len(refs)
+    assert len(rows) == 4 * 5 and [ref() for ref in rows] == [None] * len(rows)
 
 
 def test_undefended_run_has_header_only_side_csvs(tmp_path):
@@ -421,7 +428,8 @@ def test_bad_sizes_are_refused_by_key_before_training(
         from fedpriv.data import generate_synthetic
         from harness import save_csv
 
-        save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3), str(tmp_path / "data.csv"))
+        ds = generate_synthetic(4, 60, 5, 1.5, seed=3, mean_scale=4.0)
+        save_csv(ds, str(tmp_path / "data.csv"))
         text = _with(text, "data.source", f"csv\ndata.csv_path = {tmp_path / 'data.csv'}")
     calls = []
     monkeypatch.setattr(models, "sgd_lockstep", lambda *args, **kwargs: calls.append(args))
@@ -661,7 +669,7 @@ def test_csv_dataset_source_runs(tmp_path):
     from fedpriv.data import generate_synthetic
     from harness import save_csv
 
-    ds = generate_synthetic(4, 60, 5, 1.5, seed=3)
+    ds = generate_synthetic(4, 60, 5, 1.5, seed=3, mean_scale=4.0)
     csv_path = tmp_path / "data.csv"
     save_csv(ds, str(csv_path))
     cfg = parse_config_text(
@@ -831,8 +839,13 @@ def _train_baseline(tmp_path, name, text):
 
 @pytest.mark.parametrize(
     "text, key",
-    [(SMALL + "fl.seed = 3\n", "'fl.seed'"), (SMALL + "fl.lr = 0.25\n", "'fl.lr'")],
-    ids=["seed", "lr"],
+    [
+        (SMALL + "fl.seed = 3\n", "'fl.seed'"),
+        (SMALL + "fl.lr = 0.25\n", "'fl.lr'"),
+        # every client carves its validation rows, so the runs train on other rows
+        (SMALL + "defense.val_fraction = 0.5\n", "'defense.val_fraction'"),
+    ],
+    ids=["seed", "lr", "val_fraction"],
 )
 def test_report_refuses_a_baseline_with_other_training_settings(
     trained_run, tmp_path, capsys, text, key
@@ -865,7 +878,7 @@ def test_report_refuses_a_baseline_trained_on_other_rows_of_the_data_file(
     from harness import save_csv
 
     csv_path = tmp_path / "data.csv"
-    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3), str(csv_path))
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=3, mean_scale=4.0), str(csv_path))
     text = (
         f"data.source = csv\ndata.csv_path = {csv_path}\nfl.K = 4\nfl.T = 4\n"
         "fl.snapshot_every = 2\neval.members = 8\neval.ifl = 9\neval.ofl = 6\n"
@@ -888,7 +901,7 @@ def test_report_refuses_a_baseline_trained_on_other_rows_of_the_data_file(
     )
 
     # the same shape and header, other values: the run retrains on other rows
-    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=4), str(csv_path))
+    save_csv(generate_synthetic(4, 60, 5, 1.5, seed=4, mean_scale=4.0), str(csv_path))
     assert cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--out", str(run)]) == 0
     assert cli.main(["attack", "--out", str(run)]) == 0
     err = _refused(capsys, ["report", "--out", str(run), "--baseline", str(base)])

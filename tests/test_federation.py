@@ -14,8 +14,8 @@ from fedpriv import experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
 from fedpriv import rng as fedrng
+from fedpriv.config import ConfigError, ExperimentConfig
 from fedpriv.data import ClientDataset
-from fedpriv.federation import FlConfig
 from fedpriv.models import ModelSpec
 from harness import library_configs, make_config, run_from_config
 from oracles import loop_aggregate, recorded_lockstep_inputs, sequential_sgd_lockstep
@@ -143,19 +143,10 @@ def _single_client_setup():
     return spec, client, x, y
 
 
-def _every_fl_field(**fields):
-    """An FlConfig with every field named, for values that validate_config
-    refuses (a single client, a bad lr, a repeated coalition id)."""
-    named = dict(
-        num_clients=2, rounds=1, lr=0.2, local_epochs=1, batch_size=32, snapshot_every=10,
-        defense="none", coalition=(), seed=0, keep_rate=0.1, noise_sigma=0.01,
-    )
-    return FlConfig(**{**named, **fields})
-
-
 def test_run_round_single_client_global_equals_local():
     spec, client, x, y = _single_client_setup()
-    cfg = _every_fl_field(num_clients=1, rounds=1, lr=0.1, local_epochs=1, batch_size=4, seed=3)
+    # a single client, which validate_config refuses, so no builder makes this config
+    cfg = replace(ExperimentConfig(), num_clients=1, rounds=1, lr=0.1, batch_size=4, seed=3)
     state = fed.init_training(cfg, spec, [client], x, y)
     start = state.global_params.copy()
     fed.run_round(state, 1)
@@ -306,15 +297,16 @@ def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(
     spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
     rng = np.random.default_rng(5)
     clients = _random_clients(rng, [20, 24, 30], spec.input_dim, spec.num_classes)
-    cfg, defense = library_configs(
+    named = dict(
         num_clients=3, rounds=3, defense="coalition", coalition=(0, 1), num_classes=3, t0=2,
         intervals=2,
     )
+    cfg, defense = library_configs(**named)
     test_X, test_y = rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
     trained = mock.Mock(side_effect=AssertionError("a client trained"))
     monkeypatch.setattr(models, "sgd_lockstep", trained)
-    with pytest.raises(ValueError, match=r"^r_p must be in \(0, 1\], got 0.0$"):
-        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, r_p=0.0))
+    with pytest.raises(ConfigError, match=r"^config field 'defense.r_p': must be in \(0, 1\]$"):
+        library_configs(**named, r_p=0.0)
     with pytest.raises(ValueError, match=r"^t0=99 exceeds rounds=3$"):
         fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, t0=99))
     assert not trained.called
@@ -324,13 +316,13 @@ def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
 def test_fl_config_rejects_a_non_finite_or_negative_lr(lr):
-    with pytest.raises(ValueError, match="lr must be finite and >= 0"):
-        _every_fl_field(num_clients=2, rounds=1, lr=lr)
+    with pytest.raises(ConfigError, match=r"^config field 'fl.lr': must be a finite number >= 0"):
+        library_configs(lr=lr)
 
 
 def test_fl_config_refuses_a_repeated_coalition_id_and_sorts_the_rest():
-    with pytest.raises(ValueError, match="coalition id 2 is repeated"):
-        _every_fl_field(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 2, 2))
+    with pytest.raises(ConfigError, match=r"^config field 'defense.coalition': client id 2 is rep"):
+        library_configs(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 2, 2))
     cfg, _ = library_configs(num_clients=4, rounds=2, defense="grad_noise", coalition=(3, 0))
     assert cfg.coalition == (0, 3)
 

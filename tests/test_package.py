@@ -18,7 +18,7 @@ from fedpriv.assignment import ClassAssignmentSchedule, CoalitionSpec
 from fedpriv.compensation import Telemetry
 from fedpriv.federation import RoundReport
 from fedpriv.models import ModelSpec
-from harness import library_configs, make_config, run_from_config
+from harness import make_config, run_from_config
 
 SRC = os.path.dirname(os.path.dirname(fedpriv.__file__))
 README = os.path.join(os.path.dirname(SRC), "README.md")
@@ -116,11 +116,8 @@ def test_records_that_hold_arrays_compare_by_identity(name):
 
 
 def test_scalar_records_compare_by_value():
-    fl_config, defense_config = library_configs(defense="coalition", coalition=(0, 1), t0=1)
     records = [
         ModelSpec(6, 8, 5),
-        fl_config,
-        defense_config,
         CoalitionSpec(2, 5, 4, 2, "linear", 3),
         Telemetry(1, 0, -1, 0.0, 0.0, 4, 0),
         RoundReport(1, 0.5, 0.25),
