@@ -5,41 +5,27 @@ assigned subset. Subsets are sized by a decay schedule and chosen by a
 randomized greedy that balances class usage while keeping the maximum
 pairwise overlap close to its combinatorial lower bound
 ceil(m * (d*m - N) / (N * (d - 1))).
+
+A schedule reads the coalition size, defense.m_max and defense.m_min (both
+resolved, as `federation.init_training` keeps them), defense.decay, fl.T
+and fl.seed of the run's `config.ExperimentConfig`, and the data's classes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import ClientDataset
 from .rng import stream
 
+if TYPE_CHECKING:  # config imports DECAY_KINDS from here
+    from .config import ExperimentConfig
+
 DECAY_KINDS = ("linear", "cosine", "exp", "poly")
-
-
-@dataclass(frozen=True)
-class CoalitionSpec:
-    """Coalition size, class-space size, subset-size bounds, decay family."""
-
-    coalition_size: int
-    num_classes: int
-    m_max: int
-    m_min: int
-    decay: str
-    rounds: int
-
-    def __post_init__(self) -> None:
-        if self.coalition_size < 1:
-            raise ValueError("coalition_size must be >= 1")
-        if not 1 <= self.m_min <= self.m_max <= self.num_classes:
-            raise ValueError("need 1 <= m_min <= m_max <= num_classes")
-        if self.decay not in DECAY_KINDS:
-            raise ValueError(f"decay must be one of {DECAY_KINDS}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
 
 
 @dataclass
@@ -70,23 +56,24 @@ def theoretical_overlap_bound(num_classes: int, coalition_size: int, m: int) -> 
     return max(0, -((-num) // den))
 
 
-def decay_subset_size(spec: CoalitionSpec, round_t: int) -> int:
+def decay_subset_size(cfg: ExperimentConfig, round_t: int) -> int:
     """Subset size m^t, non-increasing from m_max at t=1 to m_min at t=T."""
-    if not 1 <= round_t <= spec.rounds:
-        raise ValueError(f"round {round_t} outside [1, {spec.rounds}]")
-    if spec.rounds == 1:
-        return spec.m_min
-    x = (round_t - 1) / (spec.rounds - 1)
-    span = spec.m_max - spec.m_min
-    if spec.decay == "linear":
-        v = spec.m_max - span * x
-    elif spec.decay == "cosine":
-        v = spec.m_min + span * (1.0 + math.cos(math.pi * x)) / 2.0
-    elif spec.decay == "exp":
-        v = spec.m_min + span * math.exp(-5.0 * x)
+    if not 1 <= round_t <= cfg.rounds:
+        raise ValueError(f"round {round_t} outside [1, {cfg.rounds}]")
+    m_max, m_min = cfg.m_max, cfg.m_min
+    if cfg.rounds == 1:
+        return m_min
+    x = (round_t - 1) / (cfg.rounds - 1)
+    span = m_max - m_min
+    if cfg.decay == "linear":
+        v = m_max - span * x
+    elif cfg.decay == "cosine":
+        v = m_min + span * (1.0 + math.cos(math.pi * x)) / 2.0
+    elif cfg.decay == "exp":
+        v = m_min + span * math.exp(-5.0 * x)
     else:  # poly, degree 2
-        v = spec.m_min + span * (1.0 - x) ** 2
-    return int(min(spec.m_max, max(spec.m_min, math.floor(v))))
+        v = m_min + span * (1.0 - x) ** 2
+    return int(min(m_max, max(m_min, math.floor(v))))
 
 
 def _pairwise_overlap(masks: list[int]) -> int:
@@ -153,9 +140,10 @@ def _classes(mask: int) -> frozenset[int]:
 
 
 def assign_classes(
-    spec: CoalitionSpec, round_t: int, seed: int
+    cfg: ExperimentConfig, num_classes: int, round_t: int
 ) -> tuple[list[frozenset[int]], int]:
-    """Assign a size-m^t class subset to every coalition member for one round.
+    """Assign a size-m^t class subset of `num_classes` classes to every
+    coalition member for one round.
 
     The overlap cap starts at the theoretical bound and is raised by one on
     each failed greedy pass (the cap m^t always succeeds). When the coalition
@@ -164,9 +152,9 @@ def assign_classes(
     achieved maximum pairwise overlap, which is randomized per (seed, round)
     so the class-to-client mapping varies across rounds.
     """
-    d, n = spec.coalition_size, spec.num_classes
-    m = decay_subset_size(spec, round_t)
-    rng = stream(seed, "assign", round_t)
+    d, n = len(cfg.coalition), num_classes
+    m = decay_subset_size(cfg, round_t)
+    rng = stream(cfg.seed, "assign", round_t)
     cap = theoretical_overlap_bound(n, d, m)
     while True:
         subsets = _greedy_pass(n, d, m, cap, rng)
@@ -181,11 +169,11 @@ def assign_classes(
     return classes, _pairwise_overlap(subsets)
 
 
-def build_schedule(spec: CoalitionSpec, seed: int) -> ClassAssignmentSchedule:
+def build_schedule(cfg: ExperimentConfig, num_classes: int) -> ClassAssignmentSchedule:
     """Precompute assignments for every round (coordinator-side, read-only after)."""
     subsets, lambdas = [], []
-    for t in range(1, spec.rounds + 1):
-        round_subsets, lam = assign_classes(spec, t, seed)
+    for t in range(1, cfg.rounds + 1):
+        round_subsets, lam = assign_classes(cfg, num_classes, t)
         subsets.append(round_subsets)
         lambdas.append(lam)
     return ClassAssignmentSchedule(subsets=subsets, lambdas=lambdas)

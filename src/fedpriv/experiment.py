@@ -237,41 +237,25 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     The returned state's store carries the training rows and their plan,
     which `snapshots.npz` stores too, so no later stage reads the data.
 
-    The evaluation pools are drawn first, every coalition member's training
-    set is checked to fill defense.intervals, and a perturbing coalition's
-    tail (defense.r_p of the parameters) to hold at least one, so a config
-    that does not fit its partition or model fails before any training; the
-    pools have their own random stream, so drawing them here changes no
-    artefact. Once training has succeeded, the attack and report outputs of
-    an earlier run in `out_dir` are removed before anything is written, so
-    none of them can be read as this run's.
+    The evaluation pools are drawn first and `federation.init_training`
+    refuses what the partition or model cannot run, so a config that does
+    not fit them fails before any training; the pools have their own random
+    stream, so drawing them here changes no artefact. `out_dir` is made
+    only once training has succeeded; then the attack and report outputs of
+    an earlier run in it are removed before anything is written, so none of
+    them can be read as this run's.
     """
     prep = prepare_data(cfg)
     build_pools(cfg, prep)
-    defense_cfg = build_defense_config(cfg, prep.spec.num_classes)
-    if cfg.defense == "coalition":
-        for k in cfg.coalition:
-            n = len(prep.clients[k].train_y)
-            if n < cfg.intervals:
-                raise ConfigError(
-                    f"config field 'defense.intervals': {cfg.intervals} intervals exceed "
-                    f"the {n} training samples of coalition client {k}"
-                )
-        p = prep.spec.param_count
-        if cfg.sigma > 0 and int(np.floor(cfg.r_p * p)) == 0:
-            raise ConfigError(
-                f"config field 'defense.r_p': {cfg.r_p:g} of the model's {p} parameters "
-                "is an empty perturbation tail"
-            )
-    os.makedirs(out_dir, exist_ok=True)
     state = run_training(
         build_fl_config(cfg),
         prep.spec,
         prep.clients,
         prep.test.X,
         prep.test.y,
-        defense_cfg=defense_cfg,
+        defense_cfg=build_defense_config(cfg, prep.spec.num_classes),
     )
+    os.makedirs(out_dir, exist_ok=True)
     state.store.train, state.store.plan = prep.train, prep.plan
     for name in DOWNSTREAM_CSVS:
         if os.path.exists(os.path.join(out_dir, name)):

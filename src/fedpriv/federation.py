@@ -13,10 +13,13 @@ local — at round 1 and every snapshot_every rounds thereafter. The
 `SnapshotStore` also carries the run's training rows and their partition,
 which `snapshots.npz` stores, so the attack stage reads no data file.
 
-A run is configured by a validated `config.ExperimentConfig` with its
-coalition ids sorted (`experiment.build_fl_config`) and, under the coalition
-defense, by that config with its class bounds resolved
-(`build_defense_config`); the round loop checks none of its values again.
+A run is configured by one `config.ExperimentConfig`. `init_training` is
+the gate between it and the rounds: it validates the config, sorts its
+coalition ids (as `experiment.build_fl_config` does), refuses a defense
+config (`experiment.build_defense_config`) that says otherwise, and refuses
+what the data cannot run, each time naming the key. The run keeps that one
+config, class bounds resolved, as `TrainingState.config`, and no round
+checks its values again.
 
 A run makes its generators and its large arrays once (`RunBuffers`) and
 reuses them every round; `run_training` drops them when it returns.
@@ -26,18 +29,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import models
-from .assignment import (
-    ClassAssignmentSchedule,
-    CoalitionSpec,
-    build_schedule,
-    select_assigned_subset,
-)
+from .assignment import ClassAssignmentSchedule, build_schedule, select_assigned_subset
 from .compensation import BanditState, Telemetry, cr_term, is_rewarded
 from .compensation import plan_local_update, planned_rows, reward_local_update
 from .data import ClientDataset, LabeledDataset, PartitionPlan
@@ -369,7 +367,6 @@ class TrainingState:
     schedule: ClassAssignmentSchedule | None = None
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
-    defense_cfg: ExperimentConfig | None = None
     # made at the first round, dropped when run_training ends
     buffers: RunBuffers | None = None
 
@@ -383,9 +380,51 @@ def init_training(
     defense_cfg: ExperimentConfig | None = None,
 ) -> TrainingState:
     """Coordinator preparation: model init plus, for the coalition defense,
-    the full class-assignment schedule and the precomputed noise plan."""
+    the full class-assignment schedule and the precomputed noise plan.
+
+    The one gate between a config and its rounds, so that no round fails on
+    a value the config holds: `config` must pass `validate_config`, and a
+    ConfigError names the key of anything else refused. The coalition ids
+    are sorted, as `build_fl_config` sorts them. `defense_cfg`
+    (`build_defense_config`), required under the coalition defense, must
+    equal `config` with its class bounds resolved for `spec.num_classes`
+    (`resolved_class_bounds`), which the state keeps as its `config`. Every
+    coalition member must hold at least defense.intervals training rows,
+    and a perturbing coalition's tail (defense.r_p of the parameters) at
+    least one parameter.
+    """
+    from .config import ConfigError, resolved_class_bounds, validate_config  # config imports us
+
+    validate_config(config)
+    config = replace(config, coalition=tuple(sorted(config.coalition)))
     if len(clients) != config.num_clients:
         raise ValueError("client list does not match num_clients")
+    if config.defense == "coalition" or defense_cfg is not None:
+        if defense_cfg is None:
+            raise ValueError("coalition defense requires a defense config")
+        m_max, m_min = resolved_class_bounds(config, spec.num_classes)
+        config = replace(config, m_max=m_max, m_min=m_min)
+        for f in fields(config):
+            mine, theirs = getattr(config, f.name), getattr(defense_cfg, f.name)
+            if mine != theirs:
+                raise ConfigError(
+                    f"config field {f.metadata['key']!r}: {theirs!r} in the defense config "
+                    f"differs from {mine!r} in the run's config"
+                )
+    if config.defense == "coalition":
+        for k in config.coalition:
+            n = len(clients[k].train_y)
+            if n < config.intervals:
+                raise ConfigError(
+                    f"config field 'defense.intervals': {config.intervals} intervals exceed "
+                    f"the {n} training samples of coalition client {k}"
+                )
+        p = spec.param_count
+        if config.sigma > 0 and int(np.floor(config.r_p * p)) == 0:
+            raise ConfigError(
+                f"config field 'defense.r_p': {config.r_p:g} of the model's {p} parameters "
+                "is an empty perturbation tail"
+            )
     sizes = np.asarray([c.num_samples for c in clients], dtype=np.int64)
     snapshots = sum(snapshot_due(t, config.snapshot_every) for t in range(1, config.rounds + 1))
     state = TrainingState(
@@ -398,21 +437,8 @@ def init_training(
         store=SnapshotStore(spec, sizes, capacity=snapshots),
     )
     if config.defense == "coalition":
-        if defense_cfg is None:
-            raise ValueError("coalition defense requires a defense config")
-        if defense_cfg.t0 > config.rounds:
-            raise ValueError(f"t0={defense_cfg.t0} exceeds rounds={config.rounds}")
-        state.defense_cfg = defense_cfg
-        coalition_spec = CoalitionSpec(
-            coalition_size=len(config.coalition),
-            num_classes=spec.num_classes,
-            m_max=defense_cfg.m_max,
-            m_min=defense_cfg.m_min,
-            decay=defense_cfg.decay,
-            rounds=config.rounds,
-        )
-        state.schedule = build_schedule(coalition_spec, config.seed)
-        weights, sigma = sizes[list(config.coalition)], defense_cfg.sigma
+        state.schedule = build_schedule(config, spec.num_classes)
+        weights, sigma = sizes[list(config.coalition)], config.sigma
         try:
             state.noise_plan = build_noise_plan(weights, sigma, config.rounds, config.seed)
         except FloatingPointError as err:  # refused before any round runs
@@ -420,8 +446,7 @@ def init_training(
                 f"training diverged at {err}; coalition client(s) {list(config.coalition)}"
             ) from None
         state.bandits = {
-            k: BanditState.fresh(defense_cfg.intervals, defense_cfg.eta)
-            for k in config.coalition
+            k: BanditState.fresh(config.intervals, config.eta) for k in config.coalition
         }
     return state
 
@@ -441,8 +466,8 @@ def _buffers(state: TrainingState) -> RunBuffers:
         streams = {"train": RoundStreams(cfg.seed, "train", range(cfg.num_clients), rounds)}
         val_members = []
         if cfg.defense == "coalition":
-            t0 = state.defense_cfg.t0  # a plan draws only from then on
-            streams["bandit"] = RoundStreams(cfg.seed, "bandit", cfg.coalition, rounds[t0 - 1 :])
+            planned = rounds[cfg.t0 - 1 :]  # a plan draws only from round t0 on
+            streams["bandit"] = RoundStreams(cfg.seed, "bandit", cfg.coalition, planned)
             val_members = [k for k in cfg.coalition if len(clients[k].val_y)]
         if cfg.defense == "grad_noise":
             streams["gradnoise"] = RoundStreams(cfg.seed, "gradnoise", cfg.coalition, rounds)
@@ -511,12 +536,12 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
     trains in one lock-step call (a member with none uploads the broadcast),
     and the members are rewarded and perturbed; grad_sparse / grad_noise
     alter their rows."""
-    cfg, dcfg, start = state.config, state.defense_cfg, state.global_params
+    cfg, start = state.config, state.global_params
     bufs = _buffers(state)
     plans, losses, val_before = {}, {}, {}
     if cfg.defense == "coalition":
         subsets = state.schedule.round_subsets(round_t)
-        recycling = round_t >= dcfg.t0  # a plan draws only then
+        recycling = round_t >= cfg.t0  # a plan draws only then
         if recycling:
             _, losses, val_before = _evaluation(state)
         for member, k in enumerate(cfg.coalition):
@@ -524,14 +549,14 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
             assigned = select_assigned_subset(client, subsets[member])
             rng = bufs.streams["bandit"](k, round_t) if recycling else None
             plans[k] = plan_local_update(
-                losses.get(k), assigned, round_t, dcfg, state.bandits[k], rng
+                losses.get(k), assigned, round_t, cfg, state.bandits[k], rng
             )
     ids, inputs = _lockstep_inputs(state, plans)
     uploads = bufs.uploads
     uploads[:] = start
     if ids:
         rngs = [bufs.streams["train"](k, round_t) for k in ids]
-        dlogits_fn = cr_term(dcfg.mu) if plans else None
+        dlogits_fn = cr_term(cfg.mu) if plans else None
         try:
             uploads[ids] = models.sgd_lockstep(
                 state.spec, start, inputs, cfg.lr, cfg.local_epochs, rngs, dlogits_fn,
@@ -552,9 +577,9 @@ def _local_updates(state: TrainingState, round_t: int) -> np.ndarray:
         client_id = state.clients[k].client_id
         tele = reward_local_update(client_id, plan, val.get(k), round_t, state.bandits[k])
         state.telemetry.append(tele)
-        if dcfg.sigma > 0:
+        if cfg.sigma > 0:
             delta = float(state.noise_plan.round_deltas(round_t)[member])
-            uploads[k] = apply_perturbation(uploads[k], delta, dcfg.r_p)
+            uploads[k] = apply_perturbation(uploads[k], delta, cfg.r_p)
     if cfg.defense in ("grad_sparse", "grad_noise"):
         for k in cfg.coalition:
             update = uploads[k] - start

@@ -14,11 +14,11 @@ from fedpriv import attacks as atk
 from fedpriv import compensation as cmp
 from fedpriv import experiment as ex
 from fedpriv import models
-from fedpriv.assignment import CoalitionSpec, assign_classes, theoretical_overlap_bound
+from fedpriv.assignment import assign_classes, theoretical_overlap_bound
 from fedpriv.metrics import auc_score, tpr_at_fpr
 from fedpriv.models import ModelSpec
 from fedpriv.perturbation import project_neutral
-from harness import make_config, run_from_config
+from harness import library_configs, make_config, run_from_config
 from oracles import (
     brute_min_max_overlap,
     cr_loss_and_grad,
@@ -78,8 +78,11 @@ def test_criterion_2_overlap_bound_and_greedy():
                 lower = theoretical_overlap_bound(n, d, m)
                 optimum = brute_min_max_overlap(n, d, m, lower_bound=lower)
                 bound_ok &= optimum >= lower
-                spec = CoalitionSpec(d, n, m, m, "linear", 2)
-                _, achieved = assign_classes(spec, 1, seed=0)
+                _, cfg = library_configs(
+                    num_clients=d, rounds=2, num_classes=n, defense="coalition",
+                    coalition=tuple(range(d)), m_max=m, m_min=m, t0=1,
+                )
+                _, achieved = assign_classes(cfg, n, 1)
                 total += 1
                 within_one += achieved <= optimum + 1
     rate = within_one / total

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedpriv import assignment as asg
-from fedpriv.assignment import CoalitionSpec
 from fedpriv.data import ClientDataset
+from harness import library_configs
 from oracles import brute_min_max_overlap, set_greedy_pass
 
 
@@ -30,26 +30,31 @@ def test_bound_single_client_is_zero():
     assert asg.theoretical_overlap_bound(10, 1, 5) == 0
 
 
-def _spec(d, n, m_max, m_min, rounds, decay="linear"):
-    return CoalitionSpec(d, n, m_max, m_min, decay, rounds)
+def _config(d, n, m_max, m_min, rounds, decay="linear", seed=0):
+    """The validated config of a d-member coalition over n classes, with its
+    class bounds resolved, as the round loop reads it."""
+    return library_configs(
+        num_clients=max(2, d), rounds=rounds, seed=seed, num_classes=n, defense="coalition",
+        coalition=tuple(range(d)), m_max=m_max, m_min=m_min, decay=decay, t0=1, sigma=0.0,
+    )[1]
 
 
 def test_decay_endpoints_and_midpoint():
-    spec = _spec(2, 60, 50, 20, 100)
-    assert asg.decay_subset_size(spec, 1) == 50
-    assert asg.decay_subset_size(spec, 100) == 20
-    assert asg.decay_subset_size(spec, 50) == 35  # floor(50 - 30*49/99)
+    cfg = _config(2, 60, 50, 20, 100)
+    assert asg.decay_subset_size(cfg, 1) == 50
+    assert asg.decay_subset_size(cfg, 100) == 20
+    assert asg.decay_subset_size(cfg, 50) == 35  # floor(50 - 30*49/99)
 
 
 def test_decay_single_round_returns_min():
-    spec = _spec(2, 10, 8, 3, 1)
-    assert asg.decay_subset_size(spec, 1) == 3
+    cfg = _config(2, 10, 8, 3, 1)
+    assert asg.decay_subset_size(cfg, 1) == 3
 
 
 @pytest.mark.parametrize("decay", asg.DECAY_KINDS)
 def test_decay_families_monotone_within_bounds(decay):
-    spec = _spec(3, 30, 25, 5, 40, decay)
-    values = [asg.decay_subset_size(spec, t) for t in range(1, 41)]
+    cfg = _config(3, 30, 25, 5, 40, decay)
+    values = [asg.decay_subset_size(cfg, t) for t in range(1, 41)]
     assert values[0] == 25
     assert values[-1] == 5
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -57,47 +62,43 @@ def test_decay_families_monotone_within_bounds(decay):
 
 
 def test_decay_rejects_out_of_range_round():
-    spec = _spec(2, 10, 5, 2, 10)
+    cfg = _config(2, 10, 5, 2, 10)
     with pytest.raises(ValueError):
-        asg.decay_subset_size(spec, 0)
+        asg.decay_subset_size(cfg, 0)
     with pytest.raises(ValueError):
-        asg.decay_subset_size(spec, 11)
+        asg.decay_subset_size(cfg, 11)
 
 
 def test_assign_exact_partition_when_possible():
-    spec = _spec(2, 4, 2, 2, 3)
-    subsets, lam = asg.assign_classes(spec, 1, seed=0)
+    subsets, lam = asg.assign_classes(_config(2, 4, 2, 2, 3, seed=0), 4, 1)
     assert lam == 0
     assert len(subsets[0] & subsets[1]) == 0
     assert subsets[0] | subsets[1] == frozenset(range(4))
 
 
 def test_assign_matches_brute_force_optimum():
-    spec = _spec(3, 4, 2, 2, 3)
-    subsets, lam = asg.assign_classes(spec, 1, seed=0)
+    subsets, lam = asg.assign_classes(_config(3, 4, 2, 2, 3, seed=0), 4, 1)
     assert all(len(s) == 2 for s in subsets)
     assert frozenset().union(*subsets) == frozenset(range(4))
     assert lam == brute_min_max_overlap(4, 3, 2, lower_bound=1) == 1
 
 
 def test_assign_single_client_full_set():
-    spec = _spec(1, 5, 5, 5, 2)
-    subsets, lam = asg.assign_classes(spec, 1, seed=3)
+    subsets, lam = asg.assign_classes(_config(1, 5, 5, 5, 2, seed=3), 5, 1)
     assert subsets == [frozenset(range(5))]
     assert lam == 0
 
 
 def test_assign_varies_across_rounds():
     # the class-to-client mapping is randomized per round
-    spec = _spec(2, 8, 4, 4, 20)
-    seen = {tuple(sorted(asg.assign_classes(spec, t, seed=5)[0][0])) for t in range(1, 21)}
+    cfg = _config(2, 8, 4, 4, 20, seed=5)
+    seen = {tuple(sorted(asg.assign_classes(cfg, 8, t)[0][0])) for t in range(1, 21)}
     assert len(seen) > 1
 
 
 def test_assign_below_coverage_threshold_minimizes_overlap():
     # d*m < N: full coverage impossible; subsets stay disjoint (lambda 0)
-    spec = _spec(2, 10, 2, 2, 3)
-    subsets, lam = asg.assign_classes(spec, 1, seed=1)
+    subsets, lam = asg.assign_classes(_config(2, 10, 2, 2, 3, seed=1), 10, 1)
     assert all(len(s) == 2 for s in subsets)
     assert lam == 0
 
@@ -110,10 +111,10 @@ def test_schedule_properties_random_specs():
         m_max = int(rng.integers(2, n + 1))
         m_min = int(rng.integers(1, m_max + 1))
         rounds = int(rng.integers(2, 9))
-        spec = _spec(d, n, m_max, m_min, rounds)
-        schedule = asg.build_schedule(spec, seed=int(rng.integers(0, 1000)))
+        cfg = _config(d, n, m_max, m_min, rounds, seed=int(rng.integers(0, 1000)))
+        schedule = asg.build_schedule(cfg, n)
         for t in range(1, rounds + 1):
-            m = asg.decay_subset_size(spec, t)
+            m = asg.decay_subset_size(cfg, t)
             subsets = schedule.round_subsets(t)
             assert all(len(s) == m for s in subsets)
             assert schedule.lambdas[t - 1] >= asg.theoretical_overlap_bound(n, d, m)
@@ -128,9 +129,9 @@ def test_schedule_properties_random_specs():
 
 
 def test_schedule_deterministic():
-    spec = _spec(3, 10, 6, 2, 12)
-    a = asg.build_schedule(spec, seed=42)
-    b = asg.build_schedule(spec, seed=42)
+    cfg = _config(3, 10, 6, 2, 12, seed=42)
+    a = asg.build_schedule(cfg, 10)
+    b = asg.build_schedule(cfg, 10)
     assert a.subsets == b.subsets
     assert a.lambdas == b.lambdas
 
@@ -258,7 +259,7 @@ def test_greedy_overlap_lies_between_bound_optimum_and_subset_size(case, seed, d
     n, d, m = case
     rounds = data.draw(st.integers(1, 8), label="rounds")
     round_t = data.draw(st.integers(1, rounds), label="round_t")
-    subsets, lam = asg.assign_classes(_spec(d, n, m, m, rounds), round_t, seed)
+    subsets, lam = asg.assign_classes(_config(d, n, m, m, rounds, seed=seed), n, round_t)
     assert asg.theoretical_overlap_bound(n, d, m) <= _optimum(n, d, m) <= lam <= m
     assert all(len(s) == m for s in subsets)
     assert frozenset().union(*subsets) == frozenset(range(n))

@@ -313,7 +313,7 @@ def test_cli_diverging_train_reports_round_and_client(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert "training diverged at round 25" in err[0] and "client(s) [0]" in err[0]
-    assert not (out / ex.SNAPSHOTS_NPZ).exists()
+    assert not out.exists()  # made only once training has succeeded
 
 
 def test_cli_infeasible_pools_fail_before_training(tmp_path, capsys):
@@ -935,7 +935,7 @@ def test_huge_finite_values_fail_in_one_line_without_numpy_warnings(
     cfg_path.write_text(text, encoding="utf-8")
     out = tmp_path / "run"
     assert message in _refused(capsys, ["train", "--config", str(cfg_path), "--out", str(out)])
-    assert not (out / ex.SNAPSHOTS_NPZ).exists()
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")

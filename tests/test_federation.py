@@ -14,7 +14,7 @@ from fedpriv import experiment as ex
 from fedpriv import federation as fed
 from fedpriv import models
 from fedpriv import rng as fedrng
-from fedpriv.config import ConfigError, ExperimentConfig
+from fedpriv.config import ConfigError
 from fedpriv.data import ClientDataset
 from fedpriv.models import ModelSpec
 from harness import library_configs, make_config, run_from_config
@@ -145,9 +145,13 @@ def _single_client_setup():
 
 def test_run_round_single_client_global_equals_local():
     spec, client, x, y = _single_client_setup()
-    # a single client, which validate_config refuses, so no builder makes this config
-    cfg = replace(ExperimentConfig(), num_clients=1, rounds=1, lr=0.1, batch_size=4, seed=3)
-    state = fed.init_training(cfg, spec, [client], x, y)
+    cfg, _ = library_configs(num_clients=2, rounds=1, lr=0.1, batch_size=4, seed=3)
+    with pytest.raises(ConfigError, match=r"^config field 'fl.K': need at least 2 clients$"):
+        fed.init_training(replace(cfg, num_clients=1), spec, [client], x, y)
+    # so the second client holds no row: it trains nothing and weighs 0
+    none = np.empty(0, dtype=np.int64)
+    empty = ClientDataset(1, np.empty((0, 3)), none, np.empty((0, 3)), none, none, none)
+    state = fed.init_training(cfg, spec, [client, empty], x, y)
     start = state.global_params.copy()
     fed.run_round(state, 1)
     from fedpriv.rng import stream
@@ -293,25 +297,70 @@ def test_member_with_nothing_to_train_uploads_the_broadcast():
     assert np.array_equal(state.bandits[0].weights, np.ones(2))
 
 
-def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(monkeypatch):
-    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=3)
+# a coalition of clients 0 and 1 of `_three_clients`, recycling from round 2
+COALITION = dict(
+    num_clients=3, rounds=3, defense="coalition", coalition=(0, 1), num_classes=3, t0=2,
+    intervals=2,
+)
+
+
+def _three_clients(num_classes=3):
+    """(spec, clients, test_X, test_y): clients of 18, 22 and 28 training rows
+    on 4 features, and a model of 4 * 3 + 3 = 15 parameters at 3 classes."""
+    spec = ModelSpec(input_dim=4, hidden_dim=0, num_classes=num_classes)
     rng = np.random.default_rng(5)
-    clients = _random_clients(rng, [20, 24, 30], spec.input_dim, spec.num_classes)
-    named = dict(
-        num_clients=3, rounds=3, defense="coalition", coalition=(0, 1), num_classes=3, t0=2,
-        intervals=2,
-    )
-    cfg, defense = library_configs(**named)
-    test_X, test_y = rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
+    clients = _random_clients(rng, [20, 24, 30], spec.input_dim, num_classes)
+    return spec, clients, rng.normal(size=(6, 4)), np.zeros(6, dtype=np.int64)
+
+
+def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(monkeypatch):
+    spec, clients, test_X, test_y = _three_clients()
+    cfg, defense = library_configs(**COALITION)
     trained = mock.Mock(side_effect=AssertionError("a client trained"))
     monkeypatch.setattr(models, "sgd_lockstep", trained)
     with pytest.raises(ConfigError, match=r"^config field 'defense.r_p': must be in \(0, 1\]$"):
-        library_configs(**named, r_p=0.0)
-    with pytest.raises(ValueError, match=r"^t0=99 exceeds rounds=3$"):
-        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, t0=99))
+        library_configs(**COALITION, r_p=0.0)
+    with pytest.raises(ConfigError, match=r"^config field 'defense.t0': t0=99 exceeds fl.T=3$"):
+        fed.run_training(replace(cfg, t0=99), spec, clients, test_X, test_y, defense)
+    # a defense config is checked under any defense, so it cannot be dropped unread
+    with pytest.raises(ConfigError, match=r"^config field 'defense.kind': 'coalition' in the def"):
+        fed.run_training(replace(cfg, defense="grad_noise"), spec, clients, test_X, test_y, defense)
     assert not trained.called
+    cfg, defense = library_configs(**{**COALITION, "t0": 3})
     with pytest.raises(AssertionError, match="a client trained"):  # t0 = T passes
-        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, t0=3))
+        fed.run_training(cfg, spec, clients, test_X, test_y, defense)
+
+
+def test_the_run_keeps_the_defense_config_that_its_config_resolves_to():
+    spec, clients, test_X, test_y = _three_clients()
+    cfg, defense = library_configs(**COALITION)
+    # the coalition ids sorted, the class bounds resolved: one config for the run
+    unsorted = replace(cfg, coalition=(1, 0))
+    state = fed.init_training(unsorted, spec, clients, test_X, test_y, defense)
+    assert state.config == defense and cfg.m_max is None
+
+
+@pytest.mark.parametrize(
+    "named, changed, classes, pattern",
+    [
+        # a defense config changed after the builders, which validated it
+        ({}, {"r_p": 0.0}, 3, r"'defense.r_p': 0.0 in the defense config differs from 0.2"),
+        ({}, {"m_max": 2}, 3, r"'defense.m_max': 2 in the defense config differs from 3"),
+        # the class bounds are resolved for the data's classes, not data.num_classes
+        ({}, {}, 4, r"'defense.m_max': 3 in the defense config differs from 4"),
+        ({"intervals": 500}, {}, 3, r"'defense.intervals': 500 intervals exceed the 18 "),
+        ({"r_p": 0.05}, {}, 3, r"'defense.r_p': 0.05 of the model's 15 parameters is an empty"),
+    ],
+    ids=["r_p_replaced", "m_max_replaced", "other_class_count", "intervals", "empty_tail"],
+)
+def test_what_the_rounds_cannot_run_is_refused_by_key_before_any_client_trains(
+    monkeypatch, named, changed, classes, pattern
+):
+    spec, clients, test_X, test_y = _three_clients(classes)
+    cfg, defense = library_configs(**{**COALITION, **named})
+    monkeypatch.setattr(models, "sgd_lockstep", mock.Mock(side_effect=AssertionError("trained")))
+    with pytest.raises(ConfigError, match=r"^config field " + pattern):
+        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, **changed))
 
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])

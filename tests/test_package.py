@@ -14,8 +14,9 @@ import pytest
 import fedpriv
 from fedpriv import attacks, compensation, data, perturbation
 from fedpriv import experiment as ex
-from fedpriv.assignment import ClassAssignmentSchedule, CoalitionSpec
+from fedpriv.assignment import ClassAssignmentSchedule
 from fedpriv.compensation import Telemetry
+from fedpriv.config import ExperimentConfig
 from fedpriv.federation import RoundReport
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
@@ -118,7 +119,10 @@ def test_records_that_hold_arrays_compare_by_identity(name):
 def test_scalar_records_compare_by_value():
     records = [
         ModelSpec(6, 8, 5),
-        CoalitionSpec(2, 5, 4, 2, "linear", 3),
+        ExperimentConfig(
+            num_classes=5, num_clients=2, rounds=3, defense="coalition", coalition=(0, 1),
+            m_max=4, m_min=2, decay="linear",
+        ),
         Telemetry(1, 0, -1, 0.0, 0.0, 4, 0),
         RoundReport(1, 0.5, 0.25),
         ClassAssignmentSchedule([[frozenset({0, 1})]], [0]),
