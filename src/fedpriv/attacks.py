@@ -27,7 +27,8 @@ Directions and each sample's OUT values are scaled by exact powers of two,
 so huge but finite models neither overflow nor change a bit; a measurement
 that is still not finite is refused, naming the attack and the round.
 
-The attack stage (`run_attacks`) plans, then scores: `_measure` takes
+The attack stage (`run_attacks`) reads its query rows from the store
+(`SnapshotStore.rows`), then plans and scores: `_measure` takes
 each measurement that the listed attacks read once (the target's loss
 and confidence in one softmax pass, FedMIA's OUT statistics, and the
 target's cosines, from FedMIA-II's calls when it is listed), and each
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .data import EvalPools, LabeledDataset
+from .data import EvalPools
 from .federation import SnapshotStore, aggregate_weighted
 from .metrics import DEFAULT_FPR_LEVELS, auc_score, tpr_at_fpr
 
@@ -419,13 +420,13 @@ def _score(name, values, out, rounds) -> np.ndarray:
 
 def attack_fedmia(
     store: SnapshotStore,
-    dataset: LabeledDataset,
     sample_ids: np.ndarray,
     target_selector,
     variant: str,
     exclude_clients=None,
 ) -> np.ndarray:
-    """Likelihood-ratio-style attack: sum of signed per-round z-scores.
+    """Likelihood-ratio-style attack on the store's training rows
+    `sample_ids`: sum of signed per-round z-scores.
 
     Variant "i" measures loss, variant "ii" gradient cosine. Under the
     update-direction cosine used here (per-sample gradient vs theta_k -
@@ -442,7 +443,8 @@ def attack_fedmia(
     if exclude_clients is None:
         exclude_clients = fedmia_excluded(target_selector)
     name = f"fedmia_{variant}"
-    x, y = dataset.X[sample_ids], dataset.y[sample_ids]
+    train, _ = store.rows()
+    x, y = train.X[sample_ids], train.y[sample_ids]
     plan = _measure(store, target_selector, x, y, [name], set(exclude_clients))
     return _score(name, *plan)
 
@@ -491,25 +493,24 @@ def _pool_ids_and_labels(pools: EvalPools) -> tuple[np.ndarray, np.ndarray]:
 
 def run_attack(
     store: SnapshotStore,
-    dataset: LabeledDataset,
     pools: EvalPools,
     target_client: int,
     name: str,
     selector=None,
 ) -> AttackResult:
     """`run_attacks` of one named attack."""
-    return run_attacks(store, dataset, pools, target_client, [name], selector)[0]
+    return run_attacks(store, pools, target_client, [name], selector)[0]
 
 
 def run_attacks(
     store: SnapshotStore,
-    dataset: LabeledDataset,
     pools: EvalPools,
     target_client: int,
     names,
     selector=None,
 ) -> list[AttackResult]:
-    """Score the member/non-member pools with each of `names`, in that order.
+    """Score the member/non-member pools, ids of the store's training rows
+    (`SnapshotStore.rows`), with each of `names`, in that order.
 
     The default selector is the target client's local model series; pass
     "global" or ("coalition", ids) to retarget. FedMIA's OUT distribution
@@ -526,9 +527,10 @@ def run_attacks(
             raise ValueError(f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
     if selector is None:
         selector = ("local", target_client)
+    train, _ = store.rows()
     ids, labels = _pool_ids_and_labels(pools)
     exclude = fedmia_excluded(selector, target_client)
-    plan = _measure(store, selector, dataset.X[ids], dataset.y[ids], names, exclude)
+    plan = _measure(store, selector, train.X[ids], train.y[ids], names, exclude)
     target = (
         "global"
         if selector == "global"

@@ -229,9 +229,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         resolved_class_bounds(cfg, cfg.num_classes)
     if not 0 <= cfg.target_client < cfg.num_clients:
         bad("attack.target_client", f"client id outside [0, {cfg.num_clients})")
-    for name in cfg.attack_list:
+    for i, name in enumerate(cfg.attack_list):
         if name not in ATTACK_NAMES:
             bad("attack.list", f"unknown attack {name!r}; choose from {ATTACK_NAMES}")
+        if name in cfg.attack_list[:i]:
+            bad("attack.list", f"attack {name!r} is repeated")
     if cfg.attack_target not in ("local", "global", "coalition"):
         bad("attack.target", "must be local, global, or coalition")
     if cfg.attack_target == "coalition" and not cfg.coalition:

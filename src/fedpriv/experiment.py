@@ -22,6 +22,9 @@ or federation settings, or on other rows.
 
 All outputs are deterministic functions of (config, seed) — reruns produce
 byte-identical files.
+
+`run_training(cfg, prep)` is the one call from a config and its prepared
+data to a finished run; `stage_train` makes it, and so can a library caller.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ from .federation import (
     ROW_FIELDS,
     SnapshotStore,
     TrainingState,
+    init_training,
+    open_snapshots,
     read_snapshot_stamp,
-    run_training,
+    run_round,
 )
 from .metrics import DEFAULT_FPR_LEVELS
 from .models import ModelSpec
@@ -166,6 +171,23 @@ def build_defense_config(cfg: ExperimentConfig, num_classes: int) -> ExperimentC
     return replace(run, m_max=m_max, m_min=m_min)
 
 
+def run_training(cfg: ExperimentConfig, prep: PreparedData) -> TrainingState:
+    """The finished run of cfg on `prepare_data(cfg)`: `init_training` on
+    the configs of `build_fl_config` and `build_defense_config`, then every
+    `run_round`. Its store carries `prep`'s rows and plan, so it can be saved
+    and attacked; the state keeps no clients or buffers, which would outlive
+    training in a caller."""
+    state = init_training(
+        build_fl_config(cfg), prep.spec, prep.clients, prep.test.X, prep.test.y,
+        build_defense_config(cfg, prep.spec.num_classes),
+    )
+    for t in range(1, state.config.rounds + 1):
+        run_round(state, t)
+    state.store.train, state.store.plan = prep.train, prep.plan
+    state.clients, state.buffers = [], None
+    return state
+
+
 def comm_overhead_estimate(num_classes: int, rounds: int) -> int:
     """Coordinator-to-member traffic estimate: (N + 2) items per round, 1 byte each."""
     if num_classes < 0 or rounds < 0:
@@ -233,9 +255,10 @@ def write_attacks_csv(path: str, results) -> None:
 
 
 def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
-    """Run training and write rounds/assignments/compensation CSVs + snapshots.
-    The returned state's store carries the training rows and their plan,
-    which `snapshots.npz` stores too, so no later stage reads the data.
+    """Run training (`run_training`) and write rounds/assignments/compensation
+    CSVs + snapshots. The returned state's store carries the training rows
+    and their plan, which `snapshots.npz` stores too, so no later stage
+    reads the data.
 
     The evaluation pools are drawn first and `federation.init_training`
     refuses what the partition or model cannot run, so a config that does
@@ -243,20 +266,21 @@ def stage_train(cfg: ExperimentConfig, out_dir: str) -> TrainingState:
     stream, so drawing them here changes no artefact. `out_dir` is made
     only once training has succeeded; then the attack and report outputs of
     an earlier run in it are removed before anything is written, so none of
-    them can be read as this run's.
+    them can be read as this run's. An `out_dir` that names a file, or lies
+    under one, is refused naming output.dir before any data are prepared.
     """
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(
+            f"config field 'output.dir': {out_dir} cannot be a directory: "
+            f"{existing} exists and is not one"
+        )
     prep = prepare_data(cfg)
     build_pools(cfg, prep)
-    state = run_training(
-        build_fl_config(cfg),
-        prep.spec,
-        prep.clients,
-        prep.test.X,
-        prep.test.y,
-        defense_cfg=build_defense_config(cfg, prep.spec.num_classes),
-    )
+    state = run_training(cfg, prep)
     os.makedirs(out_dir, exist_ok=True)
-    state.store.train, state.store.plan = prep.train, prep.plan
     for name in DOWNSTREAM_CSVS:
         if os.path.exists(os.path.join(out_dir, name)):
             os.remove(os.path.join(out_dir, name))
@@ -331,7 +355,7 @@ def stage_attack(
     checked before any model or row field is read. An attack that needs two
     recorded rounds is refused, before any attack runs, when the snapshots
     hold fewer. The rows and the partition come from the store alone (set
-    by `stage_train`, or loaded), so no data file is read and no data are
+    by `run_training`, or loaded), so no data file is read and no data are
     built; a store without them is refused. `attacks.run_attacks` then
     measures what the attacks read once and scores each from it.
     """
@@ -344,12 +368,10 @@ def stage_attack(
                 f"config field 'attack.list': {name} needs at least 2 recorded rounds, "
                 f"the run recorded {len(store.rounds)} (see fl.T and fl.snapshot_every)"
             )
-    train, _ = store.rows()
+    store.rows()  # refuses a store without rows before its plan is read
     pools = build_pools(cfg, store)
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
-    results = atk.run_attacks(
-        store, train, pools, cfg.target_client, cfg.attack_list, selector=selector
-    )
+    results = atk.run_attacks(store, pools, cfg.target_client, cfg.attack_list, selector=selector)
     write_attacks_csv(os.path.join(out_dir, ATTACKS_CSV), results)
     return results
 
@@ -392,7 +414,7 @@ def _check_baseline(cfg: ExperimentConfig, out_dir: str, baseline_dir: str) -> N
             )
     # both stamps are checked, so both files hold every field of this format
     mine_path, base_path = (os.path.join(d, SNAPSHOTS_NPZ) for d in (out_dir, baseline_dir))
-    with np.load(mine_path) as mine, np.load(base_path) as theirs:
+    with open_snapshots(mine_path) as mine, open_snapshots(base_path) as theirs:
         differ = [name for name in ROW_FIELDS if not np.array_equal(mine[name], theirs[name])]
     if differ:
         key, data = "data.source", cfg.source

@@ -22,13 +22,19 @@ config, class bounds resolved, as `TrainingState.config`, and no round
 checks its values again.
 
 A run makes its generators and its large arrays once (`RunBuffers`) and
-reuses them every round; `run_training` drops them when it returns.
+reuses them every round; `experiment.run_training`, which runs every round
+and sets the store's rows, drops them and the clients when it returns.
+
+Every read of a snapshot file goes through `open_snapshots`, so a damaged
+file fails with one error that names it.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
@@ -72,7 +78,7 @@ class SnapshotStore:
     broadcasts in `globals` (R, P) and the uploaded locals in `locals`
     (R, K, P), row k of an entry holding client k's upload; and the run's
     training rows (`train`) with their partition (`plan`), which
-    `experiment.stage_train` sets and the attack stage reads.
+    `experiment.run_training` or `load` sets and the attacks read.
 
     The snapshots are recorded into two stacks made for `capacity` snapshots
     and doubled when full, so `save` writes them as they are."""
@@ -100,7 +106,7 @@ class SnapshotStore:
         return self._locals[: len(self.rounds)]
 
     def rows(self) -> tuple[LabeledDataset, PartitionPlan]:
-        """(train, plan), refused when unset: `experiment.stage_train` sets them."""
+        """(train, plan), refused when unset: `experiment.run_training` sets them."""
         if self.train is None or self.plan is None:
             raise ValueError(f"the snapshot store holds no training rows {ROW_FIELDS}")
         return self.train, self.plan
@@ -154,7 +160,7 @@ class SnapshotStore:
         loaded stacks and rows are the store's. Each part of the plan is the
         sorted row ids of one owner, as both partitioners sort theirs.
         """
-        with np.load(path) as blob:
+        with open_snapshots(path) as blob:
             stamp = _read_stamp(blob, path)
             if check_stamp is not None:
                 check_stamp(*stamp)
@@ -173,9 +179,37 @@ class SnapshotStore:
         return store
 
 
+_RERUN = "re-run `fedpriv train` to rewrite it"
+
+
+@contextmanager
+def open_snapshots(path: str):
+    """The snapshot file at `path`, open for reading (`np.load`'s NpzFile)
+    until the block ends. A file that is empty, not a zip archive of arrays,
+    or whose member fails its checksum when read in the block raises a
+    ValueError that names `path`; a missing file raises numpy's OSError."""
+    try:
+        blob = np.load(path)
+    except (EOFError, zipfile.BadZipFile) as err:
+        raise _damaged(path, err) from None
+    except ValueError:  # numpy's refusal to unpickle what is no array file
+        blob = None
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise _damaged(path, "not a zip archive of arrays")
+    with blob:
+        try:
+            yield blob
+        except (EOFError, zipfile.BadZipFile) as err:  # only a member read raises these
+            raise _damaged(path, err) from None
+
+
+def _damaged(path: str, why) -> ValueError:
+    return ValueError(f"snapshot file {path} cannot be read ({why}); {_RERUN}")
+
+
 def read_snapshot_stamp(path: str) -> tuple[str, int]:
     """(config_sha256, seed) of a snapshot file, reading only its stamp."""
-    with np.load(path) as blob:
+    with open_snapshots(path) as blob:
         return _read_stamp(blob, path)
 
 
@@ -190,15 +224,14 @@ def _is_int(arr: np.ndarray) -> bool:
 def _read_stamp(blob, path: str) -> tuple[str, int]:
     """Check an open snapshot file's format and member names; return the
     (config_sha256, seed) it was stamped with."""
-    rerun = "re-run `fedpriv train` to rewrite it"
     if "format" not in blob.files:
         raise ValueError(
             f"snapshot file {path} has no 'format' field: it predates format "
-            f"{SNAPSHOT_FORMAT}; {rerun}"
+            f"{SNAPSHOT_FORMAT}; {_RERUN}"
         )
     fmt = blob["format"]
     if fmt.shape != () or not _is_int(fmt) or int(fmt) != SNAPSHOT_FORMAT:
-        raise _bad_field("format", f"is {fmt!r}, not {SNAPSHOT_FORMAT}; {rerun}")
+        raise _bad_field("format", f"is {fmt!r}, not {SNAPSHOT_FORMAT}; {_RERUN}")
     missing = [name for name in SNAPSHOT_FIELDS if name not in blob.files]
     if missing:
         raise ValueError(f"snapshot file lacks field(s) {missing}")
@@ -357,7 +390,7 @@ class TrainingState:
 
     config: ExperimentConfig
     spec: ModelSpec
-    clients: list[ClientDataset]  # emptied when run_training ends
+    clients: list[ClientDataset]  # emptied by experiment.run_training
     test_X: np.ndarray
     test_y: np.ndarray
     global_params: np.ndarray
@@ -367,7 +400,7 @@ class TrainingState:
     schedule: ClassAssignmentSchedule | None = None
     noise_plan: NoisePlan | None = None
     bandits: dict[int, BanditState] = field(default_factory=dict)
-    # made at the first round, dropped when run_training ends
+    # made at the first round, dropped by experiment.run_training
     buffers: RunBuffers | None = None
 
 
@@ -633,24 +666,4 @@ def run_round(state: TrainingState, round_t: int) -> TrainingState:
             mean_train_loss=loss_sum / max(1, sample_count),
         )
     )
-    return state
-
-
-def run_training(
-    config: ExperimentConfig,
-    spec: ModelSpec,
-    clients: list[ClientDataset],
-    test_X: np.ndarray,
-    test_y: np.ndarray,
-    defense_cfg: ExperimentConfig | None = None,
-) -> TrainingState:
-    """Full deterministic training run; returns the final state with
-    snapshots, round reports, compensation telemetry, and the schedule, but
-    without the clients or the run's buffers."""
-    state = init_training(config, spec, clients, test_X, test_y, defense_cfg)
-    for t in range(1, config.rounds + 1):
-        run_round(state, t)
-    # a finished state keeps no copy of the clients' rows and no buffer, which
-    # a caller would otherwise hold through its attack stage
-    state.clients, state.buffers = [], None
     return state

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 from fedpriv import experiment as ex
 from fedpriv.config import parse_config_text
-from fedpriv.federation import run_training
 
 BASE_TEMPLATE = """
 data.source = synthetic
@@ -82,16 +81,7 @@ def run_from_config(cfg):
     """prepare_data + run_training for a parsed config; the store carries the
     training rows and their plan, as `experiment.stage_train`'s does."""
     prep = ex.prepare_data(cfg)
-    state = run_training(
-        ex.build_fl_config(cfg),
-        prep.spec,
-        prep.clients,
-        prep.test.X,
-        prep.test.y,
-        defense_cfg=ex.build_defense_config(cfg, prep.spec.num_classes),
-    )
-    state.store.train, state.store.plan = prep.train, prep.plan
-    return prep, state
+    return prep, ex.run_training(cfg, prep)
 
 
 def overfit_run(seed=0, defended=False, rounds=60, clients=10):

@@ -196,7 +196,7 @@ def test_criterion_6_directional_defense_effect():
             prep, state = run_from_config(cfg)
             pools = ex.build_pools(cfg, prep)
             aucs = [
-                atk.run_attack(state.store, prep.train, pools, 0, name).auc
+                atk.run_attack(state.store, pools, 0, name).auc
                 for name in attack_names
             ]
             if defended:
@@ -273,8 +273,8 @@ def test_criterion_9_adaptive_attack_bypasses_perturbation():
     worst = 0.0
     for name in ("loss_series", "fta_l", "fedmia_i"):
         selector = ("coalition", (0, 1, 2))
-        r_on = atk.run_attack(on.store, prep.train, pools, 0, name, selector=selector)
-        r_off = atk.run_attack(off.store, prep.train, pools, 0, name, selector=selector)
+        r_on = atk.run_attack(on.store, pools, 0, name, selector=selector)
+        r_off = atk.run_attack(off.store, pools, 0, name, selector=selector)
         worst = max(worst, float(np.max(np.abs(r_on.scores - r_off.scores))))
     # negative control: the locals the adaptive attacker bypasses DO differ
     locals_differ = float(np.max(np.abs(on.store.locals[-1][0] - off.store.locals[-1][0])))

@@ -9,7 +9,9 @@ config whose data cannot be prepared is refused by `train`.
 """
 
 import shutil
+import struct
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from fedpriv import attacks as atk
 from fedpriv import cli, data
 from fedpriv import experiment as ex
-from fedpriv.config import ConfigError, parse_config_text
+from fedpriv.config import ConfigError, parse_config_text, training_fingerprint
 from fedpriv.data import generate_synthetic
 from fedpriv.federation import MODEL_FIELDS, ROW_FIELDS, SNAPSHOT_FIELDS, SnapshotStore
 from harness import save_csv
@@ -72,16 +74,16 @@ def _rewrite(path, **changes):
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_pools_only_data_give_the_attacks_of_prepared_data(tmp_path, name, seed):
     """The stored rows give the attacks.csv of `run_attacks` on the rows and
-    pools of `prepare_data(cfg)`."""
+    pools of `prepare_data(cfg)`, attached to the trained store."""
     cfg = workloads.parse(workloads.WORKLOADS[name], seed)
     state = ex.stage_train(cfg, str(tmp_path))
     ex.stage_attack(cfg, str(tmp_path))
     stored = (tmp_path / ex.ATTACKS_CSV).read_bytes()
     prep = ex.prepare_data(cfg)
+    state.store.train, state.store.plan = prep.train, prep.plan
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     results = atk.run_attacks(
         state.store,
-        prep.train,
         ex.build_pools(cfg, prep),
         cfg.target_client,
         cfg.attack_list,
@@ -89,6 +91,21 @@ def test_pools_only_data_give_the_attacks_of_prepared_data(tmp_path, name, seed)
     )
     ex.write_attacks_csv(str(tmp_path / "prepared.csv"), results)
     assert (tmp_path / "prepared.csv").read_bytes() == stored
+
+
+def test_a_run_from_the_library_call_saves_and_attacks_as_the_cli_does(small_run, tmp_path):
+    """`run_training`'s store needs no rows set by hand: it saves the CLI
+    run's snapshots.npz and gives the CLI attack's attacks.csv."""
+    cfg, trained, _ = small_run
+    cli_run = shutil.copytree(trained, tmp_path / "cli")
+    assert cli.main(["attack", "--out", str(cli_run)]) == 0
+    state = ex.run_training(cfg, ex.prepare_data(cfg))
+    out = tmp_path / "library"
+    out.mkdir()
+    state.store.save(str(out / ex.SNAPSHOTS_NPZ), training_fingerprint(cfg), cfg.seed)
+    assert (out / ex.SNAPSHOTS_NPZ).read_bytes() == (cli_run / ex.SNAPSHOTS_NPZ).read_bytes()
+    ex.stage_attack(cfg, str(out), store=state.store)
+    assert (out / ex.ATTACKS_CSV).read_bytes() == (cli_run / ex.ATTACKS_CSV).read_bytes()
 
 
 def test_the_attack_stage_builds_no_client_dataset(small_run, tmp_path, monkeypatch):
@@ -156,6 +173,66 @@ def test_a_format_2_file_is_refused(small_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'format'" in err and "not 3" in err and "re-run `fedpriv train`" in err
     assert not (out / ex.ATTACKS_CSV).exists()
+
+
+DAMAGES = {
+    "empty": lambda raw: b"",
+    "not_a_zip": lambda raw: b"PK\x03\x04garbage",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "one_byte": lambda raw: b"x",
+}
+
+
+def _refused_in_one_line(capsys, argv, path):
+    """Run the CLI: exit status 1 and one error line naming the snapshot file."""
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"fedpriv {argv[0]}: error: snapshot file {path} cannot be read (")
+    assert err.endswith("; re-run `fedpriv train` to rewrite it\n")
+    return err
+
+
+@pytest.mark.parametrize("command", ["attack", "report"])
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_a_damaged_snapshot_file_is_one_error_line(small_run, tmp_path, capsys, command, damage):
+    out = shutil.copytree(small_run[1], tmp_path / "run")
+    path = out / ex.SNAPSHOTS_NPZ
+    path.write_bytes(DAMAGES[damage](path.read_bytes()))
+    err = _refused_in_one_line(capsys, [command, "--out", str(out)], path)
+    assert "pickled" not in err
+    assert not (out / ex.ATTACKS_CSV).exists() and not (out / ex.SUMMARY_CSV).exists()
+
+
+def _flip_a_byte_of(path, member):
+    """Flip one byte in the middle of a stored member's data, so that the
+    member no longer matches its CRC-32."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member + ".npy")
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "argv, member",
+    [
+        (["attack", "--out", "{damaged}"], "globals"),
+        (["report", "--out", "{run}", "--baseline", "{damaged}"], "rows"),
+    ],
+    ids=["attack-globals", "report-baseline-rows"],
+)
+def test_a_member_that_fails_its_checksum_is_one_error_line(
+    small_run, tmp_path, capsys, argv, member
+):
+    """attack reads every member; report --baseline reads the rows of both runs."""
+    paths = {name: shutil.copytree(small_run[1], tmp_path / name) for name in ("run", "damaged")}
+    damaged = paths["damaged"] / ex.SNAPSHOTS_NPZ
+    _flip_a_byte_of(damaged, member)
+    err = _refused_in_one_line(capsys, [arg.format(**paths) for arg in argv], damaged)
+    assert f"Bad CRC-32 for file '{member}.npy'" in err
+    assert not any((out / name).exists() for out in paths.values() for name in ex.DOWNSTREAM_CSVS)
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from fedpriv import attacks as atk
 from fedpriv import experiment as ex
 from fedpriv import models
-from fedpriv.data import EvalPools, LabeledDataset
+from fedpriv.data import EvalPools, LabeledDataset, PartitionPlan
 from fedpriv.federation import SnapshotStore, aggregate_weighted
 from fedpriv.models import ModelSpec
 from harness import make_config, run_from_config
@@ -26,6 +26,12 @@ def _loss_params(spec, target_loss):
     return params
 
 
+def _set_rows(store, ds):
+    """Give a hand-built store ds as its training rows, all of them in the OFL pool."""
+    store.train = ds
+    store.plan = PartitionPlan([np.arange(0)] * store.num_clients, np.arange(len(ds)))
+
+
 def _loss_store(per_client_losses, rounds=(1,)):
     spec = ModelSpec(input_dim=1, hidden_dim=0, num_classes=2)
     store = SnapshotStore(spec, np.ones(len(per_client_losses), dtype=np.int64))
@@ -35,7 +41,9 @@ def _loss_store(per_client_losses, rounds=(1,)):
             np.zeros(spec.param_count),
             np.stack([_loss_params(spec, lv) for lv in per_client_losses]),
         )
-    return store, LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
+    ds = LabeledDataset(np.array([[1.0]]), np.array([0]), 2)
+    _set_rows(store, ds)
+    return store, ds
 
 
 def test_loss_params_fixture_is_exact():
@@ -206,14 +214,14 @@ def test_out_distribution_is_row_zero_of_out_stats_matrix():
 
 
 def test_fedmia_zero_when_target_matches_out_mean():
-    store, ds = _loss_store([2.0, 1.0, 3.0], rounds=(1, 2, 3))
-    scores = atk.attack_fedmia(store, ds, np.array([0]), ("local", 0), "i")
+    store, _ = _loss_store([2.0, 1.0, 3.0], rounds=(1, 2, 3))
+    scores = atk.attack_fedmia(store, np.array([0]), ("local", 0), "i")
     assert scores[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fedmia_one_sigma_below_scores_plus_three():
-    store, ds = _loss_store([1.0, 1.0, 3.0], rounds=(1, 2, 3))  # target loss 1, OUT mean 2 std 1
-    scores = atk.attack_fedmia(store, ds, np.array([0]), ("local", 0), "i")
+    store, _ = _loss_store([1.0, 1.0, 3.0], rounds=(1, 2, 3))  # target loss 1, OUT mean 2 std 1
+    scores = atk.attack_fedmia(store, np.array([0]), ("local", 0), "i")
     assert scores[0] == pytest.approx(3.0, abs=1e-9)
 
 
@@ -250,7 +258,7 @@ def test_fedmia_overfit_toy_auc_above_point_nine():
     member_loss = values[: len(pools.member_ids), -1].mean()
     ofl_loss = values[len(pools.member_ids) :, -1].mean()
     assert member_loss < ofl_loss
-    result = atk.run_attack(state.store, prep.train, pools, 0, "fedmia_i")
+    result = atk.run_attack(state.store, pools, 0, "fedmia_i")
     assert result.auc > 0.9
 
 
@@ -258,23 +266,23 @@ def test_fedmia_overfit_toy_auc_above_point_nine():
 @pytest.mark.parametrize("name", ["loss_series", "fta_c", "fedmia_i"])
 def test_a_measurement_that_is_not_finite_is_refused_naming_the_attack_and_round(name):
     # client 0's model at round 2 overflows its class-0 logit for x = [1]
-    store, ds = _loss_store([0.5, 1.0, 3.0], rounds=(1, 2, 3))
+    store, _ = _loss_store([0.5, 1.0, 3.0], rounds=(1, 2, 3))
     store.locals[1, 0, [0, 2]] = 1e308
-    ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
+    _set_rows(store, LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2))
     pools = EvalPools(np.array([0]), np.array([1]), np.array([], dtype=np.int64))
     what = {"fta_c": "confidence measurement", "fedmia_i": "loss measurement or its z-score"}
     with pytest.raises(ValueError, match=rf"^attack {name}: round 2: a {what.get(name, 'loss')}"):
-        atk.run_attack(store, ds, pools, 0, name)
+        atk.run_attack(store, pools, 0, name)
 
 
 @pytest.mark.filterwarnings("error")
 def test_an_update_direction_that_overflows_is_refused_naming_the_attack_and_round():
     store, _ = _loss_store([0.5, 1.0, 3.0], rounds=(1, 2, 3))
     store.locals[1, 0, 0], store.globals[1, 0] = 1e308, -1e308  # their difference is inf
-    ds = LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2)
+    _set_rows(store, LabeledDataset(np.array([[1.0], [1.0]]), np.array([0, 1]), 2))
     pools = EvalPools(np.array([0]), np.array([1]), np.array([], dtype=np.int64))
     with pytest.raises(ValueError, match=r"^attack avg_cosine: round 2: a grad_cosine"):
-        atk.run_attack(store, ds, pools, 0, "avg_cosine")
+        atk.run_attack(store, pools, 0, "avg_cosine")
 
 
 # --- adaptive coalition target ----------------------------------------------
@@ -284,10 +292,8 @@ def test_adaptive_single_member_equals_local_target():
     cfg = make_config(clients=4, rounds=10, snapshot_every=5, samples_per_class=40)
     prep, state = run_from_config(cfg)
     pools = ex.build_pools(cfg, prep)
-    local = atk.run_attack(state.store, prep.train, pools, 0, "loss_series")
-    adaptive = atk.run_attack(
-        state.store, prep.train, pools, 0, "loss_series", selector=("coalition", (0,))
-    )
+    local = atk.run_attack(state.store, pools, 0, "loss_series")
+    adaptive = atk.run_attack(state.store, pools, 0, "loss_series", selector=("coalition", (0,)))
     assert np.allclose(local.scores, adaptive.scores, atol=1e-9)
     assert local.auc == pytest.approx(adaptive.auc, abs=1e-9)
 
@@ -312,7 +318,7 @@ def test_label_shuffle_gives_chance_auc():
     cfg = make_config(clients=5, rounds=10, snapshot_every=5, samples_per_class=60)
     prep, state = run_from_config(cfg)
     pools = ex.build_pools(cfg, prep)
-    result = atk.run_attack(state.store, prep.train, pools, 0, "loss_series")
+    result = atk.run_attack(state.store, pools, 0, "loss_series")
     rng = np.random.default_rng(0)
     aucs = []
     for _ in range(20):
@@ -328,7 +334,17 @@ def test_run_attack_rejects_unknown_name():
     prep, state = run_from_config(cfg)
     pools = ex.build_pools(cfg, prep)
     with pytest.raises(ValueError):
-        atk.run_attack(state.store, prep.train, pools, 0, "shadow_model")
+        atk.run_attack(state.store, pools, 0, "shadow_model")
+
+
+def test_the_attacks_refuse_a_store_without_rows():
+    store, _ = _loss_store([0.5, 1.0, 3.0])
+    store.train = None
+    pools = EvalPools(np.array([0]), np.array([], dtype=np.int64), np.array([0]))
+    with pytest.raises(ValueError, match=r"no training rows \('rows', 'labels', 'owners'\)"):
+        atk.run_attacks(store, pools, 0, ["loss_series"])
+    with pytest.raises(ValueError, match="no training rows"):
+        atk.attack_fedmia(store, np.array([0]), ("local", 0), "i")
 
 
 # --- stacked OUT forwards and measurements shared within one stage ----------
@@ -534,7 +550,7 @@ def test_stage_attack_computes_each_measurement_once(tmp_path, monkeypatch, targ
     pools = ex.build_pools(cfg, prep)
     selector = atk.attack_selector(cfg.attack_target, cfg.target_client, cfg.coalition)
     alone = [
-        atk.run_attack(state.store, prep.train, pools, cfg.target_client, name, selector=selector)
+        atk.run_attack(state.store, pools, cfg.target_client, name, selector=selector)
         for name in cfg.attack_list
     ]
     ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
@@ -565,7 +581,7 @@ def test_a_stage_that_reads_loss_and_confidence_measures_the_target_once(
 
     prep = ex.prepare_data(cfg)
     pools = ex.build_pools(cfg, prep)
-    alone = [atk.run_attack(state.store, prep.train, pools, 0, name) for name in cfg.attack_list]
+    alone = [atk.run_attack(state.store, pools, 0, name) for name in cfg.attack_list]
     ex.write_attacks_csv(str(tmp_path / "alone.csv"), alone)
     assert (tmp_path / "alone.csv").read_bytes() == staged
 
@@ -610,7 +626,7 @@ def test_no_result_depends_on_the_order_of_the_attacks(tmp_path, monkeypatch, se
     scores, counts = [], []
     for names in orders:
         calls.clear()
-        results = atk.run_attacks(state.store, prep.train, pools, 0, names, selector=selector)
+        results = atk.run_attacks(state.store, pools, 0, names, selector=selector)
         assert [r.attack for r in results] == names
         scores.append({r.attack: r.scores for r in results})
         counts.append(sorted(map(str, calls)))

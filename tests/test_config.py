@@ -125,6 +125,13 @@ def test_repeated_coalition_id_names_field():
         parse_config_text(MINIMAL + "defense.kind = grad_noise\ndefense.coalition = 3,1,3\n")
 
 
+def test_repeated_attack_names_field():
+    # a repeated attack used to be scored twice, and counted twice in
+    # summary.csv's mean_attack_auc
+    with pytest.raises(ConfigError, match=r"^config field 'attack.list': attack 'loss_series' is"):
+        parse_config_text(MINIMAL + "attack.list = loss_series,loss_series,fta_l\n")
+
+
 def test_threads_key_accepts_only_one():
     assert parse_config_text(MINIMAL + "fl.threads = 1\n").threads == 1
     with pytest.raises(ConfigError) as err:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 import zipfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -614,13 +615,21 @@ def test_building_pools_imports_no_numpy_ma():
 @pytest.mark.parametrize(
     "argv, why",
     [
-        (["train", "--config", "{cfg}", "--out", "{file}"], "File exists"),
+        (["train", "--config", "{cfg}", "--out", "{file}"], "'output.dir'"),
+        (["train", "--config", "{cfg}", "--out", "{file}/run"], "'output.dir'"),
         (["train", "--config", "{dir}", "--out", "{run}"], "Is a directory"),
         (["report", "--out", "{run}", "--baseline", "{file}"], "Not a directory"),
     ],
-    ids=["train-out-is-a-file", "train-config-is-a-directory", "report-baseline-is-a-file"],
+    ids=[
+        "train-out-is-a-file",
+        "train-out-is-under-a-file",
+        "train-config-is-a-directory",
+        "report-baseline-is-a-file",
+    ],
 )
-def test_a_path_of_the_wrong_kind_is_one_error_line(tmp_path, capsys, argv, why):
+def test_a_path_of_the_wrong_kind_is_one_error_line(tmp_path, capsys, monkeypatch, argv, why):
+    """One error line, and no data prepared: a train --out that cannot be a
+    directory is refused before training, not after its last round."""
     paths = {"cfg": tmp_path / "exp.cfg", "file": tmp_path / "a_file", "dir": tmp_path}
     paths["run"] = tmp_path / "run"
     paths["cfg"].write_text(SMALL, encoding="utf-8")
@@ -629,10 +638,12 @@ def test_a_path_of_the_wrong_kind_is_one_error_line(tmp_path, capsys, argv, why)
         assert cli.main(["train", "--config", str(paths["cfg"]), "--out", str(paths["run"])]) == 0
         assert cli.main(["attack", "--out", str(paths["run"])]) == 0
         capsys.readouterr()
+    monkeypatch.setattr(ex, "prepare_data", mock.Mock(side_effect=AssertionError("prepared")))
     assert cli.main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"fedpriv {argv[0]}: error: ") and why in err
     assert err.count("\n") == 1
+    assert paths["file"].read_text(encoding="utf-8") == ""
 
 
 def test_cli_attack_without_train_errors(tmp_path, capsys):

@@ -304,6 +304,14 @@ COALITION = dict(
 )
 
 
+def _train(cfg, spec, clients, test_X, test_y, defense):
+    """`init_training` and every `run_round` on hand-built clients."""
+    state = fed.init_training(cfg, spec, clients, test_X, test_y, defense)
+    for t in range(1, state.config.rounds + 1):
+        fed.run_round(state, t)
+    return state
+
+
 def _three_clients(num_classes=3):
     """(spec, clients, test_X, test_y): clients of 18, 22 and 28 training rows
     on 4 features, and a model of 4 * 3 + 3 = 15 parameters at 3 classes."""
@@ -321,14 +329,14 @@ def test_a_defense_value_that_the_config_refuses_fails_before_any_client_trains(
     with pytest.raises(ConfigError, match=r"^config field 'defense.r_p': must be in \(0, 1\]$"):
         library_configs(**COALITION, r_p=0.0)
     with pytest.raises(ConfigError, match=r"^config field 'defense.t0': t0=99 exceeds fl.T=3$"):
-        fed.run_training(replace(cfg, t0=99), spec, clients, test_X, test_y, defense)
+        _train(replace(cfg, t0=99), spec, clients, test_X, test_y, defense)
     # a defense config is checked under any defense, so it cannot be dropped unread
     with pytest.raises(ConfigError, match=r"^config field 'defense.kind': 'coalition' in the def"):
-        fed.run_training(replace(cfg, defense="grad_noise"), spec, clients, test_X, test_y, defense)
+        _train(replace(cfg, defense="grad_noise"), spec, clients, test_X, test_y, defense)
     assert not trained.called
     cfg, defense = library_configs(**{**COALITION, "t0": 3})
     with pytest.raises(AssertionError, match="a client trained"):  # t0 = T passes
-        fed.run_training(cfg, spec, clients, test_X, test_y, defense)
+        _train(cfg, spec, clients, test_X, test_y, defense)
 
 
 def test_the_run_keeps_the_defense_config_that_its_config_resolves_to():
@@ -360,7 +368,7 @@ def test_what_the_rounds_cannot_run_is_refused_by_key_before_any_client_trains(
     cfg, defense = library_configs(**{**COALITION, **named})
     monkeypatch.setattr(models, "sgd_lockstep", mock.Mock(side_effect=AssertionError("trained")))
     with pytest.raises(ConfigError, match=r"^config field " + pattern):
-        fed.run_training(cfg, spec, clients, test_X, test_y, replace(defense, **changed))
+        _train(cfg, spec, clients, test_X, test_y, replace(defense, **changed))
 
 
 @pytest.mark.parametrize("lr", [math.nan, math.inf, -0.1])
@@ -462,7 +470,7 @@ def test_perturbation_cancels_for_random_coalitions_sizes_and_sigma(
             intervals=2,
             sigma=noise_sigma,
         )
-        return fed.run_training(cfg, spec, clients, test_X, test_y, defense_cfg=defense)
+        return _train(cfg, spec, clients, test_X, test_y, defense)
 
     on, off = run(sigma), run(0.0)
     assert on.store.rounds == off.store.rounds == [1, 2, 3]
