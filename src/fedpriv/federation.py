@@ -184,10 +184,11 @@ _RERUN = "re-run `fedpriv train` to rewrite it"
 
 @contextmanager
 def open_snapshots(path: str):
-    """The snapshot file at `path`, open for reading (`np.load`'s NpzFile)
-    until the block ends. A file that is empty, not a zip archive of arrays,
-    or whose member fails its checksum when read in the block raises a
-    ValueError that names `path`; a missing file raises numpy's OSError."""
+    """The members of the snapshot file at `path` (`_Members`), open for
+    reading until the block ends. A file that is empty or not a zip archive
+    of arrays, or a member that fails its checksum or cannot be parsed as
+    an array when read in the block, raises a ValueError that names `path`;
+    a missing file raises numpy's OSError."""
     try:
         blob = np.load(path)
     except (EOFError, zipfile.BadZipFile) as err:
@@ -197,10 +198,22 @@ def open_snapshots(path: str):
     if not isinstance(blob, np.lib.npyio.NpzFile):
         raise _damaged(path, "not a zip archive of arrays")
     with blob:
+        yield _Members(blob, path)
+
+
+class _Members:
+    """An open snapshot file's member names (`files`) and arrays by name;
+    reading a member that fails its checksum, or whose `.npy` header or data
+    numpy cannot parse, raises `_damaged`."""
+
+    def __init__(self, blob, path: str) -> None:
+        self.files, self._blob, self._path = blob.files, blob, path
+
+    def __getitem__(self, name: str) -> np.ndarray:
         try:
-            yield blob
-        except (EOFError, zipfile.BadZipFile) as err:  # only a member read raises these
-            raise _damaged(path, err) from None
+            return self._blob[name]
+        except (EOFError, zipfile.BadZipFile, ValueError) as err:
+            raise _damaged(self._path, err) from None
 
 
 def _damaged(path: str, why) -> ValueError:
@@ -364,10 +377,13 @@ class RunBuffers:
     per-client generator for each of its "train", "bandit" and "gradnoise"
     streams; the stacked rows of the evaluation that ends a round (every
     client's training set) and of the coalition members' validation rows
-    (the sets of `val_members`, the members that have one); the (K, P)
+    (the sets of `val_members`, the members that have one), each laid out
+    once as a plan of forward passes over the workspace's buffers; the (K, P)
     upload matrix, which aggregation overwrites with its product; one
     workspace for the lock-step training, those passes and the test
-    accuracy; and what later rounds read of earlier ones."""
+    accuracy, which keeps the views of the training laid out over its
+    buffers, so that a run without coalition plans lays them out once; and
+    what later rounds read of earlier ones."""
 
     streams: dict[str, RoundStreams]
     workspace: models.Workspace

@@ -5,29 +5,37 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-`per_sample_losses` (evaluation and validation losses) and `accuracy` run
-one stacked forward, `_stack_logits`, under one model, one model per batch,
-or many models over one broadcast batch. `measure_models` (the attacks' loss
-and confidence) runs one query batch under many models with the model on the
-left of every product and each bias folded into its GEMM, writing
-class-major logits for the softmax core's class-major branch,
-`_class_major`; its values may differ from a row-major forward's, or from
-one that adds each bias after its GEMM, in the last bits (the attacks'
-stated drift).
+`per_sample_losses`, `StackedBatches` (evaluation and validation losses)
+and `accuracy` run one stacked forward under one model, one model per
+batch, or many models over one broadcast batch: `_stack_plan` lays out the
+chunk rule's passes and runs of logits over a workspace's buffers, and
+`_stack_logits` runs such a plan. `per_sample_losses` and `accuracy` lay
+out a plan on every call; a `StackedBatches` lays out its plan once and
+runs it on every call. `measure_models` (the attacks' loss and confidence)
+runs one query batch under many models with the model on the left of every
+product and each bias folded into its GEMM, writing class-major logits for
+the softmax core's class-major branch, `_class_major`; its values may
+differ from a row-major forward's, or from one that adds each bias after
+its GEMM, in the last bits (the attacks' stated drift).
 
 The public functions never mutate their inputs, and `prepare_lockstep`'s
 arrays are read-only, so any number of `sgd_lockstep` calls may share them.
 A `Workspace`, and a `StackedBatches` that draws on one, serves one call at
-a time. Some functions write into arrays they are given: `log_softmax` its
-result into `out`, `_forward` the logits into `out` and the hidden layer
-into `hidden`, `_backward` the gradients into `out` (and, if asked to, its
-hidden gradient and ReLU mask over the forward cache), and `_relu_backward`
-its result over `dhid`.
+a time. Besides its buffers, a workspace keeps the views that
+`sgd_lockstep` lays out over them (`_lockstep_views`) for the last prepared
+inputs it trained, which later calls on the same inputs reuse. Views over a
+buffer that the workspace has since replaced are never used again. Some
+functions write into arrays they are given: `log_softmax` its result into
+`out`, `_forward` the logits into `out` and the hidden layer into `hidden`,
+`_backward` the gradients into `out` (and, if asked to, its hidden gradient
+and ReLU mask over the forward cache), and `_relu_backward` its result over
+`dhid`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,73 +351,125 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndar
 
 class Workspace:
     """Named arrays that calls reuse instead of allocating their own:
-    `array(name, shape)` is a C-contiguous view of the buffer `name`, which
-    a larger one replaces when a call needs more. One call at a time may
-    use a workspace."""
+    `array(name, shape, dtype)` is a C-contiguous view of the buffer `name`,
+    which a larger one replaces when a call needs more; a buffer keeps the
+    dtype it was made with. `layout` keeps one layout of views over the
+    buffers for later calls, until a buffer is made or replaced;
+    `generation` counts those events, so a caller that keeps views of its
+    own can tell when they are stale. One call at a time may use a
+    workspace."""
 
     def __init__(self) -> None:
         self._arrays: dict[str, np.ndarray] = {}
+        self._layout: tuple | None = None  # (key, generation, views)
+        self.generation = 0
 
     def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         buf = self._arrays.get(name)
+        if buf is not None and buf.dtype != dtype:
+            raise TypeError(f"workspace buffer {name!r} holds {buf.dtype}, not {np.dtype(dtype)}")
         if buf is None or len(buf) < size:
             buf = self._arrays[name] = np.empty(size, dtype=dtype)
+            self.generation += 1
         return buf[:size].reshape(shape)
 
+    def layout(self, key, build):
+        """`build()`, views over this workspace's buffers, handed back to a
+        later call with an equal key until a call with another key, or a
+        buffer is made or replaced."""
+        if self._layout is None or self._layout[:2] != (key, self.generation):
+            views = build()  # which may make or replace buffers
+            self._layout = (key, self.generation, views)
+        return self._layout[2]
 
-def _stack_logits(spec: ModelSpec, params, stacks, workspace: Workspace | None):
-    """Yield (first row, logits (rows, num_classes)) for runs of the rows of
-    3-D stacks, stack after stack and batch after batch, under one flat
-    `params` (P,) or under model params[i] of a matrix (B, P) for the i-th of
-    their B batches. A stack may be one batch broadcast to many models.
 
-    The one chunk rule: a forward pass takes as many batches of a stack as
-    keep their hidden activations and logits within STACK_CHUNK_BYTES (at
-    least one), each batch with the bits of a pass of its own, and passes
-    fill a run until it holds STACK_CHUNK_BYTES of logits or the rows end.
-    Runs are views of `workspace`'s "logits" buffer (one of its own if
-    None), valid until the next; the hidden layer goes into "pre" and "hid"."""
-    matrix = np.ndim(params) == 2
-    if matrix:
-        theta = np.asarray(params, dtype=np.float64)
-        batches = sum(s.shape[0] for s in stacks)
-        if theta.shape != (batches, spec.param_count):
-            raise ValueError(
-                f"parameter matrix has shape {theta.shape}, expected "
-                f"({batches}, {spec.param_count}): one model per batch"
-            )
-    else:
-        layers = _single_layers(spec, params)
-    workspace = Workspace() if workspace is None else workspace
+@dataclass(frozen=True, eq=False)
+class _StackPlan:
+    """`_stack_plan`'s layout of 3-D stacks: their rows and batches in all,
+    one (x, first batch, logits, hidden, run) per forward pass, and the
+    workspace generation whose buffers the views are of. A pass takes
+    batches x, the first of them batch `first` of all, and writes their
+    logits and hidden layer into its views; `run` is the run of logits
+    handed on after it, or None."""
+
+    rows: int
+    batches: int
+    passes: tuple
+    generation: int
+
+
+def _stack_plan(spec: ModelSpec, stacks, workspace: Workspace) -> _StackPlan:
+    """The one chunk rule for the rows of 3-D stacks, stack after stack and
+    batch after batch; a stack may be one batch broadcast to many models.
+
+    A forward pass takes as many batches of a stack as keep their hidden
+    activations and logits within STACK_CHUNK_BYTES (at least one), each
+    batch with the bits of a pass of its own, and passes fill a run until it
+    holds STACK_CHUNK_BYTES of logits or the rows end. Runs are views of
+    `workspace`'s "logits" buffer; the hidden layer goes into "pre" and
+    "hid"."""
     h, c = spec.hidden_dim, spec.num_classes
-    chunks = []  # (stack, first and end batch, first batch of all)
+    chunks = []  # (batches, first batch of all)
     first = rows = most = 0
-    for s, stack in enumerate(stacks):
+    for stack in stacks:
         g, n = stack.shape[:2]
         per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
         for b0 in range(0, g, per):
-            b1 = min(g, b0 + per)
-            chunks.append((s, b0, b1, first + b0))
-            most = max(most, (b1 - b0) * n)
+            chunks.append((stack[b0 : b0 + per], first + b0))
+            most = max(most, (min(g, b0 + per) - b0) * n)
         first += g
         rows += g * n
     least = max(1, STACK_CHUNK_BYTES // (8 * c))
     logits = workspace.array("logits", (min(rows, least - 1 + most), c))
     hidden = [workspace.array(name, (most, h)) for name in ("pre", "hid")] if h else None
-    start = fill = 0
-    for s, b0, b1, first in chunks:
-        x = stacks[s][b0:b1]
-        if matrix:
-            layers = _layers(spec, theta[first : first + b1 - b0])
+    passes, start, fill = [], 0, 0
+    for x, b in chunks:
         g, n = x.shape[:2]
         out = logits[fill : fill + g * n].reshape(g, n, c)
         cache = [a[: g * n].reshape(g, n, h) for a in hidden] if h else None
-        _forward(spec, layers, x, out=out, hidden=cache)
         fill += g * n
+        run = None
         if fill >= least or (fill and start + fill == rows):
-            yield start, logits[:fill]
-            start, fill = start + fill, 0
+            run, start, fill = logits[:fill], start + fill, 0
+        passes.append((x, b, out, cache, run))
+    return _StackPlan(rows, first, tuple(passes), workspace.generation)
+
+
+def _stack_logits(spec: ModelSpec, params, plan: _StackPlan):
+    """Yield (first row, logits (rows, num_classes)) for each run of a
+    `_stack_plan`, under one flat `params` (P,) or under model params[i] of
+    a matrix (B, P) for the i-th of the plan's B batches. A run is valid
+    until the next."""
+    matrix = np.ndim(params) == 2
+    if matrix:
+        theta = np.asarray(params, dtype=np.float64)
+        if theta.shape != (plan.batches, spec.param_count):
+            raise ValueError(
+                f"parameter matrix has shape {theta.shape}, expected "
+                f"({plan.batches}, {spec.param_count}): one model per batch"
+            )
+    else:
+        layers = _single_layers(spec, params)
+    start = 0
+    for x, first, out, cache, run in plan.passes:
+        if matrix:
+            layers = _layers(spec, theta[first : first + len(x)])
+        _forward(spec, layers, x, out=out, hidden=cache)
+        if run is not None:
+            yield start, run
+            start += len(run)
+
+
+def _plan_losses(spec: ModelSpec, params, plan: _StackPlan, y: np.ndarray) -> np.ndarray:
+    """Each row's cross-entropy (rows,) under `_stack_logits`, given each
+    row's class y (rows,): one softmax-core call a run that reads only each
+    row's target class."""
+    losses = np.empty(plan.rows)
+    for r0, logits in _stack_logits(spec, params, plan):
+        at = slice(r0, r0 + len(logits))
+        losses[at] = _softmax_core(logits, log=True, y=y[at])
+    return losses
 
 
 def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> list[np.ndarray]:
@@ -502,10 +562,10 @@ def per_sample_losses(
     after batch. Each batch gets the arithmetic it would get on its own.
 
     `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
-    the model of each of their B batches, in the same order. Each run of
-    `_stack_logits` takes one softmax-core call that reads only each row's
-    target class, in the buffers of `workspace` (one of its own if None), so
-    a call allocates little more than its result."""
+    the model of each of their B batches, in the same order. Each call lays
+    out a `_stack_plan` in the buffers of `workspace` (one of its own if
+    None) and runs it (`_plan_losses`), so it allocates little more than its
+    result."""
     many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
     if many:
         stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
@@ -516,19 +576,22 @@ def per_sample_losses(
     samples = sum(s.shape[0] * s.shape[1] for s in stacks)
     if samples != len(y):
         raise ValueError(f"{len(y)} labels for {samples} samples")
-    losses = np.empty(samples)
-    for r0, logits in _stack_logits(spec, params, stacks, workspace):
-        at = slice(r0, r0 + len(logits))
-        losses[at] = _softmax_core(logits, log=True, y=y[at])
+    plan = _stack_plan(spec, stacks, Workspace() if workspace is None else workspace)
+    losses = _plan_losses(spec, params, plan, y)
     return losses.reshape(x.shape[:2]) if not many and x.ndim == 3 else losses
 
 
 class StackedBatches:
     """Batches (xs[i], ys[i]) stacked once per group of equal size, to be
     scored again and again: `losses` gives each batch's per-sample
-    cross-entropy through one `per_sample_losses` call on the stacks, every
-    batch with the bits of a call of its own, in the buffers of `workspace`
-    (one of its own if None). A lone batch of a size is a view, not a copy.
+    cross-entropy, every batch with the bits of a call of its own, as
+    `per_sample_losses` on the stacks would. A lone batch of a size is a
+    view, not a copy.
+
+    The stacks are laid out once, at construction, as one `_stack_plan` in
+    the buffers of `workspace` (one of its own if None), which every
+    `losses` call runs, for a flat model and for a model matrix alike; it is
+    laid out again only after the workspace has made or replaced a buffer.
     """
 
     def __init__(self, spec: ModelSpec, xs, ys, workspace: Workspace | None = None):
@@ -545,11 +608,12 @@ class StackedBatches:
             for ids in groups.values()
         ]
         labels = [np.asarray(ys[i], dtype=np.int64).ravel() for i in self.order]
-        self.labels = [np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)]
+        self.labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
         ends = np.cumsum([len(xs[i]) for i in self.order]).tolist()
         self.rows = [None] * len(xs)  # batch i's rows in the losses
         for i, end in zip(self.order, ends):
             self.rows[i] = slice(end - len(xs[i]), end)
+        self._plan = _stack_plan(spec, self.stacks, self.workspace)
 
     def losses(self, params) -> list[np.ndarray]:
         """Each batch's per-sample cross-entropy under one flat `params` (P,)
@@ -557,7 +621,9 @@ class StackedBatches:
         order, as views into one fresh array."""
         if np.ndim(params) == 2 and len(params) == len(self.order):
             params = np.asarray(params)[self.order]  # other shapes are refused below
-        flat = per_sample_losses(self.spec, params, self.stacks, self.labels, self.workspace)
+        if self._plan.generation != self.workspace.generation:  # its views may be stale
+            self._plan = _stack_plan(self.spec, self.stacks, self.workspace)
+        flat = _plan_losses(self.spec, params, self._plan, self.labels)
         return [flat[rows] for rows in self.rows]
 
 
@@ -823,7 +889,10 @@ def sgd_lockstep(
     Each pass's gradients are written into one (K, P) buffer, group by group,
     and its clients, contiguous in rank, take one update. The buffers come
     from `workspace`, which a caller that trains every round can keep; the
-    result is then one of them, valid until the workspace's next use.
+    result is then one of them, valid until the workspace's next use. The
+    workspace keeps the views laid out over them (`_lockstep_views`) for
+    these inputs and spec, so a later call on the same inputs does not lay
+    them out again.
 
     Raises NonFiniteLoss naming the clients whose batch loss (cross-entropy)
     or logit gradient (with a mask) is not finite, among those of the first
@@ -840,7 +909,10 @@ def sgd_lockstep(
         raise ValueError("each client needs its own generator")
     rank, starts, sizes = inputs.rank, inputs.starts, inputs.sizes
     workspace = Workspace() if workspace is None else workspace
-    theta, step, order, passes = _lockstep_views(spec, inputs, workspace)
+    # a weak key: the workspace keeps no inputs alive
+    theta, step, order, passes = workspace.layout(
+        (weakref.ref(inputs), spec), lambda: _lockstep_views(spec, inputs, workspace)
+    )
     theta[:] = np.asarray(params, dtype=np.float64)
     row_base = np.arange(inputs.width) * spec.num_classes  # flat index of each row's first logit
     # non-finite values are detected and reported below, not warned about
@@ -912,8 +984,11 @@ def accuracy(
     workspace: Workspace | None = None,
 ) -> float:
     """Fraction of samples whose argmax prediction matches the label, NaN
-    for no samples; `_stack_logits` computes the logits in `workspace`."""
+    for no samples; a `_stack_plan` laid out in `workspace` (one of its own
+    if None) computes the logits."""
     y, hits = np.asarray(y), 0
-    for r0, logits in _stack_logits(spec, params, [_as_batch(spec, x)[None]], workspace):
+    workspace = Workspace() if workspace is None else workspace
+    plan = _stack_plan(spec, [_as_batch(spec, x)[None]], workspace)
+    for r0, logits in _stack_logits(spec, params, plan):
         hits += int((logits.argmax(axis=1) == y[r0 : r0 + len(logits)]).sum())
     return hits / len(y) if len(y) else math.nan

@@ -12,6 +12,7 @@ import shutil
 import struct
 import sys
 import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,42 @@ def test_a_member_that_fails_its_checksum_is_one_error_line(
     err = _refused_in_one_line(capsys, [arg.format(**paths) for arg in argv], damaged)
     assert f"Bad CRC-32 for file '{member}.npy'" in err
     assert not any((out / name).exists() for out in paths.values() for name in ex.DOWNSTREAM_CSVS)
+
+
+def _damage_the_header_of(path, member):
+    """Flip byte 20 of a stored member, inside its `.npy` header, and write
+    the member's new CRC-32 into its local and central zip headers, so that
+    the archive checks out and only the header is damaged."""
+    name = (member + ".npy").encode()
+    with zipfile.ZipFile(path) as archive:
+        info, central = archive.getinfo(member + ".npy"), archive.start_dir
+    raw = bytearray(path.read_bytes())
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    raw[start + 20] ^= 0xFF
+    crc = zlib.crc32(raw[start : start + info.compress_size])
+    struct.pack_into("<I", raw, info.header_offset + 14, crc)
+    while raw[central : central + 4] == b"PK\x01\x02":  # the central directory's entries
+        name_len, extra_len, comment_len = struct.unpack_from("<HHH", raw, central + 28)
+        if raw[central + 46 : central + 46 + name_len] == name:
+            struct.pack_into("<I", raw, central + 16, crc)
+        central += 46 + name_len + extra_len + comment_len
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("member", ["globals", "format"])
+def test_a_member_whose_header_cannot_be_parsed_is_one_error_line(
+    small_run, tmp_path, capsys, member
+):
+    """The checksums hold, so numpy's header parser is what refuses it."""
+    out = shutil.copytree(small_run[1], tmp_path / "run")
+    path = out / ex.SNAPSHOTS_NPZ
+    _damage_the_header_of(path, member)
+    with zipfile.ZipFile(path) as archive:
+        assert archive.testzip() is None
+    err = _refused_in_one_line(capsys, ["attack", "--out", str(out)], path)
+    assert "Cannot parse header" in err
+    assert not (out / ex.ATTACKS_CSV).exists()
 
 
 @pytest.mark.parametrize(

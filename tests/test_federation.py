@@ -246,6 +246,19 @@ def test_rounds_without_plans_prepare_their_lockstep_inputs_once(kind, prepared,
     assert calls == [5] * prepared
 
 
+@pytest.mark.parametrize("kind, laid_out", [("none", 1), ("grad_noise", 1), ("coalition", 4)])
+def test_rounds_without_plans_lay_out_their_lockstep_views_once(kind, laid_out, monkeypatch):
+    # the run's workspace keeps the views for the kept inputs; a round with
+    # plans prepares inputs of its own, and so lays out views of its own
+    extra = "" if kind == "none" else f"defense.kind = {kind}\ndefense.coalition = 0,1\n"
+    cfg = make_config(clients=5, rounds=4, extra=extra + "defense.t0 = 2\n")
+    calls = []
+    lay_out = models._lockstep_views
+    monkeypatch.setattr(models, "_lockstep_views", lambda *args: calls.append(1) or lay_out(*args))
+    run_from_config(cfg)
+    assert len(calls) == laid_out
+
+
 @pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
 def test_kept_lockstep_inputs_give_the_uploads_of_inputs_rebuilt_every_round(hidden):
     cfg = make_config(

@@ -560,6 +560,77 @@ def test_prepared_inputs_reused_across_calls_train_as_fresh_ones(hidden):
     assert np.array_equal(_bits(inputs.x), _bits(x_before))
 
 
+@pytest.mark.parametrize("hidden", [0, 16], ids=["logistic", "mlp"])
+def test_prepared_inputs_reused_on_one_workspace_train_as_fresh_ones(hidden, monkeypatch):
+    # the same three rounds on one workspace, with evaluation losses and a
+    # test accuracy on it between them: the views laid out for the inputs
+    # serve every call, until a buffer is replaced after the second
+    spec, xs, ys = _dirichlet_round(18, hidden)
+    masks = [None] * len(xs)
+    masks[5] = np.arange(len(xs[5])) < 40
+    fn = cr_term(0.05)
+    inputs = models.prepare_lockstep(xs, ys, 32, masks)
+    workspace = models.Workspace()
+    evaluation = models.StackedBatches(spec, xs, ys, workspace)
+    laid_out, lay_out = [], models._lockstep_views
+    monkeypatch.setattr(
+        models, "_lockstep_views", lambda *a: laid_out.append(a[2] is workspace) or lay_out(*a)
+    )
+    rng = np.random.default_rng(19)
+    for t in range(3):
+        start = models.init_params(spec, rng)
+
+        def streams():
+            return [np.random.default_rng([t, k]) for k in range(len(xs))]
+
+        got = models.sgd_lockstep(spec, start, inputs, 0.2, 2, streams(), fn, workspace)
+        fresh = models.prepare_lockstep(xs, ys, 32, masks)
+        want = models.sgd_lockstep(spec, start, fresh, 0.2, 2, streams(), fn)
+        assert np.array_equal(_bits(got), _bits(want))
+        model = want.mean(axis=0)
+        losses = evaluation.losses(model)
+        for x, y, loss in zip(xs, ys, losses):
+            assert np.array_equal(_bits(loss), _bits(models.per_sample_losses(spec, model, x, y)))
+        acc = models.accuracy(spec, model, xs[2], ys[2], workspace)
+        assert acc == models.accuracy(spec, model, xs[2], ys[2])
+        if t == 1:
+            workspace.array("x", (4 * len(inputs.x), spec.input_dim))  # replaces the features'
+    assert laid_out.count(True) == 2
+
+
+def test_workspace_layouts_last_until_a_buffer_is_made_or_replaced():
+    workspace = models.Workspace()
+    built = []
+
+    def build():
+        built.append(1)
+        return workspace.array("a", (4,))
+
+    kept = workspace.layout(1, build)
+    assert workspace.layout(1, build) is kept and len(built) == 1
+    assert np.shares_memory(workspace.array("a", (3,)), kept)  # no buffer made
+    assert workspace.layout(1, build) is kept
+    workspace.layout(2, build)  # another key
+    assert len(built) == 2
+    workspace.array("b", (1,))
+    workspace.layout(2, build)
+    assert len(built) == 3
+    workspace.array("a", (9,))  # replaces the buffer the kept view is of
+    view = workspace.layout(2, build)
+    assert len(built) == 4 and np.shares_memory(view, workspace.array("a", (9,)))
+    assert not np.shares_memory(view, kept)
+
+
+def test_a_workspace_buffer_keeps_its_dtype():
+    workspace = models.Workspace()
+    workspace.array("x", (10,))
+    for shape in ((4,), (20,)):
+        with pytest.raises(TypeError, match="workspace buffer 'x' holds float64, not int64"):
+            workspace.array("x", shape, np.int64)
+    assert workspace.array("x", (4,)).dtype == np.float64
+    assert workspace.array("order", (4,), np.int64).dtype == np.int64
+
+
 # Signed zeros, NaNs of both signs, infinities and subnormals: every pair of
 # a pre-activation and a backpropagated value below meets once.
 SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -2.5])
@@ -689,6 +760,34 @@ def test_losses_in_smaller_chunks_keep_their_bits(spec, monkeypatch):
         for params, losses in zip((theta[0], theta), want):
             got = models.StackedBatches(spec, xs, ys).losses(params)
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, losses))
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
+@pytest.mark.parametrize("batches_a_pass", [1, 2])
+def test_batches_planned_in_smaller_chunks_give_each_batch_its_losses_alone(
+    spec, batches_a_pass, monkeypatch
+):
+    # the plan is laid out at construction, so it keeps the chunk size it
+    # was made with: passes of one or two batches of 9 rows
+    rng = np.random.default_rng(37)
+    sizes = [9, 4, 9, 9, 4, 9, 13]
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in sizes]
+    ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
+    theta = np.stack([models.init_params(spec, rng) for _ in sizes])
+    chunk_bytes = batches_a_pass * 9 * 8 * (spec.hidden_dim + spec.num_classes)
+    with monkeypatch.context() as patched:
+        patched.setattr(models, "STACK_CHUNK_BYTES", chunk_bytes)
+        batches = models.StackedBatches(spec, xs, ys)
+    passes, forward = [], models._forward
+    monkeypatch.setattr(models, "_forward", lambda *a, **k: passes.append(1) or forward(*a, **k))
+    for params in (theta[0], theta, theta[0]):
+        passes.clear()
+        got = batches.losses(params)
+        assert len(passes) > len(batches.stacks)  # the default size takes one pass a stack
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            model = params if params.ndim == 1 else theta[i]
+            alone = models.per_sample_losses(spec, model, x, y)
+            assert np.array_equal(_bits(got[i]), _bits(alone))
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["loss-logistic", "loss-mlp"])
