@@ -18,7 +18,7 @@ takes one `measure_models` call over the target's whole series
 (`_target_series`); gradient cosines and FedMIA's OUT statistic (Carlini et
 al., arXiv:2112.03570) take one call a round, and FedMIA-II's call measures
 the target's cosines with its OUT clients'. Loss and confidence differ from
-a row-major forward (`models._stack_logits`), and from one that adds each
+a row-major forward (`models.StackedBatches`), and from one that adds each
 bias after its GEMM, by at most 1e-13 relative; cosines differ from a
 projection on each layer's units, and the target's in FedMIA-II's call from
 a call of their own, by at most 1e-15 (tests/test_attacks.py,

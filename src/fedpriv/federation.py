@@ -188,17 +188,19 @@ def open_snapshots(path: str):
     reading until the block ends. A file that is empty or not a zip archive
     of arrays, or a member that fails its checksum or cannot be parsed as
     an array when read in the block, raises a ValueError that names `path`;
-    a missing file raises numpy's OSError."""
-    try:
-        blob = np.load(path)
-    except (EOFError, zipfile.BadZipFile) as err:
-        raise _damaged(path, err) from None
-    except ValueError:  # numpy's refusal to unpickle what is no array file
-        blob = None
-    if not isinstance(blob, np.lib.npyio.NpzFile):
-        raise _damaged(path, "not a zip archive of arrays")
-    with blob:
-        yield _Members(blob, path)
+    a missing file raises the OSError of `open`."""
+    # the handle is ours, so it is closed however np.load fails
+    with open(path, "rb") as fh:
+        try:
+            blob = np.load(fh)
+        except (EOFError, zipfile.BadZipFile) as err:
+            raise _damaged(path, err) from None
+        except ValueError:  # numpy's refusal to unpickle what is no array file
+            blob = None
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise _damaged(path, "not a zip archive of arrays")
+        with blob:
+            yield _Members(blob, path)
 
 
 class _Members:

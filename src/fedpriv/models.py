@@ -5,18 +5,17 @@ one-hidden-layer ReLU MLP. Parameters live in a single float64 vector laid
 out layer by layer with the output layer last, so tail-perturbation and
 weighted aggregation can treat models as plain vectors.
 
-`per_sample_losses`, `StackedBatches` (evaluation and validation losses)
-and `accuracy` run one stacked forward under one model, one model per
-batch, or many models over one broadcast batch: `_stack_plan` lays out the
-chunk rule's passes and runs of logits over a workspace's buffers, and
-`_stack_logits` runs such a plan. `per_sample_losses` and `accuracy` lay
-out a plan on every call; a `StackedBatches` lays out its plan once and
-runs it on every call. `measure_models` (the attacks' loss and confidence)
-runs one query batch under many models with the model on the left of every
-product and each bias folded into its GEMM, writing class-major logits for
-the softmax core's class-major branch, `_class_major`; its values may
-differ from a row-major forward's, or from one that adds each bias after
-its GEMM, in the last bits (the attacks' stated drift).
+`StackedBatches` (evaluation and validation losses) runs batches through
+one row-major stacked forward under one model or one model per batch: it
+lays out the chunk rule's passes and runs of logits over a workspace's
+buffers once and runs them on every call. `per_sample_losses` and
+`accuracy` are one-batch `StackedBatches`, laid out on every call.
+`measure_models` (the attacks' loss and confidence) runs one query batch
+under many models with the model on the left of every product and each
+bias folded into its GEMM, writing class-major logits for the softmax
+core's class-major branch, `_class_major`; its values may differ from a
+row-major forward's, or from one that adds each bias after its GEMM, in
+the last bits (the attacks' stated drift).
 
 The public functions never mutate their inputs, and `prepare_lockstep`'s
 arrays are read-only, so any number of `sgd_lockstep` calls may share them.
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Most bytes of hidden activations and logits that one pass of the stacked
-# forward `_stack_logits` holds, and the least bytes of logits that it hands
+# forward of `StackedBatches` holds, and the least bytes of logits that it hands
 # on as one run to be measured. glibc serves a larger request from a fresh
 # mapping (its default mmap threshold is 128 KiB) and unmaps it on free, so
 # every further pass would fault its pages in again.
@@ -193,8 +192,8 @@ def _as_batch(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"feature dim {x.shape[1]} != input_dim {spec.input_dim}")
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"batch has shape {x.shape}, expected (n, {spec.input_dim})")
     return x
 
 
@@ -384,94 +383,6 @@ class Workspace:
         return self._layout[2]
 
 
-@dataclass(frozen=True, eq=False)
-class _StackPlan:
-    """`_stack_plan`'s layout of 3-D stacks: their rows and batches in all,
-    one (x, first batch, logits, hidden, run) per forward pass, and the
-    workspace generation whose buffers the views are of. A pass takes
-    batches x, the first of them batch `first` of all, and writes their
-    logits and hidden layer into its views; `run` is the run of logits
-    handed on after it, or None."""
-
-    rows: int
-    batches: int
-    passes: tuple
-    generation: int
-
-
-def _stack_plan(spec: ModelSpec, stacks, workspace: Workspace) -> _StackPlan:
-    """The one chunk rule for the rows of 3-D stacks, stack after stack and
-    batch after batch; a stack may be one batch broadcast to many models.
-
-    A forward pass takes as many batches of a stack as keep their hidden
-    activations and logits within STACK_CHUNK_BYTES (at least one), each
-    batch with the bits of a pass of its own, and passes fill a run until it
-    holds STACK_CHUNK_BYTES of logits or the rows end. Runs are views of
-    `workspace`'s "logits" buffer; the hidden layer goes into "pre" and
-    "hid"."""
-    h, c = spec.hidden_dim, spec.num_classes
-    chunks = []  # (batches, first batch of all)
-    first = rows = most = 0
-    for stack in stacks:
-        g, n = stack.shape[:2]
-        per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
-        for b0 in range(0, g, per):
-            chunks.append((stack[b0 : b0 + per], first + b0))
-            most = max(most, (min(g, b0 + per) - b0) * n)
-        first += g
-        rows += g * n
-    least = max(1, STACK_CHUNK_BYTES // (8 * c))
-    logits = workspace.array("logits", (min(rows, least - 1 + most), c))
-    hidden = [workspace.array(name, (most, h)) for name in ("pre", "hid")] if h else None
-    passes, start, fill = [], 0, 0
-    for x, b in chunks:
-        g, n = x.shape[:2]
-        out = logits[fill : fill + g * n].reshape(g, n, c)
-        cache = [a[: g * n].reshape(g, n, h) for a in hidden] if h else None
-        fill += g * n
-        run = None
-        if fill >= least or (fill and start + fill == rows):
-            run, start, fill = logits[:fill], start + fill, 0
-        passes.append((x, b, out, cache, run))
-    return _StackPlan(rows, first, tuple(passes), workspace.generation)
-
-
-def _stack_logits(spec: ModelSpec, params, plan: _StackPlan):
-    """Yield (first row, logits (rows, num_classes)) for each run of a
-    `_stack_plan`, under one flat `params` (P,) or under model params[i] of
-    a matrix (B, P) for the i-th of the plan's B batches. A run is valid
-    until the next."""
-    matrix = np.ndim(params) == 2
-    if matrix:
-        theta = np.asarray(params, dtype=np.float64)
-        if theta.shape != (plan.batches, spec.param_count):
-            raise ValueError(
-                f"parameter matrix has shape {theta.shape}, expected "
-                f"({plan.batches}, {spec.param_count}): one model per batch"
-            )
-    else:
-        layers = _single_layers(spec, params)
-    start = 0
-    for x, first, out, cache, run in plan.passes:
-        if matrix:
-            layers = _layers(spec, theta[first : first + len(x)])
-        _forward(spec, layers, x, out=out, hidden=cache)
-        if run is not None:
-            yield start, run
-            start += len(run)
-
-
-def _plan_losses(spec: ModelSpec, params, plan: _StackPlan, y: np.ndarray) -> np.ndarray:
-    """Each row's cross-entropy (rows,) under `_stack_logits`, given each
-    row's class y (rows,): one softmax-core call a run that reads only each
-    row's target class."""
-    losses = np.empty(plan.rows)
-    for r0, logits in _stack_logits(spec, params, plan):
-        at = slice(r0, r0 + len(logits))
-        losses[at] = _softmax_core(logits, log=True, y=y[at])
-    return losses
-
-
 def _folded_layers(spec: ModelSpec, theta: np.ndarray, workspace: Workspace) -> list[np.ndarray]:
     """Each layer of models theta (g, P) as one contiguous [W | b] block
     (g, units, inputs + 1), the bias as its last column, in `workspace`'s
@@ -553,77 +464,120 @@ def measure_models(spec: ModelSpec, theta, x, y, kind, workspace: Workspace | No
     return tuple(values) if isinstance(kind, tuple) else values[0]
 
 
-def per_sample_losses(
-    spec: ModelSpec, params: np.ndarray, x, y, workspace: Workspace | None = None
-) -> np.ndarray:
-    """Cross-entropy of each sample in a batch x (n, input_dim) -> (n,), in a
-    stack of equal-sized batches x (G, n, input_dim), y (G, n) -> (G, n), or
-    in a list of such 3-D stacks -> (sum of G * n,), stack after stack and batch
-    after batch. Each batch gets the arithmetic it would get on its own.
-
-    `params` is one flat vector (P,), or for stacks a matrix (B, P) holding
-    the model of each of their B batches, in the same order. Each call lays
-    out a `_stack_plan` in the buffers of `workspace` (one of its own if
-    None) and runs it (`_plan_losses`), so it allocates little more than its
-    result."""
-    many = isinstance(x, list) and all(np.ndim(s) == 3 for s in x)
-    if many:
-        stacks, ys = [np.asarray(s, dtype=np.float64) for s in x], y
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        stacks, ys = [x if x.ndim == 3 else _as_batch(spec, x)[None]], [y]
-    y = np.concatenate([np.asarray(t, dtype=np.int64).ravel() for t in ys])
-    samples = sum(s.shape[0] * s.shape[1] for s in stacks)
-    if samples != len(y):
-        raise ValueError(f"{len(y)} labels for {samples} samples")
-    plan = _stack_plan(spec, stacks, Workspace() if workspace is None else workspace)
-    losses = _plan_losses(spec, params, plan, y)
-    return losses.reshape(x.shape[:2]) if not many and x.ndim == 3 else losses
+def per_sample_losses(spec: ModelSpec, params: np.ndarray, x, y) -> np.ndarray:
+    """Cross-entropy of each sample of one batch x (n, input_dim), or of one
+    row, with classes y, under one flat model `params` (P,) -> (n,): the
+    losses of a one-batch `StackedBatches`."""
+    if np.ndim(params) != 1:
+        raise ValueError(f"parameters have shape {np.shape(params)}, expected one flat model")
+    return StackedBatches(spec, [x], [y]).losses(params)[0]
 
 
 class StackedBatches:
     """Batches (xs[i], ys[i]) stacked once per group of equal size, to be
     scored again and again: `losses` gives each batch's per-sample
-    cross-entropy, every batch with the bits of a call of its own, as
-    `per_sample_losses` on the stacks would. A lone batch of a size is a
-    view, not a copy.
+    cross-entropy, every batch with the bits of a call of its own. A lone
+    batch of a size is a view, not a copy. A batch whose label count is not
+    its row count is refused.
 
-    The stacks are laid out once, at construction, as one `_stack_plan` in
-    the buffers of `workspace` (one of its own if None), which every
-    `losses` call runs, for a flat model and for a model matrix alike; it is
-    laid out again only after the workspace has made or replaced a buffer.
+    The chunk rule lays out the stacks' rows, stack after stack and batch
+    after batch, in the buffers of `workspace` (one of its own if None): a
+    forward pass takes as many batches of a stack as keep their hidden
+    activations and logits within STACK_CHUNK_BYTES (at least one), and
+    passes fill a run of logits until it holds STACK_CHUNK_BYTES or the rows
+    end. Runs are views of the workspace's "logits" buffer; the hidden layer
+    goes into "pre" and "hid". The plan is laid out at construction, and
+    again only after the workspace has made or replaced a buffer.
     """
 
     def __init__(self, spec: ModelSpec, xs, ys, workspace: Workspace | None = None):
+        xs = [_as_batch(spec, x) for x in xs]
+        ys = [np.asarray(y, dtype=np.int64).ravel() for y in ys]
         groups: dict[int, list[int]] = {}
-        for i, x in enumerate(xs):
+        for i, (x, y) in enumerate(zip(xs, ys, strict=True)):
+            if len(y) != len(x):
+                raise ValueError(f"batch {i} has {len(x)} rows but {len(y)} labels")
             groups.setdefault(len(x), []).append(i)
         self.spec = spec
         self.workspace = Workspace() if workspace is None else workspace
         self.order = [i for ids in groups.values() for i in ids]
         self.stacks = [
-            np.stack([xs[i] for i in ids], dtype=np.float64)
-            if len(ids) > 1
-            else np.asarray(xs[ids[0]], dtype=np.float64)[None]
+            np.stack([xs[i] for i in ids]) if len(ids) > 1 else xs[ids[0]][None]
             for ids in groups.values()
         ]
-        labels = [np.asarray(ys[i], dtype=np.int64).ravel() for i in self.order]
+        labels = [ys[i] for i in self.order]
         self.labels = np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)
-        ends = np.cumsum([len(xs[i]) for i in self.order]).tolist()
-        self.rows = [None] * len(xs)  # batch i's rows in the losses
-        for i, end in zip(self.order, ends):
-            self.rows[i] = slice(end - len(xs[i]), end)
-        self._plan = _stack_plan(spec, self.stacks, self.workspace)
+        self.rows, start = [None] * len(xs), 0  # batch i's rows in the losses
+        for i in self.order:
+            self.rows[i] = slice(start, start + len(xs[i]))
+            start += len(xs[i])
+        self._lay_out()
+
+    def _lay_out(self) -> None:
+        """The plan: one (x, first batch, logits, hidden, run) per forward
+        pass, which takes batches x, the first of them batch `first` in
+        stack order, and writes their logits and hidden layer into its
+        views; `run` is the run of logits handed on after it, or None."""
+        h, c = self.spec.hidden_dim, self.spec.num_classes
+        chunks = []  # (batches, first batch of all)
+        first = most = 0
+        for stack in self.stacks:
+            n = stack.shape[1]
+            per = max(1, STACK_CHUNK_BYTES // (8 * (h + c) * max(n, 1)))
+            chunks += [(stack[b0 : b0 + per], first + b0) for b0 in range(0, len(stack), per)]
+            most = max(most, min(per, len(stack)) * n)
+            first += len(stack)
+        rows, least = len(self.labels), max(1, STACK_CHUNK_BYTES // (8 * c))
+        logits = self.workspace.array("logits", (min(rows, least - 1 + most), c))
+        hidden = [self.workspace.array(a, (most, h)) for a in ("pre", "hid")] if h else None
+        self._passes, start, fill = [], 0, 0
+        for x, b in chunks:
+            g, n = x.shape[:2]
+            out = logits[fill : fill + g * n].reshape(g, n, c)
+            cache = [a[: g * n].reshape(g, n, h) for a in hidden] if h else None
+            fill += g * n
+            run = None
+            if fill >= least or (fill and start + fill == rows):
+                run, start, fill = logits[:fill], start + fill, 0
+            self._passes.append((x, b, out, cache, run))
+        self._generation = self.workspace.generation
+
+    def _runs(self, params):
+        """Yield (first row, logits (rows, num_classes)) for each run of the
+        plan, rows in stack order, under one flat `params` (P,) or under
+        model params[i] of a matrix (B, P) for batch i. A run is valid until
+        the next."""
+        if self._generation != self.workspace.generation:  # its views may be stale
+            self._lay_out()
+        matrix = np.ndim(params) == 2
+        if matrix:
+            theta = np.asarray(params, dtype=np.float64)
+            if theta.shape != (len(self.order), self.spec.param_count):
+                raise ValueError(
+                    f"parameter matrix has shape {theta.shape}, expected "
+                    f"({len(self.order)}, {self.spec.param_count}): one model per batch"
+                )
+            theta = theta[self.order]
+        else:
+            layers = _single_layers(self.spec, params)
+        start = 0
+        for x, first, out, cache, run in self._passes:
+            if matrix:
+                layers = _layers(self.spec, theta[first : first + len(x)])
+            _forward(self.spec, layers, x, out=out, hidden=cache)
+            if run is not None:
+                yield start, run
+                start += len(run)
 
     def losses(self, params) -> list[np.ndarray]:
         """Each batch's per-sample cross-entropy under one flat `params` (P,)
         or under model params[i] of a matrix (B, P) for batch i, in batch
-        order, as views into one fresh array."""
-        if np.ndim(params) == 2 and len(params) == len(self.order):
-            params = np.asarray(params)[self.order]  # other shapes are refused below
-        if self._plan.generation != self.workspace.generation:  # its views may be stale
-            self._plan = _stack_plan(self.spec, self.stacks, self.workspace)
-        flat = _plan_losses(self.spec, params, self._plan, self.labels)
+        order, as views into one fresh array: one softmax-core call a run
+        that reads only each row's target class."""
+        flat = np.empty(len(self.labels))
+        for r0, logits in self._runs(params):
+            at = slice(r0, r0 + len(logits))
+            flat[at] = _softmax_core(logits, log=True, y=self.labels[at])
         return [flat[rows] for rows in self.rows]
 
 
@@ -984,11 +938,10 @@ def accuracy(
     workspace: Workspace | None = None,
 ) -> float:
     """Fraction of samples whose argmax prediction matches the label, NaN
-    for no samples; a `_stack_plan` laid out in `workspace` (one of its own
-    if None) computes the logits."""
-    y, hits = np.asarray(y), 0
-    workspace = Workspace() if workspace is None else workspace
-    plan = _stack_plan(spec, [_as_batch(spec, x)[None]], workspace)
-    for r0, logits in _stack_logits(spec, params, plan):
+    for no samples; a one-batch `StackedBatches` in `workspace` (one of its
+    own if None) computes the logits."""
+    batch = StackedBatches(spec, [x], [y], workspace)
+    y, hits = batch.labels, 0
+    for r0, logits in batch._runs(params):
         hits += int((logits.argmax(axis=1) == y[r0 : r0 + len(logits)]).sum())
     return hits / len(y) if len(y) else math.nan

@@ -143,7 +143,7 @@ def test_the_cli_attack_opens_the_snapshots_once(small_run, tmp_path, monkeypatc
     out = shutil.copytree(small_run[1], tmp_path / "run")
     opened = []
     load = np.load
-    monkeypatch.setattr(np, "load", lambda *a, **k: opened.append(a[0]) or load(*a, **k))
+    monkeypatch.setattr(np, "load", lambda *a, **k: opened.append(a[0].name) or load(*a, **k))
     assert cli.main(["attack", "--out", str(out)]) == 0
     assert opened == [str(out / ex.SNAPSHOTS_NPZ)]
 

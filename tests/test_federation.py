@@ -1,5 +1,6 @@
 """Tests for aggregation, perturbation baselines, and the round loop."""
 
+import gc
 import math
 import warnings
 from dataclasses import replace
@@ -585,6 +586,20 @@ def test_store_save_load_round_trip(tmp_path):
     parts = list(zip(back.plan.client_indices, prep.plan.client_indices))
     for loaded, prepared in parts + [(back.plan.ofl_indices, prep.plan.ofl_indices)]:
         assert loaded.dtype == prepared.dtype and np.array_equal(loaded, prepared)
+
+
+def test_a_damaged_snapshot_file_is_closed_when_refused(tmp_path):
+    # numpy's zip reader takes the handle before it parses the file
+    path = tmp_path / "snaps.npz"
+    path.write_bytes(b"PK\x03\x04garbage")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="cannot be read"):
+            fed.read_snapshot_stamp(str(path))
+        gc.collect()
+    assert [w.message for w in caught] == []
+    with pytest.raises(OSError):
+        fed.read_snapshot_stamp(str(tmp_path / "missing.npz"))
 
 
 def test_a_store_without_rows_is_not_saved(tmp_path):

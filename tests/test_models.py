@@ -687,47 +687,73 @@ def test_lockstep_sgd_matches_sequential_oracle_bit_for_bit_at_benchmark_shapes(
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
 def test_stacked_losses_equal_each_batch_alone(spec):
+    # equal-size batches make one stack
     rng = np.random.default_rng(13)
     params = models.init_params(spec, rng)
     x = 2.0 * rng.normal(size=(4, 9, spec.input_dim))
     y = rng.integers(0, spec.num_classes, size=(4, 9))
-    got = models.per_sample_losses(spec, params, x, y)
-    assert got.shape == (4, 9)
+    batches = models.StackedBatches(spec, list(x), list(y))
+    assert [s.shape for s in batches.stacks] == [x.shape]
+    got = batches.losses(params)
     for g in range(4):
         alone = models.per_sample_losses(spec, params, x[g], y[g])
-        assert np.array_equal(_bits(got[g]), _bits(alone))
-    with pytest.raises(ValueError):
-        models.per_sample_losses(spec, params, x[..., :-1], y)
+        assert got[g].shape == (9,) and np.array_equal(_bits(got[g]), _bits(alone))
+    with pytest.raises(ValueError, match=r"batch has shape \(9, 4\), expected \(n, 5\)"):
+        models.StackedBatches(spec, list(x[..., :-1]), list(y))
+    with pytest.raises(ValueError, match=r"batch has shape \(4, 9, 5\)"):
+        models.per_sample_losses(spec, params, x, y)  # one batch only
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
 def test_a_list_of_stacks_gives_each_batch_its_own_losses(spec):
+    # batches of two sizes, interleaved: two stacks, losses in batch order
     rng = np.random.default_rng(17)
     params = models.init_params(spec, rng)
-    xs = [2.0 * rng.normal(size=(3, 7, spec.input_dim)), 2.0 * rng.normal(size=(1, 4, 5))]
-    ys = [rng.integers(0, spec.num_classes, size=(3, 7)), rng.integers(0, 3, size=(1, 4))]
-    got = models.per_sample_losses(spec, params, xs, ys)
-    want = [models.per_sample_losses(spec, params, x, y) for x, y in zip(xs[0], ys[0])]
-    want.append(models.per_sample_losses(spec, params, xs[1][0], ys[1][0]))
-    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
-    with pytest.raises(ValueError, match="24 labels for 25 samples"):
-        models.per_sample_losses(spec, params, xs, [ys[0], ys[1][:, :-1]])
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in (7, 4, 7, 7)]
+    ys = [rng.integers(0, spec.num_classes, size=len(x)) for x in xs]
+    batches = models.StackedBatches(spec, xs, ys)
+    assert [s.shape[:2] for s in batches.stacks] == [(3, 7), (1, 4)]
+    got = batches.losses(params)
+    want = [models.per_sample_losses(spec, params, x, y) for x, y in zip(xs, ys)]
+    assert np.array_equal(_bits(np.concatenate(got)), _bits(np.concatenate(want)))
+    with pytest.raises(ValueError, match="batch 1 has 4 rows but 3 labels"):
+        models.StackedBatches(spec, xs, [ys[0], ys[1][:-1], *ys[2:]])
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
 def test_a_model_per_batch_gives_each_batch_the_losses_of_its_model_alone(spec):
     rng = np.random.default_rng(19)
     theta = np.stack([models.init_params(spec, rng) for _ in range(4)])
-    xs = [2.0 * rng.normal(size=(3, 7, spec.input_dim)), 2.0 * rng.normal(size=(1, 4, 5))]
-    ys = [rng.integers(0, spec.num_classes, size=(3, 7)), rng.integers(0, 3, size=(1, 4))]
-    got = models.per_sample_losses(spec, theta, xs, ys)
-    batches = [*zip(xs[0], ys[0]), (xs[1][0], ys[1][0])]
-    want = [models.per_sample_losses(spec, p, x, y) for p, (x, y) in zip(theta, batches)]
-    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
-    stacked = models.per_sample_losses(spec, theta[:3], xs[0], ys[0])
-    assert np.array_equal(_bits(stacked), _bits(np.stack(want[:3])))
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in (7, 7, 4, 7)]
+    ys = [rng.integers(0, spec.num_classes, size=len(x)) for x in xs]
+    got = models.StackedBatches(spec, xs, ys).losses(theta)
+    want = [models.per_sample_losses(spec, p, x, y) for p, x, y in zip(theta, xs, ys)]
+    assert np.array_equal(_bits(np.concatenate(got)), _bits(np.concatenate(want)))
+    equal = models.StackedBatches(spec, xs[:2], ys[:2]).losses(theta[:2])  # one stack
+    assert np.array_equal(_bits(np.stack(equal)), _bits(np.stack(want[:2])))
     with pytest.raises(ValueError, match=r"expected \(4, \d+\): one model per batch"):
-        models.per_sample_losses(spec, theta[:3], xs, ys)
+        models.StackedBatches(spec, xs, ys).losses(theta[:3])
+    with pytest.raises(ValueError, match="expected one flat model"):
+        models.per_sample_losses(spec, theta[:1], xs[0], ys[0])
+
+
+@pytest.mark.parametrize("labels", [1, 4, 7])
+def test_a_batch_whose_labels_do_not_match_its_rows_is_refused(labels):
+    rng = np.random.default_rng(41)
+    params = models.init_params(MLP, rng)
+    x5, x3 = rng.normal(size=(5, MLP.input_dim)), rng.normal(size=(3, MLP.input_dim))
+    y = np.zeros(labels, dtype=np.int64)
+    message = f"batch 0 has 5 rows but {labels} labels"
+    with pytest.raises(ValueError, match=message):
+        models.StackedBatches(MLP, [x5], [y])
+    with pytest.raises(ValueError, match=message):
+        models.per_sample_losses(MLP, params, x5, y)
+    with pytest.raises(ValueError, match=message):
+        models.accuracy(MLP, params, x5, y)
+    with pytest.raises(ValueError, match=f"batch 1 has 5 rows but {labels} labels"):
+        models.StackedBatches(MLP, [x3, x5], [np.zeros(3, dtype=np.int64), y])
+    with pytest.raises(ValueError, match="shorter"):
+        models.StackedBatches(MLP, [x3, x5], [np.zeros(3, dtype=np.int64)])
 
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["logistic", "mlp"])
@@ -792,23 +818,16 @@ def test_batches_planned_in_smaller_chunks_give_each_batch_its_losses_alone(
 
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP], ids=["loss-logistic", "loss-mlp"])
 def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, monkeypatch):
-    # `per_sample_losses` over forward chunks of at most 2 batches of 10 rows
-    # (chunk = 2); runs of at least 25 (logistic) or 75 (mlp) rows, so a run
-    # takes several forward chunks and goes on from one stack into the next
-    n, chunk = 10, 2
+    # `StackedBatches` over forward passes of at most 2 batches of 10 rows,
+    # 3 of 7 or 6 of 4; runs of at least 25 (logistic) or 75 (mlp) rows, so a
+    # run takes several passes and goes on from one stack into the next
     rng = np.random.default_rng(31)
-    pools = [2.0 * rng.normal(size=(n, spec.input_dim)) for _ in range(2)]
-    stacks = [
-        np.broadcast_to(pools[0], (1, n, spec.input_dim)),  # one model
-        np.broadcast_to(pools[1], (chunk + 1, n, spec.input_dim)),  # chunk + 1 models
-        2.0 * rng.normal(size=(3, n, spec.input_dim)),  # one model per batch
-        2.0 * rng.normal(size=(2, 7, spec.input_dim)),
-    ]
-    batches = [b for s in stacks for b in s]
-    theta = np.stack([models.init_params(spec, rng) for _ in batches])
-    ys = [rng.integers(0, spec.num_classes, size=len(b)) for b in batches]
+    sizes = [10, 7, 4, 10, 10, 7, 10, 4, 10, 7, 10]  # stacks of 6, 3 and 2 batches
+    xs = [2.0 * rng.normal(size=(n, spec.input_dim)) for n in sizes]
+    ys = [rng.integers(0, spec.num_classes, size=n) for n in sizes]
+    theta = np.stack([models.init_params(spec, rng) for _ in sizes])
     want = []
-    for p, x, y in zip(theta, batches, ys):
+    for p, x, y in zip(theta, xs, ys):
         logits, _, _ = models._logits_and_hidden(spec, p, x)
         want.append(-models.log_softmax(logits)[np.arange(len(y)), y])
     monkeypatch.setattr(models, "STACK_CHUNK_BYTES", 8 * (spec.hidden_dim + spec.num_classes) * 25)
@@ -816,8 +835,6 @@ def test_measure_equals_a_per_batch_loop_across_chunks_and_stacks(spec, monkeypa
     monkeypatch.setattr(
         models, "_softmax_core", lambda z, *a, **k: runs.append(len(z)) or core(z, *a, **k)
     )
-    got = models.per_sample_losses(spec, theta, stacks, ys)
-    assert runs == ([30, 30, 24] if spec.hidden_dim == 0 else [84])
-    assert np.array_equal(_bits(got), _bits(np.concatenate(want)))
-    with pytest.raises(ValueError, match="83 labels for 84 samples"):
-        models.per_sample_losses(spec, theta, stacks, [np.concatenate(ys)[1:]])
+    got = models.StackedBatches(spec, xs, ys).losses(theta)
+    assert runs == ([40, 41, 8] if spec.hidden_dim == 0 else [81, 8])
+    assert np.array_equal(_bits(np.concatenate(got)), _bits(np.concatenate(want)))
